@@ -12,11 +12,13 @@ import warnings as _warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
+import scipy.sparse
 import scipy.stats
 from scipy.special import ndtr, ndtri
 
 from . import cart as _cart
-from .design import Design, build_design, drop_aliased
+from .design import Design, Gram, build_design, drop_aliased
 from .errors import MethodError
 from .tabular import Categorical, Column, Dataset
 
@@ -29,12 +31,20 @@ def _design_for(predictors: Dataset | None) -> Design | None:
     return build_design(predictors)
 
 
-def _matrix(design: Design | None, predictors: Dataset | None, n: int) -> np.ndarray:
+def _matrix(design: Design | None, predictors: Dataset | None, n: int) -> scipy.sparse.csr_array:
     if design is None:
-        return np.ones((n, 1))
+        return scipy.sparse.csr_array(np.ones((n, 1)))
     if predictors is None:
         raise MethodError("this fit needs predictor columns for sampling")
     return design.matrix(predictors)
+
+
+def _predict(X: scipy.sparse.csr_array, kept: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """``X[:, kept] @ coefficients`` as one sparse mat-vec on ``X``: the
+    dropped columns get zero coefficients instead of being sliced away."""
+    full = np.zeros((X.shape[1],) + coefficients.shape[1:])
+    full[kept] = coefficients
+    return X @ full
 
 
 # ---------------------------------------------------------------------------
@@ -90,15 +100,26 @@ class OlsFit:
     residual_sd: float
     notes: tuple[str, ...]
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return X[:, self.kept] @ self.coefficients
+    def predict(self, X: scipy.sparse.csr_array) -> np.ndarray:
+        return _predict(X, self.kept, self.coefficients)
 
 
-def ols(X: np.ndarray, y: np.ndarray, labels) -> OlsFit:
+def ols(X: scipy.sparse.csr_array, y: np.ndarray, labels) -> OlsFit:
+    """Least squares from the normal equations: a Cholesky factor of the
+    column-equilibrated Gram, then one step of iterative refinement on the
+    residual, which brings the coefficients to the accuracy of a QR solve."""
     X2, kept, notes = drop_aliased(X, labels)
     if notes:
         _warnings.warn("; ".join(notes))
-    beta, *_ = np.linalg.lstsq(X2, y, rcond=None)
+    G = Gram(X2)(np.ones(len(y)))
+    d = 1.0 / np.sqrt(np.diag(G))
+    try:
+        factor = scipy.linalg.cho_factor(G * d[:, None] * d[None, :])
+    except np.linalg.LinAlgError:
+        raise MethodError("least squares: design is numerically rank deficient")
+    beta = d * scipy.linalg.cho_solve(factor, d * (X2.T @ y))
+    resid = y - X2 @ beta
+    beta = beta + d * scipy.linalg.cho_solve(factor, d * (X2.T @ resid))
     resid = y - X2 @ beta
     dof = max(len(y) - X2.shape[1], 1)
     sd = float(np.sqrt(resid @ resid / dof))
@@ -227,10 +248,13 @@ def _expit(eta: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(eta, -COEF_CAP, COEF_CAP)))
 
 
-def irls_logit(X: np.ndarray, y: np.ndarray, max_iter: int, tol: float, labels) -> IrlsResult:
+def irls_logit(
+    X: scipy.sparse.csr_array, y: np.ndarray, max_iter: int, tol: float, labels
+) -> IrlsResult:
     X2, kept, notes = drop_aliased(X, labels)
     notes = list(notes)
     n, p = X2.shape
+    gram = Gram(X2)
     beta = np.zeros(p)
     converged = False
     gnorm = np.inf
@@ -242,8 +266,7 @@ def irls_logit(X: np.ndarray, y: np.ndarray, max_iter: int, tol: float, labels) 
         if gnorm < tol:
             converged = True
             break
-        w = np.maximum(prob * (1.0 - prob), 1e-12)
-        H = (X2 * w[:, None]).T @ X2
+        H = gram(np.maximum(prob * (1.0 - prob), 1e-12))
         try:
             step = np.linalg.solve(H, score)
         except np.linalg.LinAlgError:
@@ -264,8 +287,7 @@ def irls_logit(X: np.ndarray, y: np.ndarray, max_iter: int, tol: float, labels) 
         _warnings.warn(msg)
         beta = np.clip(beta, -COEF_CAP, COEF_CAP)
     prob = _expit(X2 @ beta)
-    w = np.maximum(prob * (1.0 - prob), 1e-12)
-    H = (X2 * w[:, None]).T @ X2
+    H = gram(np.maximum(prob * (1.0 - prob), 1e-12))
     try:
         cov = np.linalg.inv(H)
         se = np.sqrt(np.maximum(np.diag(cov), 0.0))
@@ -290,7 +312,7 @@ class LogitFit:
 
     def probabilities(self, predictors, n: int) -> np.ndarray:
         X = _matrix(self.design, predictors, n)
-        return _expit(X[:, self.result.kept] @ self.result.coefficients)
+        return _expit(_predict(X, self.result.kept, self.result.coefficients))
 
     def sample(self, predictors, rng: np.random.Generator, n: int) -> np.ndarray:
         p = self.probabilities(predictors, n)
@@ -334,8 +356,8 @@ class MultinomialFit:
 
     def probabilities(self, predictors, n: int) -> np.ndarray:
         """(n, L_present) softmax probabilities; absent levels have none."""
-        X = _matrix(self.design, predictors, n)[:, self.kept]
-        eta = np.clip(X @ self.coefficients.T, -COEF_CAP, COEF_CAP)
+        X = _matrix(self.design, predictors, n)
+        eta = np.clip(_predict(X, self.kept, self.coefficients.T), -COEF_CAP, COEF_CAP)
         e = np.exp(eta)
         denom = 1.0 + e.sum(axis=1)
         P = np.empty((n, len(self.present_codes)))
@@ -386,6 +408,8 @@ def fit_multinomial(
     notes = list(alias_notes)
     n, p = X.shape
     K = L - 1
+    gram = Gram(X)
+    block_a, block_b = np.triu_indices(K)
     Y = np.zeros((n, K))
     pos = y > 0
     Y[np.flatnonzero(pos), y[pos] - 1] = 1.0
@@ -405,14 +429,12 @@ def fit_multinomial(
         if gnorm < tol:
             converged = True
             break
+        # all K(K+1)/2 blocks X' diag(P_a (1[a=b] - P_b)) X from one product
+        blocks = gram(P[:, block_a] * ((block_a == block_b) - P[:, block_b]))
         H = np.empty((K * p, K * p))
-        for a in range(K):
-            for b in range(a, K):
-                w = P[:, a] * ((1.0 if a == b else 0.0) - P[:, b])
-                block = (X * w[:, None]).T @ X
-                H[a * p : (a + 1) * p, b * p : (b + 1) * p] = -block
-                if a != b:
-                    H[b * p : (b + 1) * p, a * p : (a + 1) * p] = -block
+        for a, b, block in zip(block_a, block_b, blocks):
+            H[a * p : (a + 1) * p, b * p : (b + 1) * p] = -block
+            H[b * p : (b + 1) * p, a * p : (a + 1) * p] = -block
         g = G.T.reshape(-1)  # class-major flat gradient
         try:
             step = np.linalg.solve(-H, g)

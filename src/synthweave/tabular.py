@@ -43,9 +43,6 @@ VariableKind = Union[Numeric, Categorical]
 # Schema entries accept concrete kinds or the infer-from-data shorthands.
 SchemaEntry = Union[VariableKind, str]
 
-MISSING_CODE = -1  # transient only: never stored in a Column
-
-
 @dataclass(frozen=True)
 class Column:
     """One named, typed column. Values are float64 (numeric) or int64 codes."""
@@ -59,6 +56,11 @@ class Column:
             raise DataError("column name must be non-empty")
         if isinstance(self.kind, Numeric):
             vals = np.asarray(self.values, dtype=np.float64)
+            infinite = np.flatnonzero(np.isinf(vals))
+            if infinite.size:
+                raise DataError(
+                    f"column {self.name!r}: infinite value at index {int(infinite[0])}"
+                )
         else:
             vals = np.asarray(self.values, dtype=np.int64)
             if vals.size and (vals.min() < 0 or vals.max() >= len(self.kind.levels)):
@@ -284,6 +286,11 @@ def read_csv(
                     raise DataError(
                         f"{path}: unparseable numeric cell {cell!r} "
                         f"(row {i + 2}, column {colname!r})"
+                    )
+                if not math.isfinite(vals[i]):
+                    raise DataError(
+                        f"{path}: non-finite numeric cell {cell!r} (row {i + 2}, "
+                        f"column {colname!r}); write a missing cell as {missing_token!r}"
                     )
             columns.append(Column(colname, Numeric(), vals))
         elif infer:

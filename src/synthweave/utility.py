@@ -18,7 +18,7 @@ from scipy.special import gammaincc
 
 from .design import INTERCEPT, build_design
 from .errors import UtilityError
-from .models import COEF_CAP, _expit, irls_logit
+from .models import COEF_CAP, _expit, _predict, irls_logit
 from .plan import HIGH_CARDINALITY_THRESHOLD
 from .tabular import Categorical, Column, Dataset, Numeric
 
@@ -225,6 +225,9 @@ class PropensityFit:
     n_combined: int = 0
     n_params: int = 0               # effective parameters, intercept included
     warnings: tuple[str, ...] = ()
+    iterations: int = 0             # solver iterations; 0 for the closed form
+    converged: bool = True
+    gradient_norm: float = 0.0      # max |score| when the solver stopped
 
 
 def _check_schemas(original: Dataset, synthetic: Dataset) -> None:
@@ -284,7 +287,7 @@ def fit_propensity(
         X = design.matrix(stacked)
         y = np.concatenate([np.zeros(n_o), np.ones(n_s)])
         res = irls_logit(X, y, max_iter, tol, design.labels)
-        p_hat = _expit(X[:, res.kept] @ res.coefficients)
+        p_hat = _expit(_predict(X, res.kept, res.coefficients))
         pmse = float(np.clip(np.mean((p_hat - c) ** 2), 0.0, c * (1 - c)))
         with np.errstate(divide="ignore", invalid="ignore"):
             z = np.where(res.standard_errors > 0, res.coefficients / res.standard_errors, np.nan)
@@ -301,6 +304,9 @@ def fit_propensity(
             n_combined=N,
             n_params=len(res.kept),
             warnings=tuple(design.notes) + tuple(res.notes),
+            iterations=res.iterations,
+            converged=res.converged,
+            gradient_norm=res.final_gradient_norm,
         )
 
     if model == "table_saturated":
@@ -600,6 +606,9 @@ def utility_report(
             "flagged_terms": [{"term": t, "z": z} for t, z in diag.flagged],
             "flagged_variables": list(diag.variables),
             "warnings": list(fit.warnings),
+            "iterations": fit.iterations,
+            "converged": fit.converged,
+            "gradient_norm": fit.gradient_norm,
         },
         "tables": [],
         "flags": list(compare_univariate(original, synthetic).flags),

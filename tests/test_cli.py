@@ -303,6 +303,37 @@ class TestUtilityCommand:
         assert rc == 0
         doc = json.loads(report.read_text())
         assert doc["u_gen"]["ratio"] < 3.0  # CART synthesis scores well
+        # the solver's own account of the propensity fit
+        assert doc["u_gen"]["iterations"] >= 2
+        assert doc["u_gen"]["converged"] is True
+        assert 0.0 <= doc["u_gen"]["gradient_norm"] < 1e-6
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("command", ["utility", "synth"])
+    @pytest.mark.parametrize("cell", ["inf", "nan"])
+    def test_non_finite_cell_exit_1_names_row_and_column(
+        self, toy_files, tmp_path, capsys, command, cell
+    ):
+        root, data, schema, plan = toy_files
+        lines = data.read_text().splitlines()
+        header = lines[0].split(",")
+        col = header.index("pperroom")
+        fields = lines[4].split(",")
+        fields[col] = cell
+        lines[4] = ",".join(fields)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        if command == "utility":
+            argv = ["utility", "--original", str(data), "--synthetic", str(bad),
+                    "--schema", str(schema)]
+        else:
+            argv = ["synth", "--data", str(bad), "--schema", str(schema),
+                    "--plan", str(plan), "--out", str(tmp_path / "out.csv")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "row 5, column 'pperroom'" in err
 
 
 class TestCompareCommand:

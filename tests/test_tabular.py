@@ -45,6 +45,11 @@ class TestColumn:
         with pytest.raises(DataError):
             categorical_column("c", ["a", "zzz"], levels=["a", "b"])
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_numeric_rejected(self, bad):
+        with pytest.raises(DataError, match="infinite value at index 1"):
+            numeric_column("x", [1.0, bad])
+
     def test_values_are_read_only(self):
         col = numeric_column("x", [1.0, 2.0])
         with pytest.raises(ValueError):
@@ -134,6 +139,13 @@ class TestReadCsvErrors:
         path = tmp_path / "bad.csv"
         path.write_text("x\n1\nabc\n")
         with pytest.raises(DataError, match=r"row 3.*'x'"):
+            read_csv(path, {"x": Numeric()})
+
+    @pytest.mark.parametrize("cell", ["inf", "-Infinity", "nan", "NaN"])
+    def test_non_finite_numeric_names_row_and_column(self, tmp_path, cell):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"x\n1\n{cell}\nNA\n")
+        with pytest.raises(DataError, match=r"non-finite numeric cell .*row 3, column 'x'"):
             read_csv(path, {"x": Numeric()})
 
     def test_unknown_level_without_infer(self, tmp_path):
