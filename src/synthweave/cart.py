@@ -1,18 +1,63 @@
-"""Greedy binary CART with exhaustive split search and leaf-donor sampling.
+"""Greedy binary CART, grown level by level, with leaf-donor sampling.
 
-Fitting evaluates every admissible split of every predictor: all change
-points of a sorted numeric predictor, all level subsets of a categorical one
-(exhaustive up to 12 observed levels, ordered contiguous splits above that).
-Impurity is Gini mass for categorical targets and within-node sum of squared
-deviations for numeric targets; a split must beat ``complexity`` times the
-root impurity.  Synthetic values are drawn uniformly from the donor rows of
-the leaf each synthetic row routes to, so over-fitting only adds noise to
-the draws rather than invented values.
+Candidate splits are all change points of a numeric predictor and all level
+subsets of a categorical one (exhaustive up to 12 observed levels, ordered
+contiguous splits above that).  Impurity is Gini mass for categorical
+targets and within-node sum of squared deviations for numeric targets.  A
+node splits on the first predictor, in column order, whose best gain is
+strictly the largest and beats ``complexity`` times the root impurity (plus
+a tiny absolute floor); within a predictor the first best candidate wins.
+Synthetic values are drawn uniformly from the donor rows of the leaf each
+synthetic row routes to, so over-fitting only adds noise to the draws rather
+than invented values.
+
+Level-wise search
+-----------------
+The tree is the one a depth-first search would grow, but it is grown one
+depth at a time and every open node of a depth is scored in the same numpy
+passes:
+
+- Open rows are kept node-major: once in row order, and once per numeric
+  predictor in (value, row) order.  Splitting a depth is a stable partition
+  of each of these arrays, so no node is ever sorted again.
+- For each predictor, a few passes over the open rows, keyed by (node, code
+  or rank, target level), give every candidate gain of every node; the first
+  maximum per node is kept.
+- Nodes too small to split, or already pure, become leaves before scoring.
+- At the end, nodes and leaves are renumbered into depth-first order (node
+  ids handed out as the depth-first search would, left child first), and the
+  donor rows of each leaf stay in ascending row order.
+
+``route_rows`` also goes depth by depth through per-node lookup arrays.
+
+Exactness
+---------
+Mathematically tied gains are decided by rounding, so every gain must be
+computed with the same floating-point operations, in the same order, as a
+search over one node at a time:
+
+- Categorical target: counts are exact integers, so any summation order
+  works.  The sum of squared left counts at each cut of a numeric predictor
+  is a running sum of ``2 c + 1``, where ``c`` is the number of earlier rows
+  of the node with the same target level.
+- Numeric target, numeric predictor: sums of y and y² run sequentially
+  within each node in (value, row) order.  A padded 2-D ``cumsum`` per
+  node-size class does this; a global ``cumsum`` minus offsets rounds
+  differently.
+- Numeric target node impurity uses numpy's pairwise ``sum`` on each node's
+  rows in ascending order (``_impurity``).  ``np.add.reduceat`` does not
+  round the same way.
+- Numeric target, categorical predictor: a weighted ``bincount`` over
+  (node, code) with rows ascending inside each node gives the per-node level
+  sums; totals over levels are sequential in code order; subset sums are one
+  ``masks @ S`` per node, batched as ``masks[None] @ S``, which runs the same
+  matrix product per node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -20,6 +65,8 @@ from .errors import MethodError
 from .tabular import Categorical, Column, Dataset, Numeric, VariableKind
 
 MAX_EXHAUSTIVE_LEVELS = 12
+# elements per block of batched candidate sums, to bound memory on many-node depths
+_BLOCK_ELEMENTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -47,11 +94,19 @@ class CartTree:
     min_bucket: int = 5
     complexity: float = 1e-8
     root_impurity: float = 0.0
-    warnings: tuple[str, ...] = ()
 
     @property
     def n_leaves(self) -> int:
         return len(self.leaf_sizes)
+
+    @property
+    def depth(self) -> int:
+        """Splits on the longest root-to-leaf path (0 for a single leaf)."""
+        depth = [0] * len(self.nodes)
+        for i, node in enumerate(self.nodes):
+            if not node.is_leaf:  # children always have larger ids
+                depth[node.left] = depth[node.right] = depth[i] + 1
+        return max(depth)
 
     def training_impurity(self) -> float:
         """Total leaf impurity over the training data (0 = perfect fit)."""
@@ -75,118 +130,279 @@ def _impurity(values: np.ndarray, categorical: bool) -> float:
     return float((values**2).sum() - s * s / m)
 
 
-def _numeric_split(x, t, categorical, min_bucket, node_imp, n_levels):
-    """Best 'x <= threshold' split; returns (gain, threshold) or None."""
-    m = len(x)
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    pos = np.arange(min_bucket, m - min_bucket + 1)
-    if pos.size == 0:
-        return None
-    valid = xs[pos - 1] < xs[pos]
-    if not valid.any():
-        return None
-    if categorical:
-        oh = np.zeros((m, n_levels), dtype=np.float64)
-        oh[np.arange(m), t[order]] = 1.0
-        cum = oh.cumsum(axis=0)
-        left_counts = cum[pos - 1]
-        total = cum[-1]
-        left_n = pos.astype(np.float64)
-        right_n = m - left_n
-        left_imp = left_n - (left_counts**2).sum(axis=1) / left_n
-        right_counts = total - left_counts
-        right_imp = right_n - (right_counts**2).sum(axis=1) / right_n
-    else:
-        ys = t[order]
-        cy = ys.cumsum()
-        cy2 = (ys**2).cumsum()
-        left_n = pos.astype(np.float64)
-        right_n = m - left_n
-        left_imp = cy2[pos - 1] - cy[pos - 1] ** 2 / left_n
-        right_imp = (cy2[-1] - cy2[pos - 1]) - (cy[-1] - cy[pos - 1]) ** 2 / right_n
-    gain = np.where(valid, node_imp - left_imp - right_imp, -np.inf)
-    best = int(np.argmax(gain))
-    if not np.isfinite(gain[best]):
-        return None
-    threshold = float((xs[pos[best] - 1] + xs[pos[best]]) / 2.0)
-    return float(gain[best]), threshold
+def _running_count(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Cumulative sum of integer ``values`` restarted at every node segment.
+
+    Integers are exact, so one global ``cumsum`` minus each segment's offset
+    gives the same numbers as a ``cumsum`` per segment.
+    """
+    total = np.concatenate([[0], np.cumsum(values)])
+    return total[1:] - np.repeat(total[starts], sizes)
 
 
-def _level_stats(codes, t, categorical, n_pred_levels, n_tgt_levels):
-    if categorical:
-        flat = np.bincount(
-            codes * n_tgt_levels + t, minlength=n_pred_levels * n_tgt_levels
-        ).astype(np.float64)
-        C = flat.reshape(n_pred_levels, n_tgt_levels)
-        return C.sum(axis=1), C
-    n_l = np.bincount(codes, minlength=n_pred_levels).astype(np.float64)
-    s_l = np.bincount(codes, weights=t, minlength=n_pred_levels)
-    s2_l = np.bincount(codes, weights=t**2, minlength=n_pred_levels)
-    return n_l, np.column_stack([s_l, s2_l])
+def _running_sums(columns, starts: np.ndarray, sizes: np.ndarray) -> list[np.ndarray]:
+    """Cumulative sums of float ``columns`` restarted at every node segment.
+
+    Each segment is summed left to right from its own start, exactly as a
+    ``cumsum`` of that segment alone: segments of similar length are padded
+    into the rows of one 2-D block, which is summed along its rows.
+    """
+    out = [np.empty_like(c) for c in columns]
+    size_class = np.ceil(np.log2(np.maximum(sizes, 1))).astype(np.int64)
+    for c in np.unique(size_class):
+        segs = np.flatnonzero(size_class == c)
+        width = 1 << int(c)
+        length = sizes[segs]
+        before = np.cumsum(length) - length
+        ramp = np.arange(int(length.sum()))
+        at = np.repeat(starts[segs] - before, length) + ramp
+        slot = np.repeat(np.arange(segs.size) * width - before, length) + ramp
+        for values, result in zip(columns, out):
+            block = np.zeros(segs.size * width)
+            block[slot] = values[at]
+            result[at] = np.cumsum(block.reshape(segs.size, width), axis=1).ravel()[slot]
+    return out
 
 
-def _subset_gains(left_n, left_stat, tot_n, tot_stat, categorical, min_bucket, node_imp):
-    right_n = tot_n - left_n
-    ok = (left_n >= min_bucket) & (right_n >= min_bucket)
+class _Depth:
+    """The open nodes of one depth.
+
+    Every row array of the search (row order, and (value, row) order per
+    numeric predictor) holds these nodes' rows as node-major segments of
+    the same sizes, so positions share one layout.
+    """
+
+    def __init__(self, sizes: np.ndarray, imp: np.ndarray, min_bucket: int):
+        self.sizes = sizes
+        self.imp = imp
+        self.starts = np.cumsum(sizes) - sizes
+        self.seg = np.repeat(np.arange(sizes.size), sizes)
+        self.local = np.arange(self.seg.size) - self.starts[self.seg]
+        # a cut after a position: rows on each side, and whether both are big enough
+        self.left_n = (self.local + 1).astype(np.float64)
+        self.right_n = sizes[self.seg] - self.left_n
+        self.cut_ok = (self.left_n >= min_bucket) & (self.right_n >= min_bucket)
+
+    def first_max(self, values: np.ndarray):
+        """Per node: (first position of its maximum, that maximum).
+
+        A node whose maximum is not finite gets position -1, as ``np.argmax``
+        on that node alone followed by a finiteness check would give.
+        """
+        top = np.maximum.reduceat(values, self.starts)
+        hit = np.flatnonzero((values == top[self.seg]) & np.isfinite(top[self.seg]))
+        first = np.ones(hit.size, dtype=bool)
+        first[1:] = self.seg[hit[1:]] != self.seg[hit[:-1]]
+        pos = np.full(self.sizes.size, -1)
+        pos[self.seg[hit[first]]] = hit[first]
+        return pos, top
+
+    def partition(self, arrays, go_left, splitting: np.ndarray, n_left: np.ndarray):
+        """Stable partition of each array into the next depth's segments.
+
+        Each splitting node's rows become its left child's rows followed by
+        its right child's, each in their current order; other rows go.
+        ``go_left`` holds one mask per array.
+        """
+        seg = self.seg
+        keep = splitting[seg]
+        kept = np.where(splitting, self.sizes, 0)
+        base = (np.cumsum(kept) - kept)[seg]
+        left_offset = (np.cumsum(n_left) - n_left)[seg]
+        right_base = base + n_left[seg] + self.local
+        out = []
+        for arr, go in zip(arrays, go_left):
+            left_before = np.cumsum(go) - go - left_offset
+            dest = np.where(go, base + left_before, right_base - left_before)
+            new = np.empty(int(kept.sum()), dtype=arr.dtype)
+            new[dest[keep]] = arr[keep]
+            out.append(new)
+        return out
+
+
+def _gain(imp, left_n, right_n, left, right, categorical: bool, ok):
+    """Impurity decrease of candidate splits, -inf where not ``ok``.
+
+    ``left``/``right`` are the sums of squared level counts of each side
+    (categorical target) or each side's (Σy, Σy²) (numeric target).
+    """
     with np.errstate(divide="ignore", invalid="ignore"):
         if categorical:
-            li = left_n - (left_stat**2).sum(axis=1) / left_n
-            rs = tot_stat - left_stat
-            ri = right_n - (rs**2).sum(axis=1) / right_n
+            li = left_n - left / left_n
+            ri = right_n - right / right_n
         else:
-            li = left_stat[:, 1] - left_stat[:, 0] ** 2 / left_n
-            ri = (tot_stat[1] - left_stat[:, 1]) - (tot_stat[0] - left_stat[:, 0]) ** 2 / right_n
-    return np.where(ok, node_imp - li - ri, -np.inf)
+            li = left[1] - left[0] ** 2 / left_n
+            ri = right[1] - right[0] ** 2 / right_n
+        return np.where(ok, imp - li - ri, -np.inf)
 
 
-def _categorical_split(codes, t, categorical, min_bucket, node_imp, n_pred_levels, n_tgt_levels):
-    """Best level-subset split; returns (gain, left_codes, known_codes, majority_left)."""
-    n_l, stat = _level_stats(codes, t, categorical, n_pred_levels, n_tgt_levels)
-    obs = np.flatnonzero(n_l > 0)
-    k = len(obs)
-    if k < 2:
-        return None
-    m = float(len(codes))
-    tot_stat = stat[obs].sum(axis=0)
-    if k <= MAX_EXHAUSTIVE_LEVELS:
-        # first observed level pinned to the right side halves the search
-        n_masks = (1 << (k - 1)) - 1
-        masks = (
-            (np.arange(1, n_masks + 1)[:, None] >> np.arange(k - 1)) & 1
-        ).astype(np.float64)
-        rest = obs[1:]
-        left_n = masks @ n_l[rest]
-        left_stat = masks @ stat[rest]
-        gains = _subset_gains(
-            left_n, left_stat, m, tot_stat, categorical, min_bucket, node_imp
+def _numeric_gains(x, order, t, categorical, n_tgt, depth: _Depth):
+    """Best ``x <= threshold`` split of every node: (gain, threshold) per node."""
+    seg, starts, sizes = depth.seg, depth.starts, depth.sizes
+    xs = x[order]
+    ok = depth.cut_ok.copy()
+    ok[:-1] &= xs[:-1] < xs[1:]
+    ts = t[order]
+    if categorical:
+        key = seg * n_tgt + ts
+        totals = np.bincount(key, minlength=sizes.size * n_tgt).reshape(sizes.size, n_tgt)
+        # earlier rows of the same node and level: the row's rank among its
+        # level's rows (a stable sort by level, a radix sort for small codes)
+        # minus that level's rows in earlier nodes
+        by_level = np.argsort(ts.astype(np.min_scalar_type(n_tgt)), kind="stable")
+        level = ts[by_level]
+        level_n = totals.sum(axis=0)
+        in_earlier_nodes = np.cumsum(totals, axis=0) - totals
+        earlier = np.empty(order.size, dtype=np.int64)
+        earlier[by_level] = (
+            np.arange(order.size) - (np.cumsum(level_n) - level_n)[level]
+            - in_earlier_nodes[seg[by_level], level]
         )
-        best = int(np.argmax(gains))
-        if not np.isfinite(gains[best]):
-            return None
-        chosen = rest[masks[best].astype(bool)]
-        gain = float(gains[best])
+        left = _running_count(2 * earlier + 1, starts, sizes)
+        cross = _running_count(totals.ravel()[key], starts, sizes)
+        sq_total = (totals**2).sum(axis=1)
+        right = sq_total[seg] - 2 * cross + left
     else:
-        # order levels by target mean (numeric) / first-level share (categorical),
-        # then scan contiguous splits only
-        score = stat[obs, 0] / n_l[obs]
-        order = obs[np.argsort(score, kind="stable")]
-        cn = n_l[order].cumsum()
-        cstat = stat[order].cumsum(axis=0)
-        left_n = cn[:-1]
-        gains = _subset_gains(
-            left_n, cstat[:-1], m, tot_stat, categorical, min_bucket, node_imp
+        left = _running_sums((ts, ts**2), starts, sizes)
+        last = (starts + sizes - 1)[seg]
+        right = tuple(run[last] - run for run in left)
+    gain = _gain(depth.imp[seg], depth.left_n, depth.right_n, left, right, categorical, ok)
+    pos, top = depth.first_max(gain)
+    split = pos >= 0
+    below, above = xs[pos[split]], xs[pos[split] + 1]
+    mid = (below + above) / 2.0
+    # between adjacent floats the midpoint can round up to the value above,
+    # moving its rows left; if nothing larger follows, the right child would
+    # be empty and the node would split the same way forever
+    empty_right = (mid == above) & (xs[(starts + sizes - 1)[split]] == above)
+    threshold = np.zeros(sizes.size)
+    threshold[split] = np.where(empty_right, below, mid)
+    return np.where(split, top, -np.inf), threshold
+
+
+def _subset_masks(k: int) -> np.ndarray:
+    # first observed level pinned to the right side halves the search
+    n_masks = (1 << (k - 1)) - 1
+    return ((np.arange(1, n_masks + 1)[:, None] >> np.arange(k - 1)) & 1).astype(np.float64)
+
+
+def _best_of(gains):
+    """Per row of ``gains``: (first best candidate, its gain, whether finite)."""
+    best = gains.argmax(axis=1)
+    top = gains[np.arange(len(gains)), best]
+    return best, top, np.isfinite(top)
+
+
+def _categorical_gains(codes, n_levels, rows, t, categorical, n_tgt, depth: _Depth, min_bucket):
+    """Best level-subset split of every node: (gain, left-level table, seen-level table)."""
+    nn, K = depth.sizes.size, n_levels
+    key = depth.seg * K + codes[rows]
+    count = np.bincount(key, minlength=nn * K).reshape(nn, K).astype(np.float64)
+    if categorical:
+        stat = np.bincount(key * n_tgt + t[rows], minlength=nn * K * n_tgt)
+        stat = stat.reshape(nn, K, n_tgt).astype(np.float64)
+    else:
+        y = t[rows]
+        stat = np.stack(
+            [np.bincount(key, weights=y, minlength=nn * K),
+             np.bincount(key, weights=y**2, minlength=nn * K)],
+            axis=1,
+        ).reshape(nn, K, 2)
+    seen = count > 0
+    k = seen.sum(axis=1)
+    m = depth.sizes.astype(np.float64)
+    gain = np.full(nn, -np.inf)
+    left = np.zeros((nn, K), dtype=bool)
+
+    def gains(nodes, left_n, left_stat, total):
+        right_n = m[nodes, None] - left_n
+        if categorical:
+            sides = (left_stat**2).sum(axis=-1), ((total - left_stat) ** 2).sum(axis=-1)
+        else:
+            right = total - left_stat
+            sides = (left_stat[..., 0], left_stat[..., 1]), (right[..., 0], right[..., 1])
+        ok = (left_n >= min_bucket) & (right_n >= min_bucket)
+        return _gain(depth.imp[nodes, None], left_n, right_n, *sides, categorical, ok)
+
+    # up to MAX_EXHAUSTIVE_LEVELS observed levels: every subset, one batched
+    # product per group of nodes with the same number of observed levels
+    for kk in np.unique(k[(k >= 2) & (k <= MAX_EXHAUSTIVE_LEVELS)]):
+        masks = _subset_masks(int(kk))
+        group = np.flatnonzero(k == kk)
+        block = max(1, _BLOCK_ELEMENTS // (len(masks) * stat.shape[2]))
+        for lo in range(0, group.size, block):
+            idx = group[lo : lo + block]
+            obs = np.nonzero(seen[idx])[1].reshape(idx.size, kk)
+            rest = obs[:, 1:]
+            total = stat[idx[:, None], obs].cumsum(axis=1)[:, -1]
+            best, top, ok = _best_of(gains(
+                idx, count[idx[:, None], rest] @ masks.T,
+                masks @ stat[idx[:, None], rest], total[:, None],
+            ))
+            gain[idx[ok]] = top[ok]
+            left[idx[ok, None], rest[ok]] = masks[best[ok]] > 0
+
+    # above that: order levels by target mean (numeric) / first-level share
+    # (categorical), then scan contiguous splits only
+    many = np.flatnonzero(k > MAX_EXHAUSTIVE_LEVELS)
+    block = max(1, _BLOCK_ELEMENTS // (K * stat.shape[2]))
+    for lo in range(0, many.size, block):
+        idx = many[lo : lo + block]
+        n_l, st = count[idx], stat[idx]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            score = st[:, :, 0] / n_l
+        order = np.lexsort((score, ~seen[idx]), axis=-1)
+        g = gains(
+            idx,
+            np.take_along_axis(n_l, order, axis=1).cumsum(axis=1)[:, :-1],
+            np.take_along_axis(st, order[:, :, None], axis=1).cumsum(axis=1)[:, :-1],
+            st.cumsum(axis=1)[:, -1][:, None],
         )
-        best = int(np.argmax(gains))
-        if not np.isfinite(gains[best]):
-            return None
-        chosen = order[: best + 1]
-        gain = float(gains[best])
-    left_codes = frozenset(int(c) for c in chosen)
-    known_codes = frozenset(int(c) for c in obs)
-    left_size = float(n_l[list(left_codes)].sum())
-    majority_left = left_size >= (m - left_size)
-    return gain, left_codes, known_codes, majority_left
+        g[np.arange(K - 1) >= (k[idx] - 1)[:, None]] = -np.inf
+        best, top, ok = _best_of(g)
+        gain[idx[ok]] = top[ok]
+        chosen = np.zeros((idx.size, K), dtype=bool)
+        np.put_along_axis(chosen, order, np.arange(K) <= best[:, None], axis=1)
+        left[idx[ok]] = chosen[ok]
+    return gain, left, seen
+
+
+def _code_sets(table: np.ndarray) -> list[frozenset[int]]:
+    """The codes (columns) set in each row of a boolean table."""
+    row, code = np.nonzero(table)
+    bounds = np.searchsorted(row, np.arange(len(table) + 1)).tolist()
+    code = code.tolist()
+    return [frozenset(code[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _depth_first_numbering(split_of, left_of, right_of):
+    """Nodes of a breadth-first grown tree, renumbered as a depth-first grower
+    numbers them: children get the next two ids when their parent is popped,
+    left child first, and leaves are numbered in the order they are reached.
+    Returns (nodes, breadth-first index of each leaf in leaf-id order)."""
+    new_id = [0] * len(split_of)
+    leaf_id = [-1] * len(split_of)
+    leaf_order: list[int] = []
+    stack = [0]
+    next_id = 1
+    while stack:
+        u = stack.pop()
+        lo, hi = left_of[u], right_of[u]
+        if lo < 0:
+            leaf_id[u] = len(leaf_order)
+            leaf_order.append(u)
+            continue
+        new_id[lo], new_id[hi] = next_id, next_id + 1
+        next_id += 2
+        stack.append(hi)
+        stack.append(lo)
+    nodes: list = [None] * len(split_of)
+    for u, split in enumerate(split_of):
+        lo, hi = left_of[u], right_of[u]
+        nodes[new_id[u]] = CartNode(
+            split, new_id[lo] if lo >= 0 else -1, new_id[hi] if hi >= 0 else -1, leaf_id[u]
+        )
+    return tuple(nodes), leaf_order
 
 
 def fit_cart(
@@ -195,7 +411,8 @@ def fit_cart(
     min_bucket: int = 5,
     complexity: float = 1e-8,
 ) -> CartTree:
-    """Grow a tree by greedy recursive partitioning of the training rows."""
+    """Grow a tree by greedy recursive partitioning of the training rows,
+    scoring all open nodes of a depth together."""
     if target.n_rows == 0:
         raise MethodError(f"cart: target {target.name!r} is empty")
     if target.missing_mask().any():
@@ -221,67 +438,130 @@ def fit_cart(
     root_imp = _impurity(t, categorical)
     gain_floor = complexity * root_imp + 1e-12 * (abs(root_imp) + 1.0)
 
-    nodes: list[list] = []  # [split, left, right, leaf_id]
-    leaf_rows: list[np.ndarray] = []
-    stack: list[tuple[int, np.ndarray]] = []
+    # nodes in creation (breadth-first) order; leaves in the order they close,
+    # with their rows
+    split_of: list[tuple | None] = [None]
+    left_of: list[int] = [-1]
+    right_of: list[int] = [-1]
+    leaf_node: list[int] = []
+    leaf_len: list[int] = []
+    leaf_chunks: list[np.ndarray] = []
 
-    def new_node() -> int:
-        nodes.append([None, -1, -1, -1])
-        return len(nodes) - 1
+    # the open nodes of the current depth, their sizes, and their rows in row
+    # order and in (value, row) order per numeric predictor
+    ids = np.array([0])
+    sizes = np.array([n])
+    rows = np.arange(n)
+    orders = [np.argsort(v, kind="stable") for _, is_cat, v, _ in pred_cols if not is_cat]
+    go_row = np.zeros(n, dtype=bool)
+    while ids.size:
+        # nodes too small to split, or pure, are leaves
+        seg = np.repeat(np.arange(ids.size), sizes)
+        big = np.flatnonzero(sizes >= 2 * min_bucket)
+        imp = np.zeros(ids.size)
+        if categorical:
+            counts = np.bincount(seg * n_tgt_levels + t[rows], minlength=ids.size * n_tgt_levels)
+            counts = counts.reshape(ids.size, n_tgt_levels)[big].astype(np.float64)
+            imp[big] = sizes[big] - (counts**2).sum(axis=1) / sizes[big]
+        else:
+            ends = np.cumsum(sizes)
+            for p in big:
+                imp[p] = _impurity(t[rows[ends[p] - sizes[p] : ends[p]]], False)
+        live = (sizes >= 2 * min_bucket) & (imp > gain_floor)
+        keep = live[seg]
+        leaf_node.extend(ids[~live].tolist())
+        leaf_len.extend(sizes[~live].tolist())
+        leaf_chunks.append(rows[~keep])
+        if not live.any():
+            break
+        rows = rows[keep]
+        orders = [o[keep] for o in orders]
+        ids = ids[live]
+        depth = _Depth(sizes[live], imp[live], min_bucket)
 
-    root = new_node()
-    stack.append((root, np.arange(n)))
-    while stack:
-        nid, rows = stack.pop()
-        m = len(rows)
-        node_imp = _impurity(t[rows], categorical)
-        best = None  # (gain, split_tuple, left_mask)
-        if m >= 2 * min_bucket and node_imp > gain_floor:
-            t_node = t[rows]
-            for name, is_cat, values, n_pred_levels in pred_cols:
-                v = values[rows]
-                if is_cat:
-                    res = _categorical_split(
-                        v, t_node, categorical, min_bucket, node_imp,
-                        n_pred_levels, n_tgt_levels,
+        # score every predictor; a later one must be strictly better
+        best = np.full(ids.size, gain_floor)
+        best_pred = np.full(ids.size, -1)
+        found = []
+        numeric_orders = iter(orders)
+        for j, (_, is_cat, values, n_levels) in enumerate(pred_cols):
+            if is_cat:
+                gain, *tables = _categorical_gains(
+                    values, n_levels, rows, t, categorical, n_tgt_levels, depth, min_bucket
+                )
+                found.append(tables)
+            else:
+                gain, threshold = _numeric_gains(
+                    values, next(numeric_orders), t, categorical, n_tgt_levels, depth
+                )
+                found.append(threshold)
+            better = gain > best
+            best[better] = gain[better]
+            best_pred[better] = j
+
+        splitting = best_pred >= 0
+        seg = depth.seg
+        go_left = np.zeros(rows.size, dtype=bool)
+        for j in np.unique(best_pred[splitting]):
+            _, is_cat, values, _ = pred_cols[j]
+            at = np.flatnonzero(best_pred[seg] == j)
+            v = values[rows[at]]
+            go_left[at] = found[j][0][seg[at], v] if is_cat else v <= found[j][seg[at]]
+        n_left = np.bincount(seg[go_left], minlength=ids.size)
+
+        first_child = len(split_of)
+        winners = np.flatnonzero(splitting)
+        for j in np.unique(best_pred[winners]):
+            name, is_cat, _, _ = pred_cols[j]
+            mine = np.flatnonzero(best_pred[winners] == j)
+            p = winners[mine]
+            if is_cat:
+                left_tab, seen = found[j]
+                majority = (n_left[p] >= depth.sizes[p] - n_left[p]).tolist()
+                splits = [
+                    ("cat", name, left_codes, known, maj)
+                    for left_codes, known, maj in zip(
+                        _code_sets(left_tab[p]), _code_sets(seen[p]), majority
                     )
-                    if res is not None and res[0] > gain_floor and (
-                        best is None or res[0] > best[0]
-                    ):
-                        gain, left_codes, known, maj = res
-                        mask = np.isin(v, np.fromiter(left_codes, dtype=np.int64))
-                        best = (gain, ("cat", name, left_codes, known, maj), mask)
-                else:
-                    res = _numeric_split(
-                        v, t_node, categorical, min_bucket, node_imp, n_tgt_levels
-                    )
-                    if res is not None and res[0] > gain_floor and (
-                        best is None or res[0] > best[0]
-                    ):
-                        gain, thr = res
-                        best = (gain, ("num", name, thr), v <= thr)
-        if best is None:
-            nodes[nid][3] = len(leaf_rows)
-            leaf_rows.append(rows)
-            continue
-        _, split, mask = best
-        lid, rid = new_node(), new_node()
-        nodes[nid][0] = split
-        nodes[nid][1] = lid
-        nodes[nid][2] = rid
-        stack.append((rid, rows[~mask]))
-        stack.append((lid, rows[mask]))
+                ]
+            else:
+                splits = [("num", name, threshold) for threshold in found[j][p].tolist()]
+            for q, node, split in zip(mine.tolist(), ids[p].tolist(), splits):
+                split_of[node] = split
+                left_of[node] = first_child + 2 * q
+                right_of[node] = first_child + 2 * q + 1
+        n_split = int(splitting.sum())
+        split_of.extend([None] * 2 * n_split)
+        left_of.extend([-1] * 2 * n_split)
+        right_of.extend([-1] * 2 * n_split)
 
-    sizes = np.array([len(r) for r in leaf_rows], dtype=np.int64)
-    offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]]) if len(sizes) else np.array([], dtype=np.int64)
-    donor_rows = (
-        np.concatenate(leaf_rows) if leaf_rows else np.array([], dtype=np.int64)
-    )
+        leaf_node.extend(ids[~splitting].tolist())
+        leaf_len.extend(depth.sizes[~splitting].tolist())
+        leaf_chunks.append(rows[~splitting[seg]])
+
+        go_row[rows] = go_left
+        rows, *orders = depth.partition(
+            [rows, *orders], [go_left, *(go_row[o] for o in orders)], splitting, n_left
+        )
+        ids = first_child + np.arange(2 * n_split)
+        sizes = np.column_stack([n_left, depth.sizes - n_left])[splitting].ravel()
+
+    nodes, leaf_order = _depth_first_numbering(split_of, left_of, right_of)
+    # donor rows leaf by leaf in that order, each leaf's rows ascending
+    record = np.empty(len(split_of), dtype=np.int64)
+    record[leaf_node] = np.arange(len(leaf_node))
+    lens = np.array(leaf_len, dtype=np.int64)
+    order = record[leaf_order]
+    sizes = lens[order]
+    offsets = np.cumsum(sizes) - sizes
+    donor_rows = np.concatenate(leaf_chunks)[
+        np.repeat((np.cumsum(lens) - lens)[order] - offsets, sizes) + np.arange(n)
+    ]
     return CartTree(
         target_name=target.name,
         target_kind=target.kind,
         target_values=t,
-        nodes=tuple(CartNode(s, l, r, lf) for s, l, r, lf in nodes),
+        nodes=nodes,
         donor_rows=donor_rows,
         leaf_offsets=offsets,
         leaf_sizes=sizes,
@@ -291,41 +571,96 @@ def fit_cart(
     )
 
 
+def _depth_first(tree: CartTree):
+    """Node ids in the order a depth-first walk, left child first, meets them."""
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        yield u
+        node = tree.nodes[u]
+        if not node.is_leaf:
+            stack += [node.right, node.left]
+
+
 def route_rows(tree: CartTree, new_predictors: Dataset | None, n_rows: int | None = None) -> np.ndarray:
-    """Leaf id per row of ``new_predictors``; unseen levels go majority-side."""
+    """Leaf id per row of ``new_predictors``; unseen levels go majority-side.
+
+    Rows move down one depth at a time; each node's test is read from
+    per-node arrays (threshold, or a level lookup row for categorical splits).
+    """
     if new_predictors is not None and len(new_predictors.columns):
         n = new_predictors.n_rows
     elif n_rows is not None:
         n = n_rows
     else:
         raise MethodError("cart: routing needs predictors or an explicit row count")
+    nodes = tree.nodes
+    splits = [node.split for node in nodes]
+    left = np.array([node.left for node in nodes])
+    right = np.array([node.right for node in nodes])
+    leaf_id = np.array([node.leaf_id for node in nodes])
+    names = list(dict.fromkeys(s[1] for s in splits if s is not None))
+    col_index = {name: c for c, name in enumerate(names)}
+    col_of = np.array([-1 if s is None else col_index[s[1]] for s in splits])
+    threshold = np.array([s[2] if s is not None and s[0] == "num" else 0.0 for s in splits])
+    majority = np.array([s is not None and s[0] == "cat" and s[4] for s in splits])
+    cat_nodes: dict[int, list[int]] = {}
+    for i, s in enumerate(splits):
+        if s is not None and s[0] == "cat":
+            cat_nodes.setdefault(col_index[s[1]], []).append(i)
+    columns = [new_predictors.column(name) for name in names]
+
+    # per categorical column: one lookup row per node, True = go left;
+    # codes beyond the row (never seen in training) go majority-side too
+    lookup: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for c, owners in cat_nodes.items():
+        cat_splits = [splits[i] for i in owners]
+        width = 1 + max(max(s[3]) for s in cat_splits)
+        table = np.repeat(majority[owners, None], width, axis=1)
+        for part, goes_left in ((3, False), (2, True)):  # known codes, then left codes
+            code_sets = [s[part] for s in cat_splits]
+            table_row = np.repeat(np.arange(len(code_sets)), [len(s) for s in code_sets])
+            code = np.fromiter(chain.from_iterable(code_sets), np.int64, table_row.size)
+            table[table_row, code] = goes_left
+        row_of = np.full(len(nodes), -1)
+        row_of[owners] = np.arange(len(owners))
+        lookup[c] = (table, row_of)
+
     leaf_of = np.empty(n, dtype=np.int64)
-    stack = [(0, np.arange(n))]
-    while stack:
-        nid, rows = stack.pop()
-        node = tree.nodes[nid]
-        if node.is_leaf:
-            leaf_of[rows] = node.leaf_id
-            continue
-        kind = node.split[0]
-        colname = node.split[1]
-        col = new_predictors.column(colname)
-        v = col.values[rows]
-        if kind == "num":
-            if np.isnan(v).any():
-                raise MethodError(
-                    f"cart: predictor {colname!r} has missing values at sampling"
-                )
-            mask = v <= node.split[2]
-        else:
-            _, _, left_codes, known, majority_left = node.split
-            left_arr = np.fromiter(left_codes, dtype=np.int64)
-            known_arr = np.fromiter(known, dtype=np.int64)
-            in_left = np.isin(v, left_arr)
-            unknown = ~np.isin(v, known_arr)
-            mask = in_left | (unknown & majority_left)
-        stack.append((node.right, rows[~mask]))
-        stack.append((node.left, rows[mask]))
+    rows = np.arange(n)
+    at = np.zeros(n, dtype=np.int64)
+    stuck: set[int] = set()  # numeric-split nodes a missing value reached
+    while rows.size:
+        done = leaf_id[at] >= 0
+        leaf_of[rows[done]] = leaf_id[at[done]]
+        rows, at = rows[~done], at[~done]
+        go_left = np.zeros(rows.size, dtype=bool)
+        keep = np.ones(rows.size, dtype=bool)
+        col = col_of[at]
+        for c, column in enumerate(columns):
+            sel = np.flatnonzero(col == c)
+            if not sel.size:
+                continue
+            v = column.values[rows[sel]]
+            node = at[sel]
+            if c in lookup:
+                table, row_of = lookup[c]
+                inside = v < table.shape[1]
+                go = majority[node]
+                go[inside] = table[row_of[node[inside]], v[inside]]
+            else:
+                missing = np.isnan(v)
+                if missing.any():
+                    stuck.update(node[missing].tolist())
+                    keep[sel[missing]] = False
+                go = v <= threshold[node]
+            go_left[sel] = go
+        rows, at = rows[keep], np.where(go_left, left[at], right[at])[keep]
+    if stuck:
+        # the node a depth-first router would have reached first
+        first = next(u for u in _depth_first(tree) if u in stuck)
+        colname = tree.nodes[first].split[1]
+        raise MethodError(f"cart: predictor {colname!r} has missing values at sampling")
     return leaf_of
 
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import DataError, MethodError, PlanError
 from .models import (
+    CartFit,
     fit_cart_model,
     fit_logit,
     fit_multinomial,
@@ -53,6 +54,10 @@ class VariableSummary:
     missing_indicator: bool
     warnings: tuple[str, ...]
     stratum: str | None = None
+    fit_s: float = 0.0        # preparing the fit rows and fitting
+    sample_s: float = 0.0
+    rules_s: float = 0.0
+    tree: dict | None = None  # CART only: nodes, leaves, depth
 
 
 @dataclass(frozen=True)
@@ -155,6 +160,51 @@ def _fit_plain(spec, target: Column, predictors: Dataset | None):
     raise MethodError(f"cannot fit method {method_name(spec)!r} here")
 
 
+@dataclass(frozen=True)
+class _MissingAwareFit:
+    """A missingness-indicator model plus a model of the observed values.
+
+    Without an indicator (the sample method) the observed model is a plain
+    bootstrap of all cells, whose joint draw already carries the rate.
+    """
+
+    indicator: object | None
+    observed: object
+    warnings: tuple[str, ...] = ()
+
+    def sample(self, predictors: Dataset | None, rng: np.random.Generator, n: int) -> np.ndarray:
+        if self.indicator is None:
+            return self.observed.sample(None, rng, n)
+        missing = self.indicator.sample(predictors, rng, n) == 1
+        values = self.observed.sample(predictors, rng, n).astype(np.float64)
+        values[missing] = np.nan
+        return values
+
+
+def _fit_with_missing(target: Column, orig_preds: Dataset | None, spec) -> _MissingAwareFit:
+    missing = target.missing_mask()
+    if missing.all():
+        raise MethodError(f"{target.name}: all values missing")
+    if isinstance(spec, Sample):
+        return _MissingAwareFit(None, SampleFit(target.name, target.kind, target.values))
+    ind = Column(
+        f"{target.name}:missing",
+        Categorical(("present", "missing")),
+        missing.astype(np.int64),
+    )
+    if isinstance(spec, Cart):
+        ind_fit = fit_cart_model(ind, orig_preds, spec.min_bucket, spec.complexity)
+    else:
+        ind_fit = fit_logit(ind, orig_preds)
+    keep = np.flatnonzero(~missing)
+    model = _fit_plain(
+        spec,
+        target.take(keep),
+        orig_preds.take(keep) if orig_preds is not None else None,
+    )
+    return _MissingAwareFit(ind_fit, model, tuple(ind_fit.warnings) + tuple(model.warnings))
+
+
 def synthesize_numeric_with_missing(
     target: Column,
     orig_preds: Dataset | None,
@@ -171,31 +221,22 @@ def synthesize_numeric_with_missing(
     model is fit on complete rows only, and sampled values are blanked where
     the indicator says missing.
     """
-    missing = target.missing_mask()
-    if missing.all():
-        raise MethodError(f"{target.name}: all values missing")
-    if isinstance(spec, Sample):
-        fit = SampleFit(target.name, target.kind, target.values)
-        return fit.sample(None, rng, n_out), ()
-    ind = Column(
-        f"{target.name}:missing",
-        Categorical(("present", "missing")),
-        missing.astype(np.int64),
-    )
-    if isinstance(spec, Cart):
-        ind_fit = fit_cart_model(ind, orig_preds, spec.min_bucket, spec.complexity)
-    else:
-        ind_fit = fit_logit(ind, orig_preds)
-    ind_syn = ind_fit.sample(syn_preds, rng, n_out)
-    keep = np.flatnonzero(~missing)
-    model = _fit_plain(
-        spec,
-        target.take(keep),
-        orig_preds.take(keep) if orig_preds is not None else None,
-    )
-    values = model.sample(syn_preds, rng, n_out).astype(np.float64)
-    values[ind_syn == 1] = np.nan
-    return values, tuple(ind_fit.warnings) + tuple(model.warnings)
+    fit = _fit_with_missing(target, orig_preds, spec)
+    return fit.sample(syn_preds, rng, n_out), fit.warnings
+
+
+def _tree_stats(model) -> dict | None:
+    """Size of a variable's CART trees, the missingness-indicator tree
+    included: nodes and leaves summed, depth of the deepest."""
+    parts = [model.indicator, model.observed] if isinstance(model, _MissingAwareFit) else [model]
+    trees = [p.tree for p in parts if isinstance(p, CartFit)]
+    if not trees:
+        return None
+    return {
+        "nodes": sum(len(t.nodes) for t in trees),
+        "leaves": sum(t.n_leaves for t in trees),
+        "depth": max(t.depth for t in trees),
+    }
 
 
 def _synthesize_stratum(
@@ -238,25 +279,23 @@ def _synthesize_stratum(
         orig_preds, syn_preds = _expand_missing_predictors(orig_preds, syn_preds)
 
         used_indicator = False
+        sample_preds = syn_preds
         if isinstance(spec, Nested):
             group = original.column(spec.group_column).take(fit_idx)
             model = fit_nested(t_fit, group)
-            values = model.sample(
-                Dataset((synth[spec.group_column],)), rng, n_out
-            )
-            fit_warnings = tuple(model.warnings)
+            sample_preds = Dataset((synth[spec.group_column],))
         elif isinstance(target.kind, Numeric) and t_fit.missing_mask().any():
             used_indicator = True
-            values, fit_warnings = synthesize_numeric_with_missing(
-                t_fit, orig_preds, spec, syn_preds, rng, n_out
-            )
+            model = _fit_with_missing(t_fit, orig_preds, spec)
         else:
             model = _fit_plain(spec, t_fit, orig_preds)
-            values = model.sample(syn_preds, rng, n_out)
-            fit_warnings = tuple(model.warnings)
+        fit_warnings = tuple(model.warnings)
+        fitted = time.perf_counter()
 
+        values = model.sample(sample_preds, rng, n_out)
         dtype = np.int64 if isinstance(target.kind, Categorical) else np.float64
         values = np.array(values, dtype=dtype)  # fresh writable copy for rules
+        sampled = time.perf_counter()
 
         forced = 0
         if rules:
@@ -270,6 +309,7 @@ def _synthesize_stratum(
                     values[apply] = float(rule.value)
                 assigned |= cond
                 forced += int(apply.sum())
+        ruled = time.perf_counter()
 
         synth[name] = Column(name, target.kind, values)
         for w in fit_warnings:
@@ -284,6 +324,10 @@ def _synthesize_stratum(
                 missing_indicator=used_indicator,
                 warnings=fit_warnings,
                 stratum=stratum_label,
+                fit_s=fitted - started,
+                sample_s=sampled - fitted,
+                rules_s=ruled - sampled,
+                tree=_tree_stats(model),
             )
         )
 
@@ -427,6 +471,10 @@ def run_report(run: SynthesisRun) -> dict:
                 "stratum": s.stratum,
                 "n_fit": s.n_fit,
                 "elapsed_s": round(s.elapsed, 6),
+                "fit_s": round(s.fit_s, 6),
+                "sample_s": round(s.sample_s, 6),
+                "rules_s": round(s.rules_s, 6),
+                "tree": s.tree,
                 "rule_forced": s.rule_forced,
                 "missing_indicator": s.missing_indicator,
                 "warnings": list(s.warnings),

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -10,6 +9,10 @@ import numpy as np
 
 from .errors import DataError
 from .tabular import Categorical, Column, Dataset, Numeric
+
+
+# the one bit pattern every missing number is matched as
+_NAN_BITS = np.float64(np.nan).view(np.int64)
 
 
 @dataclass(frozen=True)
@@ -35,16 +38,31 @@ def sdc_from_json(doc: dict | None) -> SdcConfig | None:
     )
 
 
-def _key_tuples(data: Dataset, keys) -> list[tuple]:
-    cols = []
-    for k in keys:
-        col = data.column(k)
+def _joint_codes(a: Column, b: Column) -> tuple[np.ndarray, np.ndarray, int]:
+    """Integer codes of one key column in two datasets, equal exactly where
+    the cells' text is equal: the level for categoricals, ``repr`` of the
+    number for numerics, and one token for every missing number (NaN != NaN
+    would break matching).  Returns (codes of a, codes of b, number of codes).
+    """
+    if a.is_numeric and b.is_numeric:
+        # repr equality is bit equality for numbers, so compare bit patterns
+        values = np.concatenate([a.values, b.values])
+        bits = np.where(np.isnan(values), _NAN_BITS, values.view(np.int64))
+        distinct, joint = np.unique(bits, return_inverse=True)
+        return joint[: a.n_rows], joint[a.n_rows :], len(distinct)
+    tokens: list[str] = []
+    codes = []
+    for col in (a, b):
         if isinstance(col.kind, Categorical):
-            cols.append(col.decoded())
+            cell_token, token = col.values, list(col.kind.levels)
         else:
-            # NaN != NaN would break matching; use a token for missing
-            cols.append(["NA" if np.isnan(v) else repr(float(v)) for v in col.values])
-    return list(zip(*cols)) if cols else []
+            # distinct bit patterns first, so each number is rendered once
+            bits, cell_token = np.unique(col.values.view(np.int64), return_inverse=True)
+            token = ["NA" if np.isnan(v) else repr(float(v)) for v in bits.view(np.float64)]
+        codes.append(cell_token + len(tokens))
+        tokens.extend(token)
+    distinct, joint = np.unique(np.array(tokens, dtype=str), return_inverse=True)
+    return joint[codes[0]], joint[codes[1]], len(distinct)
 
 
 def remove_replicated_uniques(
@@ -61,13 +79,19 @@ def remove_replicated_uniques(
     for k in keys:
         if k not in original or k not in synthetic:
             raise DataError(f"key column {k!r} missing from a dataset")
-    orig_counts = Counter(_key_tuples(original, keys))
-    syn_tuples = _key_tuples(synthetic, keys)
-    syn_counts = Counter(syn_tuples)
-    drop = np.array(
-        [orig_counts.get(t) == 1 and syn_counts[t] == 1 for t in syn_tuples],
-        dtype=bool,
-    )
+    # one integer per row of both datasets, equal where the key-tuples are;
+    # renumbered densely after each key, so it stays below the row count
+    n_orig = original.n_rows
+    row_key = np.zeros(n_orig + synthetic.n_rows, dtype=np.int64)
+    for k in keys:
+        a, b, n_codes = _joint_codes(original.column(k), synthetic.column(k))
+        distinct, row_key = np.unique(
+            row_key * n_codes + np.concatenate([a, b]), return_inverse=True
+        )
+    orig_counts = np.bincount(row_key[:n_orig], minlength=len(distinct))
+    syn_key = row_key[n_orig:]
+    syn_counts = np.bincount(syn_key, minlength=len(distinct))
+    drop = (orig_counts[syn_key] == 1) & (syn_counts[syn_key] == 1)
     removed = int(drop.sum())
     if removed == 0:
         return synthetic, 0

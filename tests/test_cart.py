@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from synthweave import Dataset, MethodError, categorical_column, numeric_column
-from synthweave.cart import fit_cart, cart_sample
+from synthweave.cart import CartNode, cart_sample, fit_cart, route_rows
+from synthweave.tabular import Categorical, Column, Numeric
 
 
 def exhaustive_best_numeric_split(x, y):
@@ -148,3 +150,433 @@ class TestCartSample:
         a = cart_sample(tree, Dataset((pred,)), np.random.default_rng(9)).values
         b = cart_sample(tree, Dataset((pred,)), np.random.default_rng(9)).values
         assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the depth-first, one-node-at-a-time search the level-wise fitter
+# replaced.  The level-wise trees must equal its trees field by field, and
+# routing must give the same leaves and the same errors.
+# ---------------------------------------------------------------------------
+
+def _ref_impurity(values, categorical):
+    m = len(values)
+    if m == 0:
+        return 0.0
+    if categorical:
+        counts = np.bincount(values)
+        return float(m - (counts.astype(np.float64) ** 2).sum() / m)
+    s = float(values.sum())
+    return float((values**2).sum() - s * s / m)
+
+
+def _ref_numeric_split(x, t, categorical, min_bucket, node_imp, n_levels):
+    m = len(x)
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    pos = np.arange(min_bucket, m - min_bucket + 1)
+    if pos.size == 0:
+        return None
+    valid = xs[pos - 1] < xs[pos]
+    if not valid.any():
+        return None
+    if categorical:
+        oh = np.zeros((m, n_levels), dtype=np.float64)
+        oh[np.arange(m), t[order]] = 1.0
+        cum = oh.cumsum(axis=0)
+        left_counts = cum[pos - 1]
+        total = cum[-1]
+        left_n = pos.astype(np.float64)
+        right_n = m - left_n
+        left_imp = left_n - (left_counts**2).sum(axis=1) / left_n
+        right_counts = total - left_counts
+        right_imp = right_n - (right_counts**2).sum(axis=1) / right_n
+    else:
+        ys = t[order]
+        cy = ys.cumsum()
+        cy2 = (ys**2).cumsum()
+        left_n = pos.astype(np.float64)
+        right_n = m - left_n
+        left_imp = cy2[pos - 1] - cy[pos - 1] ** 2 / left_n
+        right_imp = (cy2[-1] - cy2[pos - 1]) - (cy[-1] - cy[pos - 1]) ** 2 / right_n
+    gain = np.where(valid, node_imp - left_imp - right_imp, -np.inf)
+    best = int(np.argmax(gain))
+    if not np.isfinite(gain[best]):
+        return None
+    threshold = float((xs[pos[best] - 1] + xs[pos[best]]) / 2.0)
+    return float(gain[best]), threshold
+
+
+def _ref_level_stats(codes, t, categorical, n_pred_levels, n_tgt_levels):
+    if categorical:
+        flat = np.bincount(
+            codes * n_tgt_levels + t, minlength=n_pred_levels * n_tgt_levels
+        ).astype(np.float64)
+        C = flat.reshape(n_pred_levels, n_tgt_levels)
+        return C.sum(axis=1), C
+    n_l = np.bincount(codes, minlength=n_pred_levels).astype(np.float64)
+    s_l = np.bincount(codes, weights=t, minlength=n_pred_levels)
+    s2_l = np.bincount(codes, weights=t**2, minlength=n_pred_levels)
+    return n_l, np.column_stack([s_l, s2_l])
+
+
+def _ref_subset_gains(left_n, left_stat, tot_n, tot_stat, categorical, min_bucket, node_imp):
+    right_n = tot_n - left_n
+    ok = (left_n >= min_bucket) & (right_n >= min_bucket)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if categorical:
+            li = left_n - (left_stat**2).sum(axis=1) / left_n
+            rs = tot_stat - left_stat
+            ri = right_n - (rs**2).sum(axis=1) / right_n
+        else:
+            li = left_stat[:, 1] - left_stat[:, 0] ** 2 / left_n
+            ri = (tot_stat[1] - left_stat[:, 1]) - (tot_stat[0] - left_stat[:, 0]) ** 2 / right_n
+    return np.where(ok, node_imp - li - ri, -np.inf)
+
+
+def _ref_categorical_split(codes, t, categorical, min_bucket, node_imp, n_pred_levels, n_tgt_levels):
+    n_l, stat = _ref_level_stats(codes, t, categorical, n_pred_levels, n_tgt_levels)
+    obs = np.flatnonzero(n_l > 0)
+    k = len(obs)
+    if k < 2:
+        return None
+    m = float(len(codes))
+    tot_stat = stat[obs].sum(axis=0)
+    if k <= 12:
+        n_masks = (1 << (k - 1)) - 1
+        masks = (
+            (np.arange(1, n_masks + 1)[:, None] >> np.arange(k - 1)) & 1
+        ).astype(np.float64)
+        rest = obs[1:]
+        left_n = masks @ n_l[rest]
+        left_stat = masks @ stat[rest]
+        gains = _ref_subset_gains(
+            left_n, left_stat, m, tot_stat, categorical, min_bucket, node_imp
+        )
+        best = int(np.argmax(gains))
+        if not np.isfinite(gains[best]):
+            return None
+        chosen = rest[masks[best].astype(bool)]
+        gain = float(gains[best])
+    else:
+        score = stat[obs, 0] / n_l[obs]
+        order = obs[np.argsort(score, kind="stable")]
+        cn = n_l[order].cumsum()
+        cstat = stat[order].cumsum(axis=0)
+        left_n = cn[:-1]
+        gains = _ref_subset_gains(
+            left_n, cstat[:-1], m, tot_stat, categorical, min_bucket, node_imp
+        )
+        best = int(np.argmax(gains))
+        if not np.isfinite(gains[best]):
+            return None
+        chosen = order[: best + 1]
+        gain = float(gains[best])
+    left_codes = frozenset(int(c) for c in chosen)
+    known_codes = frozenset(int(c) for c in obs)
+    left_size = float(n_l[list(left_codes)].sum())
+    majority_left = left_size >= (m - left_size)
+    return gain, left_codes, known_codes, majority_left
+
+
+def _ref_fit_cart(target, predictors, min_bucket=5, complexity=1e-8):
+    """Returns (nodes, donor_rows, leaf_offsets, leaf_sizes)."""
+    categorical = isinstance(target.kind, Categorical)
+    t = target.values
+    n_tgt_levels = len(target.kind.levels) if categorical else 0
+    n = target.n_rows
+    pred_cols = []
+    if predictors is not None:
+        for col in predictors.columns:
+            if isinstance(col.kind, Numeric):
+                pred_cols.append((col.name, False, col.values, 0))
+            else:
+                pred_cols.append((col.name, True, col.values, len(col.kind.levels)))
+    root_imp = _ref_impurity(t, categorical)
+    gain_floor = complexity * root_imp + 1e-12 * (abs(root_imp) + 1.0)
+    nodes, leaf_rows = [], []
+    stack = []
+
+    def new_node():
+        nodes.append([None, -1, -1, -1])
+        return len(nodes) - 1
+
+    stack.append((new_node(), np.arange(n)))
+    while stack:
+        nid, rows = stack.pop()
+        m = len(rows)
+        node_imp = _ref_impurity(t[rows], categorical)
+        best = None
+        if m >= 2 * min_bucket and node_imp > gain_floor:
+            t_node = t[rows]
+            for name, is_cat, values, n_pred_levels in pred_cols:
+                v = values[rows]
+                if is_cat:
+                    res = _ref_categorical_split(
+                        v, t_node, categorical, min_bucket, node_imp,
+                        n_pred_levels, n_tgt_levels,
+                    )
+                    if res is not None and res[0] > gain_floor and (
+                        best is None or res[0] > best[0]
+                    ):
+                        gain, left_codes, known, maj = res
+                        mask = np.isin(v, np.fromiter(left_codes, dtype=np.int64))
+                        best = (gain, ("cat", name, left_codes, known, maj), mask)
+                else:
+                    res = _ref_numeric_split(
+                        v, t_node, categorical, min_bucket, node_imp, n_tgt_levels
+                    )
+                    if res is not None and res[0] > gain_floor and (
+                        best is None or res[0] > best[0]
+                    ):
+                        gain, thr = res
+                        best = (gain, ("num", name, thr), v <= thr)
+        if best is None:
+            nodes[nid][3] = len(leaf_rows)
+            leaf_rows.append(rows)
+            continue
+        _, split, mask = best
+        lid, rid = new_node(), new_node()
+        nodes[nid][0] = split
+        nodes[nid][1] = lid
+        nodes[nid][2] = rid
+        stack.append((rid, rows[~mask]))
+        stack.append((lid, rows[mask]))
+    sizes = np.array([len(r) for r in leaf_rows], dtype=np.int64)
+    offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    return (
+        tuple(CartNode(s, l, r, lf) for s, l, r, lf in nodes),
+        np.concatenate(leaf_rows),
+        offsets,
+        sizes,
+    )
+
+
+def _ref_route_rows(tree, new_predictors, n_rows=None):
+    if new_predictors is not None and len(new_predictors.columns):
+        n = new_predictors.n_rows
+    else:
+        n = n_rows
+    leaf_of = np.empty(n, dtype=np.int64)
+    stack = [(0, np.arange(n))]
+    while stack:
+        nid, rows = stack.pop()
+        node = tree.nodes[nid]
+        if node.is_leaf:
+            leaf_of[rows] = node.leaf_id
+            continue
+        colname = node.split[1]
+        v = new_predictors.column(colname).values[rows]
+        if node.split[0] == "num":
+            if np.isnan(v).any():
+                raise MethodError(
+                    f"cart: predictor {colname!r} has missing values at sampling"
+                )
+            mask = v <= node.split[2]
+        else:
+            _, _, left_codes, known, majority_left = node.split
+            in_left = np.isin(v, np.fromiter(left_codes, dtype=np.int64))
+            unknown = ~np.isin(v, np.fromiter(known, dtype=np.int64))
+            mask = in_left | (unknown & majority_left)
+        stack.append((node.right, rows[~mask]))
+        stack.append((node.left, rows[mask]))
+    return leaf_of
+
+
+def _coded(name, codes, n_levels):
+    return Column(name, Categorical(tuple(f"{name}{i}" for i in range(n_levels))), codes)
+
+
+def _reference_case(case, seed, n):
+    """(target, predictors) of one generated case."""
+    rng = np.random.default_rng(seed)
+    age = rng.integers(0, 96, n).astype(float)
+    region = rng.integers(0, 6, n)
+    if case == "tied_ratio":
+        # persons per room: small rationals, so many rows and sums tie
+        persons, rooms = rng.integers(1, 9, n), rng.integers(1, 7, n)
+        occ = rng.integers(0, 40, n)
+        target = numeric_column("pperroom", persons / rooms + (region == 2) * 0.25)
+        preds = [
+            numeric_column("age", age), _coded("region", region, 6),
+            _coded("occ", occ, 40), _coded("sex", rng.integers(0, 2, n), 2),
+        ]
+    elif case == "categorical":
+        mar = np.where(age < 20, 0, rng.integers(0, 4, n))
+        target = _coded("mar", mar, 4)
+        preds = [
+            numeric_column("age", age), _coded("region", region, 6),
+            numeric_column("income", np.round(rng.lognormal(3, 1, n), 1)),
+        ]
+    elif case in ("nested_numeric", "nested_categorical", "nested_wide"):
+        # occ3 nested in occ1; the target depends on occ1 only, so the occ1
+        # split and the matching union of occ3 levels tie in exact arithmetic
+        per = 5 if case == "nested_wide" else 3
+        occ1 = rng.integers(0, 4, n)
+        occ3 = occ1 * per + rng.integers(0, per, n)
+        if case == "nested_categorical":
+            target = _coded("y", np.where(rng.random(n) < 0.2, rng.integers(0, 3, n), occ1 % 3), 3)
+        else:
+            target = numeric_column("y", np.round(occ1 * 0.7 + rng.normal(0, 0.5, n), 2))
+        preds = [
+            _coded("occ1", occ1, 4), _coded("occ3", occ3, 4 * per),
+            numeric_column("age", age),
+        ]
+        if seed % 2:
+            preds = preds[::-1]
+    elif case == "many_levels":
+        codes = rng.integers(0, 17, n)
+        target = numeric_column("y", np.round(np.sin(codes) + rng.normal(0, 0.3, n), 1))
+        preds = [_coded("code", codes, 17), numeric_column("age", age)]
+    elif case == "constant":
+        target = numeric_column("y", np.round(age / 10 + rng.normal(0, 1, n), 1))
+        preds = [
+            numeric_column("flat", np.full(n, 3.5)), _coded("one", np.zeros(n, np.int64), 1),
+            numeric_column("age", age),
+        ]
+    else:
+        raise ValueError(case)
+    return target, Dataset(tuple(preds))
+
+
+REFERENCE_CASES = (
+    "tied_ratio", "categorical", "nested_numeric", "nested_categorical",
+    "nested_wide", "many_levels", "constant",
+)
+
+
+def _sampling_predictors(preds, seed, n):
+    """New predictors whose categoricals carry 3 levels the training data
+    never had (codes above its level range) and whose numerics leave it."""
+    rng = np.random.default_rng(seed + 1000)
+    cols = []
+    for col in preds.columns:
+        if col.is_numeric:
+            lo, hi = col.values.min(), col.values.max()
+            cols.append(numeric_column(col.name, rng.uniform(lo - 1, hi + 1, n)))
+        else:
+            k = len(col.levels)
+            cols.append(_coded(col.name, rng.integers(0, k + 3, n), k + 3))
+    return Dataset(tuple(cols))
+
+
+class TestMatchesDepthFirstReference:
+    @pytest.mark.parametrize("case", REFERENCE_CASES)
+    @pytest.mark.parametrize("min_bucket", [1, 5, 20])
+    @pytest.mark.parametrize("complexity", [1e-8, 0.0])
+    def test_same_tree_and_routing(self, case, min_bucket, complexity):
+        for seed in (11, 12):
+            target, preds = _reference_case(case, seed, 700)
+            tree = fit_cart(target, preds, min_bucket=min_bucket, complexity=complexity)
+            nodes, donor_rows, offsets, sizes = _ref_fit_cart(target, preds, min_bucket, complexity)
+            assert tree.nodes == nodes
+            assert np.array_equal(tree.donor_rows, donor_rows)
+            assert np.array_equal(tree.leaf_offsets, offsets)
+            assert np.array_equal(tree.leaf_sizes, sizes)
+            new = _sampling_predictors(preds, seed, 500)
+            assert np.array_equal(route_rows(tree, new), _ref_route_rows(tree, new))
+            assert np.array_equal(route_rows(tree, preds), _training_leaf_of(tree))
+
+    def test_deep_tree_on_census_columns(self):
+        from synthweave.toycensus import ToyCensusSpec, generate_toy_census
+
+        census = generate_toy_census(ToyCensusSpec(n_rows=3000, seed=5))
+        keep = np.flatnonzero(~census.column("pperroom").missing_mask())
+        data = census.take(keep)
+        preds = data.select(["region", "sex", "age", "mar", "occ1", "occ3"])
+        tree = fit_cart(data.column("pperroom"), preds)
+        nodes, donor_rows, offsets, sizes = _ref_fit_cart(data.column("pperroom"), preds)
+        assert tree.depth >= 10
+        assert tree.nodes == nodes
+        assert np.array_equal(tree.donor_rows, donor_rows)
+        assert np.array_equal(tree.leaf_offsets, offsets)
+        assert np.array_equal(tree.leaf_sizes, sizes)
+
+    def test_missing_value_at_sampling_same_error(self):
+        target, preds = _reference_case("categorical", 3, 700)
+        tree = fit_cart(target, preds, min_bucket=5)
+        new = _sampling_predictors(preds, 3, 400)
+        for holes in (("age",), ("income",), ("age", "income")):
+            cols = []
+            for col in new.columns:
+                values = col.values.copy()
+                if col.name in holes:
+                    values[::7] = np.nan
+                cols.append(Column(col.name, col.kind, values))
+            broken = Dataset(tuple(cols))
+            with pytest.raises(MethodError) as expected:
+                _ref_route_rows(tree, broken)
+            with pytest.raises(MethodError, match="missing values at sampling") as got:
+                route_rows(tree, broken)
+            assert str(got.value) == str(expected.value)
+
+    def test_midpoint_rounding_up_still_splits_the_candidate(self):
+        # (b + c) / 2 rounds to c for these adjacent floats; cutting at the
+        # midpoint would leave the right child empty and never terminate
+        b = 1.0000000000000002
+        c = np.nextafter(b, 2.0)
+        assert (b + c) / 2 == c
+        x = np.array([b] * 6 + [c] * 6)
+        tree = fit_cart(numeric_column("y", [0.0] * 6 + [1.0] * 6),
+                        Dataset((numeric_column("x", x),)), min_bucket=1, complexity=0.0)
+        assert tree.nodes[0].split == ("num", "x", b)
+        assert tree.leaf_sizes.tolist() == [6, 6]
+
+    def test_depth_counts_splits_on_longest_path(self):
+        x = np.arange(1, 11, dtype=float)
+        tree = fit_cart(numeric_column("y", x), Dataset((numeric_column("x", x),)),
+                        min_bucket=1, complexity=0.0)
+        assert tree.n_leaves == 10
+        assert tree.depth == max(_path_lengths(tree))
+        assert fit_cart(numeric_column("y", x), None).depth == 0
+
+
+def _path_lengths(tree):
+    out, stack = [], [(0, 0)]
+    while stack:
+        nid, d = stack.pop()
+        node = tree.nodes[nid]
+        if node.is_leaf:
+            out.append(d)
+        else:
+            stack += [(node.left, d + 1), (node.right, d + 1)]
+    return out
+
+
+def _training_leaf_of(tree):
+    leaf_of = np.empty(len(tree.donor_rows), dtype=np.int64)
+    leaf_of[tree.donor_rows] = np.repeat(np.arange(tree.n_leaves), tree.leaf_sizes)
+    return leaf_of
+
+
+@st.composite
+def _cart_problem(draw):
+    n = draw(st.integers(12, 120))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    k = draw(st.integers(1, 15))
+    codes = rng.integers(0, k, n)
+    x = np.round(rng.normal(size=n), draw(st.integers(0, 2)))
+    if draw(st.booleans()):
+        target = _coded("t", rng.integers(0, 3, n), 3)
+    else:
+        target = numeric_column("t", np.round(x + codes + rng.normal(size=n), 1))
+    preds = Dataset((_coded("c", codes, k), numeric_column("x", x)))
+    new = Dataset((
+        _coded("c", rng.integers(0, k + 2, 3 * n), k + 2),
+        numeric_column("x", rng.normal(size=3 * n)),
+    ))
+    return target, preds, new, draw(st.integers(1, 6)), seed
+
+
+class TestDonorProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(_cart_problem())
+    def test_every_draw_comes_from_its_leafs_donors(self, problem):
+        target, preds, new, min_bucket, seed = problem
+        tree = fit_cart(target, preds, min_bucket=min_bucket, complexity=0.0)
+        draws = cart_sample(tree, new, np.random.default_rng(seed)).values
+        leaf_of = route_rows(tree, new)
+        for leaf in np.unique(leaf_of):
+            lo = tree.leaf_offsets[leaf]
+            donors = target.values[tree.donor_rows[lo : lo + tree.leaf_sizes[leaf]]]
+            assert np.isin(draws[leaf_of == leaf], donors).all()

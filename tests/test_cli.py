@@ -72,6 +72,18 @@ class TestSynth:
         doc = json.loads(report.read_text())
         assert doc["rows"] == 3000
         assert {v["name"] for v in doc["variables"]} >= {"mar", "occ3"}
+        by_name = {v["name"]: v for v in doc["variables"]}
+        for v in doc["variables"]:
+            assert {"elapsed_s", "fit_s", "sample_s", "rules_s", "tree"} <= set(v)
+            assert v["fit_s"] + v["sample_s"] + v["rules_s"] <= v["elapsed_s"] + 1e-5
+        assert by_name["region"]["tree"] is None  # sample
+        assert by_name["occ3"]["tree"] is None  # nested
+        for name in ("sex", "age", "mar", "occ1", "pperroom"):
+            tree = by_name[name]["tree"]
+            assert set(tree) == {"nodes", "leaves", "depth"}
+            assert tree["leaves"] >= 1 and tree["depth"] >= 0
+        # pperroom has missing cells: its value tree plus its indicator tree
+        assert by_name["pperroom"]["tree"]["nodes"] == 2 * by_name["pperroom"]["tree"]["leaves"] - 2
 
     def test_precedence_violation_exit_2_names_both(self, toy_files, tmp_path, capsys):
         root, data, schema, _ = toy_files

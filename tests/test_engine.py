@@ -17,11 +17,13 @@ from synthweave import (
     cross_tabulate,
     generate_toy_census,
     numeric_column,
+    run_report,
     synthesize,
     synthesize_stratified,
     u_tab,
     write_csv,
 )
+from synthweave.cart import fit_cart
 from synthweave.engine import _synthesize_stratum
 
 
@@ -150,6 +152,38 @@ class TestSynthesize:
         occ1 = run.synthetic.column("occ1").values
         occ3 = run.synthetic.column("occ3").values
         assert np.array_equal(occ3 // 40, occ1)  # nesting preserved exactly
+
+
+class TestRunReport:
+    def test_stage_times_and_tree_sizes(self, census):
+        cols = ["region", "sex", "age", "mar", "pperroom"]
+        methods = {
+            "region": Sample(), "sex": Logit(), "age": Cart(), "mar": Cart(), "pperroom": Cart()
+        }
+        plan = SynthesisPlan(
+            tuple(cols), methods, rules=(Rule("mar", "age < 16", "Single"),), seed=3
+        )
+        doc = run_report(synthesize(census.select(cols), plan))
+        by_name = {v["name"]: v for v in doc["variables"]}
+        for v in doc["variables"]:
+            stages = (v["fit_s"], v["sample_s"], v["rules_s"])
+            assert min(stages) >= 0
+            assert sum(stages) <= v["elapsed_s"] + 1e-5
+        assert by_name["mar"]["rule_forced"] > 0 and by_name["mar"]["rules_s"] > 0
+        assert by_name["region"]["tree"] is None
+        assert by_name["sex"]["tree"] is None
+        # read from the fitted tree: age is fit on every row, from region and sex
+        age = fit_cart(census.column("age"), census.select(["region", "sex"]))
+        assert by_name["age"]["tree"] == {
+            "nodes": len(age.nodes), "leaves": age.n_leaves, "depth": age.depth
+        }
+        assert by_name["age"]["tree"]["depth"] >= 1
+        # binary trees: one tree has 2L - 1 nodes; pperroom adds its
+        # missingness-indicator tree, so two trees have 2L - 2
+        mar, pperroom = by_name["mar"]["tree"], by_name["pperroom"]["tree"]
+        assert mar["nodes"] == 2 * mar["leaves"] - 1
+        assert by_name["pperroom"]["missing_indicator"] is True
+        assert pperroom["nodes"] == 2 * pperroom["leaves"] - 2
 
 
 class TestMissingData:

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from synthweave import (
     write_csv,
 )
 from synthweave.sdc import SdcConfig, apply_sdc, sdc_from_json
+from synthweave.tabular import Categorical, Column
 
 
 def keyed(rows, name="d"):
@@ -68,6 +70,75 @@ class TestRemoveReplicatedUniques:
         orig = keyed([("x", 1.0)])
         with pytest.raises(DataError):
             remove_replicated_uniques(orig, orig, [])
+
+
+def _text_key_drops(original, synthetic, keys):
+    """Reference: rows dropped when each row's key is a tuple of cell texts
+    (the level, repr of the number, "NA" for a missing number)."""
+    def tuples(data):
+        cols = []
+        for k in keys:
+            col = data.column(k)
+            if col.is_numeric:
+                cols.append(["NA" if np.isnan(v) else repr(float(v)) for v in col.values])
+            else:
+                cols.append(col.decoded())
+        return list(zip(*cols))
+
+    orig = Counter(tuples(original))
+    syn_rows = tuples(synthetic)
+    syn = Counter(syn_rows)
+    return np.array([orig.get(t) == 1 and syn[t] == 1 for t in syn_rows], dtype=bool)
+
+
+class TestReplicatedUniquesMatchTextKeys:
+    def test_signed_zero_is_its_own_key(self):
+        orig = keyed([("x", -0.0), ("y", 2.0)])
+        syn = keyed([("x", 0.0), ("y", 2.0)])
+        out, removed = remove_replicated_uniques(orig, syn, ["a", "b"])
+        assert removed == 1
+        assert out.column("b").values.tolist() == [0.0]
+
+    def test_many_keys_of_distinct_numbers(self):
+        # six keys of ~3500 distinct values each: more key-tuples than an
+        # int64 can number without renumbering on the way
+        rng = np.random.default_rng(4)
+        orig = Dataset(tuple(numeric_column(f"k{i}", rng.normal(size=3000)) for i in range(6)))
+        picked = rng.choice(3000, 1000, replace=False)
+        fresh = Dataset(tuple(numeric_column(f"k{i}", rng.normal(size=500)) for i in range(6)))
+        syn = Dataset(tuple(
+            numeric_column(f"k{i}", np.concatenate([orig.column(f"k{i}").values[picked],
+                                                   fresh.column(f"k{i}").values]))
+            for i in range(6)
+        ))
+        keys = [f"k{i}" for i in range(6)]
+        out, removed = remove_replicated_uniques(orig, syn, keys)
+        assert removed == 1000 == int(_text_key_drops(orig, syn, keys).sum())
+        assert out.n_rows == 500
+
+    def test_random_tables_drop_the_same_rows(self):
+        rng = np.random.default_rng(3)
+        numbers = [0.0, -0.0, 1.0, 1.5, math.nan, 2.0, 1e-300]
+        for trial in range(60):
+            tables = []
+            for side, levels in enumerate([("a", "b", "NA", "1.0"), ("1.0", "NA", "a", "z")]):
+                n = int(rng.integers(0, 50))
+                cols = [
+                    numeric_column("x", rng.choice(numbers, n)),
+                    Column("c", Categorical(levels), rng.integers(0, 4, n)),
+                ]
+                if side and trial % 3 == 0:  # a numeric key that is text on one side
+                    m_kind = Categorical(("1.0", "NA", "2.0"))
+                    cols.append(Column("m", m_kind, rng.integers(0, 3, n)))
+                else:
+                    cols.append(numeric_column("m", rng.choice([1.0, math.nan, 2.0], n)))
+                tables.append(Dataset(tuple(cols)))
+            orig, syn = tables
+            for keys in (["x"], ["c"], ["x", "c"], ["c", "m", "x"]):
+                out, removed = remove_replicated_uniques(orig, syn, keys)
+                drop = _text_key_drops(orig, syn, keys)
+                assert removed == int(drop.sum())
+                assert out.equals(syn.take(np.flatnonzero(~drop)))
 
 
 class TestAddNoise:
