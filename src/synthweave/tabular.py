@@ -92,10 +92,7 @@ class Column:
 
     def decoded(self) -> list[str]:
         """Values rendered as text (levels for categorical, repr for numeric)."""
-        if self.is_numeric:
-            return [_format_number(v) for v in self.values]
-        lv = self.levels
-        return [lv[c] for c in self.values]
+        return _rendered(self, "")
 
     def take(self, index: np.ndarray) -> "Column":
         return Column(self.name, self.kind, self.values[index])
@@ -216,6 +213,15 @@ def _format_number(v: float) -> str:
     return repr(float(v))
 
 
+def _rendered(col: Column, missing_token: str) -> list[str]:
+    """Each cell as CSV text; a numeric column formats each distinct value once."""
+    if col.is_numeric:
+        distinct, index = np.unique(col.values, return_inverse=True)
+        text = [missing_token if math.isnan(v) else _format_number(v) for v in distinct.tolist()]
+        return np.array(text, dtype=object)[index].tolist()
+    return np.array(col.levels, dtype=object)[col.values].tolist()
+
+
 def _resolve_kind(entry: SchemaEntry, colname: str) -> tuple[VariableKind | None, bool]:
     """Return (kind or None-if-inferring, infer_levels flag)."""
     if isinstance(entry, (Numeric, Categorical)):
@@ -321,14 +327,6 @@ def write_csv(data: Dataset, path: str | Path, missing_token: str = "NA") -> Non
                 fh.write(f"# SYNTHETIC DATA: {data.label}\n")
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(data.names)
-            decoded = [c.decoded() for c in data.columns]
-            missing = [c.missing_mask() for c in data.columns]
-            for i in range(data.n_rows):
-                writer.writerow(
-                    [
-                        missing_token if missing[j][i] else decoded[j][i]
-                        for j in range(len(data.columns))
-                    ]
-                )
+            writer.writerows(zip(*(_rendered(c, missing_token) for c in data.columns)))
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc

@@ -6,10 +6,19 @@ y_i + s_i > 0, with df one less than the number of such cells.  U_gen is
 8*N*pMSE from a propensity score fit on the stacked data; with the
 table-saturated design the two are algebraically identical, and
 ``equivalence_check`` enforces that identity to 1e-8 relative.
+
+A ``CellTable`` holds the two count vectors over the full product of the
+per-variable cell labels, as arrays; the statistics, the saturated fit and
+``worst_cells`` read those arrays and build label strings only for the cells
+they report.  ``equivalence_check`` cross-tabulates once and fits the
+saturated model on that same table.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 import warnings as _warnings
 from dataclasses import dataclass, field
 
@@ -56,23 +65,83 @@ class Cell:
     s: int
 
 
-@dataclass(frozen=True)
 class CellTable:
-    variables: tuple[str, ...]
-    cells: tuple[Cell, ...]
+    """Original and synthetic counts over every combination of cell labels.
+
+    ``labels[d]`` holds the cell labels of ``variables[d]``.  ``y`` and ``s``
+    are read-only int64 count vectors over the row-major product of those
+    labels (the last variable varies fastest), empty cells included, so
+    ``k`` is the size of the full product and ``shape`` the number of labels
+    of each variable.  The per-cell view ``cells`` is
+    built on first access; ``cross_tabulate`` and the statistics never need
+    it.
+
+    ``CellTable(variables, cells)`` builds the same arrays from hand-made
+    ``Cell``s: each variable's labels in order of first appearance, and any
+    combination the cells do not list counted as an empty cell.
+    """
+
+    def __init__(self, variables, cells):
+        variables = tuple(variables)
+        cells = tuple(cells)
+        code_of: list[dict[str, int]] = [{} for _ in variables]
+        for cell in cells:
+            if len(cell.levels) != len(variables):
+                raise UtilityError(
+                    f"cell {cell.levels!r} does not have one level per variable {variables!r}"
+                )
+            for codes, level in zip(code_of, cell.levels):
+                codes.setdefault(level, len(codes))
+        flat = np.zeros(len(cells), dtype=np.int64)
+        for d, codes in enumerate(code_of):
+            flat = flat * len(codes) + np.array(
+                [codes[cell.levels[d]] for cell in cells], dtype=np.int64
+            )
+        if np.unique(flat).size != flat.size:
+            raise UtilityError("cells must have distinct levels")
+        k = math.prod(len(codes) for codes in code_of)
+        y = np.zeros(k, dtype=np.int64)
+        s = np.zeros(k, dtype=np.int64)
+        y[flat] = [cell.y for cell in cells]
+        s[flat] = [cell.s for cell in cells]
+        self._set(variables, tuple(tuple(codes) for codes in code_of), y, s)
+
+    @classmethod
+    def _of_counts(cls, variables, labels, y, s) -> "CellTable":
+        table = cls.__new__(cls)
+        table._set(variables, labels, y, s)
+        return table
+
+    def _set(self, variables, labels, y, s) -> None:
+        if not variables:
+            raise UtilityError("a cell table needs at least one variable")
+        self.variables: tuple[str, ...] = variables
+        self.labels: tuple[tuple[str, ...], ...] = labels
+        self.shape = tuple(len(lv) for lv in labels)
+        for counts in (y, s):
+            counts.setflags(write=False)
+        self.y: np.ndarray = y
+        self.s: np.ndarray = s
 
     @property
     def k(self) -> int:
-        return len(self.cells)
+        return int(self.y.size)
 
     @property
     def n_combined(self) -> int:
-        return sum(c.y + c.s for c in self.cells)
+        return int(self.y.sum() + self.s.sum())
 
     def counts(self) -> tuple[np.ndarray, np.ndarray]:
-        y = np.array([c.y for c in self.cells], dtype=np.float64)
-        s = np.array([c.s for c in self.cells], dtype=np.float64)
-        return y, s
+        return self.y.astype(np.float64), self.s.astype(np.float64)
+
+    @functools.cached_property
+    def cells(self) -> tuple[Cell, ...]:
+        return tuple(
+            Cell(levels, y, s)
+            for levels, y, s in zip(
+                itertools.product(*self.labels), self.y.tolist(), self.s.tolist()
+            )
+        )
 
 
 MAX_TABLE_CELLS = 100_000
@@ -151,7 +220,7 @@ def cross_tabulate(
         )
         per_var.append((co, cs, labels))
         sizes.append(len(labels))
-    k_total = int(np.prod(sizes))
+    k_total = math.prod(sizes)
     if k_total > MAX_TABLE_CELLS:
         raise UtilityError(f"table would have {k_total} cells (cap {MAX_TABLE_CELLS})")
 
@@ -160,21 +229,12 @@ def cross_tabulate(
     for (co, cs, labels), size in zip(per_var, sizes):
         flat_o = flat_o * size + co
         flat_s = flat_s * size + cs
-    y = np.bincount(flat_o, minlength=k_total)
-    s = np.bincount(flat_s, minlength=k_total)
-
-    label_lists = [labels for _, _, labels in per_var]
-    cells = []
-    for flat in range(k_total):
-        idx = np.unravel_index(flat, sizes)
-        cells.append(
-            Cell(
-                tuple(label_lists[d][i] for d, i in enumerate(idx)),
-                int(y[flat]),
-                int(s[flat]),
-            )
-        )
-    return CellTable(variables, tuple(cells))
+    return CellTable._of_counts(
+        variables,
+        tuple(tuple(labels) for _, _, labels in per_var),
+        np.bincount(flat_o, minlength=k_total),
+        np.bincount(flat_s, minlength=k_total),
+    )
 
 
 def u_tab(table: CellTable) -> UtilityStat:
@@ -196,15 +256,16 @@ def worst_cells(table: CellTable, top: int = 10) -> list[dict]:
     with np.errstate(divide="ignore", invalid="ignore"):
         contrib = np.where(tot > 0, (s - y) ** 2 / (tot / 2.0), 0.0)
     order = np.argsort(-contrib, kind="stable")[:top]
+    order = order[contrib[order] > 0]
+    codes = zip(*np.unravel_index(order, table.shape))
     return [
         {
-            "levels": list(table.cells[i].levels),
-            "y": table.cells[i].y,
-            "s": table.cells[i].s,
+            "levels": [labels[c] for labels, c in zip(table.labels, cell_codes)],
+            "y": int(table.y[i]),
+            "s": int(table.s[i]),
             "contribution": float(contrib[i]),
         }
-        for i in order
-        if contrib[i] > 0
+        for i, cell_codes in zip(order.tolist(), codes)
     ]
 
 
@@ -231,6 +292,9 @@ class PropensityFit:
 
 
 def _check_schemas(original: Dataset, synthetic: Dataset) -> None:
+    for role, data in (("original", original), ("synthetic", synthetic)):
+        if data.n_rows == 0:
+            raise UtilityError(f"the {role} dataset {data.name!r} has no rows")
     if set(original.names) != set(synthetic.names):
         raise UtilityError("datasets have different column sets")
     for name in original.names:
@@ -312,40 +376,51 @@ def fit_propensity(
     if model == "table_saturated":
         if not variables:
             raise UtilityError("table_saturated model needs the table variables")
-        table = cross_tabulate(original, synthetic, variables, numeric_breaks)
-        y, s = table.counts()
-        tot = y + s
-        populated = tot > 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            p_cell = np.where(populated, s / np.where(populated, tot, 1.0), 0.0)
-        pmse = float(np.clip((tot[populated] * (p_cell[populated] - c) ** 2).sum() / N, 0.0, c * (1 - c)))
-        pp = p_cell[populated]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            coefs = np.clip(np.log(pp / (1 - pp)), -COEF_CAP, COEF_CAP)
-            w = tot[populated] * pp * (1 - pp)
-            se = np.where(w > 0, 1.0 / np.sqrt(np.where(w > 0, w, 1.0)), np.nan)
-            z = np.where(np.isfinite(se) & (se > 0), coefs / se, np.nan)
-        labels = tuple(
-            "|".join(f"{v}={lv}" for v, lv in zip(table.variables, cell.levels))
-            for cell, pop in zip(table.cells, populated)
-            if pop
-        )
-        var_label = "*".join(table.variables)
-        return PropensityFit(
-            model="table_saturated",
-            terms=labels,
-            term_variables=tuple(var_label for _ in labels),
-            coefficients=coefs,
-            standard_errors=se,
-            z=z,
-            pmse=pmse,
-            c=c,
-            n_combined=N,
-            n_params=int(populated.sum()),
-            warnings=(),
-        )
+        return _saturated_fit(cross_tabulate(original, synthetic, variables, numeric_breaks))
 
     raise UtilityError(f"unknown propensity model {model!r}")
+
+
+def _saturated_fit(table: CellTable) -> PropensityFit:
+    """The table-saturated propensity fit, in closed form from the counts.
+
+    One parameter per populated cell; its term is labelled
+    ``"v1=level|v2=level|..."``, and only populated cells get a label.
+    """
+    y, s = table.counts()
+    tot = y + s
+    N = table.n_combined
+    c = int(table.s.sum()) / N
+    populated = tot > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p_cell = np.where(populated, s / np.where(populated, tot, 1.0), 0.0)
+    pmse = float(np.clip((tot[populated] * (p_cell[populated] - c) ** 2).sum() / N, 0.0, c * (1 - c)))
+    pp = p_cell[populated]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coefs = np.clip(np.log(pp / (1 - pp)), -COEF_CAP, COEF_CAP)
+        w = tot[populated] * pp * (1 - pp)
+        se = np.where(w > 0, 1.0 / np.sqrt(np.where(w > 0, w, 1.0)), np.nan)
+        z = np.where(np.isfinite(se) & (se > 0), coefs / se, np.nan)
+    prefixes = [
+        np.array([f"{v}={lv}" for lv in labels], dtype=object)
+        for v, labels in zip(table.variables, table.labels)
+    ]
+    codes = np.unravel_index(np.flatnonzero(populated), table.shape)
+    terms = tuple(map("|".join, zip(*(p[cd] for p, cd in zip(prefixes, codes)))))
+    var_label = "*".join(table.variables)
+    return PropensityFit(
+        model="table_saturated",
+        terms=terms,
+        term_variables=(var_label,) * len(terms),
+        coefficients=coefs,
+        standard_errors=se,
+        z=z,
+        pmse=pmse,
+        c=c,
+        n_combined=N,
+        n_params=len(terms),
+        warnings=(),
+    )
 
 
 def u_gen(fit: PropensityFit) -> UtilityStat:
@@ -378,15 +453,12 @@ def equivalence_check(
     tol: float = 1e-8,
 ) -> EquivalenceReport:
     """Assert the tabular/propensity identity: u_tab == 8*N*pMSE(saturated)."""
+    _check_schemas(original, synthetic)
     if original.n_rows != synthetic.n_rows:
         raise UtilityError("equivalence identity requires equal dataset sizes")
     table = cross_tabulate(original, synthetic, variables, numeric_breaks)
     ut = u_tab(table)
-    fit = fit_propensity(
-        original, synthetic, model="table_saturated", variables=variables,
-        numeric_breaks=numeric_breaks,
-    )
-    ug = u_gen(fit)
+    ug = u_gen(_saturated_fit(table))
     gap = abs(ut.statistic - ug.statistic) / max(ut.statistic, 1.0)
     if gap > tol:
         raise UtilityError(
@@ -460,6 +532,11 @@ def compare_univariate(original: Dataset, synthetic: Dataset, n_bins: int = 20) 
         else:
             vo, vs = o.values, s.values
             obs_o, obs_s = vo[~np.isnan(vo)], vs[~np.isnan(vs)]
+            if obs_o.size == 0:
+                raise UtilityError(
+                    f"column {name!r} has no observed values in the original "
+                    f"dataset {original.name!r}"
+                )
             lo, hi = float(obs_o.min()), float(obs_o.max())
             edges = np.linspace(lo, hi, n_bins + 1)
             co = np.histogram(np.clip(obs_o, lo, hi), bins=edges)[0] / max(len(obs_o), 1)

@@ -348,6 +348,56 @@ class TestNonFiniteInput:
         assert "row 5, column 'pperroom'" in err
 
 
+class TestHostileAuditInput:
+    """Degenerate inputs to the audit end in ``error: ...`` and exit 1."""
+
+    @pytest.fixture
+    def write_pair(self, tmp_path):
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"a": {"levels": ["x", "y"]}, "b": "numeric"}))
+
+        def write(original_rows, synthetic_rows):
+            paths = []
+            for name, rows in (("orig", original_rows), ("syn", synthetic_rows)):
+                path = tmp_path / f"{name}.csv"
+                path.write_text("a,b\n" + "".join(f"{a},{b}\n" for a, b in rows))
+                paths.append(path)
+            return paths, schema
+
+        return write
+
+    @staticmethod
+    def _run(command, original, synthetic, schema, report):
+        return main(
+            [command, "--original", str(original), "--synthetic", str(synthetic),
+             "--schema", str(schema), "--report", str(report)]
+        )
+
+    @pytest.mark.parametrize("command", ["utility", "compare"])
+    def test_all_missing_original_numeric_column(self, write_pair, tmp_path, capsys, command):
+        (orig, syn), schema = write_pair(
+            [("x", "NA"), ("y", "NA"), ("x", "NA")], [("x", "1.5"), ("y", "2"), ("x", "3")]
+        )
+        report = tmp_path / "r.json"
+        assert self._run(command, orig, syn, schema, report) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'b'" in err and "original" in err
+        assert not report.exists()
+
+    @pytest.mark.parametrize(
+        "command, empty", [("utility", "both"), ("utility", "syn"), ("compare", "syn")]
+    )
+    def test_header_only_dataset(self, write_pair, tmp_path, capsys, command, empty):
+        rows = [("x", "1"), ("y", "2"), ("x", "3")]
+        (orig, syn), schema = write_pair([] if empty == "both" else rows, [])
+        report = tmp_path / "r.json"
+        assert self._run(command, orig, syn, schema, report) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no rows" in err
+        assert ("'orig'" if empty == "both" else "'syn'") in err
+        assert not report.exists()
+
+
 class TestCompareCommand:
     def test_identical_files_zero_differences(self, toy_files, tmp_path):
         root, data, schema, _ = toy_files

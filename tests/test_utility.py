@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from synthweave import (
     Cart,
+    Categorical,
+    Column,
     Dataset,
     Sample,
     SynthesisPlan,
@@ -25,7 +28,8 @@ from synthweave import (
     utility_report,
     worst_cells,
 )
-from synthweave.utility import Cell, CellTable
+from synthweave.models import COEF_CAP
+from synthweave.utility import Cell, CellTable, _cell_codes
 
 
 def two_col_pair(y_vals, s_vals, levels=("a", "b")):
@@ -173,6 +177,23 @@ class TestUTab:
         t1 = CellTable(("v",), cells)
         t2 = CellTable(("v",), cells[::-1])
         assert u_tab(t1).statistic == pytest.approx(u_tab(t2).statistic)
+
+    def test_hand_built_cells_fill_the_product(self):
+        # combinations the cells do not list become empty cells
+        t = CellTable(("a", "b"), (Cell(("x", "u"), 1, 0), Cell(("y", "v"), 0, 2)))
+        assert t.labels == (("x", "y"), ("u", "v"))
+        assert t.k == 4 and t.n_combined == 3
+        y, s = t.counts()
+        assert y.tolist() == [1, 0, 0, 0] and s.tolist() == [0, 0, 0, 2]
+        assert t.cells[1] == Cell(("x", "v"), 0, 0)
+
+    def test_malformed_hand_built_cells_rejected(self):
+        with pytest.raises(UtilityError, match="distinct"):
+            CellTable(("v",), (Cell(("a",), 1, 0), Cell(("a",), 0, 1)))
+        with pytest.raises(UtilityError, match="one level per variable"):
+            CellTable(("v", "w"), (Cell(("a",), 1, 0),))
+        with pytest.raises(UtilityError, match="at least one variable"):
+            CellTable((), ())
 
     def test_single_populated_cell_rejected(self):
         t = CellTable(("v",), (Cell(("a",), 3, 3), Cell(("b",), 0, 0)))
@@ -433,3 +454,186 @@ class TestUtilityReport:
         orig, syn = census_pair
         with pytest.raises(UtilityError, match="unknown propensity model"):
             utility_report(orig, syn, model="saturated")
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-cell table that CellTable's count arrays replaced.  It
+# builds one Cell per combination of labels, and reads the worst cells and the
+# saturated terms back from those objects.
+# ---------------------------------------------------------------------------
+
+def _reference_cells(original, synthetic, variables, numeric_breaks=None, n_bins=5):
+    per_var = []
+    sizes = []
+    for v in variables:
+        brk = numeric_breaks.get(v) if numeric_breaks else None
+        co, cs, labels = _cell_codes(original.column(v), synthetic.column(v), brk, n_bins)
+        per_var.append((co, cs, labels))
+        sizes.append(len(labels))
+    k_total = int(np.prod(sizes))
+    flat_o = np.zeros(original.n_rows, dtype=np.int64)
+    flat_s = np.zeros(synthetic.n_rows, dtype=np.int64)
+    for (co, cs, labels), size in zip(per_var, sizes):
+        flat_o = flat_o * size + co
+        flat_s = flat_s * size + cs
+    y = np.bincount(flat_o, minlength=k_total)
+    s = np.bincount(flat_s, minlength=k_total)
+    label_lists = [labels for _, _, labels in per_var]
+    cells = []
+    for flat in range(k_total):
+        idx = np.unravel_index(flat, sizes)
+        cells.append(
+            Cell(tuple(label_lists[d][i] for d, i in enumerate(idx)), int(y[flat]), int(s[flat]))
+        )
+    return tuple(cells)
+
+
+def _reference_counts(cells):
+    y = np.array([c.y for c in cells], dtype=np.float64)
+    s = np.array([c.s for c in cells], dtype=np.float64)
+    return y, s
+
+
+def _reference_worst_cells(cells, top=10):
+    y, s = _reference_counts(cells)
+    tot = y + s
+    with np.errstate(divide="ignore", invalid="ignore"):
+        contrib = np.where(tot > 0, (s - y) ** 2 / (tot / 2.0), 0.0)
+    order = np.argsort(-contrib, kind="stable")[:top]
+    return [
+        {
+            "levels": list(cells[i].levels),
+            "y": cells[i].y,
+            "s": cells[i].s,
+            "contribution": float(contrib[i]),
+        }
+        for i in order
+        if contrib[i] > 0
+    ]
+
+
+def _reference_saturated(variables, cells, n_synthetic):
+    """(terms, coefficients, pmse) of the closed-form saturated fit."""
+    y, s = _reference_counts(cells)
+    tot = y + s
+    N = int(tot.sum())
+    c = n_synthetic / N
+    populated = tot > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p_cell = np.where(populated, s / np.where(populated, tot, 1.0), 0.0)
+    pmse = float(np.clip((tot[populated] * (p_cell[populated] - c) ** 2).sum() / N, 0.0, c * (1 - c)))
+    pp = p_cell[populated]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coefs = np.clip(np.log(pp / (1 - pp)), -COEF_CAP, COEF_CAP)
+    terms = tuple(
+        "|".join(f"{v}={lv}" for v, lv in zip(variables, cell.levels))
+        for cell, pop in zip(cells, populated)
+        if pop
+    )
+    return terms, coefs, pmse
+
+
+def _census_five_way():
+    names = ["occ3", "region", "sex", "mar", "age"]
+    orig = generate_toy_census(ToyCensusSpec(n_rows=3000, seed=44)).select(names)
+    syn = generate_toy_census(ToyCensusSpec(n_rows=3000, seed=45)).select(names)
+    return orig, syn, names, None
+
+
+def _numeric_with_missing_cells():
+    rng = np.random.default_rng(3)
+    x_o, x_s = rng.normal(1.0, 1.0, 200), rng.normal(1.2, 1.0, 200)
+    x_o[rng.random(200) < 0.1] = np.nan
+    x_s[rng.random(200) < 0.2] = np.nan
+    sex_o = rng.choice(["f", "m"], 200)
+    sex_s = rng.choice(["f", "m"], 200)
+    orig = Dataset((numeric_column("x", x_o), categorical_column("sex", sex_o, ["f", "m"])))
+    syn = Dataset((numeric_column("x", x_s), categorical_column("sex", sex_s, ["f", "m"])))
+    return orig, syn, ["sex", "x"], {"x": [0.0, 0.5, 2.0]}
+
+
+def _synthetic_out_of_range():
+    rng = np.random.default_rng(4)
+    orig = Dataset((numeric_column("x", rng.uniform(0, 10, 300)),))
+    syn = Dataset((numeric_column("x", rng.uniform(-5, 15, 300)),))
+    return orig, syn, ["x"], None
+
+
+def _synthetic_only_level():
+    rng = np.random.default_rng(5)
+    levels = ["a", "b", "c", "d"]
+    orig = Dataset((
+        categorical_column("v", rng.choice(levels[:3], 150), levels),
+        categorical_column("w", rng.choice(["u", "v"], 150), ["u", "v"]),
+    ))
+    syn = Dataset((
+        categorical_column("v", rng.choice(levels, 150), levels),
+        categorical_column("w", rng.choice(["u", "v"], 150), ["u", "v"]),
+    ))
+    return orig, syn, ["w", "v"], None
+
+
+class TestMatchesPerCellReference:
+    @pytest.mark.parametrize(
+        "case",
+        [_census_five_way, _numeric_with_missing_cells, _synthetic_out_of_range,
+         _synthetic_only_level],
+    )
+    def test_table_worst_cells_and_saturated_fit(self, case):
+        orig, syn, variables, breaks = case()
+        ref = _reference_cells(orig, syn, variables, breaks)
+        table = cross_tabulate(orig, syn, variables, numeric_breaks=breaks)
+
+        assert table.cells == ref
+        assert table.k == len(ref)
+        for got, want in zip(table.counts(), _reference_counts(ref)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert table.n_combined == orig.n_rows + syn.n_rows
+        for top in (10, len(ref)):
+            assert worst_cells(table, top) == _reference_worst_cells(ref, top)
+
+        terms, coefs, pmse = _reference_saturated(variables, ref, syn.n_rows)
+        fit = fit_propensity(
+            orig, syn, "table_saturated", variables=variables, numeric_breaks=breaks
+        )
+        assert fit.terms == terms
+        assert np.array_equal(fit.coefficients, coefs)
+        assert fit.pmse == pmse
+        assert fit.n_params == len(terms)
+
+        # a table rebuilt from its cells holds the same arrays
+        rebuilt = CellTable(table.variables, table.cells)
+        assert rebuilt.labels == table.labels
+        assert np.array_equal(rebuilt.y, table.y) and np.array_equal(rebuilt.s, table.s)
+
+
+@st.composite
+def _categorical_pair(draw):
+    """Equal-size datasets of 1-3 categorical variables; empty cells allowed."""
+    n = draw(st.integers(1, 25))
+    original, synthetic = [], []
+    for j in range(draw(st.integers(1, 3))):
+        kind = Categorical(tuple(f"l{i}" for i in range(draw(st.integers(1, 4)))))
+        codes = st.lists(st.integers(0, len(kind.levels) - 1), min_size=n, max_size=n)
+        original.append(Column(f"v{j}", kind, np.array(draw(codes), dtype=np.int64)))
+        synthetic.append(Column(f"v{j}", kind, np.array(draw(codes), dtype=np.int64)))
+    return Dataset(tuple(original)), Dataset(tuple(synthetic))
+
+
+class TestEquivalenceProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(_categorical_pair())
+    def test_u_tab_equals_8n_pmse_of_saturated_fit(self, pair):
+        orig, syn = pair
+        variables = orig.names
+        table = cross_tabulate(orig, syn, variables)
+        if int((table.y + table.s > 0).sum()) < 2:
+            with pytest.raises(UtilityError, match="2 populated"):
+                equivalence_check(orig, syn, variables)
+            return
+        rep = equivalence_check(orig, syn, variables)
+        assert rep.relative_gap <= 1e-8
+        fit = fit_propensity(orig, syn, "table_saturated", variables=variables)
+        assert u_tab(table).statistic == pytest.approx(
+            8 * fit.n_combined * fit.pmse, rel=1e-8, abs=1e-9
+        )
