@@ -15,7 +15,6 @@ from .engine import (
     VariableSummary,
     run_report,
     synthesize,
-    synthesize_numeric_with_missing,
     synthesize_stratified,
 )
 from .errors import (
@@ -154,7 +153,6 @@ __all__ = [
     "save_plan",
     "stamp_synthetic",
     "synthesize",
-    "synthesize_numeric_with_missing",
     "synthesize_stratified",
     "true_model",
     "u_gen",

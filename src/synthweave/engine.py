@@ -16,31 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, MethodError, PlanError
-from .models import (
-    CartFit,
-    fit_cart_model,
-    fit_logit,
-    fit_multinomial,
-    fit_nested,
-    fit_normrank,
-    fit_sample,
-    fit_transform_normal,
-    SampleFit,
-)
-from .plan import (
-    Atom,
-    Cart,
-    Logit,
-    Multinomial,
-    Nested,
-    NormRank,
-    Sample,
-    SynthesisPlan,
-    TransformNormal,
-    method_name,
-    plan_errors,
-    validate_plan,
-)
+# fit_logit is unused here, but perfbench/test_perfbench.py checks that the
+# tracer patches it through this module
+from .models import MISSING_INDICATOR, CartFit, SampleFit, fit_logit  # noqa: F401
+from .plan import Atom, MethodSpec, SynthesisPlan, plan_errors, validate_plan
 from .tabular import Categorical, Column, Dataset, Numeric
 
 
@@ -109,120 +88,39 @@ def _eval_atoms(atoms: tuple[Atom, ...], columns: dict[str, Column], n: int) -> 
     return mask
 
 
-def _expand_missing_predictors(
-    fit_preds: Dataset | None, sample_preds: Dataset | None
-) -> tuple[Dataset | None, Dataset | None]:
-    """Replace numeric predictors that carry missing cells (on either side)
-    with a present/missing indicator plus the zero-filled values, so trees
-    and regressions alike can condition on missingness."""
-    if fit_preds is None:
-        return None, None
-    fit_cols: list[Column] = []
-    sample_cols: list[Column] = []
-    for col in fit_preds.columns:
-        s_col = sample_preds.column(col.name)
-        if isinstance(col.kind, Numeric):
-            f_missing = np.isnan(col.values)
-            s_missing = np.isnan(s_col.values)
-            if f_missing.any() or s_missing.any():
-                ind_kind = Categorical(("present", "missing"))
-                fit_cols.append(
-                    Column(f"{col.name}:missing", ind_kind, f_missing.astype(np.int64))
-                )
-                sample_cols.append(
-                    Column(f"{col.name}:missing", ind_kind, s_missing.astype(np.int64))
-                )
-                fv = col.values.copy()
-                fv[f_missing] = 0.0
-                sv = s_col.values.copy()
-                sv[s_missing] = 0.0
-                fit_cols.append(Column(col.name, col.kind, fv))
-                sample_cols.append(Column(col.name, col.kind, sv))
-                continue
-        fit_cols.append(col)
-        sample_cols.append(s_col)
-    return Dataset(tuple(fit_cols)), Dataset(tuple(sample_cols))
-
-
-def _fit_plain(spec, target: Column, predictors: Dataset | None):
-    if isinstance(spec, Sample):
-        return fit_sample(target)
-    if isinstance(spec, Cart):
-        return fit_cart_model(target, predictors, spec.min_bucket, spec.complexity)
-    if isinstance(spec, NormRank):
-        return fit_normrank(target, predictors, spec.residual_scale)
-    if isinstance(spec, TransformNormal):
-        return fit_transform_normal(target, predictors, spec.transform)
-    if isinstance(spec, Logit):
-        return fit_logit(target, predictors, spec.max_iter, spec.tol)
-    if isinstance(spec, Multinomial):
-        return fit_multinomial(target, predictors, spec.max_iter, spec.tol)
-    raise MethodError(f"cannot fit method {method_name(spec)!r} here")
-
-
 @dataclass(frozen=True)
 class _MissingAwareFit:
-    """A missingness-indicator model plus a model of the observed values.
+    """A missingness-indicator model plus a model of the observed values."""
 
-    Without an indicator (the sample method) the observed model is a plain
-    bootstrap of all cells, whose joint draw already carries the rate.
-    """
-
-    indicator: object | None
+    indicator: object
     observed: object
     warnings: tuple[str, ...] = ()
 
     def sample(self, predictors: Dataset | None, rng: np.random.Generator, n: int) -> np.ndarray:
-        if self.indicator is None:
-            return self.observed.sample(None, rng, n)
         missing = self.indicator.sample(predictors, rng, n) == 1
         values = self.observed.sample(predictors, rng, n).astype(np.float64)
         values[missing] = np.nan
         return values
 
 
-def _fit_with_missing(target: Column, orig_preds: Dataset | None, spec) -> _MissingAwareFit:
+def _fit_with_missing(spec: MethodSpec, target: Column, orig_preds: Dataset | None):
+    """Two-step fit of a numeric column with missing cells: the method's
+    ``missing_model`` fits a missingness indicator, the method itself the
+    complete rows.  Without a missing model (the sample method) all cells
+    are bootstrapped together, so the joint draw carries the rate."""
     missing = target.missing_mask()
     if missing.all():
         raise MethodError(f"{target.name}: all values missing")
-    if isinstance(spec, Sample):
-        return _MissingAwareFit(None, SampleFit(target.name, target.kind, target.values))
-    ind = Column(
-        f"{target.name}:missing",
-        Categorical(("present", "missing")),
-        missing.astype(np.int64),
-    )
-    if isinstance(spec, Cart):
-        ind_fit = fit_cart_model(ind, orig_preds, spec.min_bucket, spec.complexity)
-    else:
-        ind_fit = fit_logit(ind, orig_preds)
+    indicator_spec = spec.missing_model
+    if indicator_spec is None:
+        return SampleFit(target.name, target.kind, target.values)
+    ind = Column(f"{target.name}:missing", MISSING_INDICATOR, missing.astype(np.int64))
+    ind_fit = indicator_spec.fit(ind, orig_preds)
     keep = np.flatnonzero(~missing)
-    model = _fit_plain(
-        spec,
-        target.take(keep),
-        orig_preds.take(keep) if orig_preds is not None else None,
+    model = spec.fit(
+        target.take(keep), orig_preds.take(keep) if orig_preds is not None else None
     )
     return _MissingAwareFit(ind_fit, model, tuple(ind_fit.warnings) + tuple(model.warnings))
-
-
-def synthesize_numeric_with_missing(
-    target: Column,
-    orig_preds: Dataset | None,
-    spec,
-    syn_preds: Dataset | None,
-    rng: np.random.Generator,
-    n_out: int,
-) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Two-step synthesis of a numeric column with missing cells.
-
-    A binary missingness indicator is synthesized first (CART for cart
-    targets, logit for the parametric methods, plain bootstrap under the
-    sample method where the joint draw already carries the rate); the numeric
-    model is fit on complete rows only, and sampled values are blanked where
-    the indicator says missing.
-    """
-    fit = _fit_with_missing(target, orig_preds, spec)
-    return fit.sample(syn_preds, rng, n_out), fit.warnings
 
 
 def _tree_stats(model) -> dict | None:
@@ -276,23 +174,15 @@ def _synthesize_stratum(
         syn_preds = (
             Dataset(tuple(synth[p] for p in pred_names)) if pred_names else None
         )
-        orig_preds, syn_preds = _expand_missing_predictors(orig_preds, syn_preds)
-
-        used_indicator = False
-        sample_preds = syn_preds
-        if isinstance(spec, Nested):
-            group = original.column(spec.group_column).take(fit_idx)
-            model = fit_nested(t_fit, group)
-            sample_preds = Dataset((synth[spec.group_column],))
-        elif isinstance(target.kind, Numeric) and t_fit.missing_mask().any():
-            used_indicator = True
-            model = _fit_with_missing(t_fit, orig_preds, spec)
+        used_indicator = isinstance(target.kind, Numeric) and bool(t_fit.missing_mask().any())
+        if used_indicator:
+            model = _fit_with_missing(spec, t_fit, orig_preds)
         else:
-            model = _fit_plain(spec, t_fit, orig_preds)
+            model = spec.fit(t_fit, orig_preds)
         fit_warnings = tuple(model.warnings)
         fitted = time.perf_counter()
 
-        values = model.sample(sample_preds, rng, n_out)
+        values = model.sample(syn_preds, rng, n_out)
         dtype = np.int64 if isinstance(target.kind, Categorical) else np.float64
         values = np.array(values, dtype=dtype)  # fresh writable copy for rules
         sampled = time.perf_counter()
@@ -317,7 +207,7 @@ def _synthesize_stratum(
         summaries.append(
             VariableSummary(
                 name=name,
-                method=method_name(spec),
+                method=spec.name,
                 n_fit=int(fit_idx.size),
                 elapsed=time.perf_counter() - started,
                 rule_forced=forced,
@@ -362,7 +252,7 @@ def synthesize(original: Dataset, plan: SynthesisPlan, n_rows: int | None = None
                 "stratified synthesis fixes the output to the stratum sizes; "
                 "n_rows cannot be overridden"
             )
-        return synthesize_stratified(original, plan)
+        return _synthesize_strata(original, plan, warnings0)
     run = _synthesize_stratum(original, plan, stratum_index=0, n_rows=n_rows)
     return SynthesisRun(
         plan=run.plan,
@@ -380,11 +270,19 @@ def synthesize_stratified(
 
     The stratifier column is copied verbatim within each stratum, so any
     table of stratifier by other variables is well fitted by construction.
-    Strata below ``min_stratum_rows`` are pooled into one remainder stratum.
+    Strata below ``min_stratum_rows`` are pooled into one remainder stratum,
+    labelled ``(other)``, suffixed until no level of the stratifier has it.
     """
-    warnings0 = list(_validated(plan, original))
+    warnings0 = _validated(plan, original)
     if plan.stratifier is None:
         raise PlanError("plan has no stratifier")
+    return _synthesize_strata(original, plan, warnings0, min_stratum_rows)
+
+
+def _synthesize_strata(
+    original: Dataset, plan: SynthesisPlan, warnings0: list[str], min_stratum_rows: int = 100
+) -> SynthesisRun:
+    """The stratified run of an already validated plan."""
     strat_col = original.column(plan.stratifier)
     levels = strat_col.kind.levels
 
@@ -417,7 +315,10 @@ def synthesize_stratified(
         else:
             groups.append((level, idx))
     if pooled:
-        groups.append(("(other)", np.concatenate(pooled)))
+        label = "(other)"
+        while label in levels:
+            label += "+"
+        groups.append((label, np.concatenate(pooled)))
         warnings0.append(
             f"strata below {min_stratum_rows} rows pooled into one: "
             + ", ".join(pooled_levels)

@@ -20,9 +20,10 @@ from scipy.special import ndtr, ndtri
 from . import cart as _cart
 from .design import Design, Gram, build_design, drop_aliased
 from .errors import MethodError
-from .tabular import Categorical, Column, Dataset
+from .tabular import Categorical, Column, Dataset, Numeric
 
 COEF_CAP = 30.0  # linear-scale magnitude cap under separation
+MISSING_INDICATOR = Categorical(("present", "missing"))
 
 
 def _design_for(predictors: Dataset | None) -> Design | None:
@@ -75,17 +76,50 @@ def fit_sample(values: Column) -> SampleFit:
 # CART adapter
 # ---------------------------------------------------------------------------
 
+def _indicator_expanded(predictors: Dataset | None, expanded: tuple[str, ...]) -> Dataset | None:
+    """The predictors a tree sees, by the design layer's rule for numerics:
+    each column in ``expanded`` becomes a present/missing indicator followed
+    by its values, and every missing numeric cell counts as zero."""
+    if predictors is None:
+        return None
+    columns: list[Column] = []
+    for col in predictors.columns:
+        if isinstance(col.kind, Numeric):
+            missing = np.isnan(col.values)
+            if col.name in expanded:
+                columns.append(
+                    Column(f"{col.name}:missing", MISSING_INDICATOR, missing.astype(np.int64))
+                )
+            if missing.any():
+                col = Column(col.name, col.kind, np.where(missing, 0.0, col.values))
+        columns.append(col)
+    return Dataset(tuple(columns))
+
+
 @dataclass(frozen=True)
 class CartFit:
     tree: _cart.CartTree
+    expanded: tuple[str, ...] = ()  # numeric predictors with missing cells at fit
     warnings: tuple[str, ...] = ()
 
     def sample(self, predictors, rng: np.random.Generator, n: int) -> np.ndarray:
+        predictors = _indicator_expanded(predictors, self.expanded)
         return _cart.cart_sample(self.tree, predictors, rng, n_rows=n).values
 
 
 def fit_cart_model(target: Column, predictors: Dataset | None, min_bucket=5, complexity=1e-8) -> CartFit:
-    return CartFit(_cart.fit_cart(target, predictors, min_bucket, complexity))
+    """A tree on any predictors: a numeric with missing cells in the fit rows
+    is split on as a present/missing indicator and its zero-filled values.
+    At sampling, a missing cell of a numeric that had none counts as zero."""
+    expanded = tuple(
+        col.name
+        for col in (predictors.columns if predictors is not None else ())
+        if isinstance(col.kind, Numeric) and np.isnan(col.values).any()
+    )
+    tree = _cart.fit_cart(
+        target, _indicator_expanded(predictors, expanded), min_bucket, complexity
+    )
+    return CartFit(tree, expanded)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,12 @@
 """Declarative synthesis plans: methods, visit order, predictors, rules.
 
+A method is one class here (its name, the target kind it accepts, the model
+of a numeric target's missing cells, and ``fit``) plus its entry in
+``METHODS``.  The engine, the plan JSON and the kind checks read only those,
+so a new method needs no other edit.  Numeric predictors with missing cells
+are the fitted models' business: the design layer and the CART adapter both
+turn them into a missing indicator plus zero-filled values.
+
 A plan is validated against a concrete Dataset before any fitting happens;
 `validate_plan` returns diagnostics rather than raising so a caller can show
 every problem at once.  Guideline checks (too many categories, high-cardinality
@@ -10,12 +17,13 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Mapping, Sequence, Union
+from typing import ClassVar, Mapping, Sequence, Union
 
+from . import models
 from .errors import PlanError
-from .tabular import Categorical, Dataset, Numeric
+from .tabular import Categorical, Column, Dataset, Numeric, VariableKind
 
 # Categorical variables above this many levels trigger grouping / ordering
 # warnings.  Chosen between the level counts that were workable (<= 29) and
@@ -27,15 +35,54 @@ HIGH_CARDINALITY_THRESHOLD = 40
 # Methods
 # ---------------------------------------------------------------------------
 
+class MethodSpec:
+    """A conditional model for one column: a frozen dataclass whose fields
+    are its plan-file options, plus its entry in ``METHODS``.  It names its
+    plan-file kind (``name``) and the target kind it accepts (``target_kind``,
+    None for any); ``missing_model`` synthesizes the missingness indicator
+    of a numeric target (None: missing cells are bootstrapped with the rest);
+    ``fit(target, predictors)`` returns a model with ``sample(predictors,
+    rng, n)`` and ``warnings``.
+    """
+
+    name: ClassVar[str]
+    target_kind: ClassVar[type | None] = None
+
+    @property
+    def missing_model(self) -> MethodSpec | None:
+        return Logit()
+
+    def target_error(self, column: str, kind: VariableKind) -> str | None:
+        """Why this method cannot synthesize ``column`` of ``kind``, or None."""
+        if self.target_kind is None or isinstance(kind, self.target_kind):
+            return None
+        kind_name = self.target_kind.__name__.lower()
+        return f"{self.name} method requires {kind_name} target, got {column!r}"
+
+    def fit(self, target: Column, predictors: Dataset | None):
+        raise NotImplementedError
+
+
 @dataclass(frozen=True)
-class Sample:
+class Sample(MethodSpec):
     """Bootstrap: draw i.i.d. from the observed values."""
 
+    name = "sample"
+
+    @property
+    def missing_model(self) -> None:
+        return None
+
+    def fit(self, target, predictors):
+        return models.fit_sample(target)
+
 
 @dataclass(frozen=True)
-class Cart:
+class Cart(MethodSpec):
     min_bucket: int = 5
     complexity: float = 1e-8
+
+    name = "cart"
 
     def __post_init__(self):
         if self.min_bucket < 1:
@@ -43,31 +90,53 @@ class Cart:
         if self.complexity < 0:
             raise PlanError("cart: complexity must be >= 0")
 
+    @property
+    def missing_model(self) -> Cart:
+        return self
+
+    def fit(self, target, predictors):
+        return models.fit_cart_model(target, predictors, self.min_bucket, self.complexity)
+
 
 @dataclass(frozen=True)
-class NormRank:
+class NormRank(MethodSpec):
     """Normal-scores regression with empirical-quantile back-transform."""
 
     residual_scale: float = 1.0
+
+    name = "normrank"
+    target_kind = Numeric
 
     def __post_init__(self):
         if self.residual_scale < 0:
             raise PlanError("normrank: residual_scale must be >= 0")
 
+    def fit(self, target, predictors):
+        return models.fit_normrank(target, predictors, self.residual_scale)
+
 
 @dataclass(frozen=True)
-class TransformNormal:
+class TransformNormal(MethodSpec):
     transform: str = "identity"  # sqrt | cuberoot | identity
+
+    name = "transform_normal"
+    target_kind = Numeric
 
     def __post_init__(self):
         if self.transform not in ("sqrt", "cuberoot", "identity"):
             raise PlanError(f"unknown transform {self.transform!r}")
 
+    def fit(self, target, predictors):
+        return models.fit_transform_normal(target, predictors, self.transform)
+
 
 @dataclass(frozen=True)
-class Logit:
+class Logit(MethodSpec):
     max_iter: int = 100
     tol: float = 1e-6
+
+    name = "logit"
+    target_kind = Categorical
 
     def __post_init__(self):
         if self.max_iter < 1:
@@ -75,11 +144,23 @@ class Logit:
         if self.tol <= 0:
             raise PlanError("logit: tol must be > 0")
 
+    def target_error(self, column, kind):
+        if isinstance(kind, Categorical) and len(kind.levels) != 2:
+            n_levels = len(kind.levels)
+            return f"logit method requires a binary target, {column!r} has {n_levels} levels"
+        return super().target_error(column, kind)
+
+    def fit(self, target, predictors):
+        return models.fit_logit(target, predictors, self.max_iter, self.tol)
+
 
 @dataclass(frozen=True)
-class Multinomial:
+class Multinomial(MethodSpec):
     max_iter: int = 100
     tol: float = 1e-6
+
+    name = "multinomial"
+    target_kind = Categorical
 
     def __post_init__(self):
         if self.max_iter < 1:
@@ -87,30 +168,28 @@ class Multinomial:
         if self.tol <= 0:
             raise PlanError("multinomial: tol must be > 0")
 
+    def fit(self, target, predictors):
+        return models.fit_multinomial(target, predictors, self.max_iter, self.tol)
+
 
 @dataclass(frozen=True)
-class Nested:
-    """Bootstrap within an already-synthesized grouping column."""
+class Nested(MethodSpec):
+    """Bootstrap within an already-synthesized grouping column, which is the
+    target's only predictor (``SynthesisPlan.predictors_of``)."""
 
     group_column: str
 
+    name = "nested"
+    target_kind = Categorical
 
-MethodSpec = Union[Sample, Cart, NormRank, TransformNormal, Logit, Multinomial, Nested]
+    def fit(self, target, predictors):
+        return models.fit_nested(target, predictors.column(self.group_column))
 
-_METHOD_NAMES = {
-    Sample: "sample",
-    Cart: "cart",
-    NormRank: "normrank",
-    TransformNormal: "transform_normal",
-    Logit: "logit",
-    Multinomial: "multinomial",
-    Nested: "nested",
+
+METHODS: dict[str, type[MethodSpec]] = {
+    cls.name: cls
+    for cls in (Sample, Cart, NormRank, TransformNormal, Logit, Multinomial, Nested)
 }
-_METHOD_BY_NAME = {v: k for k, v in _METHOD_NAMES.items()}
-
-
-def method_name(spec: MethodSpec) -> str:
-    return _METHOD_NAMES[type(spec)]
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +289,10 @@ class SynthesisPlan:
         object.__setattr__(self, "nesting", dict(self.nesting))
 
     def predictors_of(self, target: str) -> tuple[str, ...]:
-        """Selected predictors: explicit row if given, else all preceding."""
+        """Selected predictors: the grouping column of a nested target, else
+        the explicit row if given, else all preceding."""
+        if target in self.nesting:
+            return (self.nesting[target],)
         pos = self.visit_sequence.index(target)
         preceding = self.visit_sequence[:pos]
         if self.predictor_matrix is None or target not in self.predictor_matrix:
@@ -291,19 +373,9 @@ def validate_plan(
 
     # Method / column-kind compatibility.
     for col in known:
-        spec = plan.methods[col]
-        kind = data.column(col).kind
-        mname = method_name(spec)
-        if isinstance(spec, (NormRank, TransformNormal)) and not isinstance(kind, Numeric):
-            out.append(_err(f"{mname} method requires numeric target, got {col!r}"))
-        if isinstance(spec, (Logit, Multinomial, Nested)) and not isinstance(
-            kind, Categorical
-        ):
-            out.append(_err(f"{mname} method requires categorical target, got {col!r}"))
-        if isinstance(spec, Logit) and isinstance(kind, Categorical) and len(kind.levels) != 2:
-            out.append(
-                _err(f"logit method requires a binary target, {col!r} has {len(kind.levels)} levels")
-            )
+        error = plan.methods[col].target_error(col, data.column(col).kind)
+        if error is not None:
+            out.append(_err(error))
 
     # Nesting map consistency.
     for target, group in plan.nesting.items():
@@ -441,41 +513,24 @@ def plan_errors(diags: Sequence[PlanDiagnostic]) -> list[PlanDiagnostic]:
 # ---------------------------------------------------------------------------
 
 def _method_to_json(spec: MethodSpec):
-    name = method_name(spec)
-    if isinstance(spec, Sample):
-        return name
-    if isinstance(spec, Cart):
-        return {"kind": name, "min_bucket": spec.min_bucket, "complexity": spec.complexity}
-    if isinstance(spec, NormRank):
-        return {"kind": name, "residual_scale": spec.residual_scale}
-    if isinstance(spec, TransformNormal):
-        return {"kind": name, "transform": spec.transform}
-    if isinstance(spec, (Logit, Multinomial)):
-        return {"kind": name, "max_iter": spec.max_iter, "tol": spec.tol}
-    if isinstance(spec, Nested):
-        return {"kind": name, "group_column": spec.group_column}
-    raise PlanError(f"unknown method {spec!r}")
+    options = asdict(spec)
+    return {"kind": spec.name, **options} if options else spec.name
 
 
 def _method_from_json(obj, colname: str) -> MethodSpec:
     if isinstance(obj, str):
-        cls = _METHOD_BY_NAME.get(obj)
-        if cls is None:
-            raise PlanError(f"methods[{colname!r}]: unknown method {obj!r}")
-        if cls is Nested:
-            raise PlanError(f"methods[{colname!r}]: nested needs a group_column")
-        return cls()
-    if isinstance(obj, dict):
-        obj = dict(obj)
-        kind = obj.pop("kind", None)
-        cls = _METHOD_BY_NAME.get(kind)
-        if cls is None:
-            raise PlanError(f"methods[{colname!r}]: unknown method kind {kind!r}")
-        try:
-            return cls(**obj)
-        except TypeError as exc:
-            raise PlanError(f"methods[{colname!r}]: {exc}")
-    raise PlanError(f"methods[{colname!r}]: expected string or object")
+        obj = {"kind": obj}
+    if not isinstance(obj, dict):
+        raise PlanError(f"methods[{colname!r}]: expected string or object")
+    options = dict(obj)
+    kind = options.pop("kind", None)
+    cls = METHODS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise PlanError(f"methods[{colname!r}]: unknown method {kind!r}")
+    try:
+        return cls(**options)
+    except TypeError as exc:
+        raise PlanError(f"methods[{colname!r}]: {exc}")
 
 
 def plan_to_json(plan: SynthesisPlan) -> dict:

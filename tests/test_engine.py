@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -7,12 +9,17 @@ from synthweave import (
     DataError,
     Dataset,
     Logit,
+    MethodError,
+    Multinomial,
     Nested,
+    NormRank,
     PlanError,
     Rule,
     Sample,
     SynthesisPlan,
+    SynthweaveError,
     ToyCensusSpec,
+    TransformNormal,
     categorical_column,
     cross_tabulate,
     generate_toy_census,
@@ -23,8 +30,11 @@ from synthweave import (
     u_tab,
     write_csv,
 )
-from synthweave.cart import fit_cart
-from synthweave.engine import _synthesize_stratum
+from synthweave import engine
+from synthweave.cart import cart_sample, fit_cart
+from synthweave.engine import _eval_atoms, _fit_with_missing, _synthesize_stratum
+from synthweave.models import fit_cart_model
+from synthweave.tabular import Categorical, Column, Numeric
 
 
 @pytest.fixture(scope="module")
@@ -245,8 +255,8 @@ class TestMissingData:
             synthesize(data, plan)
 
     def test_numeric_predictor_with_missing_feeds_cart(self):
-        # the engine expands a missing-bearing numeric predecessor into an
-        # indicator plus zero-filled values so later CART fits can use it
+        # a missing-bearing numeric predecessor becomes an indicator plus
+        # zero-filled values, so later CART fits can use it
         rng = np.random.default_rng(81)
         n = 1500
         y = rng.normal(size=n)
@@ -411,3 +421,302 @@ class TestStratified:
         )
         with pytest.raises(PlanError, match="categorical"):
             synthesize_stratified(census, plan)
+
+
+def expand_missing_predictors(fit_preds, sample_preds):
+    """Reference: the engine's former predictor expansion.  Numeric
+    predictors with missing cells on either side become a present/missing
+    indicator plus their zero-filled values."""
+    if fit_preds is None:
+        return None, None
+    fit_cols, sample_cols = [], []
+    for col in fit_preds.columns:
+        s_col = sample_preds.column(col.name)
+        if isinstance(col.kind, Numeric):
+            f_missing = np.isnan(col.values)
+            s_missing = np.isnan(s_col.values)
+            if f_missing.any() or s_missing.any():
+                ind_kind = Categorical(("present", "missing"))
+                fit_cols.append(
+                    Column(f"{col.name}:missing", ind_kind, f_missing.astype(np.int64))
+                )
+                sample_cols.append(
+                    Column(f"{col.name}:missing", ind_kind, s_missing.astype(np.int64))
+                )
+                fv = col.values.copy()
+                fv[f_missing] = 0.0
+                sv = s_col.values.copy()
+                sv[s_missing] = 0.0
+                fit_cols.append(Column(col.name, col.kind, fv))
+                sample_cols.append(Column(col.name, col.kind, sv))
+                continue
+        fit_cols.append(col)
+        sample_cols.append(s_col)
+    return Dataset(tuple(fit_cols)), Dataset(tuple(sample_cols))
+
+
+def assert_matches_reference(original, plan, run):
+    """Refit every variable on reference-expanded predictors, sample it on the
+    run's own synthetic predecessors and substream, and compare the draws on
+    the rows no rule forced."""
+    n_out = run.synthetic.n_rows
+    orig_cols = {c.name: c for c in original.columns}
+    syn_cols = {c.name: c for c in run.synthetic.columns}
+    for pos, name in enumerate(plan.visit_sequence):
+        spec = plan.methods[name]
+        rules = plan.rules_for(name)
+        excl = np.zeros(original.n_rows, dtype=bool)
+        forced = np.zeros(n_out, dtype=bool)
+        for rule in rules:
+            excl |= _eval_atoms(rule.atoms(), orig_cols, original.n_rows)
+            forced |= _eval_atoms(rule.atoms(), syn_cols, n_out)
+        fit_idx = np.flatnonzero(~excl)
+        target = original.column(name).take(fit_idx)
+        preds = plan.predictors_of(name)
+        fit_preds, syn_preds = expand_missing_predictors(
+            original.select(preds).take(fit_idx) if preds else None,
+            run.synthetic.select(preds) if preds else None,
+        )
+        if target.is_numeric and target.missing_mask().any():
+            model = _fit_with_missing(spec, target, fit_preds)
+        else:
+            model = spec.fit(target, fit_preds)
+        rng = np.random.default_rng(np.random.SeedSequence([plan.seed, 0, pos]))
+        expected = model.sample(syn_preds, rng, n_out)
+        got = run.synthetic.column(name).values
+        assert np.array_equal(got[~forced], expected[~forced], equal_nan=True), name
+
+
+class TestMissingPredictors:
+    """Numeric predictors with missing cells: the design layer (regressions)
+    and the CART adapter apply the rule the engine used to apply itself."""
+
+    # pperroom moved before mar and occ1, so later fits condition on it
+    VISIT = ("region", "sex", "age", "pperroom", "mar", "occ1", "occ3")
+    PARAMETRIC = {
+        "region": Sample(), "sex": Logit(), "age": TransformNormal("sqrt"),
+        "pperroom": NormRank(), "mar": Multinomial(), "occ1": Multinomial(),
+        "occ3": Nested("occ1"),
+    }
+
+    @pytest.fixture(scope="class")
+    def small_census(self):
+        return generate_toy_census(ToyCensusSpec(n_rows=3000, seed=17))
+
+    def census_plan(self, methods, seed):
+        return SynthesisPlan(
+            self.VISIT, methods, rules=(Rule("mar", "age < 16", "Single"),),
+            nesting={"occ3": "occ1"}, seed=seed,
+        )
+
+    def test_cart_plan_same_columns(self, small_census):
+        methods = {"region": Sample(), "occ3": Nested("occ1")}
+        plan = self.census_plan(methods, seed=5)
+        run = synthesize(small_census, plan)
+        assert np.isnan(run.synthetic.column("pperroom").values).any()
+        assert_matches_reference(small_census, plan, run)
+
+    def test_parametric_plan_same_draws(self, small_census):
+        plan = self.census_plan(self.PARAMETRIC, seed=6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            run = synthesize(small_census, plan)
+            assert_matches_reference(small_census, plan, run)
+
+    @pytest.mark.parametrize(
+        "methods",
+        [
+            {"t": Cart(), "y": Cart()},
+            {"t": Multinomial(), "y": NormRank()},
+            {"t": Logit(), "y": TransformNormal()},
+        ],
+        ids=["cart", "multinomial-normrank", "logit-transform_normal"],
+    )
+    def test_missing_only_at_sampling(self, methods):
+        # rules exclude every fit row where x is missing, but the synthetic
+        # x (bootstrapped independently of g) has missing cells anywhere
+        rng = np.random.default_rng(91)
+        n = 1200
+        g = rng.choice(["a", "b"], n)
+        x = rng.normal(size=n)
+        x[(g == "b") & (rng.random(n) < 0.5)] = np.nan
+        t = np.where(x > 0, "hi", "lo")
+        data = Dataset(
+            (
+                categorical_column("g", list(g)),
+                numeric_column("x", x),
+                categorical_column("t", list(t)),
+                numeric_column("y", np.where(np.isnan(x), 0.0, x) + rng.normal(size=n)),
+            )
+        )
+        plan = SynthesisPlan(
+            ("g", "x", "t", "y"),
+            {"g": Sample(), "x": Sample(), **methods},
+            rules=(Rule("t", "g == b", "lo"), Rule("y", "g == b", 0.0)),
+            seed=12,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # t is a step function of x: separation
+            run = synthesize(data, plan)
+            assert_matches_reference(data, plan, run)
+        syn_x = run.synthetic.column("x").values
+        syn_g = run.synthetic.column("g").values
+        assert np.isnan(syn_x[syn_g == data.column("g").levels.index("a")]).any()
+
+    def test_cart_adapter_takes_missing_numeric_predictor(self, small_census):
+        # a propensity-style tree on two stacked census draws, pperroom included
+        other = generate_toy_census(ToyCensusSpec(n_rows=3000, seed=18))
+        stacked = Dataset(
+            tuple(
+                Column(c.name, c.kind, np.concatenate([c.values, other.column(c.name).values]))
+                for c in small_census.columns
+            )
+        )
+        label = categorical_column("synthetic", ["no"] * 3000 + ["yes"] * 3000)
+        with pytest.raises(MethodError, match="expand it with a missing indicator"):
+            fit_cart(label, stacked)
+        fit = fit_cart_model(label, stacked)
+        assert fit.expanded == ("pperroom",)
+        fresh = generate_toy_census(ToyCensusSpec(n_rows=500, seed=19))
+        draws = fit.sample(fresh, np.random.default_rng(3), fresh.n_rows)
+        assert draws.shape == (500,) and set(np.unique(draws)) <= {0, 1}
+        # the same tree and draws as on reference-expanded predictors
+        fit_preds, sample_preds = expand_missing_predictors(stacked, stacked)
+        reference = fit_cart(label, fit_preds)
+        assert fit.tree.nodes == reference.nodes
+        for field in ("donor_rows", "leaf_offsets", "leaf_sizes"):
+            assert np.array_equal(getattr(fit.tree, field), getattr(reference, field)), field
+        _, fresh_preds = expand_missing_predictors(fresh, fresh)
+        expected = cart_sample(reference, fresh_preds, np.random.default_rng(3), 500)
+        assert np.array_equal(draws, expected.values)
+
+
+class TestStratifiedPlumbing:
+    def test_validated_once(self, census, monkeypatch):
+        calls = []
+        real = engine.validate_plan
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "validate_plan", counting)
+        plan = SynthesisPlan(
+            ("region", "sex"), {"region": Sample(), "sex": Cart()}, stratifier="occ1", seed=2
+        )
+        synthesize(census, plan)
+        assert len(calls) == 1
+
+    def test_pooled_label_never_equals_a_level(self):
+        rng = np.random.default_rng(73)
+        g = ["(other)"] * 300 + ["tiny1"] * 40 + ["tiny2"] * 30
+        n = len(g)
+        data = Dataset(
+            (
+                categorical_column("g", g),
+                numeric_column("x", rng.normal(size=n)),
+                categorical_column("t", list(rng.choice(["u", "v"], n))),
+            )
+        )
+        plan = SynthesisPlan(
+            ("x", "t"), {"x": Sample(), "t": Cart()}, stratifier="g", seed=4
+        )
+        run = synthesize_stratified(data, plan, min_stratum_rows=100)
+        labels = [label for label, _ in run.strata]
+        assert len(set(labels)) == len(labels) == 2
+        assert dict(run.strata)["(other)"] == 300
+        pooled = labels[1]
+        assert pooled.startswith("(other)") and pooled not in data.column("g").levels
+        assert dict(run.strata)[pooled] == 70
+        assert [s["level"] for s in run_report(run)["strata"]] == labels
+        assert {s.stratum for s in run.summaries} == set(labels)
+
+
+def _hostile_data():
+    census = generate_toy_census(ToyCensusSpec(n_rows=300, seed=11))
+    return census.with_column(numeric_column("const", np.full(300, 3.0))).with_column(
+        categorical_column("one", ["z"] * 300)
+    )
+
+
+_NUMERIC_METHODS = {
+    "sample": Sample(), "cart": Cart(), "normrank": NormRank(),
+    "transform_normal": TransformNormal(),
+}
+_CATEGORICAL_METHODS = {
+    "sample": Sample(), "cart": Cart(), "logit": Logit(), "multinomial": Multinomial(),
+}
+# (visit sequence, methods, nesting, outcome): None runs, else the error type
+_HOSTILE = {
+    **{
+        f"constant-target-{m}": (("region", "const"), {"const": s}, {}, None)
+        for m, s in _NUMERIC_METHODS.items()
+    },
+    **{
+        f"constant-predictor-{m}": (("const", "age"), {"age": s}, {}, None)
+        for m, s in _NUMERIC_METHODS.items()
+    },
+    **{
+        f"constant-predictor-of-binary-{m}": (("const", "sex"), {"sex": s}, {}, None)
+        for m, s in _CATEGORICAL_METHODS.items()
+    },
+    **{
+        f"single-level-predictor-{m}": (("one", "age"), {"age": s}, {}, None)
+        for m, s in _NUMERIC_METHODS.items()
+    },
+    **{
+        f"single-level-predictor-of-binary-{m}": (("one", "sex"), {"sex": s}, {}, None)
+        for m, s in _CATEGORICAL_METHODS.items()
+    },
+    "single-level-target-sample": (("region", "one"), {"one": Sample()}, {}, None),
+    "single-level-target-cart": (("region", "one"), {"one": Cart()}, {}, None),
+    "single-level-target-logit": (("region", "one"), {"one": Logit()}, {}, PlanError),
+    "single-level-target-multinomial": (
+        ("region", "one"), {"one": Multinomial()}, {}, MethodError
+    ),
+    "single-level-target-nested": (
+        ("region", "one"), {"one": Nested("region")}, {"one": "region"}, None
+    ),
+    "single-level-group-nested": (
+        ("one", "mar"), {"mar": Nested("one")}, {"mar": "one"}, None
+    ),
+}
+
+
+class TestHostileInput:
+    """Constant and single-level columns under every method that accepts
+    them, as target and as predictor: each runs or ends in a typed error."""
+
+    @pytest.fixture(scope="class")
+    def hostile(self):
+        return _hostile_data()
+
+    @pytest.mark.parametrize("case", sorted(_HOSTILE))
+    def test_constant_and_single_level_columns(self, hostile, case):
+        seq, methods, nesting, outcome = _HOSTILE[case]
+        plan = SynthesisPlan(seq, {seq[0]: Sample(), **methods}, nesting=nesting, seed=3)
+        data = hostile.select(list(seq))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            if outcome is None:
+                run = synthesize(data, plan)
+                assert run.synthetic.n_rows == data.n_rows
+            else:
+                assert issubclass(outcome, SynthweaveError)
+                with pytest.raises(outcome):
+                    synthesize(data, plan)
+
+    @pytest.mark.parametrize(
+        "methods",
+        [
+            {},
+            {"sex": Logit(), "age": NormRank(), "pperroom": TransformNormal()},
+        ],
+        ids=["cart", "parametric"],
+    )
+    def test_zero_rows_requested(self, hostile, methods):
+        cols = ("region", "sex", "age", "pperroom")
+        plan = SynthesisPlan(cols, {"region": Sample(), **methods}, seed=3)
+        run = synthesize(hostile.select(list(cols)), plan, n_rows=0)
+        assert run.synthetic.n_rows == 0
+        assert run.synthetic.names == cols

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -19,7 +22,7 @@ from synthweave import (
     reorder_visit,
     validate_plan,
 )
-from synthweave.plan import parse_condition
+from synthweave.plan import METHODS, Logit, parse_condition
 
 
 def small_data(n=50, seed=0):
@@ -207,3 +210,180 @@ class TestReorderVisit:
     def test_unknown_column_rejected(self):
         with pytest.raises(PlanError):
             reorder_visit(ok_plan(), "zzz", "start")
+
+
+def _example(cls):
+    """An instance of a registered method, its required fields filled in."""
+    required = {
+        f.name: "a"
+        for f in dataclasses.fields(cls)
+        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+    }
+    return cls(**required)
+
+
+class TestMethodRegistry:
+    @pytest.mark.parametrize("name", sorted(METHODS))
+    def test_round_trip_through_plan_json(self, name):
+        spec = _example(METHODS[name])
+        assert spec.name == name
+        plan = SynthesisPlan(("a", "b"), {"a": Sample(), "b": spec})
+        doc = json.loads(json.dumps(plan_to_json(plan)))
+        if dataclasses.fields(spec):
+            assert doc["methods"]["b"] == {"kind": name, **dataclasses.asdict(spec)}
+        else:
+            assert doc["methods"]["b"] == name
+        assert plan_from_json(doc).methods["b"] == spec
+
+    @pytest.mark.parametrize(
+        "method",
+        [
+            "magic",
+            {"kind": "magic"},
+            {"min_bucket": 3},
+            {"kind": ["cart"]},
+            42,
+            "nested",
+            {"kind": "cart", "depth": 3},
+            {"kind": "cart", "min_bucket": 0},
+            {"kind": "logit", "tol": "small"},
+            {"kind": "transform_normal", "transform": "log"},
+        ],
+    )
+    def test_unknown_kinds_and_bad_fields_are_plan_errors(self, method):
+        with pytest.raises(PlanError):
+            plan_from_json({"visit_sequence": ["a", "b"], "methods": {"b": method}})
+
+    # the kind-check texts the per-method checks in validate_plan gave
+    KIND_ERRORS = {
+        ("b", "logit"): "logit method requires categorical target, got 'b'",
+        ("b", "multinomial"): "multinomial method requires categorical target, got 'b'",
+        ("b", "nested"): "nested method requires categorical target, got 'b'",
+        ("a", "normrank"): "normrank method requires numeric target, got 'a'",
+        ("a", "transform_normal"): "transform_normal method requires numeric target, got 'a'",
+        ("a", "logit"): "logit method requires a binary target, 'a' has 3 levels",
+        ("c", "normrank"): "normrank method requires numeric target, got 'c'",
+        ("c", "transform_normal"): "transform_normal method requires numeric target, got 'c'",
+    }
+
+    @pytest.mark.parametrize("name", sorted(METHODS))
+    @pytest.mark.parametrize("column", ["a", "b", "c"])
+    def test_kind_check_texts(self, name, column):
+        spec = METHODS[name](group_column="a") if name == "nested" else METHODS[name]()
+        order = ("a", "b", "c") if column != "a" else ("b", "c", "a")
+        plan = SynthesisPlan(
+            order,
+            {order[0]: Sample(), column: spec},
+            nesting={column: "a"} if name == "nested" else {},
+        )
+        errors = [
+            d.message for d in plan_errors(validate_plan(plan, small_data()))
+            if "method requires" in d.message
+        ]
+        expected = self.KIND_ERRORS.get((column, name))
+        assert errors == ([expected] if expected else [])
+
+    def test_missing_models(self):
+        assert Sample().missing_model is None
+        assert Cart(min_bucket=9).missing_model == Cart(min_bucket=9)
+        for name in ("normrank", "transform_normal", "logit", "multinomial", "nested"):
+            assert _example(METHODS[name]).missing_model == Logit()
+
+
+_CART = {"kind": "cart", "min_bucket": 5, "complexity": 1e-08}
+_MULTINOMIAL = {"kind": "multinomial", "max_iter": 100, "tol": 1e-06}
+_NESTED = {"kind": "nested", "group_column": "occ1"}
+_RULES = [{"target": "mar", "condition": "age < 16", "value": "Single"}]
+_CENSUS = ["region", "sex", "age", "mar", "occ1", "occ3", "pperroom"]
+
+
+class TestPlanJsonPinned:
+    """Plan JSON of the benchmark plans and the README example, key order
+    included, as the isinstance-dispatched serializer wrote it."""
+
+    BENCH_CART = {
+        "visit_sequence": _CENSUS,
+        "methods": {
+            "region": "sample", "sex": "cart", "age": "cart", "mar": "cart",
+            "occ1": "cart", "occ3": _NESTED, "pperroom": "cart",
+        },
+        "nesting": {"occ3": "occ1"},
+        "rules": _RULES,
+        "seed": 601,
+    }
+    BENCH_PARAMETRIC = {
+        "visit_sequence": _CENSUS,
+        "methods": {
+            "region": "sample", "sex": "logit",
+            "age": {"kind": "transform_normal", "transform": "sqrt"},
+            "mar": "multinomial", "occ1": "multinomial", "occ3": _NESTED,
+            "pperroom": "normrank",
+        },
+        "nesting": {"occ3": "occ1"},
+        "rules": _RULES,
+        "seed": 601,
+    }
+    README = {
+        "visit_sequence": ["region", "sex", "age", "mar", "occ1", "pperroom", "occ3"],
+        "methods": {
+            "region": "sample",
+            "age": {"kind": "cart", "min_bucket": 5, "complexity": 1e-8},
+            "mar": "multinomial",
+            "pperroom": {"kind": "normrank"},
+        },
+        "predictor_matrix": {"mar": ["sex", "age"]},
+        "rules": _RULES,
+        "stratifier": None,
+        "nesting": {"occ3": "occ1"},
+        "seed": 42,
+    }
+
+    def pinned(self, doc):
+        return json.dumps(plan_to_json(plan_from_json(doc)))
+
+    def test_bench_cart_plan(self):
+        assert self.pinned(self.BENCH_CART) == json.dumps({
+            "visit_sequence": _CENSUS,
+            "methods": {
+                "region": "sample", "sex": _CART, "age": _CART, "mar": _CART,
+                "occ1": _CART, "occ3": _NESTED, "pperroom": _CART,
+            },
+            "seed": 601,
+            "rules": _RULES,
+            "nesting": {"occ3": "occ1"},
+        })
+
+    def test_bench_parametric_plan(self):
+        assert self.pinned(self.BENCH_PARAMETRIC) == json.dumps({
+            "visit_sequence": _CENSUS,
+            "methods": {
+                "region": "sample",
+                "sex": {"kind": "logit", "max_iter": 100, "tol": 1e-06},
+                "age": {"kind": "transform_normal", "transform": "sqrt"},
+                "mar": _MULTINOMIAL,
+                "occ1": _MULTINOMIAL,
+                "occ3": _NESTED,
+                "pperroom": {"kind": "normrank", "residual_scale": 1.0},
+            },
+            "seed": 601,
+            "rules": _RULES,
+            "nesting": {"occ3": "occ1"},
+        })
+
+    def test_readme_plan(self):
+        assert self.pinned(self.README) == json.dumps({
+            "visit_sequence": ["region", "sex", "age", "mar", "occ1", "pperroom", "occ3"],
+            "methods": {
+                "region": "sample",
+                "age": _CART,
+                "mar": _MULTINOMIAL,
+                "pperroom": {"kind": "normrank", "residual_scale": 1.0},
+                "occ3": _NESTED,
+                "sex": _CART,
+                "occ1": _CART,
+            },
+            "seed": 42,
+            "predictor_matrix": {"mar": ["sex", "age"]},
+            "rules": _RULES,
+            "nesting": {"occ3": "occ1"},
+        })
