@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -68,9 +69,15 @@ def _resolve_seed(flag_seed, plan_doc: dict | None) -> int:
     return 0
 
 
+def _timed_read(path, schema) -> tuple[Dataset, float]:
+    started = time.perf_counter()
+    data = read_csv(path, schema)
+    return data, time.perf_counter() - started
+
+
 def cmd_synth(args) -> int:
     schema = load_schema(args.schema)
-    data = read_csv(args.data, schema)
+    data, read_s = _timed_read(args.data, schema)
     with Path(args.plan).open(encoding="utf-8") as fh:
         plan_doc = json.load(fh)
     plan = plan_from_json(plan_doc)
@@ -97,12 +104,16 @@ def cmd_synth(args) -> int:
         synthetic, sdc_fragment = apply_sdc(data, synthetic, sdc_cfg, rng)
     else:
         synthetic = stamp_synthetic(synthetic)
+    started = time.perf_counter()
     write_csv(synthetic, args.out)
+    write_s = time.perf_counter() - started
 
     report = run_report(run)
     report["input"] = str(args.data)
     report["output"] = str(args.out)
     report["rows"] = synthetic.n_rows
+    report["read_s"] = round(read_s, 6)
+    report["write_s"] = round(write_s, 6)
     if sdc_fragment is not None:
         report["sdc"] = sdc_fragment
     if args.report:
@@ -119,14 +130,15 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _load_pair(args) -> tuple[Dataset, Dataset]:
+def _load_pair(args) -> tuple[Dataset, Dataset, float]:
+    """Both tables on their shared columns, and the seconds spent reading."""
     schema = load_schema(args.schema)
-    original = read_csv(args.original, schema)
-    synthetic = read_csv(args.synthetic, schema)
+    original, read_original = _timed_read(args.original, schema)
+    synthetic, read_synthetic = _timed_read(args.synthetic, schema)
     common = [c for c in synthetic.names if c in original.names]
     if not common:
         raise UtilityError("datasets share no columns")
-    return original.select(common), synthetic.select(common)
+    return original.select(common), synthetic.select(common), read_original + read_synthetic
 
 
 UTILITY_MODELS = {
@@ -137,7 +149,7 @@ UTILITY_MODELS = {
 
 
 def cmd_utility(args) -> int:
-    original, synthetic = _load_pair(args)
+    original, synthetic, read_s = _load_pair(args)
     tables = _parse_tables(args.tables)
     for variables in tables:
         for v in variables:
@@ -145,6 +157,7 @@ def cmd_utility(args) -> int:
                 print(f"error: unknown variable {v!r} in --tables", file=sys.stderr)
                 return 2
     doc = utility_report(original, synthetic, tables, model=UTILITY_MODELS[args.model])
+    doc["read_s"] = round(read_s, 6)
     _write_json(doc, args.report)
     if args.pretty:
         ug = doc["u_gen"]
@@ -164,7 +177,7 @@ def cmd_utility(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    original, synthetic = _load_pair(args)
+    original, synthetic, read_s = _load_pair(args)
     pairs = _parse_tables(args.pairs)
     for pair in pairs:
         if len(pair) != 2:
@@ -175,7 +188,12 @@ def cmd_compare(args) -> int:
                 print(f"error: unknown variable {v!r} in --pairs", file=sys.stderr)
                 return 2
     uni = compare_univariate(original, synthetic)
-    doc: dict = {"univariate": {}, "bivariate": [], "flags": list(uni.flags)}
+    doc: dict = {
+        "univariate": {},
+        "bivariate": [],
+        "flags": list(uni.flags),
+        "read_s": round(read_s, 6),
+    }
     for name, comp in uni.comparisons.items():
         if hasattr(comp, "levels"):
             doc["univariate"][name] = {

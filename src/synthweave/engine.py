@@ -143,11 +143,16 @@ def _synthesize_stratum(
     stratum_index: int = 0,
     n_rows: int | None = None,
     stratum_label: str | None = None,
+    fixed: tuple[Column, ...] = (),
 ) -> SynthesisRun:
-    """Synthesize one stratum; RNG substreams keyed by (stratum, position)."""
+    """Synthesize one stratum; RNG substreams keyed by (stratum, position).
+
+    ``fixed`` columns (a stratum's copied stratifier) are synthetic from the
+    start: nested targets may group by them and rules may test them, but
+    they are not part of the returned table."""
     n_out = n_rows if n_rows is not None else original.n_rows
     entropy = plan.seed % (2**63)
-    synth: dict[str, Column] = {}
+    synth: dict[str, Column] = {c.name: c for c in fixed}
     orig_cols = {c.name: c for c in original.columns}
     summaries: list[VariableSummary] = []
     run_warnings: list[str] = []
@@ -269,7 +274,8 @@ def synthesize_stratified(
     """Independent synthesis within each stratum of ``plan.stratifier``.
 
     The stratifier column is copied verbatim within each stratum, so any
-    table of stratifier by other variables is well fitted by construction.
+    table of stratifier by other variables is well fitted by construction,
+    and a nested target may group by it.
     Strata below ``min_stratum_rows`` are pooled into one remainder stratum,
     labelled ``(other)``, suffixed until no level of the stratifier has it.
     """
@@ -330,10 +336,10 @@ def _synthesize_strata(
     strata_sizes: list[tuple[str, int]] = []
     for s_index, (label, idx) in enumerate(groups):
         sub = original.take(idx)
-        run = _synthesize_stratum(
-            sub, sub_plan, stratum_index=s_index, stratum_label=label
-        )
         strat_copy = Column(plan.stratifier, strat_col.kind, strat_col.values[idx])
+        run = _synthesize_stratum(
+            sub, sub_plan, stratum_index=s_index, stratum_label=label, fixed=(strat_copy,)
+        )
         parts.append(
             Dataset((strat_copy,) + run.synthetic.columns, name=run.synthetic.name)
         )

@@ -116,17 +116,10 @@ def categorical_column(
     fixed input sequence.
     """
     vals = list(values)
-    if levels is None:
-        seen: dict[str, int] = {}
-        for v in vals:
-            if v not in seen:
-                seen[v] = len(seen)
-        levels = tuple(seen)
-    else:
-        levels = tuple(levels)
+    levels = tuple(dict.fromkeys(vals) if levels is None else levels)
     lookup = {lv: i for i, lv in enumerate(levels)}
     try:
-        codes = np.array([lookup[v] for v in vals], dtype=np.int64)
+        codes = _indexed(lookup, vals, np.int64)
     except KeyError as exc:
         raise DataError(f"column {name!r}: unknown categorical level {exc.args[0]!r}")
     return Column(name, Categorical(levels), codes)
@@ -205,20 +198,30 @@ class Dataset:
         return {c.name: c.kind for c in self.columns}
 
 
-def _format_number(v: float) -> str:
-    if math.isnan(v):
-        return ""  # caller substitutes the missing token
-    if math.isfinite(v) and v == int(v) and abs(v) < 1e16:
-        return str(int(v))
-    return repr(float(v))
+def _indexed(lookup: Mapping[str, float | int], cells: list[str], dtype) -> np.ndarray:
+    """``lookup[cell]`` for every cell, as an array; a cell not in ``lookup``
+    raises ``KeyError``."""
+    return np.fromiter(map(lookup.__getitem__, cells), dtype=dtype, count=len(cells))
+
+
+def _formatted(values: np.ndarray, missing_token: str) -> np.ndarray:
+    """Numbers as CSV text: an integral value below 1e16 in magnitude as an
+    integer, any other as the shortest repr that reads back to it, NaN as
+    the missing token."""
+    text = np.full(values.shape, missing_token, dtype=object)
+    present = ~np.isnan(values)
+    integral = present & (values == np.trunc(values)) & (np.abs(values) < 1e16)
+    other = present & ~integral
+    text[integral] = list(map(str, values[integral].astype(np.int64).tolist()))
+    text[other] = list(map(repr, values[other].tolist()))
+    return text
 
 
 def _rendered(col: Column, missing_token: str) -> list[str]:
     """Each cell as CSV text; a numeric column formats each distinct value once."""
     if col.is_numeric:
         distinct, index = np.unique(col.values, return_inverse=True)
-        text = [missing_token if math.isnan(v) else _format_number(v) for v in distinct.tolist()]
-        return np.array(text, dtype=object)[index].tolist()
+        return _formatted(distinct, missing_token)[index].tolist()
     return np.array(col.levels, dtype=object)[col.values].tolist()
 
 
@@ -244,83 +247,117 @@ def read_csv(
 ) -> Dataset:
     """Parse a headered CSV into a Dataset using an explicit per-column schema.
 
-    Cells equal to ``missing_token`` become NaN in numeric columns; in
+    Blank lines are skipped anywhere.  Leading lines whose first field starts
+    with '#' (the synthetic-data stamp) are skipped; the first other line is
+    the header, and after it every line is data, so values may begin with
+    '#'.  Cells equal to ``missing_token`` become NaN in numeric columns; in
     categorical columns the token is kept as a dedicated level (appended when
     levels are inferred, required to be listed when they are explicit).
-    Leading lines starting with '#' (the synthetic-data stamp) are skipped;
-    after the header every line is data, so values may begin with '#'.
+    Other numeric cells are parsed with Python's ``float()`` and must be
+    finite.  Problems are reported in this order: no header, a duplicated
+    header name, a column missing from the schema, a row of the wrong width;
+    then cell errors column by column, the first bad row of a column first.
+    Row numbers count the header as row 1 and skip blank and preamble lines.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
-        raw = list(csv.reader(fh))
-    rows: list[list[str]] = []
-    in_preamble = True
-    for r in raw:
-        if not r:
-            continue
-        if in_preamble and r[0].startswith("#"):
-            continue
-        in_preamble = False
-        rows.append(r)
-    if not rows:
-        raise DataError(f"{path}: no header row")
-    header = rows[0]
-    if len(set(header)) != len(header):
-        dup = sorted({h for h in header if header.count(h) > 1})
-        raise DataError(f"{path}: duplicated header name(s) {dup}")
-    missing_cols = [c for c in header if c not in schema]
-    if missing_cols:
-        raise DataError(f"{path}: no schema entry for column(s) {missing_cols}")
-    body = rows[1:]
-    for i, r in enumerate(body):
-        if len(r) != len(header):
-            raise DataError(f"{path}: row {i + 2} has {len(r)} fields, expected {len(header)}")
+        rows = csv.reader(fh)
+        header = next((r for r in rows if r and not r[0].startswith("#")), None)
+        if header is None:
+            raise DataError(f"{path}: no header row")
+        if len(set(header)) != len(header):
+            dup = sorted({h for h in header if header.count(h) > 1})
+            raise DataError(f"{path}: duplicated header name(s) {dup}")
+        missing_cols = [c for c in header if c not in schema]
+        if missing_cols:
+            raise DataError(f"{path}: no schema entry for column(s) {missing_cols}")
+        width = len(header)
+        # one flat list of cells, row after row: no list per row stays alive
+        flat: list[str] = []
+        for r in rows:
+            if len(r) == width:
+                flat += r
+            elif r:
+                raise DataError(
+                    f"{path}: row {len(flat) // width + 2} has {len(r)} fields, "
+                    f"expected {width}"
+                )
 
     columns: list[Column] = []
     for j, colname in enumerate(header):
         kind, infer = _resolve_kind(schema[colname], colname)
-        raw = [r[j] for r in body]
+        cells = flat[j::width]
         if isinstance(kind, Numeric):
-            vals = np.empty(len(raw), dtype=np.float64)
-            for i, cell in enumerate(raw):
-                if cell == missing_token:
-                    vals[i] = np.nan
-                    continue
-                try:
-                    vals[i] = float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"{path}: unparseable numeric cell {cell!r} "
-                        f"(row {i + 2}, column {colname!r})"
-                    )
-                if not math.isfinite(vals[i]):
-                    raise DataError(
-                        f"{path}: non-finite numeric cell {cell!r} (row {i + 2}, "
-                        f"column {colname!r}); write a missing cell as {missing_token!r}"
-                    )
-            columns.append(Column(colname, Numeric(), vals))
+            columns.append(_numeric_cells(path, colname, cells, missing_token))
         elif infer:
-            columns.append(categorical_column(colname, raw))
+            columns.append(categorical_column(colname, cells))
         else:
             assert isinstance(kind, Categorical)
             lookup = {lv: i for i, lv in enumerate(kind.levels)}
-            codes = np.empty(len(raw), dtype=np.int64)
-            for i, cell in enumerate(raw):
-                code = lookup.get(cell)
-                if code is None:
-                    raise DataError(
-                        f"{path}: unknown categorical level {cell!r} "
-                        f"(row {i + 2}, column {colname!r}); "
-                        f"declare it in the schema or use infer-levels"
-                    )
-                codes[i] = code
+            try:
+                codes = _indexed(lookup, cells, np.int64)
+            except KeyError:
+                i, cell = next((i, c) for i, c in enumerate(cells) if c not in lookup)
+                raise DataError(
+                    f"{path}: unknown categorical level {cell!r} "
+                    f"(row {i + 2}, column {colname!r}); "
+                    f"declare it in the schema or use infer-levels"
+                ) from None
             columns.append(Column(colname, kind, codes))
     return Dataset(tuple(columns), name=name or path.stem)
 
 
+def _numeric_cells(path: Path, colname: str, cells: list[str], missing_token: str) -> Column:
+    """Parse a numeric column, each distinct cell text once; when one is not
+    a finite number, walk the cells to name the first bad row."""
+    distinct = dict.fromkeys(cells)
+    distinct.pop(missing_token, None)
+    try:
+        parsed = np.fromiter(map(float, distinct), dtype=np.float64, count=len(distinct))
+        finite = bool(np.isfinite(parsed).all())
+    except ValueError:
+        finite = False
+    if not finite:
+        for i, cell in enumerate(cells):
+            if cell == missing_token:
+                continue
+            try:
+                value = float(cell)
+            except ValueError:
+                raise DataError(
+                    f"{path}: unparseable numeric cell {cell!r} "
+                    f"(row {i + 2}, column {colname!r})"
+                ) from None
+            if not math.isfinite(value):
+                raise DataError(
+                    f"{path}: non-finite numeric cell {cell!r} (row {i + 2}, "
+                    f"column {colname!r}); write a missing cell as {missing_token!r}"
+                )
+    lookup = dict(zip(distinct, parsed.tolist()))
+    lookup[missing_token] = math.nan
+    return Column(colname, Numeric(), _indexed(lookup, cells, np.float64))
+
+
 def write_csv(data: Dataset, path: str | Path, missing_token: str = "NA") -> None:
-    """Write a Dataset as UTF-8 CSV; round-trips through read_csv exactly."""
+    """Write a Dataset as UTF-8 CSV; round-trips through read_csv exactly.
+
+    Text the reader would take apart is refused with a ``DataError``: a
+    carriage return in a column name or level (the writer does not quote
+    it), a line break in the label, and a first column name starting with
+    '#' (the reader would skip the header as a comment).
+    """
     path = Path(path)
+    texts = data.names + tuple(lv for c in data.columns if not c.is_numeric for lv in c.levels)
+    bad = next((t for t in texts if "\r" in t), None)
+    if bad is not None:
+        raise DataError(f"cannot write {bad!r} to CSV: it contains a carriage return")
+    if data.label is not None and ("\n" in data.label or "\r" in data.label):
+        raise DataError(f"cannot write label {data.label!r}: it contains a line break")
+    if data.names and data.names[0].startswith("#"):
+        raise DataError(
+            f"cannot write first column {data.names[0]!r}: a header starting "
+            f"with '#' reads back as a comment"
+        )
     try:
         with path.open("w", newline="", encoding="utf-8") as fh:
             if data.label is not None:

@@ -71,6 +71,11 @@ class TestSynth:
         assert len(text) == 3000 + 2  # stamp + header + rows
         doc = json.loads(report.read_text())
         assert doc["rows"] == 3000
+        assert set(doc) == {
+            "rows", "columns", "seed", "stratified", "variables", "warnings",
+            "input", "output", "read_s", "write_s",
+        }
+        assert doc["read_s"] > 0 and doc["write_s"] > 0
         assert {v["name"] for v in doc["variables"]} >= {"mar", "occ3"}
         by_name = {v["name"]: v for v in doc["variables"]}
         for v in doc["variables"]:
@@ -187,6 +192,8 @@ class TestUtilityCommand:
         )
         assert rc == 0
         doc = json.loads(report.read_text())
+        assert set(doc) == {"u_gen", "tables", "flags", "read_s"}
+        assert doc["read_s"] > 0
         assert doc["u_gen"]["statistic"] == pytest.approx(0.0, abs=1e-6)
         for t in doc["tables"]:
             assert t["u_tab"] == 0.0
@@ -411,6 +418,8 @@ class TestCompareCommand:
         )
         assert rc == 0
         doc = json.loads(report.read_text())
+        assert set(doc) == {"univariate", "bivariate", "flags", "read_s"}
+        assert doc["read_s"] > 0
         assert doc["bivariate"][0]["max_abs_diff_pct"] == 0.0
         for comp in doc["univariate"].values():
             if "max_abs_diff" in comp:

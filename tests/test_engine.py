@@ -607,6 +607,32 @@ class TestStratifiedPlumbing:
         synthesize(census, plan)
         assert len(calls) == 1
 
+    def test_nested_target_grouped_by_the_stratifier(self, census):
+        # the stratum's copied stratifier is what the nested draw groups by
+        plan = SynthesisPlan(
+            ("region", "sex", "age", "occ1", "occ3"),
+            {
+                "region": Sample(),
+                "sex": Cart(),
+                "age": Cart(),
+                "occ1": Cart(),
+                "occ3": Nested("occ1"),
+            },
+            nesting={"occ3": "occ1"},
+            stratifier="occ1",
+            seed=3,
+        )
+        run = synthesize(census, plan)
+        syn = run.synthetic
+        assert syn.names == ("occ1", "region", "sex", "age", "occ3")
+        orig_occ1 = census.column("occ1").values
+        syn_occ1 = syn.column("occ1").values
+        assert np.bincount(syn_occ1).tolist() == np.bincount(orig_occ1).tolist()
+        group_of = dict(zip(census.column("occ3").values.tolist(), orig_occ1.tolist()))
+        assert all(
+            group_of[o3] == o1 for o3, o1 in zip(syn.column("occ3").values.tolist(), syn_occ1.tolist())
+        )
+
     def test_pooled_label_never_equals_a_level(self):
         rng = np.random.default_rng(73)
         g = ["(other)"] * 300 + ["tiny1"] * 40 + ["tiny2"] * 30

@@ -1,5 +1,10 @@
+import csv
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from synthweave import (
     Categorical,
@@ -12,6 +17,7 @@ from synthweave import (
     read_csv,
     write_csv,
 )
+from synthweave.tabular import _formatted, _rendered, _resolve_kind
 
 
 def toy_dataset():
@@ -191,3 +197,379 @@ class TestReadCsvErrors:
         write_csv(d, path)
         back = read_csv(path, {"c": "categorical", "x": Numeric()})
         assert back.equals(d)
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations: the per-cell reader and the per-value number
+# formatter that the columnar code replaced.  The columnar code must give the
+# same datasets, the same error texts and the same bytes.
+# ---------------------------------------------------------------------------
+
+
+def _format_number(v: float) -> str:
+    if math.isnan(v):
+        return ""  # caller substitutes the missing token
+    if math.isfinite(v) and v == int(v) and abs(v) < 1e16:
+        return str(int(v))
+    return repr(float(v))
+
+
+def reference_read_csv(path, schema, missing_token="NA", name=None):
+    """Per-cell CSV reader: every cell converted and checked in a Python loop."""
+    path = Path(path)
+    with path.open(newline="", encoding="utf-8") as fh:
+        raw = list(csv.reader(fh))
+    rows = []
+    in_preamble = True
+    for r in raw:
+        if not r:
+            continue
+        if in_preamble and r[0].startswith("#"):
+            continue
+        in_preamble = False
+        rows.append(r)
+    if not rows:
+        raise DataError(f"{path}: no header row")
+    header = rows[0]
+    if len(set(header)) != len(header):
+        dup = sorted({h for h in header if header.count(h) > 1})
+        raise DataError(f"{path}: duplicated header name(s) {dup}")
+    missing_cols = [c for c in header if c not in schema]
+    if missing_cols:
+        raise DataError(f"{path}: no schema entry for column(s) {missing_cols}")
+    body = rows[1:]
+    for i, r in enumerate(body):
+        if len(r) != len(header):
+            raise DataError(f"{path}: row {i + 2} has {len(r)} fields, expected {len(header)}")
+
+    columns = []
+    for j, colname in enumerate(header):
+        kind, infer = _resolve_kind(schema[colname], colname)
+        raw = [r[j] for r in body]
+        if isinstance(kind, Numeric):
+            vals = np.empty(len(raw), dtype=np.float64)
+            for i, cell in enumerate(raw):
+                if cell == missing_token:
+                    vals[i] = np.nan
+                    continue
+                try:
+                    vals[i] = float(cell)
+                except ValueError:
+                    raise DataError(
+                        f"{path}: unparseable numeric cell {cell!r} "
+                        f"(row {i + 2}, column {colname!r})"
+                    )
+                if not math.isfinite(vals[i]):
+                    raise DataError(
+                        f"{path}: non-finite numeric cell {cell!r} (row {i + 2}, "
+                        f"column {colname!r}); write a missing cell as {missing_token!r}"
+                    )
+            columns.append(Column(colname, Numeric(), vals))
+        elif infer:
+            seen = {}
+            for v in raw:
+                if v not in seen:
+                    seen[v] = len(seen)
+            codes = np.array([seen[v] for v in raw], dtype=np.int64)
+            columns.append(Column(colname, Categorical(tuple(seen)), codes))
+        else:
+            lookup = {lv: i for i, lv in enumerate(kind.levels)}
+            codes = np.empty(len(raw), dtype=np.int64)
+            for i, cell in enumerate(raw):
+                code = lookup.get(cell)
+                if code is None:
+                    raise DataError(
+                        f"{path}: unknown categorical level {cell!r} "
+                        f"(row {i + 2}, column {colname!r}); "
+                        f"declare it in the schema or use infer-levels"
+                    )
+                codes[i] = code
+            columns.append(Column(colname, kind, codes))
+    return Dataset(tuple(columns), name=name or path.stem)
+
+
+def read_both(path, schema, missing_token):
+    """Each reader's Dataset, or the text of its DataError."""
+    out = []
+    for reader in (read_csv, reference_read_csv):
+        try:
+            out.append(reader(path, schema, missing_token))
+        except DataError as exc:
+            out.append(str(exc))
+    return out
+
+
+def assert_same_result(got, want):
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    assert got.name == want.name and got.names == want.names
+    for a, b in zip(got.columns, want.columns):
+        assert a.kind == b.kind
+        assert a.values.dtype == b.values.dtype
+        # bytes: NaN equals NaN and -0.0 differs from 0.0
+        assert a.values.tobytes() == b.values.tobytes()
+
+
+def write_rows(path, preamble, rows):
+    """Lines of ``preamble`` verbatim, then ``rows``; None is a blank line."""
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        fh.writelines(line + "\n" for line in preamble)
+        writer = csv.writer(fh, lineterminator="\n")
+        for row in rows:
+            if row is None:
+                fh.write("\n")
+            else:
+                writer.writerow(row)
+
+
+CELLS = (
+    "1", "-0", "0.5", " 7 ", "1_000", "1e3", "-2.5e-8", "0x10", "inf", "-Infinity",
+    "nan", "1e400", "abc", "", "NA", ".", "#x", "x", "y", "é", 'q"t', "a,b",
+    "line\nbreak",
+)
+NUMBERS = ("1", "-0", "0.5", " 7 ", "1_000", "1e3", "-2.5e-8", "NA", ".", "")
+LEVELS = ("x", "y", "#x", "é", 'q"t', "a,b", "line\nbreak", "NA", ".", "")
+NAMES = ("a", "b", "c", "é")
+
+
+def _rarely(draw, n=10):
+    # a middle value: hypothesis draws the ends of a range more often
+    return draw(st.integers(0, n - 1)) == n // 2
+
+
+@st.composite
+def _csv_files(draw):
+    """A random small CSV file, a schema that mostly fits it, and a missing
+    token.  Rare draws break one thing: a duplicated, empty or commented-out
+    header name, a missing or bad schema entry, a ragged row, a bad or
+    unknown cell."""
+    names = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=4, unique=True))
+    if _rarely(draw):
+        names.append(names[0])
+    if _rarely(draw):
+        # an empty name, or a first name the reader skips as a comment line
+        names.insert(0, draw(st.sampled_from(["", "#d"])))
+    schema, pools = {}, {}
+    for n in names:
+        entry = draw(st.sampled_from(["numeric", Numeric(), "categorical", "explicit"]))
+        pools[n] = NUMBERS if entry in ("numeric", Numeric()) else LEVELS
+        if entry == "explicit":
+            levels = draw(st.lists(st.sampled_from(LEVELS), min_size=1, max_size=6, unique=True))
+            schema[n] = Categorical(tuple(levels))
+            pools[n] = levels
+        else:
+            schema[n] = entry
+        if _rarely(draw, 20):
+            schema[n] = draw(st.sampled_from(["bogus", None]))
+            if schema[n] is None:
+                del schema[n]
+    rows = [names]
+    for _ in range(draw(st.integers(0, 8))):
+        if _rarely(draw):
+            rows.append(None)
+            continue
+        cols = names
+        if _rarely(draw, 30):
+            cols = (names * 2)[: draw(st.integers(0, len(names) + 1))]
+        rows.append(
+            [
+                draw(st.sampled_from(CELLS if _rarely(draw, 40) else pools[n]))
+                for n in cols
+            ]
+        )
+    preamble = draw(st.lists(st.sampled_from(["", "# SYNTHETIC DATA: x", "#a,b"]), max_size=3))
+    missing_token = draw(st.sampled_from(["NA", ".", "", "1"]))
+    return {"schema": schema, "rows": rows, "preamble": preamble, "missing_token": missing_token}
+
+
+# a few hand-written files the property below may miss, each checked against
+# the reference and pinned by its first words
+HAND_FILES = {
+    "first_bad_row_wins": (
+        "x,y\n1,a\n2,b\nabc,c\ninf,d\n", {"x": Numeric(), "y": "categorical"},
+        "unparseable numeric cell 'abc' (row 4, column 'x')",
+    ),
+    "non_finite_before_unparseable": (
+        "x\n1\n1e400\nabc\nnan\n", {"x": Numeric()},
+        "non-finite numeric cell '1e400' (row 3, column 'x')",
+    ),
+    "nan_first": (
+        "x\nNA\nnan\ninf\nabc\n", {"x": Numeric()},
+        "non-finite numeric cell 'nan' (row 3, column 'x')",
+    ),
+    "columns_in_order": (
+        "c,x\nzzz,abc\n", {"c": Categorical(("a",)), "x": Numeric()},
+        "unknown categorical level 'zzz' (row 2, column 'c')",
+    ),
+    "later_column_after_good_one": (
+        "c,x\na,1\na,abc\n", {"c": Categorical(("a",)), "x": Numeric()},
+        "unparseable numeric cell 'abc' (row 3, column 'x')",
+    ),
+    "ragged_before_cells": (
+        "x\nabc\n1,2\n", {"x": Numeric()}, "row 3 has 2 fields, expected 1",
+    ),
+    "blank_lines_not_counted": (
+        "# stamp\n\nx,y\n\n1,2\n\n3\n", {"x": Numeric(), "y": Numeric()},
+        "row 3 has 1 fields, expected 2",
+    ),
+    "header_only_inferred": (
+        "c\n", {"c": "categorical"}, "categorical kind needs at least one level",
+    ),
+    "no_header": ("# only\n\n# comments\n", {}, "no header row"),
+    "duplicate_before_schema": (
+        "a,a,b\n1,2\n", {}, "duplicated header name(s) ['a']",
+    ),
+    "schema_before_ragged": (
+        "a,b\n1\n", {"a": Numeric()}, "no schema entry for column(s) ['b']",
+    ),
+    "bad_schema_entry_after_earlier_column": (
+        "a,b\nabc,1\n", {"a": "categorical", "b": "text"},
+        "schema for 'b': expected Numeric",
+    ),
+}
+
+
+class TestReaderMatchesReference:
+    @pytest.mark.parametrize("case", sorted(HAND_FILES))
+    def test_hand_files(self, tmp_path, case):
+        text, schema, message = HAND_FILES[case]
+        path = tmp_path / "f.csv"
+        path.write_text(text, encoding="utf-8")
+        got, want = read_both(path, schema, "NA")
+        assert_same_result(got, want)
+        assert isinstance(got, str) and message in got
+
+    def test_hash_cells_after_header_are_data(self, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_text("# stamp\nc,x\n#a,1\n\n# not a comment,2\n", encoding="utf-8")
+        got, want = read_both(path, {"c": "categorical", "x": Numeric()}, "NA")
+        assert_same_result(got, want)
+        assert got.column("c").levels == ("#a", "# not a comment")
+
+    def test_other_missing_token(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("x,c\n.,.\n1.5,NA\n", encoding="utf-8")
+        got, want = read_both(path, {"x": Numeric(), "c": "categorical"}, ".")
+        assert_same_result(got, want)
+        assert np.isnan(got.column("x").values[0])
+        assert got.column("c").levels == (".", "NA")
+
+    @settings(max_examples=150, deadline=None)
+    @given(spec=_csv_files())
+    def test_random_files(self, tmp_path_factory, spec):
+        path = tmp_path_factory.getbasetemp() / "random_reader.csv"
+        write_rows(path, spec["preamble"], spec["rows"])
+        got, want = read_both(path, spec["schema"], spec["missing_token"])
+        assert_same_result(got, want)
+
+
+EDGE_NUMBERS = (
+    -0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e16, -1e16,
+    9999999999999998.0, -9999999999999998.0, 1e16 + 2, float(2**53 + 1), 0.1, 1 / 3,
+    1e300, -1.5e-8, 123.0, math.nan,
+)
+LEVEL_TEXT = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\r"), max_size=6
+)
+
+
+@st.composite
+def _datasets(draw):
+    """A random Dataset of numeric and categorical columns, with awkward
+    numbers and level texts."""
+    n = draw(st.integers(0, 6))
+    names = draw(st.lists(st.sampled_from(["a", "b", "é", "x y", "q,\"", "#h"]),
+                          min_size=1, max_size=4, unique=True).filter(lambda v: v[0] != "#h"))
+    columns = []
+    for name in names:
+        if draw(st.booleans()):
+            values = draw(
+                st.lists(st.sampled_from(EDGE_NUMBERS) | st.floats(allow_infinity=False),
+                         min_size=n, max_size=n)
+            )
+            columns.append(numeric_column(name, values))
+        else:
+            levels = draw(
+                st.lists(LEVEL_TEXT | st.sampled_from(["NA", "#lead", "a,b", 'q"t', "l\nb"]),
+                         min_size=1, max_size=5, unique=True)
+            )
+            codes = draw(st.lists(st.integers(0, len(levels) - 1), min_size=n, max_size=n))
+            columns.append(Column(name, Categorical(tuple(levels)), np.array(codes, dtype=np.int64)))
+    return Dataset(tuple(columns))
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(data=_datasets(), label=st.sampled_from([None, "demo", "#x"]))
+    def test_write_then_read_is_identity(self, tmp_path_factory, data, label):
+        path = tmp_path_factory.getbasetemp() / "round_trip.csv"
+        write_csv(data.with_label(label), path)
+        back = read_csv(path, data.schema())
+        # equal values; -0.0 is written "0", as any integral value, and reads back as 0.0
+        assert back.equals(data) and back.schema() == data.schema()
+        # and the bytes are a fixed point
+        first = path.read_bytes()
+        write_csv(back.with_label(label), path)
+        assert path.read_bytes() == first
+
+    def test_level_spelled_like_missing_token_stays_a_level(self, tmp_path):
+        d = Dataset(
+            (
+                categorical_column("c", ["NA", "x", "NA"], ["x", "NA"]),
+                numeric_column("v", [np.nan, 1.0, 2.0]),
+            )
+        )
+        path = tmp_path / "na.csv"
+        write_csv(d, path)
+        assert path.read_text().splitlines()[1:] == ["NA,NA", "x,1", "NA,2"]
+        back = read_csv(path, d.schema())
+        assert back.equals(d)
+        assert back.column("c").values.tolist() == [1, 0, 1]
+        assert np.isnan(back.column("v").values[0])
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (Dataset((categorical_column("c", ["a\rb"]),)), "carriage return"),
+            (Dataset((numeric_column("x\r", [1.0]),)), "carriage return"),
+            (Dataset((numeric_column("#x", [1.0]),)), "reads back as a comment"),
+            (Dataset((numeric_column("x", [1.0]),), label="a\nb"), "line break"),
+        ],
+    )
+    def test_text_that_cannot_round_trip_is_refused(self, tmp_path, data, message):
+        path = tmp_path / "no.csv"
+        with pytest.raises(DataError, match=message):
+            write_csv(data, path)
+        assert not path.exists()
+
+    def test_carriage_return_level_refused_even_when_unused(self, tmp_path):
+        d = Dataset((categorical_column("c", ["a"], ["a", "b\r"]),))
+        with pytest.raises(DataError, match="carriage return"):
+            write_csv(d, tmp_path / "cr.csv")
+
+
+class TestBulkFormatter:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=500))
+    def test_matches_per_value_formatter_on_random_bits(self, bits):
+        values = np.array(bits, dtype=np.uint64).view(np.float64)
+        values = values[np.isfinite(values)]
+        text = _formatted(values, "NA").tolist()
+        assert text == [_format_number(v) for v in values.tolist()]
+
+    def test_edge_values(self):
+        values = np.array(EDGE_NUMBERS)
+        want = ["NA" if math.isnan(v) else _format_number(v) for v in values.tolist()]
+        assert _formatted(values, "NA").tolist() == want
+        assert want[:2] == ["0", "0"] and "9007199254740992" in want and "1e+16" in want
+
+    def test_rendered_column_matches(self):
+        rng = np.random.default_rng(5)
+        values = np.concatenate([rng.normal(size=50), np.round(rng.normal(size=50) * 9), [np.nan] * 5])
+        rng.shuffle(values)
+        col = numeric_column("v", values)
+        assert _rendered(col, ".") == [
+            "." if math.isnan(v) else _format_number(v) for v in values.tolist()
+        ]
+        assert col.decoded() == [_format_number(v) for v in values.tolist()]
