@@ -15,20 +15,31 @@ Level-wise search
 -----------------
 The tree is the one a depth-first search would grow, but it is grown one
 depth at a time and every open node of a depth is scored in the same numpy
-passes:
+passes.  The search runs on units:
 
-- Open rows are kept node-major: once in row order, and once per numeric
-  predictor in (value, row) order.  Splitting a depth is a stable partition
-  of each of these arrays, so no node is ever sorted again.
-- For each predictor, a few passes over the open rows, keyed by (node, code
-  or rank, target level), give every candidate gain of every node; the first
-  maximum per node is kept.
+- A categorical target's training rows that share every predictor value and
+  the target level are one unit weighted by their row count.  Its gains
+  depend only on counts of rows, which a unit adds all at once, so the tree
+  is the same while the search touches fewer elements (rows repeat a lot
+  when the predictors are categoricals and integer ages).
+- A numeric target's units are its rows, each of weight 1: its gains are
+  float sums, which must run over the rows one at a time (see below).
+- Open units are kept node-major: once in unit order, and once per numeric
+  predictor in value order.  Splitting a depth is a stable partition of each
+  of these arrays, so no node is ever sorted again.
+- For each predictor, a few passes over the open units, keyed by (node, code
+  or rank, target level) and weighted by row counts, give every candidate
+  gain of every node; the first maximum per node is kept.  ``min_bucket``
+  and the majority side count rows, not units.
 - Nodes too small to split, or already pure, become leaves before scoring.
 - At the end, nodes and leaves are renumbered into depth-first order (node
   ids handed out as the depth-first search would, left child first), and the
-  donor rows of each leaf stay in ascending row order.
+  donor rows of each leaf, its units' rows, are listed in ascending order.
 
-``route_rows`` also goes depth by depth through per-node lookup arrays.
+``route_rows`` also goes depth by depth through per-node lookup arrays, and
+visits each distinct cell once: rows that agree on every categorical split
+column and fall between the same thresholds of every numeric one (or are
+missing there) reach the same leaf.
 
 Exactness
 ---------
@@ -36,17 +47,23 @@ Mathematically tied gains are decided by rounding, so every gain must be
 computed with the same floating-point operations, in the same order, as a
 search over one node at a time:
 
-- Categorical target: counts are exact integers, so any summation order
-  works.  The sum of squared left counts at each cut of a numeric predictor
-  is a running sum of ``2 c + 1``, where ``c`` is the number of earlier rows
-  of the node with the same target level.
+- Categorical target: counts are exact integers, so any summation order and
+  any grouping of rows into units works; units with equal values of a
+  numeric predictor sit next to each other, and a cut is only scored after
+  the last of them.  The sum of squared left counts at each cut of a
+  numeric predictor is a running sum of ``2 c w + w²``, where ``w`` is the
+  unit's row count and ``c`` the rows of the node with the same target
+  level in earlier units.  A unit key mixes the predictors' codes in int64
+  and is renumbered before it could overflow.
 - Numeric target, numeric predictor: sums of y and y² run sequentially
   within each node in (value, row) order.  A padded 2-D ``cumsum`` per
   node-size class does this; a global ``cumsum`` minus offsets rounds
   differently.
-- Numeric target node impurity uses numpy's pairwise ``sum`` on each node's
-  rows in ascending order (``_impurity``).  ``np.add.reduceat`` does not
-  round the same way.
+- Numeric target node impurity is numpy's pairwise ``sum`` of each node's
+  rows in ascending order, as ``_impurity`` computes it.  Nodes of equal
+  size are summed together as the rows of one 2-D array (``sum(axis=1)``
+  runs the same pairwise sum on each row); ``np.add.reduceat`` and zero
+  padding do not round the same way.
 - Numeric target, categorical predictor: a weighted ``bincount`` over
   (node, code) with rows ascending inside each node gives the per-node level
   sums; totals over levels are sequential in code order; subset sums are one
@@ -164,24 +181,51 @@ def _running_sums(columns, starts: np.ndarray, sizes: np.ndarray) -> list[np.nda
     return out
 
 
+def _squared_deviations(y, units, sizes, nodes) -> np.ndarray:
+    """Within-node sum of squared deviations of ``y`` for each of ``nodes``.
+
+    ``units`` holds every node's units (here rows) as node-major segments of
+    ``sizes``.  Each node's rows are summed in ascending order, as
+    ``_impurity`` sums them: a row-wise ``sum`` over a 2-D batch of
+    equal-size nodes runs the same pairwise sum as on each node alone, while
+    ``np.add.reduceat`` and zero padding round differently.
+    """
+    by_size = np.argsort(sizes[nodes], kind="stable")
+    m = sizes[nodes[by_size]]
+    at = np.cumsum(m) - m
+    first = (np.cumsum(sizes) - sizes)[nodes[by_size]]
+    v = y[units[np.repeat(first - at, m) + np.arange(m.sum())]]
+    s, sq = np.empty(m.size), np.empty(m.size)
+    bounds = np.flatnonzero(np.diff(m, prepend=-1, append=-1)).tolist()
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        batch = v[at[a] : at[a] + (b - a) * m[a]].reshape(b - a, m[a])
+        s[a:b] = batch.sum(axis=1)
+        sq[a:b] = (batch**2).sum(axis=1)
+    out = np.empty(m.size)
+    out[by_size] = sq - s * s / m
+    return out
+
+
 class _Depth:
     """The open nodes of one depth.
 
-    Every row array of the search (row order, and (value, row) order per
-    numeric predictor) holds these nodes' rows as node-major segments of
-    the same sizes, so positions share one layout.
+    Every unit array of the search (unit order, and value order per numeric
+    predictor) holds these nodes' units as node-major segments of the same
+    sizes, so positions share one layout.  ``sizes`` counts units and
+    ``rows`` the training rows they stand for; ``weights`` is the row count
+    of each unit in unit order, and ``counts`` each node's rows per target
+    level (categorical target).
     """
 
-    def __init__(self, sizes: np.ndarray, imp: np.ndarray, min_bucket: int):
+    def __init__(self, sizes, rows, imp, weights, counts):
         self.sizes = sizes
+        self.rows = rows
         self.imp = imp
+        self.weights = weights
+        self.counts = counts
         self.starts = np.cumsum(sizes) - sizes
         self.seg = np.repeat(np.arange(sizes.size), sizes)
         self.local = np.arange(self.seg.size) - self.starts[self.seg]
-        # a cut after a position: rows on each side, and whether both are big enough
-        self.left_n = (self.local + 1).astype(np.float64)
-        self.right_n = sizes[self.seg] - self.left_n
-        self.cut_ok = (self.left_n >= min_bucket) & (self.right_n >= min_bucket)
 
     def first_max(self, values: np.ndarray):
         """Per node: (first position of its maximum, that maximum).
@@ -236,37 +280,48 @@ def _gain(imp, left_n, right_n, left, right, categorical: bool, ok):
         return np.where(ok, imp - li - ri, -np.inf)
 
 
-def _numeric_gains(x, order, t, categorical, n_tgt, depth: _Depth):
-    """Best ``x <= threshold`` split of every node: (gain, threshold) per node."""
+def _numeric_gains(x, order, t, w, categorical, n_tgt, depth: _Depth, min_bucket):
+    """Best ``x <= threshold`` split of every node: (gain, threshold) per node.
+
+    ``x``, ``t`` and the row counts ``w`` are indexed by unit, ``order`` holds
+    the open units in value order.
+    """
     seg, starts, sizes = depth.seg, depth.starts, depth.sizes
     xs = x[order]
-    ok = depth.cut_ok.copy()
+    ws = w[order]
+    # a cut after a position: rows on each side, and whether both are big enough
+    left_n = _running_count(ws, starts, sizes).astype(np.float64)
+    right_n = depth.rows[seg] - left_n
+    ok = (left_n >= min_bucket) & (right_n >= min_bucket)
     ok[:-1] &= xs[:-1] < xs[1:]
     ts = t[order]
     if categorical:
         key = seg * n_tgt + ts
-        totals = np.bincount(key, minlength=sizes.size * n_tgt).reshape(sizes.size, n_tgt)
-        # earlier rows of the same node and level: the row's rank among its
-        # level's rows (a stable sort by level, a radix sort for small codes)
-        # minus that level's rows in earlier nodes
+        totals = depth.counts
+        # rows of the same node and level in earlier units: the rows of the
+        # level's earlier units (a stable sort by level, a radix sort for
+        # small codes) minus that level's rows in earlier nodes
         by_level = np.argsort(ts.astype(np.min_scalar_type(n_tgt)), kind="stable")
         level = ts[by_level]
         level_n = totals.sum(axis=0)
         in_earlier_nodes = np.cumsum(totals, axis=0) - totals
+        before = np.cumsum(ws[by_level]) - ws[by_level]
         earlier = np.empty(order.size, dtype=np.int64)
         earlier[by_level] = (
-            np.arange(order.size) - (np.cumsum(level_n) - level_n)[level]
+            before - (np.cumsum(level_n) - level_n)[level]
             - in_earlier_nodes[seg[by_level], level]
         )
-        left = _running_count(2 * earlier + 1, starts, sizes)
-        cross = _running_count(totals.ravel()[key], starts, sizes)
+        # a unit of w rows moves its level's left count from c to c + w
+        left = _running_count(ws * (2 * earlier + ws), starts, sizes)
+        cross = _running_count(totals.ravel()[key] * ws, starts, sizes)
         sq_total = (totals**2).sum(axis=1)
         right = sq_total[seg] - 2 * cross + left
     else:
+        # a numeric target's units are its rows (weight 1)
         left = _running_sums((ts, ts**2), starts, sizes)
         last = (starts + sizes - 1)[seg]
         right = tuple(run[last] - run for run in left)
-    gain = _gain(depth.imp[seg], depth.left_n, depth.right_n, left, right, categorical, ok)
+    gain = _gain(depth.imp[seg], left_n, right_n, left, right, categorical, ok)
     pos, top = depth.first_max(gain)
     split = pos >= 0
     below, above = xs[pos[split]], xs[pos[split] + 1]
@@ -293,16 +348,16 @@ def _best_of(gains):
     return best, top, np.isfinite(top)
 
 
-def _categorical_gains(codes, n_levels, rows, t, categorical, n_tgt, depth: _Depth, min_bucket):
+def _categorical_gains(codes, n_levels, units, t, categorical, n_tgt, depth: _Depth, min_bucket):
     """Best level-subset split of every node: (gain, left-level table, seen-level table)."""
     nn, K = depth.sizes.size, n_levels
-    key = depth.seg * K + codes[rows]
-    count = np.bincount(key, minlength=nn * K).reshape(nn, K).astype(np.float64)
+    key = depth.seg * K + codes[units]
+    count = np.bincount(key, weights=depth.weights, minlength=nn * K).reshape(nn, K)
     if categorical:
-        stat = np.bincount(key * n_tgt + t[rows], minlength=nn * K * n_tgt)
-        stat = stat.reshape(nn, K, n_tgt).astype(np.float64)
+        stat = np.bincount(key * n_tgt + t[units], weights=depth.weights, minlength=nn * K * n_tgt)
+        stat = stat.reshape(nn, K, n_tgt)
     else:
-        y = t[rows]
+        y = t[units]
         stat = np.stack(
             [np.bincount(key, weights=y, minlength=nn * K),
              np.bincount(key, weights=y**2, minlength=nn * K)],
@@ -310,7 +365,7 @@ def _categorical_gains(codes, n_levels, rows, t, categorical, n_tgt, depth: _Dep
         ).reshape(nn, K, 2)
     seen = count > 0
     k = seen.sum(axis=1)
-    m = depth.sizes.astype(np.float64)
+    m = depth.rows.astype(np.float64)
     gain = np.full(nn, -np.inf)
     left = np.zeros((nn, K), dtype=bool)
 
@@ -379,18 +434,18 @@ def _depth_first_numbering(split_of, left_of, right_of):
     """Nodes of a breadth-first grown tree, renumbered as a depth-first grower
     numbers them: children get the next two ids when their parent is popped,
     left child first, and leaves are numbered in the order they are reached.
-    Returns (nodes, breadth-first index of each leaf in leaf-id order)."""
+    Returns (nodes, leaf id of each breadth-first node, -1 for a split)."""
     new_id = [0] * len(split_of)
     leaf_id = [-1] * len(split_of)
-    leaf_order: list[int] = []
+    n_leaves = 0
     stack = [0]
     next_id = 1
     while stack:
         u = stack.pop()
         lo, hi = left_of[u], right_of[u]
         if lo < 0:
-            leaf_id[u] = len(leaf_order)
-            leaf_order.append(u)
+            leaf_id[u] = n_leaves
+            n_leaves += 1
             continue
         new_id[lo], new_id[hi] = next_id, next_id + 1
         next_id += 2
@@ -402,7 +457,28 @@ def _depth_first_numbering(split_of, left_of, right_of):
         nodes[new_id[u]] = CartNode(
             split, new_id[lo] if lo >= 0 else -1, new_id[hi] if hi >= 0 else -1, leaf_id[u]
         )
-    return tuple(nodes), leaf_order
+    return tuple(nodes), leaf_id
+
+
+def _distinct_cells(codes, n: int):
+    """(cell of each row, first row of each cell) for rows that agree on
+    every code column.
+
+    ``codes`` holds (codes, number of codes) pairs.  The mixed-radix key is
+    renumbered to 0..cells-1 (fewer than the rows) whenever the next column
+    could push it past 2**62, so it stays inside int64 however many columns
+    there are, as long as rows times one column's codes do.
+    """
+    key = np.zeros(n, dtype=np.int64)
+    bound = 1
+    for code, n_codes in codes:
+        if bound * n_codes > 1 << 62:
+            distinct, key = np.unique(key, return_inverse=True)
+            bound = distinct.size
+        key = key * n_codes + code
+        bound *= n_codes
+    _, first, cell = np.unique(key, return_index=True, return_inverse=True)
+    return cell, first
 
 
 def fit_cart(
@@ -438,61 +514,80 @@ def fit_cart(
     root_imp = _impurity(t, categorical)
     gain_floor = complexity * root_imp + 1e-12 * (abs(root_imp) + 1.0)
 
-    # nodes in creation (breadth-first) order; leaves in the order they close,
-    # with their rows
+    # the search runs on units: a categorical target's rows that agree on
+    # every predictor and the target level are one unit weighted by their
+    # count, since its gains depend only on counts; a numeric target's float
+    # sums must run over rows in row order, so its units are its rows
+    if categorical:
+        cell_codes = [(t, n_tgt_levels)]
+        for _, is_cat, values, n_levels in pred_cols:
+            if is_cat:
+                cell_codes.append((values, n_levels))
+            else:
+                distinct, code = np.unique(values, return_inverse=True)
+                cell_codes.append((code, distinct.size))
+        unit_of, first = _distinct_cells(cell_codes, n)
+        tu = t[first]
+        unit_cols = [(name, is_cat, values[first], k) for name, is_cat, values, k in pred_cols]
+    else:
+        unit_of, tu, unit_cols = np.arange(n), t, pred_cols
+    w = np.bincount(unit_of)
+    w_float = w.astype(np.float64)  # as ``bincount`` takes weights; exact below 2**53
+
+    # nodes in creation (breadth-first) order, and each unit's leaf among them
     split_of: list[tuple | None] = [None]
     left_of: list[int] = [-1]
     right_of: list[int] = [-1]
-    leaf_node: list[int] = []
-    leaf_len: list[int] = []
-    leaf_chunks: list[np.ndarray] = []
+    unit_node = np.empty(w.size, dtype=np.int64)
 
-    # the open nodes of the current depth, their sizes, and their rows in row
-    # order and in (value, row) order per numeric predictor
+    # the open nodes of the current depth, their unit and row counts, and
+    # their units in unit order and in value order per numeric predictor
     ids = np.array([0])
-    sizes = np.array([n])
-    rows = np.arange(n)
-    orders = [np.argsort(v, kind="stable") for _, is_cat, v, _ in pred_cols if not is_cat]
-    go_row = np.zeros(n, dtype=bool)
+    sizes = np.array([w.size])
+    node_rows = np.array([n])
+    units = np.arange(w.size)
+    orders = [np.argsort(v, kind="stable") for _, is_cat, v, _ in unit_cols if not is_cat]
+    go_unit = np.zeros(w.size, dtype=bool)
     while ids.size:
         # nodes too small to split, or pure, are leaves
         seg = np.repeat(np.arange(ids.size), sizes)
-        big = np.flatnonzero(sizes >= 2 * min_bucket)
+        big = np.flatnonzero(node_rows >= 2 * min_bucket)
         imp = np.zeros(ids.size)
+        counts = None
         if categorical:
-            counts = np.bincount(seg * n_tgt_levels + t[rows], minlength=ids.size * n_tgt_levels)
-            counts = counts.reshape(ids.size, n_tgt_levels)[big].astype(np.float64)
-            imp[big] = sizes[big] - (counts**2).sum(axis=1) / sizes[big]
+            counts = np.bincount(
+                seg * n_tgt_levels + tu[units], w_float[units], ids.size * n_tgt_levels
+            )
+            counts = counts.astype(np.int64).reshape(ids.size, n_tgt_levels)
+            imp[big] = node_rows[big] - (counts[big] ** 2).sum(axis=1) / node_rows[big]
         else:
-            ends = np.cumsum(sizes)
-            for p in big:
-                imp[p] = _impurity(t[rows[ends[p] - sizes[p] : ends[p]]], False)
-        live = (sizes >= 2 * min_bucket) & (imp > gain_floor)
+            imp[big] = _squared_deviations(tu, units, sizes, big)
+        live = (node_rows >= 2 * min_bucket) & (imp > gain_floor)
         keep = live[seg]
-        leaf_node.extend(ids[~live].tolist())
-        leaf_len.extend(sizes[~live].tolist())
-        leaf_chunks.append(rows[~keep])
+        unit_node[units[~keep]] = ids[seg[~keep]]
         if not live.any():
             break
-        rows = rows[keep]
+        units = units[keep]
         orders = [o[keep] for o in orders]
         ids = ids[live]
-        depth = _Depth(sizes[live], imp[live], min_bucket)
+        level_counts = None if counts is None else counts[live]
+        depth = _Depth(sizes[live], node_rows[live], imp[live], w_float[units], level_counts)
 
         # score every predictor; a later one must be strictly better
         best = np.full(ids.size, gain_floor)
         best_pred = np.full(ids.size, -1)
         found = []
         numeric_orders = iter(orders)
-        for j, (_, is_cat, values, n_levels) in enumerate(pred_cols):
+        for j, (_, is_cat, values, n_levels) in enumerate(unit_cols):
             if is_cat:
                 gain, *tables = _categorical_gains(
-                    values, n_levels, rows, t, categorical, n_tgt_levels, depth, min_bucket
+                    values, n_levels, units, tu, categorical, n_tgt_levels, depth, min_bucket
                 )
                 found.append(tables)
             else:
                 gain, threshold = _numeric_gains(
-                    values, next(numeric_orders), t, categorical, n_tgt_levels, depth
+                    values, next(numeric_orders), tu, w, categorical, n_tgt_levels, depth,
+                    min_bucket,
                 )
                 found.append(threshold)
             better = gain > best
@@ -501,23 +596,25 @@ def fit_cart(
 
         splitting = best_pred >= 0
         seg = depth.seg
-        go_left = np.zeros(rows.size, dtype=bool)
+        go_left = np.zeros(units.size, dtype=bool)
         for j in np.unique(best_pred[splitting]):
-            _, is_cat, values, _ = pred_cols[j]
+            _, is_cat, values, _ = unit_cols[j]
             at = np.flatnonzero(best_pred[seg] == j)
-            v = values[rows[at]]
+            v = values[units[at]]
             go_left[at] = found[j][0][seg[at], v] if is_cat else v <= found[j][seg[at]]
-        n_left = np.bincount(seg[go_left], minlength=ids.size)
+        seg_left = seg[go_left]
+        n_left = np.bincount(seg_left, minlength=ids.size)
+        rows_left = np.bincount(seg_left, depth.weights[go_left], ids.size).astype(np.int64)
 
         first_child = len(split_of)
         winners = np.flatnonzero(splitting)
         for j in np.unique(best_pred[winners]):
-            name, is_cat, _, _ = pred_cols[j]
+            name, is_cat, _, _ = unit_cols[j]
             mine = np.flatnonzero(best_pred[winners] == j)
             p = winners[mine]
             if is_cat:
                 left_tab, seen = found[j]
-                majority = (n_left[p] >= depth.sizes[p] - n_left[p]).tolist()
+                majority = (rows_left[p] >= depth.rows[p] - rows_left[p]).tolist()
                 splits = [
                     ("cat", name, left_codes, known, maj)
                     for left_codes, known, maj in zip(
@@ -535,36 +632,32 @@ def fit_cart(
         left_of.extend([-1] * 2 * n_split)
         right_of.extend([-1] * 2 * n_split)
 
-        leaf_node.extend(ids[~splitting].tolist())
-        leaf_len.extend(depth.sizes[~splitting].tolist())
-        leaf_chunks.append(rows[~splitting[seg]])
+        closed = ~splitting[seg]
+        unit_node[units[closed]] = ids[seg[closed]]
 
-        go_row[rows] = go_left
-        rows, *orders = depth.partition(
-            [rows, *orders], [go_left, *(go_row[o] for o in orders)], splitting, n_left
+        go_unit[units] = go_left
+        units, *orders = depth.partition(
+            [units, *orders], [go_left, *(go_unit[o] for o in orders)], splitting, n_left
         )
         ids = first_child + np.arange(2 * n_split)
         sizes = np.column_stack([n_left, depth.sizes - n_left])[splitting].ravel()
+        node_rows = np.column_stack([rows_left, depth.rows - rows_left])[splitting].ravel()
 
-    nodes, leaf_order = _depth_first_numbering(split_of, left_of, right_of)
-    # donor rows leaf by leaf in that order, each leaf's rows ascending
-    record = np.empty(len(split_of), dtype=np.int64)
-    record[leaf_node] = np.arange(len(leaf_node))
-    lens = np.array(leaf_len, dtype=np.int64)
-    order = record[leaf_order]
-    sizes = lens[order]
-    offsets = np.cumsum(sizes) - sizes
-    donor_rows = np.concatenate(leaf_chunks)[
-        np.repeat((np.cumsum(lens) - lens)[order] - offsets, sizes) + np.arange(n)
-    ]
+    nodes, leaf_id = _depth_first_numbering(split_of, left_of, right_of)
+    # donor rows leaf by leaf in leaf-id order, each leaf's rows ascending
+    # (a stable sort of the rows by leaf id, a radix sort for small ids)
+    leaf_of = np.array(leaf_id)[unit_node][unit_of]
+    n_leaves = (len(nodes) + 1) // 2
+    donor_rows = np.argsort(leaf_of.astype(np.min_scalar_type(n_leaves)), kind="stable")
+    leaf_sizes = np.bincount(leaf_of, minlength=n_leaves)
     return CartTree(
         target_name=target.name,
         target_kind=target.kind,
         target_values=t,
         nodes=nodes,
         donor_rows=donor_rows,
-        leaf_offsets=offsets,
-        leaf_sizes=sizes,
+        leaf_offsets=np.cumsum(leaf_sizes) - leaf_sizes,
+        leaf_sizes=leaf_sizes,
         min_bucket=min_bucket,
         complexity=complexity,
         root_impurity=root_imp,
@@ -585,8 +678,12 @@ def _depth_first(tree: CartTree):
 def route_rows(tree: CartTree, new_predictors: Dataset | None, n_rows: int | None = None) -> np.ndarray:
     """Leaf id per row of ``new_predictors``; unseen levels go majority-side.
 
-    Rows move down one depth at a time; each node's test is read from
-    per-node arrays (threshold, or a level lookup row for categorical splits).
+    A row's leaf depends only on its split columns: on the code of a
+    categorical one, and on where a numeric one falls among that column's
+    thresholds (or whether it is missing).  Rows that agree on all of these
+    form one cell, and each cell is routed once.  Cells move down one depth
+    at a time; each node's test is read from per-node arrays (threshold, or
+    a level lookup row for categorical splits).
     """
     if new_predictors is not None and len(new_predictors.columns):
         n = new_predictors.n_rows
@@ -626,22 +723,37 @@ def route_rows(tree: CartTree, new_predictors: Dataset | None, n_rows: int | Non
         row_of[owners] = np.arange(len(owners))
         lookup[c] = (table, row_of)
 
-    leaf_of = np.empty(n, dtype=np.int64)
-    rows = np.arange(n)
-    at = np.zeros(n, dtype=np.int64)
+    # each row's cell: its code per categorical split column, and per numeric
+    # one the number of the column's thresholds below it (``v <= cut`` holds
+    # exactly for the cuts from that index on), or one past them if missing
+    cell_codes = []
+    for c, column in enumerate(columns):
+        if c in lookup:
+            cell_codes.append((column.values, len(column.levels)))
+        else:
+            cuts = np.unique(threshold[col_of == c])
+            interval = np.searchsorted(cuts, column.values)
+            interval[np.isnan(column.values)] = cuts.size + 1
+            cell_codes.append((interval, cuts.size + 2))
+    cell_of, first = _distinct_cells(cell_codes, n)
+    cell_values = [column.values[first] for column in columns]
+
+    leaf_of = np.empty(first.size, dtype=np.int64)
+    cells = np.arange(first.size)
+    at = np.zeros(first.size, dtype=np.int64)
     stuck: set[int] = set()  # numeric-split nodes a missing value reached
-    while rows.size:
+    while cells.size:
         done = leaf_id[at] >= 0
-        leaf_of[rows[done]] = leaf_id[at[done]]
-        rows, at = rows[~done], at[~done]
-        go_left = np.zeros(rows.size, dtype=bool)
-        keep = np.ones(rows.size, dtype=bool)
+        leaf_of[cells[done]] = leaf_id[at[done]]
+        cells, at = cells[~done], at[~done]
+        go_left = np.zeros(cells.size, dtype=bool)
+        keep = np.ones(cells.size, dtype=bool)
         col = col_of[at]
-        for c, column in enumerate(columns):
+        for c, values in enumerate(cell_values):
             sel = np.flatnonzero(col == c)
             if not sel.size:
                 continue
-            v = column.values[rows[sel]]
+            v = values[cells[sel]]
             node = at[sel]
             if c in lookup:
                 table, row_of = lookup[c]
@@ -655,13 +767,13 @@ def route_rows(tree: CartTree, new_predictors: Dataset | None, n_rows: int | Non
                     keep[sel[missing]] = False
                 go = v <= threshold[node]
             go_left[sel] = go
-        rows, at = rows[keep], np.where(go_left, left[at], right[at])[keep]
+        cells, at = cells[keep], np.where(go_left, left[at], right[at])[keep]
     if stuck:
         # the node a depth-first router would have reached first
-        first = next(u for u in _depth_first(tree) if u in stuck)
-        colname = tree.nodes[first].split[1]
+        reached = next(u for u in _depth_first(tree) if u in stuck)
+        colname = tree.nodes[reached].split[1]
         raise MethodError(f"cart: predictor {colname!r} has missing values at sampling")
-    return leaf_of
+    return leaf_of[cell_of]
 
 
 def cart_sample(

@@ -253,9 +253,21 @@ class Rule:
     target: str
     condition: str
     value: Union[str, float]
+    # the condition parsed once: its atoms, or the parse error's message,
+    # which ``validate_plan`` reports and ``atoms`` raises
+    _parsed: tuple[Atom, ...] | str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        try:
+            parsed: tuple[Atom, ...] | str = parse_condition(self.condition)
+        except PlanError as exc:
+            parsed = str(exc)
+        object.__setattr__(self, "_parsed", parsed)
 
     def atoms(self) -> tuple[Atom, ...]:
-        return parse_condition(self.condition)
+        if isinstance(self._parsed, str):
+            raise PlanError(self._parsed)
+        return self._parsed
 
 
 # ---------------------------------------------------------------------------

@@ -258,30 +258,40 @@ def read_csv(
     header name, a column missing from the schema, a row of the wrong width;
     then cell errors column by column, the first bad row of a column first.
     Row numbers count the header as row 1 and skip blank and preamble lines.
+    Bytes that are not UTF-8 and a field above the ``csv`` module's size
+    limit are a ``DataError`` naming the file as well.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
         rows = csv.reader(fh)
-        header = next((r for r in rows if r and not r[0].startswith("#")), None)
-        if header is None:
-            raise DataError(f"{path}: no header row")
-        if len(set(header)) != len(header):
-            dup = sorted({h for h in header if header.count(h) > 1})
-            raise DataError(f"{path}: duplicated header name(s) {dup}")
-        missing_cols = [c for c in header if c not in schema]
-        if missing_cols:
-            raise DataError(f"{path}: no schema entry for column(s) {missing_cols}")
-        width = len(header)
-        # one flat list of cells, row after row: no list per row stays alive
-        flat: list[str] = []
-        for r in rows:
-            if len(r) == width:
-                flat += r
-            elif r:
-                raise DataError(
-                    f"{path}: row {len(flat) // width + 2} has {len(r)} fields, "
-                    f"expected {width}"
-                )
+        try:
+            header = next((r for r in rows if r and not r[0].startswith("#")), None)
+            if header is None:
+                raise DataError(f"{path}: no header row")
+            if len(set(header)) != len(header):
+                dup = sorted({h for h in header if header.count(h) > 1})
+                raise DataError(f"{path}: duplicated header name(s) {dup}")
+            missing_cols = [c for c in header if c not in schema]
+            if missing_cols:
+                raise DataError(f"{path}: no schema entry for column(s) {missing_cols}")
+            width = len(header)
+            # one flat list of cells, row after row: no list per row stays alive
+            flat: list[str] = []
+            for r in rows:
+                if len(r) == width:
+                    flat += r
+                elif r:
+                    raise DataError(
+                        f"{path}: row {len(flat) // width + 2} has {len(r)} fields, "
+                        f"expected {width}"
+                    )
+        except UnicodeDecodeError as exc:
+            # text is decoded a block at a time, so the line is not known
+            raise DataError(
+                f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: {exc.reason})"
+            ) from None
+        except csv.Error as exc:
+            raise DataError(f"{path}: line {rows.line_num}: {exc}") from None
 
     columns: list[Column] = []
     for j, colname in enumerate(header):

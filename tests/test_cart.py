@@ -491,6 +491,128 @@ class TestMatchesDepthFirstReference:
         assert np.array_equal(tree.leaf_offsets, offsets)
         assert np.array_equal(tree.leaf_sizes, sizes)
 
+    @pytest.mark.parametrize(
+        "target_name, predictor_names",
+        [
+            ("pperroom:missing", ("region", "sex", "age", "mar", "occ1", "occ3")),
+            ("occ1", ("region", "sex", "age", "mar")),
+        ],
+    )
+    def test_categorical_census_targets_on_repeated_cells(self, target_name, predictor_names):
+        # census rows repeat their predictor values, so many rows share a unit
+        from synthweave.toycensus import ToyCensusSpec, generate_toy_census
+
+        census = generate_toy_census(ToyCensusSpec(n_rows=5000, seed=8))
+        if target_name == "pperroom:missing":
+            missing = census.column("pperroom").missing_mask().astype(np.int64)
+            target = _coded(target_name, missing, 2)
+        else:
+            target = census.column(target_name)
+        preds = census.select(list(predictor_names))
+        cells = np.column_stack([target.values, *(c.values for c in preds.columns)])
+        assert len(np.unique(cells, axis=0)) < 0.95 * census.n_rows
+        for min_bucket, complexity in ((5, 1e-8), (1, 0.0)):
+            tree = fit_cart(target, preds, min_bucket=min_bucket, complexity=complexity)
+            _assert_same_as_reference(tree, target, preds, min_bucket, complexity)
+            assert np.array_equal(route_rows(tree, preds), _training_leaf_of(tree))
+
+    def test_signed_zeros_in_a_numeric_predictor(self):
+        rng = np.random.default_rng(21)
+        n = 400
+        x = rng.choice(np.array([-1.5, -0.0, 0.0, 0.5, 2.0]), n)
+        c = rng.integers(0, 3, n)
+        level = np.where(rng.random(n) < 0.7, (x > 0) + (c == 1), rng.integers(0, 3, n)) % 3
+        for target in (
+            _coded("t", level, 3),
+            numeric_column("y", np.round(x + c + rng.normal(0, 0.5, n), 1)),
+        ):
+            preds = Dataset((numeric_column("x", x), _coded("c", c, 3)))
+            for min_bucket in (1, 5):
+                tree = fit_cart(target, preds, min_bucket=min_bucket, complexity=0.0)
+                _assert_same_as_reference(tree, target, preds, min_bucket, 0.0)
+                assert repr(tree.nodes) == repr(_ref_fit_cart(target, preds, min_bucket, 0.0)[0])
+                new = Dataset((
+                    numeric_column("x", rng.choice(x, 300)),
+                    _coded("c", rng.integers(0, 3, 300), 3),
+                ))
+                assert np.array_equal(route_rows(tree, new), _ref_route_rows(tree, new))
+
+    def test_repeated_cells_unseen_levels_and_missing_values_when_routing(self):
+        target, preds = _reference_case("categorical", 4, 700)
+        tree = fit_cart(target, preds, min_bucket=5)
+        rng = np.random.default_rng(4)
+        pick = rng.integers(0, 40, 2000)  # 2,000 rows drawn from 40 training rows
+        cols = []
+        for col in preds.columns:
+            values = col.values[pick]
+            if col.is_numeric:
+                cols.append(numeric_column(col.name, values))
+            else:
+                values = np.where(rng.random(2000) < 0.1, len(col.levels) + 1, values)
+                cols.append(_coded(col.name, values, len(col.levels) + 2))
+        new = Dataset(tuple(cols))
+        assert np.array_equal(route_rows(tree, new), _ref_route_rows(tree, new))
+        for name in ("age", "income"):
+            holes = [
+                Column(c.name, c.kind, np.where(np.arange(2000) % 9 == 4, np.nan, c.values))
+                if c.name == name else c
+                for c in new.columns
+            ]
+            broken = Dataset(tuple(holes))
+            with pytest.raises(MethodError) as expected:
+                _ref_route_rows(tree, broken)
+            with pytest.raises(MethodError, match="missing values at sampling") as got:
+                route_rows(tree, broken)
+            assert str(got.value) == str(expected.value)
+        # a missing cell is never routed as another row's cell: two copies of
+        # one row, above every threshold of the root's column and then missing
+        kind, name = tree.nodes[0].split[:2]
+        assert kind == "num"
+        pair = Dataset(tuple(
+            numeric_column(c.name, [1e9, np.nan]) if c.name == name else c.take([0, 0])
+            for c in preds.columns
+        ))
+        with pytest.raises(MethodError, match=f"predictor {name!r} has missing values"):
+            route_rows(tree, pair)
+
+    def test_unit_key_of_many_wide_predictors(self):
+        # four predictors of 2**16 declared levels and a two-level target:
+        # their mixed-radix key needs 65 bits, and a wrapped one would merge
+        # rows that differ only in the target level
+        rng = np.random.default_rng(16)
+        kind = Categorical(tuple(f"L{i}" for i in range(1 << 16)))
+        n = 200
+        cols = [Column(f"p{j}", kind, rng.choice([7, 40000, 65535], n)) for j in range(4)]
+        target = _coded("t", (cols[0].values == 7) ^ (rng.random(n) < 0.2), 2)
+        preds = Dataset(tuple(cols))
+        tree = fit_cart(target, preds, min_bucket=2, complexity=0.0)
+        _assert_same_as_reference(tree, target, preds, 2, 0.0)
+        assert np.array_equal(route_rows(tree, preds), _training_leaf_of(tree))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_few_distinct_cells_give_the_reference_tree(self, data):
+        # few predictor and target values, so units stand for many rows
+        n = data.draw(st.integers(10, 300))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        k = data.draw(st.integers(1, 14))
+        codes = rng.integers(0, k, n)
+        x = rng.choice(np.array([-1.0, -0.0, 0.0, 0.25, 3.0])[: data.draw(st.integers(1, 5))], n)
+        n_tgt = data.draw(st.integers(1, 4))
+        signal = (codes + (x > 0)) % n_tgt
+        noisy = np.where(rng.random(n) < 0.8, signal, rng.integers(0, n_tgt, n))
+        target = _coded("t", noisy, n_tgt)
+        preds = Dataset((_coded("c", codes, k), numeric_column("x", x)))
+        min_bucket = data.draw(st.integers(1, 8))
+        complexity = data.draw(st.sampled_from([0.0, 1e-8, 1e-2]))
+        tree = fit_cart(target, preds, min_bucket=min_bucket, complexity=complexity)
+        _assert_same_as_reference(tree, target, preds, min_bucket, complexity)
+        new = Dataset((
+            _coded("c", rng.integers(0, k + 2, 3 * n), k + 2),
+            numeric_column("x", rng.choice(np.array([-2.0, -0.0, 0.0, 0.25, 1.0, 3.0]), 3 * n)),
+        ))
+        assert np.array_equal(route_rows(tree, new), _ref_route_rows(tree, new))
+
     def test_missing_value_at_sampling_same_error(self):
         target, preds = _reference_case("categorical", 3, 700)
         tree = fit_cart(target, preds, min_bucket=5)
@@ -528,6 +650,14 @@ class TestMatchesDepthFirstReference:
         assert tree.n_leaves == 10
         assert tree.depth == max(_path_lengths(tree))
         assert fit_cart(numeric_column("y", x), None).depth == 0
+
+
+def _assert_same_as_reference(tree, target, preds, min_bucket, complexity):
+    nodes, donor_rows, offsets, sizes = _ref_fit_cart(target, preds, min_bucket, complexity)
+    assert tree.nodes == nodes
+    assert np.array_equal(tree.donor_rows, donor_rows)
+    assert np.array_equal(tree.leaf_offsets, offsets)
+    assert np.array_equal(tree.leaf_sizes, sizes)
 
 
 def _path_lengths(tree):

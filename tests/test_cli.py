@@ -112,6 +112,33 @@ class TestSynth:
         err = capsys.readouterr().err
         assert "sex" in err and "region" in err
 
+    def test_plan_validated_once(self, toy_files, tmp_path, capsys, monkeypatch):
+        from synthweave import cli, engine, plan as plan_module
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return plan_module.validate_plan(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "validate_plan", counting)
+        monkeypatch.setattr(engine, "validate_plan", counting)
+        root, data, schema, plan = toy_files
+        # occ3 before pperroom: validation warns about guideline 6
+        doc = json.loads(plan.read_text())
+        doc["visit_sequence"] = ["region", "sex", "age", "mar", "occ1", "occ3", "pperroom"]
+        moved = tmp_path / "moved.json"
+        moved.write_text(json.dumps(doc))
+        argv = ["synth", "--data", str(data), "--schema", str(schema),
+                "--plan", str(moved), "--out", str(tmp_path / "o.csv")]
+        assert main(argv) == 0
+        assert len(calls) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("warning: ")] == [
+            "warning: guideline 6: move variables with many categories to the end of the "
+            "synthesis ('occ3' has 200 levels at position 6 of 7)"
+        ]
+
     def test_seed_override_deterministic(self, toy_files, tmp_path):
         root, data, schema, plan = toy_files
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -353,6 +380,31 @@ class TestNonFiniteInput:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "row 5, column 'pperroom'" in err
+
+
+class TestUndecodableInput:
+    @pytest.mark.parametrize("command", ["utility", "synth"])
+    @pytest.mark.parametrize("damage", ["byte", "long_field"])
+    def test_exit_1_names_the_file(self, toy_files, tmp_path, capsys, command, damage):
+        root, data, schema, plan = toy_files
+        lines = data.read_bytes().split(b"\n")
+        if damage == "byte":
+            lines[7] = lines[7].replace(b",", b",\xff", 1)
+        else:
+            lines[7] = lines[7] + b"x" * 200_000
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\n".join(lines))
+        if command == "utility":
+            argv = ["utility", "--original", str(data), "--synthetic", str(bad),
+                    "--schema", str(schema)]
+        else:
+            argv = ["synth", "--data", str(bad), "--schema", str(schema),
+                    "--plan", str(plan), "--out", str(tmp_path / "out.csv")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ")
+        assert len(err.splitlines()) == 1
+        assert ("not UTF-8" if damage == "byte" else "field larger than field limit") in err
 
 
 class TestHostileAuditInput:

@@ -124,6 +124,28 @@ class TestRules:
         plan = ok_plan(rules=(Rule("c", "b <", "u"),))
         diags = validate_plan(plan, small_data())
         assert any("rule 0" in d.message for d in plan_errors(diags))
+        with pytest.raises(PlanError, match=r"malformed condition atom: 'b <'"):
+            plan.rules[0].atoms()
+
+    def test_condition_parsed_once_per_rule(self, monkeypatch):
+        from synthweave import plan as plan_module, synthesize
+
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return parse_condition(text)
+
+        monkeypatch.setattr(plan_module, "parse_condition", counting)
+        rules = (Rule("c", "b < 0", "u"), Rule("c", "a == 'x' and b >= 1", "v"))
+        plan = ok_plan(rules=rules)
+        assert plan_errors(validate_plan(plan, small_data())) == []
+        run = synthesize(small_data(), plan)
+        assert len(calls) == 2
+        assert run.synthetic.n_rows == 50
+        same = Rule("c", "b < 0", "u")
+        assert rules[0] == same and hash(rules[0]) == hash(same)
+        assert repr(rules[0]) == "Rule(target='c', condition='b < 0', value='u')"
 
     def test_rule_column_must_precede_target(self):
         plan = ok_plan(rules=(Rule("a", "b < 0", "x"),))

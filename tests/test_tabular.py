@@ -154,6 +154,20 @@ class TestReadCsvErrors:
         with pytest.raises(DataError, match=r"non-finite numeric cell .*row 3, column 'x'"):
             read_csv(path, {"x": Numeric()})
 
+    @pytest.mark.parametrize("where", ["header", "body"])
+    def test_bytes_that_are_not_utf8(self, tmp_path, where):
+        path = tmp_path / "latin.csv"
+        body = b"a,b\n" + b"1,x\n" * 5000 + b"2,\xff\n"
+        path.write_bytes(b"\xffa,b\n1,x\n" if where == "header" else body)
+        with pytest.raises(DataError, match=r"latin\.csv: not UTF-8 text \(byte 0xff"):
+            read_csv(path, {"a": Numeric(), "b": "categorical"})
+
+    def test_field_above_the_csv_size_limit(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text("a,b\n1,x\n2," + "y" * 200_000 + "\n3,z\n")
+        with pytest.raises(DataError, match=r"long\.csv: line 3: field larger than field limit"):
+            read_csv(path, {"a": Numeric(), "b": "categorical"})
+
     def test_unknown_level_without_infer(self, tmp_path):
         path = tmp_path / "lvl.csv"
         path.write_text("c\na\nzzz\n")
