@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import run_report, synthesize_validated
+from .engine import run_report, synthesize
 from .errors import DataError, MethodError, PlanError, SynthweaveError, UtilityError
 from .plan import plan_errors, plan_from_json, validate_plan
 from .sdc import apply_sdc, sdc_from_json, stamp_synthetic
@@ -94,7 +94,7 @@ def cmd_synth(args) -> int:
     if errs:
         return 2
 
-    run = synthesize_validated(data, plan, diags)
+    run = synthesize(data, plan)
     sdc_cfg = sdc_from_json(plan_doc.get("sdc"))
     sdc_fragment = None
     synthetic = run.synthetic

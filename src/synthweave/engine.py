@@ -238,32 +238,19 @@ def _synthesize_stratum(
     )
 
 
-def _validated(plan: SynthesisPlan, original: Dataset, diagnostics=None) -> list[str]:
-    """Messages of the plan's warnings: ``DataError`` on an empty dataset,
-    then ``PlanError`` if ``validate_plan`` (run here unless its
-    ``diagnostics`` are given) reports an error."""
+def _validated(plan: SynthesisPlan, original: Dataset) -> list[str]:
     if original.n_rows == 0:
         raise DataError("empty dataset")
-    if diagnostics is None:
-        diagnostics = validate_plan(plan, original)
-    errs = plan_errors(diagnostics)
+    diags = validate_plan(plan, original)
+    errs = plan_errors(diags)
     if errs:
         raise PlanError("plan invalid: " + "; ".join(d.message for d in errs))
-    return [d.message for d in diagnostics if not d.is_error]
+    return [d.message for d in diags if not d.is_error]
 
 
 def synthesize(original: Dataset, plan: SynthesisPlan, n_rows: int | None = None) -> SynthesisRun:
     """Full synthesis of ``original`` under ``plan`` (stratified if it says so)."""
-    return synthesize_validated(original, plan, None, n_rows)
-
-
-def synthesize_validated(
-    original: Dataset, plan: SynthesisPlan, diagnostics, n_rows: int | None = None
-) -> SynthesisRun:
-    """``synthesize`` for a caller that has run ``validate_plan(plan, original)``
-    itself: its ``diagnostics`` are used instead of validating again (``None``
-    validates here)."""
-    warnings0 = _validated(plan, original, diagnostics)
+    warnings0 = _validated(plan, original)
     if plan.stratifier is not None:
         if n_rows is not None:
             raise PlanError(

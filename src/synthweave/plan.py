@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import ClassVar, Mapping, Sequence, Union
 
@@ -233,6 +234,8 @@ def parse_condition(text: str) -> tuple[Atom, ...]:
     Only AND is supported; a disjunction is written as several rules with
     the same target.
     """
+    if not isinstance(text, str):
+        raise PlanError(f"condition must be a string, got {text!r}")
     parts = re.split(r"\s+(?:and|AND|&&?)\s+", text.strip())
     atoms = []
     for part in parts:
@@ -253,21 +256,15 @@ class Rule:
     target: str
     condition: str
     value: Union[str, float]
-    # the condition parsed once: its atoms, or the parse error's message,
-    # which ``validate_plan`` reports and ``atoms`` raises
-    _parsed: tuple[Atom, ...] | str = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        try:
-            parsed: tuple[Atom, ...] | str = parse_condition(self.condition)
-        except PlanError as exc:
-            parsed = str(exc)
-        object.__setattr__(self, "_parsed", parsed)
+    @cached_property
+    def _atoms(self) -> tuple[Atom, ...]:
+        # cached in the instance dict, so a valid condition is parsed once;
+        # a malformed one raises here (and ``validate_plan`` reports it)
+        return parse_condition(self.condition)
 
     def atoms(self) -> tuple[Atom, ...]:
-        if isinstance(self._parsed, str):
-            raise PlanError(self._parsed)
-        return self._parsed
+        return self._atoms
 
 
 # ---------------------------------------------------------------------------

@@ -112,32 +112,20 @@ class TestSynth:
         err = capsys.readouterr().err
         assert "sex" in err and "region" in err
 
-    def test_plan_validated_once(self, toy_files, tmp_path, capsys, monkeypatch):
-        from synthweave import cli, engine, plan as plan_module
-
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return plan_module.validate_plan(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "validate_plan", counting)
-        monkeypatch.setattr(engine, "validate_plan", counting)
+    def test_non_string_rule_condition_exits_2(self, toy_files, tmp_path, capsys):
         root, data, schema, plan = toy_files
-        # occ3 before pperroom: validation warns about guideline 6
         doc = json.loads(plan.read_text())
-        doc["visit_sequence"] = ["region", "sex", "age", "mar", "occ1", "occ3", "pperroom"]
-        moved = tmp_path / "moved.json"
-        moved.write_text(json.dumps(doc))
-        argv = ["synth", "--data", str(data), "--schema", str(schema),
-                "--plan", str(moved), "--out", str(tmp_path / "o.csv")]
-        assert main(argv) == 0
-        assert len(calls) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert [line for line in err if line.startswith("warning: ")] == [
-            "warning: guideline 6: move variables with many categories to the end of the "
-            "synthesis ('occ3' has 200 levels at position 6 of 7)"
-        ]
+        doc["rules"] = [{"target": "mar", "condition": 16, "value": "Single"}]
+        bad = tmp_path / "bad_rule.json"
+        bad.write_text(json.dumps(doc))
+        rc = main(
+            [
+                "synth", "--data", str(data), "--schema", str(schema),
+                "--plan", str(bad), "--out", str(tmp_path / "o.csv"),
+            ]
+        )
+        assert rc == 2
+        assert "condition must be a string, got 16" in capsys.readouterr().err
 
     def test_seed_override_deterministic(self, toy_files, tmp_path):
         root, data, schema, plan = toy_files

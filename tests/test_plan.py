@@ -127,6 +127,14 @@ class TestRules:
         with pytest.raises(PlanError, match=r"malformed condition atom: 'b <'"):
             plan.rules[0].atoms()
 
+    def test_non_string_condition_is_a_diagnostic(self):
+        plan = ok_plan(rules=(Rule("c", 16, "u"),))
+        diags = validate_plan(plan, small_data())
+        assert [d.message for d in plan_errors(diags)] == [
+            "rule 0: condition must be a string, got 16"
+        ]
+        assert [f.name for f in dataclasses.fields(Rule)] == ["target", "condition", "value"]
+
     def test_condition_parsed_once_per_rule(self, monkeypatch):
         from synthweave import plan as plan_module, synthesize
 
