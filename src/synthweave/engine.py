@@ -16,9 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, MethodError, PlanError
+from .models import MISSING_INDICATOR, CartFit, LogitFit, MultinomialFit, SampleFit
 # fit_logit is unused here, but perfbench/test_perfbench.py checks that the
 # tracer patches it through this module
-from .models import MISSING_INDICATOR, CartFit, SampleFit, fit_logit  # noqa: F401
+from .models import fit_logit  # noqa: F401
 from .plan import Atom, MethodSpec, SynthesisPlan, plan_errors, validate_plan
 from .tabular import Categorical, Column, Dataset, Numeric
 
@@ -37,6 +38,7 @@ class VariableSummary:
     sample_s: float = 0.0
     rules_s: float = 0.0
     tree: dict | None = None  # CART only: nodes, leaves, depth
+    solver: dict | None = None  # Newton fits only: iterations, converged, gradient_norm
 
 
 @dataclass(frozen=True)
@@ -137,6 +139,21 @@ def _tree_stats(model) -> dict | None:
     }
 
 
+def _solver_stats(model) -> dict | None:
+    """How a variable's Newton fit ended: a Logit or Multinomial target's,
+    or a numeric target's missingness-indicator logit."""
+    fit = model.indicator if isinstance(model, _MissingAwareFit) else model
+    if isinstance(fit, LogitFit):
+        fit = fit.result
+    elif not isinstance(fit, MultinomialFit):
+        return None
+    return {
+        "iterations": fit.iterations,
+        "converged": fit.converged,
+        "gradient_norm": fit.final_gradient_norm,
+    }
+
+
 def _synthesize_stratum(
     original: Dataset,
     plan: SynthesisPlan,
@@ -223,6 +240,7 @@ def _synthesize_stratum(
                 sample_s=sampled - fitted,
                 rules_s=ruled - sampled,
                 tree=_tree_stats(model),
+                solver=_solver_stats(model),
             )
         )
 
@@ -382,6 +400,7 @@ def run_report(run: SynthesisRun) -> dict:
                 "sample_s": round(s.sample_s, 6),
                 "rules_s": round(s.rules_s, 6),
                 "tree": s.tree,
+                "solver": s.solver,
                 "rule_forced": s.rule_forced,
                 "missing_indicator": s.missing_indicator,
                 "warnings": list(s.warnings),

@@ -26,10 +26,12 @@ COEF_CAP = 30.0  # linear-scale magnitude cap under separation
 MISSING_INDICATOR = Categorical(("present", "missing"))
 
 
-def _design_for(predictors: Dataset | None) -> Design | None:
+def _fit_design(predictors: Dataset | None, n: int) -> tuple:
+    """(design, matrix, column labels) of the fit rows; intercept only without predictors."""
     if predictors is None or not predictors.columns:
-        return None
-    return build_design(predictors)
+        return None, scipy.sparse.csr_array(np.ones((n, 1))), ("(intercept)",)
+    design = build_design(predictors)
+    return design, design.matrix(predictors), design.labels
 
 
 def _matrix(design: Design | None, predictors: Dataset | None, n: int) -> scipy.sparse.csr_array:
@@ -196,9 +198,8 @@ def fit_normrank(target: Column, predictors: Dataset | None, residual_scale: flo
         raise MethodError(f"normrank: target {target.name!r} is empty")
     ranks = scipy.stats.rankdata(y, method="average")
     z = ndtri((ranks - 0.375) / (n + 0.25))
-    design = _design_for(predictors)
-    X = _matrix(design, predictors, n)
-    fit = ols(X, z, design.labels if design else ("(intercept)",))
+    design, X, labels = _fit_design(predictors, n)
+    fit = ols(X, z, labels)
     return NormRankFit(
         target.name, design, fit, np.sort(y), residual_scale, warnings=fit.notes
     )
@@ -256,14 +257,13 @@ def fit_transform_normal(
     if len(y) == 0:
         raise MethodError(f"transform_normal: target {target.name!r} is empty")
     t = _forward_transform(y, transform, target.name)
-    design = _design_for(predictors)
-    X = _matrix(design, predictors, len(y))
-    fit = ols(X, t, design.labels if design else ("(intercept)",))
+    design, X, labels = _fit_design(predictors, len(y))
+    fit = ols(X, t, labels)
     return TransformNormalFit(target.name, transform, design, fit, warnings=fit.notes)
 
 
 # ---------------------------------------------------------------------------
-# Logistic regression (IRLS)
+# Logistic and baseline-category logistic regression: one Newton solver
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -282,53 +282,106 @@ def _expit(eta: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(eta, -COEF_CAP, COEF_CAP)))
 
 
-def irls_logit(
-    X: scipy.sparse.csr_array, y: np.ndarray, max_iter: int, tol: float, labels
-) -> IrlsResult:
-    X2, kept, notes = drop_aliased(X, labels)
-    notes = list(notes)
-    n, p = X2.shape
-    gram = Gram(X2)
-    beta = np.zeros(p)
+def _newton_logit(
+    X: scipy.sparse.csr_array, Y: np.ndarray, max_iter: int, tol: float, labels, name: str
+) -> tuple:
+    """Baseline-category logit of the (n, K) class indicators ``Y`` (a row
+    of zeros is the reference class) on the non-aliased columns of ``X``;
+    K = 1 is the binary logit.  Newton steps, halved until the
+    log-likelihood does not decrease, with a small ridge on a singular
+    Hessian and coefficients capped under separation.  Returns (matrix of
+    the kept columns, kept, its ``Gram``, (K, p_kept) coefficients,
+    iterations, converged, max |score| at the last evaluation, notes).
+
+    Stopping rule: every score entry below ``tol`` or below its own rounding
+    level.  An entry sum_i x_ij r_i carries a summation error of about
+    sqrt(n) eps sum_i |x_ij r_i| <= n eps sqrt(sum_i x_ij^2 r_i^2), and r_i^2
+    averages the Hessian weight, so the level is n eps sqrt(H_jj).  Only a
+    column on a large scale (an income in units) has a level above ``tol``.
+    """
+    X, kept, alias_notes = drop_aliased(X, labels)
+    notes = list(alias_notes)
+    n, p = X.shape
+    K = Y.shape[1]
+    gram = Gram(X)
+    block_a, block_b = np.triu_indices(K)
+    diagonal = block_a == block_b
+    block_of = np.empty((K, K), dtype=np.int64)
+    block_of[block_a, block_b] = block_of[block_b, block_a] = np.arange(len(block_a))
+    rounding = n * np.finfo(np.float64).eps
+
+    def evaluate(B: np.ndarray) -> tuple[np.ndarray, float]:
+        """Class probabilities and log-likelihood at ``B``."""
+        Eta = np.clip(X @ B.T, -COEF_CAP, COEF_CAP)
+        e = np.exp(Eta)
+        total = e.sum(axis=1)
+        return e / (1.0 + total)[:, None], float(np.vdot(Y, Eta) - np.log1p(total).sum())
+
+    B = np.zeros((K, p))
+    P, ll = evaluate(B)
     converged = False
     gnorm = np.inf
     it = 0
     for it in range(1, max_iter + 1):
-        prob = _expit(X2 @ beta)
-        score = X2.T @ (y - prob)
-        gnorm = float(np.max(np.abs(score))) if p else 0.0
+        score = (X.T @ (Y - P)).T  # (K, p)
+        gnorm = float(np.max(np.abs(score), initial=0.0))
         if gnorm < tol:
             converged = True
             break
-        H = gram(np.maximum(prob * (1.0 - prob), 1e-12))
+        # all K(K+1)/2 blocks X' diag(P_a (1[a=b] - P_b)) X from one product
+        blocks = gram(P[:, block_a] * (diagonal - P[:, block_b]))
+        level = rounding * np.sqrt(np.diagonal(blocks[diagonal], axis1=1, axis2=2))
+        if np.all((np.abs(score) < tol) | (np.abs(score) <= level)):
+            converged = True
+            break
+        # each block is symmetric, so block (b, a) is block (a, b)
+        H = blocks[block_of].transpose(0, 2, 1, 3).reshape(K * p, K * p)
         try:
-            step = np.linalg.solve(H, score)
+            step = np.linalg.solve(H, score.reshape(-1))
         except np.linalg.LinAlgError:
-            H = H + 1e-4 * np.eye(p)
-            step = np.linalg.solve(H, score)
-            notes.append("ridge fallback on ill-conditioned weight matrix")
-        beta = beta + step
+            step = np.linalg.solve(H + 1e-4 * np.eye(K * p), score.reshape(-1))
+            notes.append("ridge fallback on ill-conditioned Hessian")
+        scale = 1.0
+        for _ in range(12):
+            trial = B + scale * step.reshape(K, p)
+            P_trial, ll_trial = evaluate(trial)
+            if ll_trial >= ll - 1e-12:
+                break
+            scale *= 0.5
+        B, P, ll = trial, P_trial, ll_trial
     # under complete separation the saturated probabilities zero the score,
     # so "converged" can hide runaway coefficients; cap on magnitude too
-    separated = bool(p and np.max(np.abs(beta)) > COEF_CAP - 5)
+    separated = bool(np.max(np.abs(B), initial=0.0) > COEF_CAP - 5)
     if not converged or separated:
         reason = (
             "possible separation" if separated
             else f"did not converge in {max_iter} iterations"
         )
-        msg = f"logit: {reason}; coefficients capped at {COEF_CAP:g}"
+        msg = f"{name}: {reason}; coefficients capped at {COEF_CAP:g}"
         notes.append(msg)
         _warnings.warn(msg)
-        beta = np.clip(beta, -COEF_CAP, COEF_CAP)
-    prob = _expit(X2 @ beta)
+        B = np.clip(B, -COEF_CAP, COEF_CAP)
+    return X, kept, gram, B, it, converged, gnorm, tuple(notes)
+
+
+def irls_logit(
+    X: scipy.sparse.csr_array, y: np.ndarray, max_iter: int, tol: float, labels
+) -> IrlsResult:
+    """Binary logit of the 0/1 response ``y`` by the Newton solver, with
+    standard errors from the information at the (capped) estimate."""
+    X, kept, gram, B, it, converged, gnorm, notes = _newton_logit(
+        X, y[:, None], max_iter, tol, labels, "logit"
+    )
+    beta = B[0]
+    prob = _expit(X @ beta)
     H = gram(np.maximum(prob * (1.0 - prob), 1e-12))
     try:
         cov = np.linalg.inv(H)
         se = np.sqrt(np.maximum(np.diag(cov), 0.0))
     except np.linalg.LinAlgError:
-        se = np.full(p, np.nan)
+        se = np.full(len(beta), np.nan)
     return IrlsResult(
-        beta, se, kept, tuple(labels[j] for j in kept), it, converged, gnorm, tuple(notes)
+        beta, se, kept, tuple(labels[j] for j in kept), it, converged, gnorm, notes
     )
 
 
@@ -361,9 +414,8 @@ def fit_logit(
     y = target.values.astype(np.float64)
     if len(np.unique(target.values)) < 2:
         raise MethodError(f"logit: target {target.name!r} must have both levels present")
-    design = _design_for(predictors)
-    X = _matrix(design, predictors, len(y))
-    res = irls_logit(X, y, max_iter, tol, design.labels if design else ("(intercept)",))
+    design, X, labels = _fit_design(predictors, len(y))
+    res = irls_logit(X, y, max_iter, tol, labels)
     return LogitFit(target.name, target.kind, design, res, warnings=res.notes)
 
 
@@ -408,106 +460,32 @@ class MultinomialFit:
         return self.present_codes[choice]
 
 
-def _multinomial_loglik(Eta: np.ndarray, y: np.ndarray) -> float:
-    denom = np.log1p(np.exp(Eta).sum(axis=1))
-    lin = np.where(y > 0, Eta[np.arange(len(y)), np.maximum(y - 1, 0)], 0.0)
-    return float(lin.sum() - denom.sum())
-
-
 def fit_multinomial(
-    target: Column,
-    predictors: Dataset | None,
-    max_iter: int = 100,
-    tol: float = 1e-6,
-    max_levels: int = MAX_MULTINOMIAL_LEVELS,
+    target: Column, predictors: Dataset | None, max_iter: int = 100, tol: float = 1e-6
 ) -> MultinomialFit:
-    """Baseline-category logit fit by Newton steps with step halving and a
-    ridge fallback on ill-conditioned Hessians."""
+    """Baseline-category logit on the present levels, the first as
+    reference, fit by the Newton solver ``fit_logit`` also uses."""
     if not isinstance(target.kind, Categorical):
         raise MethodError(f"multinomial: target {target.name!r} must be categorical")
     present = np.unique(target.values)
     L = len(present)
     if L < 2:
         raise MethodError(f"multinomial: target {target.name!r} needs >= 2 levels present")
-    if L > max_levels:
+    if L > MAX_MULTINOMIAL_LEVELS:
         raise MethodError(
-            f"multinomial: target {target.name!r} has {L} levels (cap {max_levels}); "
+            f"multinomial: target {target.name!r} has {L} levels "
+            f"(cap {MAX_MULTINOMIAL_LEVELS}); "
             "use nested synthesis within a grouped variable instead"
         )
     y = np.searchsorted(present, target.values)
-    design = _design_for(predictors)
-    X_full = _matrix(design, predictors, len(y))
-    labels = design.labels if design else ("(intercept)",)
-    X, kept, alias_notes = drop_aliased(X_full, labels)
-    notes = list(alias_notes)
-    n, p = X.shape
-    K = L - 1
-    gram = Gram(X)
-    block_a, block_b = np.triu_indices(K)
-    Y = np.zeros((n, K))
-    pos = y > 0
-    Y[np.flatnonzero(pos), y[pos] - 1] = 1.0
-
-    B = np.zeros((K, p))
-    converged = False
-    gnorm = np.inf
-    it = 0
-    ll = _multinomial_loglik(np.zeros((n, K)), y)
-    for it in range(1, max_iter + 1):
-        Eta = np.clip(X @ B.T, -COEF_CAP, COEF_CAP)
-        e = np.exp(Eta)
-        denom = 1.0 + e.sum(axis=1)
-        P = e / denom[:, None]
-        G = X.T @ (Y - P)  # (p, K)
-        gnorm = float(np.max(np.abs(G)))
-        if gnorm < tol:
-            converged = True
-            break
-        # all K(K+1)/2 blocks X' diag(P_a (1[a=b] - P_b)) X from one product
-        blocks = gram(P[:, block_a] * ((block_a == block_b) - P[:, block_b]))
-        H = np.empty((K * p, K * p))
-        for a, b, block in zip(block_a, block_b, blocks):
-            H[a * p : (a + 1) * p, b * p : (b + 1) * p] = -block
-            H[b * p : (b + 1) * p, a * p : (a + 1) * p] = -block
-        g = G.T.reshape(-1)  # class-major flat gradient
-        try:
-            step = np.linalg.solve(-H, g)
-        except np.linalg.LinAlgError:
-            ridge = 1e-4 * np.eye(K * p)
-            step = np.linalg.solve(-H + ridge, g)
-            notes.append("ridge fallback on ill-conditioned Hessian")
-        # step halving keeps the log-likelihood non-decreasing
-        scale = 1.0
-        for _ in range(12):
-            Bn = B + scale * step.reshape(K, p)
-            lln = _multinomial_loglik(np.clip(X @ Bn.T, -COEF_CAP, COEF_CAP), y)
-            if lln >= ll - 1e-12:
-                break
-            scale *= 0.5
-        B = B + scale * step.reshape(K, p)
-        ll = _multinomial_loglik(np.clip(X @ B.T, -COEF_CAP, COEF_CAP), y)
-    separated = bool(B.size and np.max(np.abs(B)) > COEF_CAP - 5)
-    if not converged or separated:
-        reason = (
-            "possible separation" if separated
-            else f"did not converge in {max_iter} iterations"
-        )
-        msg = f"multinomial: {reason}; coefficients capped at {COEF_CAP:g}"
-        notes.append(msg)
-        _warnings.warn(msg)
-        B = np.clip(B, -COEF_CAP, COEF_CAP)
+    design, X, labels = _fit_design(predictors, len(y))
+    Y = (y[:, None] == np.arange(1, L)).astype(np.float64)
+    X, kept, _, B, it, converged, gnorm, notes = _newton_logit(
+        X, Y, max_iter, tol, labels, "multinomial"
+    )
     return MultinomialFit(
-        target.name,
-        target.kind,
-        design,
-        present,
-        B,
-        kept,
-        tuple(labels[j] for j in kept),
-        it,
-        converged,
-        gnorm,
-        warnings=tuple(notes),
+        target.name, target.kind, design, present, B, kept,
+        tuple(labels[j] for j in kept), it, converged, gnorm, warnings=notes,
     )
 
 

@@ -79,7 +79,8 @@ class TestSynth:
         assert {v["name"] for v in doc["variables"]} >= {"mar", "occ3"}
         by_name = {v["name"]: v for v in doc["variables"]}
         for v in doc["variables"]:
-            assert {"elapsed_s", "fit_s", "sample_s", "rules_s", "tree"} <= set(v)
+            assert {"elapsed_s", "fit_s", "sample_s", "rules_s", "tree", "solver"} <= set(v)
+            assert v["solver"] is None  # no Logit or Multinomial in this plan
             assert v["fit_s"] + v["sample_s"] + v["rules_s"] <= v["elapsed_s"] + 1e-5
         assert by_name["region"]["tree"] is None  # sample
         assert by_name["occ3"]["tree"] is None  # nested
@@ -264,12 +265,20 @@ class TestUtilityCommand:
             )
         )
         out = tmp_path / "par.csv"
+        synth_report = tmp_path / "par.json"
         assert main(
             [
                 "synth", "--data", str(data), "--schema", str(schema),
-                "--plan", str(plan), "--out", str(out),
+                "--plan", str(plan), "--out", str(out), "--report", str(synth_report),
             ]
         ) == 0
+        variables = json.loads(synth_report.read_text())["variables"]
+        solvers = {v["name"]: v["solver"] for v in variables}
+        assert solvers["region"] is None and solvers["age"] is None
+        for name in ("sex", "mar"):
+            assert set(solvers[name]) == {"iterations", "converged", "gradient_norm"}
+            assert solvers[name]["converged"] is True and solvers[name]["iterations"] >= 2
+            assert solvers[name]["gradient_norm"] < 1e-6
         report = tmp_path / "u.json"
         rc = main(
             [

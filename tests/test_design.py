@@ -178,9 +178,7 @@ def test_ols_matches_lstsq(name):
     )
 
 
-# the score of a column on the scale 1e7 carries rounding far above the
-# absolute tolerance 1e-10 asked for here, so that case cannot converge
-@pytest.mark.parametrize("name", [c for c in CASES if c != "large-scale numeric"])
+@pytest.mark.parametrize("name", CASES)
 def test_irls_matches_dense_newton(name):
     data, inter, _ = _case(name)
     design = build_design(data, interactions=inter)

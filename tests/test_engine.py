@@ -33,7 +33,7 @@ from synthweave import (
 from synthweave import engine
 from synthweave.cart import cart_sample, fit_cart
 from synthweave.engine import _eval_atoms, _fit_with_missing, _synthesize_stratum
-from synthweave.models import fit_cart_model
+from synthweave.models import fit_cart_model, fit_logit, fit_multinomial
 from synthweave.tabular import Categorical, Column, Numeric
 
 
@@ -194,6 +194,32 @@ class TestRunReport:
         assert mar["nodes"] == 2 * mar["leaves"] - 1
         assert by_name["pperroom"]["missing_indicator"] is True
         assert pperroom["nodes"] == 2 * pperroom["leaves"] - 2
+
+    def test_solver_stats(self, census):
+        cols = ["region", "sex", "age", "mar", "pperroom"]
+        methods = {
+            "region": Sample(), "sex": Logit(), "age": Cart(), "mar": Multinomial(),
+            "pperroom": NormRank(),
+        }
+        plan = SynthesisPlan(tuple(cols), methods, seed=3)
+        doc = run_report(synthesize(census.select(cols), plan))
+        by_name = {v["name"]: v for v in doc["variables"]}
+        assert by_name["region"]["solver"] is None and by_name["age"]["solver"] is None
+        # read from the fitted models: each variable is fit on every row
+        sex = fit_logit(census.column("sex"), census.select(["region"])).result
+        mar = fit_multinomial(census.column("mar"), census.select(["region", "sex", "age"]))
+        for name, fit in (("sex", sex), ("mar", mar)):
+            assert by_name[name]["solver"] == {
+                "iterations": fit.iterations,
+                "converged": fit.converged,
+                "gradient_norm": fit.final_gradient_norm,
+            }
+        # pperroom is fit by least squares; its missingness indicator by a logit
+        pperroom = by_name["pperroom"]
+        assert pperroom["missing_indicator"] is True
+        assert set(pperroom["solver"]) == {"iterations", "converged", "gradient_norm"}
+        assert pperroom["solver"]["converged"] is True
+        assert pperroom["solver"]["iterations"] >= 2
 
 
 class TestMissingData:
@@ -711,7 +737,8 @@ _HOSTILE = {
 
 class TestHostileInput:
     """Constant and single-level columns under every method that accepts
-    them, as target and as predictor: each runs or ends in a typed error."""
+    them, as target and as predictor, and strata of a few rows under each
+    method: each runs or ends in a typed error."""
 
     @pytest.fixture(scope="class")
     def hostile(self):
@@ -746,3 +773,40 @@ class TestHostileInput:
         run = synthesize(hostile.select(list(cols)), plan, n_rows=0)
         assert run.synthetic.n_rows == 0
         assert run.synthetic.names == cols
+
+    # (target, method): each is fit within a stratum of 1, 2 and 5 rows
+    _TINY_STRATUM_METHODS = {
+        **{("age", m): s for m, s in _NUMERIC_METHODS.items()},
+        **{("pperroom", m): _NUMERIC_METHODS[m] for m in ("normrank", "cart")},
+        **{("sex", m): _CATEGORICAL_METHODS[m] for m in ("sample", "cart", "logit")},
+        **{("mar", m): _CATEGORICAL_METHODS[m] for m in ("sample", "cart", "multinomial")},
+        ("occ3", "nested"): Nested("occ1"),
+    }
+
+    @pytest.mark.parametrize(
+        "target,method", sorted(_TINY_STRATUM_METHODS), ids="-".join
+    )
+    def test_tiny_strata(self, hostile, target, method):
+        # census rows 7.. form the small stratum: rows 7-8 are both 'Single'
+        # and of either sex, rows 7-11 hold two marital states
+        before = {"occ3": "occ1", "sex": "age"}.get(target, "sex")
+        methods = {
+            "region": Sample(), before: Cart(), target: self._TINY_STRATUM_METHODS[target, method]
+        }
+        nesting = {"occ3": "occ1"} if target == "occ3" else {}
+        plan = SynthesisPlan(
+            ("region", before, target), methods, nesting=nesting, stratifier="g", seed=3
+        )
+        fails = {("logit", 1), ("multinomial", 1), ("multinomial", 2)}
+        for k in (1, 2, 5):
+            g = ["big"] * 7 + ["tiny"] * k + ["big"] * (hostile.n_rows - 7 - k)
+            data = hostile.with_column(categorical_column("g", g))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                if (method, k) in fails:
+                    with pytest.raises(MethodError, match="levels present"):
+                        synthesize_stratified(data, plan, min_stratum_rows=1)
+                    continue
+                run = synthesize_stratified(data, plan, min_stratum_rows=1)
+            assert dict(run.strata) == {"big": hostile.n_rows - k, "tiny": k}
+            assert run.synthetic.n_rows == hostile.n_rows

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -290,6 +292,26 @@ class TestFitPropensity:
         assert "wide" in fit.term_variables
         assert {v for v in fit.term_variables if "*" in v} == {"edge*x"}
 
+    def test_income_scale_column_converges(self):
+        # a score entry of a column on the scale 1e7 carries a summation
+        # error far above the absolute tolerance 1e-6; the stopping rule
+        # must not wait for it, and the fitted probabilities, hence the
+        # pMSE, cannot depend on the column's units
+        def census_with_income(seed, scale):
+            census = generate_toy_census(ToyCensusSpec(n_rows=20_000, seed=seed))
+            income = np.random.default_rng(seed + 100).lognormal(0.0, 0.5, 20_000)
+            return Dataset(
+                census.select([c for c in census.names if c != "occ3"]).columns
+                + (numeric_column("income", income * scale),)
+            )
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_propensity(census_with_income(1, 1e7), census_with_income(2, 1e7))
+        assert fit.converged and fit.iterations <= 8
+        scaled = fit_propensity(census_with_income(1, 1e5), census_with_income(2, 1e5))
+        assert fit.pmse == pytest.approx(scaled.pmse, rel=1e-9)
+
 
 class TestUGen:
     def test_null_replicates_ratio_centers_on_one(self):
@@ -431,6 +453,17 @@ class TestDiagnose:
             assert len(terms) >= 1
 
 
+def _without_widowed(pair):
+    """The pair with every 'Widowed' original recoded 'Single': a level
+    only the synthetic side has."""
+    orig, syn = pair
+    mar = orig.column("mar")
+    widowed = mar.kind.levels.index("Widowed")
+    assert np.any(syn.column("mar").values == widowed)
+    values = np.where(mar.values == widowed, mar.kind.levels.index("Single"), mar.values)
+    return orig.with_column(Column("mar", mar.kind, values)), syn
+
+
 class TestUtilityReport:
     def test_report_structure(self, census_pair):
         orig, syn = census_pair
@@ -449,6 +482,29 @@ class TestUtilityReport:
         assert doc["u_gen"]["statistic"] == pytest.approx(
             doc["tables"][0]["u_tab"], rel=1e-9
         )
+
+    @pytest.mark.parametrize("model", ["main_effects", "interactions", "table_saturated"])
+    def test_synthetic_level_the_original_lacks(self, census_pair, model):
+        orig, syn = _without_widowed(census_pair)
+        with warnings.catch_warnings():
+            # the level is synthetic-only, so it separates the two sets
+            warnings.simplefilter("ignore")
+            doc = utility_report(orig, syn, tables=[("mar", "age")], model=model)
+        assert doc["u_gen"]["df"] >= 1 and np.isfinite(doc["u_gen"]["statistic"])
+        assert 0.0 <= doc["u_gen"]["pmse"] <= 0.25
+        worst = doc["tables"][0]["worst_cells"]
+        assert any(c["levels"][0] == "Widowed" and c["y"] == 0 < c["s"] for c in worst)
+
+    def test_compare_with_a_synthetic_level_the_original_lacks(self, census_pair):
+        orig, syn = _without_widowed(census_pair)
+        mar = compare_univariate(orig, syn).comparisons["mar"]
+        widowed = mar.levels.index("Widowed")
+        assert mar.prop_original[widowed] == 0 < mar.prop_synthetic[widowed]
+        bi = compare_bivariate(orig, syn, "mar", "sex")
+        assert np.all(bi.pct_original[:, widowed] == 0)
+        assert np.all(bi.pct_synthetic[:, widowed] > 0)
+        eq = equivalence_check(orig, syn, ("mar", "sex"))
+        assert eq.relative_gap <= 1e-8
 
     def test_unknown_model_rejected(self, census_pair):
         orig, syn = census_pair
