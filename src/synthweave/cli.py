@@ -20,7 +20,7 @@ from .engine import run_report, synthesize
 from .errors import DataError, MethodError, PlanError, SynthweaveError, UtilityError
 from .plan import plan_errors, plan_from_json, validate_plan
 from .sdc import apply_sdc, sdc_from_json, stamp_synthetic
-from .tabular import Categorical, Dataset, Numeric, read_csv, write_csv
+from .tabular import Categorical, Dataset, Numeric, _rewritten, read_csv, write_csv
 from .toycensus import ToyCensusSpec, generate_toy_census, true_model
 from .utility import compare_bivariate, compare_univariate, utility_report
 
@@ -47,7 +47,8 @@ def load_schema(path: str | Path) -> dict:
 def _write_json(doc: dict, path: str | None) -> None:
     text = json.dumps(doc, indent=2) + "\n"
     if path:
-        Path(path).write_text(text, encoding="utf-8")
+        with _rewritten(path) as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 

@@ -24,7 +24,7 @@ from typing import ClassVar, Mapping, Sequence, Union
 
 from . import models
 from .errors import PlanError
-from .tabular import Categorical, Column, Dataset, Numeric, VariableKind
+from .tabular import Categorical, Column, Dataset, Numeric, VariableKind, _rewritten
 
 # Categorical variables above this many levels trigger grouping / ordering
 # warnings.  Chosen between the level counts that were workable (<= 29) and
@@ -596,7 +596,7 @@ def load_plan(path: str | Path) -> SynthesisPlan:
 
 
 def save_plan(plan: SynthesisPlan, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
+    with _rewritten(path) as fh:
         json.dump(plan_to_json(plan), fh, indent=2)
         fh.write("\n")
 

@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import stat
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -348,8 +351,46 @@ def _numeric_cells(path: Path, colname: str, cells: list[str], missing_token: st
     return Column(colname, Numeric(), _indexed(lookup, cells, np.float64))
 
 
+@contextmanager
+def _rewritten(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
+    """Open ``path`` to write UTF-8 text over its old content in place.
+
+    The file is opened with ``O_WRONLY | O_CREAT`` and no ``O_TRUNC``, so the
+    same inode is written: its mode, owner and hard links are kept, a
+    symlink is followed, and a new file gets ``0o666 & ~umask``.  When the
+    block exits, normally or by an exception (``KeyboardInterrupt``
+    included), a regular file is cut at the final offset, so it holds
+    exactly what was written; a pipe or device is only written.
+
+    Truncating on open would make ext4 (with its default ``auto_da_alloc``)
+    start writeback at close, and the next truncation of the same file,
+    such as the next run writing the same ``--out``, would wait in the
+    kernel until that writeback ends.  Writing a temporary file and
+    renaming it over the target sets off the same heuristic.
+
+    Nothing is fsynced.  A hard kill or power loss before the cut can
+    leave the old file's tail after the new bytes; truncating first would
+    leave only the new prefix.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8", newline=newline) as fh:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        try:
+            yield fh
+            fh.flush()
+        finally:
+            if regular:
+                # what is still buffered after an exception is written at
+                # this offset when the file closes, as it would have been
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+
+
 def write_csv(data: Dataset, path: str | Path, missing_token: str = "NA") -> None:
     """Write a Dataset as UTF-8 CSV; round-trips through read_csv exactly.
+
+    An existing file is rewritten in place (see ``_rewritten``): its mode,
+    hard links and symlinks are kept, and it ends up holding exactly the
+    new bytes.
 
     Text the reader would take apart is refused with a ``DataError``: a
     carriage return in a column name or level (the writer does not quote
@@ -369,7 +410,7 @@ def write_csv(data: Dataset, path: str | Path, missing_token: str = "NA") -> Non
             f"with '#' reads back as a comment"
         )
     try:
-        with path.open("w", newline="", encoding="utf-8") as fh:
+        with _rewritten(path, newline="") as fh:
             if data.label is not None:
                 fh.write(f"# SYNTHETIC DATA: {data.label}\n")
             writer = csv.writer(fh, lineterminator="\n")

@@ -23,6 +23,7 @@ import warnings as _warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 from scipy.special import gammaincc
 
 from .design import INTERCEPT, build_design
@@ -367,7 +368,10 @@ def fit_propensity(
             c=c,
             n_combined=N,
             n_params=len(res.kept),
-            warnings=tuple(design.notes) + tuple(res.notes),
+            warnings=(
+                tuple(design.notes) + tuple(res.notes)
+                + _one_sided_terms(X, y, res.kept, design.labels)
+            ),
             iterations=res.iterations,
             converged=res.converged,
             gradient_norm=res.final_gradient_norm,
@@ -379,6 +383,30 @@ def fit_propensity(
         return _saturated_fit(cross_tabulate(original, synthetic, variables, numeric_breaks))
 
     raise UtilityError(f"unknown propensity model {model!r}")
+
+
+def _one_sided_terms(
+    X: scipy.sparse.csr_array, y: np.ndarray, kept: np.ndarray, labels
+) -> tuple[str, ...]:
+    """One warning naming the kept terms whose nonzero rows all come from
+    one side (quasi-separation), or none.  The solver stops on a small
+    score while such a coefficient is still running off, so it converges
+    without a warning, but the coefficient and its standard error mean
+    nothing."""
+    nonzero = scipy.sparse.csr_array((X.data != 0, X.indices, X.indptr), shape=X.shape)
+    rows = (nonzero.T @ np.column_stack([1.0 - y, y]))[kept]
+    sides = [
+        f"{side} only: " + ", ".join(labels[j] for j in kept[rows[:, other] == 0])
+        for side, other in (("original", 1), ("synthetic", 0))
+        if (rows[:, other] == 0).any()
+    ]
+    if not sides:
+        return ()
+    return (
+        f"quasi-separation: {int((rows == 0).any(axis=1).sum())} propensity terms have "
+        f"rows on one side only, so their coefficients and standard errors are "
+        f"not meaningful ({'; '.join(sides)})",
+    )
 
 
 def _saturated_fit(table: CellTable) -> PropensityFit:

@@ -141,6 +141,42 @@ class TestSynth:
             assert rc == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_rerun_to_one_out_gives_the_fresh_bytes(self, toy_files, tmp_path):
+        # seed 6 writes a longer file than seed 2; rewriting it in place
+        # must leave no tail of it, and a report over a longer file must
+        # still read back
+        root, data, schema, plan = toy_files
+        out, fresh, report = tmp_path / "syn.csv", tmp_path / "fresh.csv", tmp_path / "r.json"
+        report.write_text("{}" + " " * 100_000 + "x")
+
+        def synth(seed, path):
+            return main(
+                [
+                    "synth", "--data", str(data), "--schema", str(schema), "--plan", str(plan),
+                    "--out", str(path), "--seed", seed, "--report", str(report),
+                ]
+            )
+
+        assert synth("6", out) == 0
+        longer = out.stat().st_size
+        assert synth("2", out) == 0 and synth("2", fresh) == 0
+        assert longer > fresh.stat().st_size
+        assert out.read_bytes() == fresh.read_bytes()
+        assert json.loads(report.read_text())["output"] == str(fresh)
+
+    def test_directory_as_out_exit_1(self, toy_files, tmp_path, capsys):
+        root, data, schema, plan = toy_files
+        rc = main(
+            [
+                "synth", "--data", str(data), "--schema", str(schema),
+                "--plan", str(plan), "--out", str(tmp_path),
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ")
+        assert len(err.splitlines()) == 1
+
     def test_env_seed_fallback(self, toy_files, tmp_path, monkeypatch):
         root, data, schema, _ = toy_files
         plan_doc = {

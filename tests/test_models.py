@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 from synthweave import (
     Dataset,
@@ -96,6 +97,41 @@ class TestNormRank:
         fit = fit_normrank(numeric_column("y", y), None)
         draws = fit.sample(None, np.random.default_rng(15), 20_000)
         assert abs((draws == 1.0).mean() - expected_p1) < 0.02
+
+
+@st.composite
+def _normrank_cases(draw):
+    """A NormRank target of 1-200 rows: small integers (many ties), one
+    constant, heavy-tailed Cauchy draws or arbitrary floats; with or without
+    a numeric predictor."""
+    n = draw(st.integers(1, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["ties", "constant", "cauchy", "floats"]))
+    if shape == "ties":
+        y = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    elif shape == "constant":
+        y = [draw(st.floats(-1e9, 1e9))] * n
+    elif shape == "cauchy":
+        y = rng.standard_cauchy(n) * 10.0 ** draw(st.integers(-3, 12))
+    else:
+        y = draw(st.lists(st.floats(-1e15, 1e15), min_size=n, max_size=n))
+    x = rng.normal(size=n) if draw(st.booleans()) else None
+    return np.asarray(y, dtype=np.float64), x, rng
+
+
+class TestNormRankRange:
+    @settings(max_examples=60, deadline=None)
+    @given(_normrank_cases())
+    def test_draws_stay_in_observed_range(self, case):
+        y, x, rng = case
+        predictors = None if x is None else Dataset((numeric_column("x", x),))
+        fit = fit_normrank(numeric_column("y", y), predictors)
+        m = 300
+        # new predictor values well outside the fitted ones push z to the tails
+        new = None if x is None else Dataset((numeric_column("x", rng.normal(size=m) * 10),))
+        draws = fit.sample(new, rng, m)
+        assert draws.shape == (m,)
+        assert np.all((draws >= y.min()) & (draws <= y.max()))
 
 
 class TestTransformNormal:

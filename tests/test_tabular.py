@@ -1,5 +1,7 @@
 import csv
 import math
+import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -8,15 +10,21 @@ from hypothesis import given, settings, strategies as st
 
 from synthweave import (
     Categorical,
+    Cart,
     Column,
     DataError,
     Dataset,
     Numeric,
     categorical_column,
+    Sample,
+    SynthesisPlan,
+    load_plan,
     numeric_column,
     read_csv,
+    save_plan,
     write_csv,
 )
+from synthweave import tabular
 from synthweave.tabular import _formatted, _rendered, _resolve_kind
 
 
@@ -132,6 +140,105 @@ class TestCsvRoundTrip:
         path = tmp_path / "l.csv"
         write_csv(d, path)
         assert path.read_text().startswith("# SYNTHETIC DATA: demo run\n")
+
+
+class TestRewriteInPlace:
+    """Every writer rewrites an existing file in place and cuts it to the
+    new length: the same inode, mode and links, no tail of the old file."""
+
+    @staticmethod
+    def fresh_bytes(data, tmp_path):
+        path = tmp_path / "fresh.csv"
+        write_csv(data, path)
+        return path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "old", [b"x" * 10_000 + b"\n", b"a\n", b""], ids=["longer", "shorter", "empty"]
+    )
+    def test_old_content_longer_or_shorter(self, tmp_path, old):
+        d = toy_dataset().with_label("demo")
+        path = tmp_path / "out.csv"
+        path.write_bytes(old)
+        write_csv(d, path)
+        assert path.read_bytes() == self.fresh_bytes(d, tmp_path)
+
+    def test_inode_mode_and_hard_link_kept(self, tmp_path):
+        d = toy_dataset()
+        path, link = tmp_path / "out.csv", tmp_path / "link.csv"
+        path.write_bytes(b"old,content\n" * 1000)
+        path.chmod(0o600)
+        os.link(path, link)
+        inode = path.stat().st_ino
+        write_csv(d, path)
+        assert path.stat().st_ino == inode
+        assert path.stat().st_mode & 0o777 == 0o600
+        assert link.read_bytes() == path.read_bytes() == self.fresh_bytes(d, tmp_path)
+
+    def test_symlink_kept_and_target_updated(self, tmp_path):
+        d = toy_dataset()
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_bytes(b"old\n" * 1000)
+        link.symlink_to(target)
+        write_csv(d, link)
+        assert link.is_symlink()
+        assert target.read_bytes() == self.fresh_bytes(d, tmp_path)
+
+    def test_new_file_mode_follows_umask(self, tmp_path):
+        old_mask = os.umask(0o027)
+        try:
+            write_csv(toy_dataset(), tmp_path / "new.csv")
+        finally:
+            os.umask(old_mask)
+        assert (tmp_path / "new.csv").stat().st_mode & 0o777 == 0o640
+
+    def test_character_device_written_not_cut(self):
+        plan = SynthesisPlan(("color", "x"), {"color": Sample(), "x": Cart()})
+        write_csv(toy_dataset(), os.devnull)
+        save_plan(plan, os.devnull)
+
+    def test_fifo_gets_exactly_the_bytes(self, tmp_path):
+        d = toy_dataset()
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        write_csv(d, fifo)
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert got == [self.fresh_bytes(d, tmp_path)]
+
+    def test_directory_is_a_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="cannot write"):
+            write_csv(toy_dataset(), tmp_path)
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_error_mid_write_leaves_what_was_written(self, tmp_path, monkeypatch, error):
+        # the columns are rendered after the stamp and header are written;
+        # failing on the second leaves exactly those, as truncating would
+        d = toy_dataset().with_label("demo")
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"old,content\n" * 1000)
+        real = tabular._rendered
+
+        def rendered(col, missing_token):
+            if col.name == "x":
+                raise error("stop")
+            return real(col, missing_token)
+
+        monkeypatch.setattr(tabular, "_rendered", rendered)
+        with pytest.raises(error):
+            write_csv(d, path)
+        assert path.read_bytes() == b"# SYNTHETIC DATA: demo\ncolor,x\n"
+
+    def test_plan_saved_over_a_longer_file(self, tmp_path):
+        plan = SynthesisPlan(("color", "x"), {"color": Sample(), "x": Cart()}, seed=3)
+        fresh, path = tmp_path / "fresh.json", tmp_path / "plan.json"
+        save_plan(plan, fresh)
+        path.write_bytes(b" " * 10_000)
+        save_plan(plan, path)
+        assert path.read_bytes() == fresh.read_bytes()
+        assert load_plan(path) == plan
 
 
 class TestReadCsvErrors:

@@ -312,6 +312,36 @@ class TestFitPropensity:
         scaled = fit_propensity(census_with_income(1, 1e5), census_with_income(2, 1e5))
         assert fit.pmse == pytest.approx(scaled.pmse, rel=1e-9)
 
+    @pytest.mark.parametrize("model", ["main_effects", "interactions"])
+    def test_terms_seen_on_one_side_are_named(self, model):
+        # two 2,000-row censuses: 45 occ3 levels occur in one of them only,
+        # so their coefficients run off (about 20, standard errors in the
+        # thousands) while the solver converges on a small score
+        a = generate_toy_census(ToyCensusSpec(n_rows=2000, seed=1))
+        b = generate_toy_census(ToyCensusSpec(n_rows=2000, seed=2))
+        fit = fit_propensity(a, b, model)
+        notes = [w for w in fit.warnings if w.startswith("quasi-separation")]
+        assert len(notes) == 1
+        in_a, in_b = set(a.column("occ3").decoded()), set(b.column("occ3").decoded())
+        kept = set(fit.terms)
+        only_a = {f"occ3={lv}" for lv in in_a - in_b} & kept
+        only_b = {f"occ3={lv}" for lv in in_b - in_a} & kept
+        assert len(only_a | only_b) == 45
+        original, synthetic = notes[0].rstrip(")").split("(original only: ")[1].split("; synthetic only: ")
+        assert set(original.split(", ")) == only_a
+        assert set(synthetic.split(", ")) == only_b
+        assert notes[0].startswith("quasi-separation: 45 propensity terms ")
+        if model == "main_effects":
+            ug = u_gen(fit)
+            assert (fit.iterations, ug.df) == (20, 197)
+            assert ug.statistic == pytest.approx(447.2602557254583, rel=1e-9)
+
+    def test_no_one_sided_terms_no_note(self, census_pair):
+        orig, syn = census_pair
+        for model in ("main_effects", "interactions"):
+            fit = fit_propensity(orig, syn, model)
+            assert not any(w.startswith("quasi-separation") for w in fit.warnings)
+
 
 class TestUGen:
     def test_null_replicates_ratio_centers_on_one(self):
