@@ -208,10 +208,6 @@ class TestRewriteInPlace:
         assert not reader.is_alive()
         assert got == [self.fresh_bytes(d, tmp_path)]
 
-    def test_directory_is_a_data_error(self, tmp_path):
-        with pytest.raises(DataError, match="cannot write"):
-            write_csv(toy_dataset(), tmp_path)
-
     @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
     def test_error_mid_write_leaves_what_was_written(self, tmp_path, monkeypatch, error):
         # the columns are rendered after the stamp and header are written;
