@@ -79,7 +79,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import MethodError
-from .tabular import Categorical, Column, Dataset, Numeric, VariableKind
+from .tabular import Categorical, Column, Dataset, Numeric, VariableKind, distinct_cells
 
 MAX_EXHAUSTIVE_LEVELS = 12
 # elements per block of batched candidate sums, to bound memory on many-node depths
@@ -460,27 +460,6 @@ def _depth_first_numbering(split_of, left_of, right_of):
     return tuple(nodes), leaf_id
 
 
-def _distinct_cells(codes, n: int):
-    """(cell of each row, first row of each cell) for rows that agree on
-    every code column.
-
-    ``codes`` holds (codes, number of codes) pairs.  The mixed-radix key is
-    renumbered to 0..cells-1 (fewer than the rows) whenever the next column
-    could push it past 2**62, so it stays inside int64 however many columns
-    there are, as long as rows times one column's codes do.
-    """
-    key = np.zeros(n, dtype=np.int64)
-    bound = 1
-    for code, n_codes in codes:
-        if bound * n_codes > 1 << 62:
-            distinct, key = np.unique(key, return_inverse=True)
-            bound = distinct.size
-        key = key * n_codes + code
-        bound *= n_codes
-    _, first, cell = np.unique(key, return_index=True, return_inverse=True)
-    return cell, first
-
-
 def fit_cart(
     target: Column,
     predictors: Dataset | None,
@@ -526,7 +505,7 @@ def fit_cart(
             else:
                 distinct, code = np.unique(values, return_inverse=True)
                 cell_codes.append((code, distinct.size))
-        unit_of, first = _distinct_cells(cell_codes, n)
+        unit_of, first = distinct_cells(cell_codes, n)
         tu = t[first]
         unit_cols = [(name, is_cat, values[first], k) for name, is_cat, values, k in pred_cols]
     else:
@@ -735,7 +714,7 @@ def route_rows(tree: CartTree, new_predictors: Dataset | None, n_rows: int | Non
             interval = np.searchsorted(cuts, column.values)
             interval[np.isnan(column.values)] = cuts.size + 1
             cell_codes.append((interval, cuts.size + 2))
-    cell_of, first = _distinct_cells(cell_codes, n)
+    cell_of, first = distinct_cells(cell_codes, n)
     cell_values = [column.values[first] for column in columns]
 
     leaf_of = np.empty(first.size, dtype=np.int64)

@@ -178,6 +178,9 @@ def cmd_utility(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    if args.bins < 2:
+        print(f"error: --bins must be >= 2, got {args.bins}", file=sys.stderr)
+        return 2
     original, synthetic, read_s = _load_pair(args)
     pairs = _parse_tables(args.pairs)
     for pair in pairs:

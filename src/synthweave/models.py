@@ -20,7 +20,7 @@ from scipy.special import ndtr, ndtri
 from . import cart as _cart
 from .design import Design, Gram, build_design, drop_aliased
 from .errors import MethodError
-from .tabular import Categorical, Column, Dataset, Numeric
+from .tabular import Categorical, Column, Dataset, Numeric, distinct_cells
 
 COEF_CAP = 30.0  # linear-scale magnitude cap under separation
 MISSING_INDICATOR = Categorical(("present", "missing"))
@@ -530,15 +530,18 @@ def fit_nested(target: Column, group: Column) -> NestedFit:
     counts = np.bincount(g, minlength=n_groups)
     offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
     notes = []
-    spans = {}
-    for lvl_code in np.unique(t):
-        groups_of = np.unique(g[t == lvl_code])
-        if len(groups_of) > 1:
-            spans[target.kind.levels[int(lvl_code)]] = len(groups_of)
+    # the number of groups each target level is seen in: one per distinct
+    # (level, group) cell of the rows
+    levels = target.kind.levels
+    _, first = distinct_cells([(t, len(levels)), (g, n_groups)], len(t))
+    n_groups_of = np.bincount(t[first], minlength=len(levels))
+    spans = sorted(
+        (levels[i], int(n_groups_of[i])) for i in np.flatnonzero(n_groups_of > 1)
+    )
     if spans:
         msg = (
             "nesting does not hold: level(s) observed in multiple groups: "
-            + ", ".join(f"{lv} ({k} groups)" for lv, k in sorted(spans.items()))
+            + ", ".join(f"{lv} ({k} groups)" for lv, k in spans)
         )
         notes.append(msg)
         _warnings.warn(msg)

@@ -8,7 +8,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .errors import DataError
-from .tabular import Categorical, Column, Dataset, Numeric
+from .tabular import Categorical, Column, Dataset, Numeric, distinct_cells
 
 
 # the one bit pattern every missing number is matched as
@@ -79,18 +79,16 @@ def remove_replicated_uniques(
     for k in keys:
         if k not in original or k not in synthetic:
             raise DataError(f"key column {k!r} missing from a dataset")
-    # one integer per row of both datasets, equal where the key-tuples are;
-    # renumbered densely after each key, so it stays below the row count
+    # one cell per key-tuple over the rows of both datasets
     n_orig = original.n_rows
-    row_key = np.zeros(n_orig + synthetic.n_rows, dtype=np.int64)
+    codes = []
     for k in keys:
         a, b, n_codes = _joint_codes(original.column(k), synthetic.column(k))
-        distinct, row_key = np.unique(
-            row_key * n_codes + np.concatenate([a, b]), return_inverse=True
-        )
-    orig_counts = np.bincount(row_key[:n_orig], minlength=len(distinct))
+        codes.append((np.concatenate([a, b]), n_codes))
+    row_key, first = distinct_cells(codes, n_orig + synthetic.n_rows)
+    orig_counts = np.bincount(row_key[:n_orig], minlength=first.size)
     syn_key = row_key[n_orig:]
-    syn_counts = np.bincount(syn_key, minlength=len(distinct))
+    syn_counts = np.bincount(syn_key, minlength=first.size)
     drop = (orig_counts[syn_key] == 1) & (syn_counts[syn_key] == 1)
     removed = int(drop.sum())
     if removed == 0:

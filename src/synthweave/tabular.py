@@ -201,6 +201,27 @@ class Dataset:
         return {c.name: c.kind for c in self.columns}
 
 
+def distinct_cells(codes, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(cell of each row, first row of each cell) for ``n`` rows grouped by
+    agreement on every code column; cells are numbered in key order.
+
+    ``codes`` holds (codes, number of codes) pairs.  The mixed-radix key is
+    renumbered to 0..cells-1 (fewer than the rows) whenever the next column
+    could push it past 2**62, so it stays inside int64 however many columns
+    there are, as long as rows times one column's codes do.
+    """
+    key = np.zeros(n, dtype=np.int64)
+    bound = 1
+    for code, n_codes in codes:
+        if bound * n_codes > 1 << 62:
+            distinct, key = np.unique(key, return_inverse=True)
+            bound = distinct.size
+        key = key * n_codes + code
+        bound *= n_codes
+    _, first, cell = np.unique(key, return_index=True, return_inverse=True)
+    return cell, first
+
+
 def _indexed(lookup: Mapping[str, float | int], cells: list[str], dtype) -> np.ndarray:
     """``lookup[cell]`` for every cell, as an array; a cell not in ``lookup``
     raises ``KeyError``."""

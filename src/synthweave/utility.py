@@ -7,17 +7,17 @@ y_i + s_i > 0, with df one less than the number of such cells.  U_gen is
 table-saturated design the two are algebraically identical, and
 ``equivalence_check`` enforces that identity to 1e-8 relative.
 
-A ``CellTable`` holds the two count vectors over the full product of the
-per-variable cell labels, as arrays; the statistics, the saturated fit and
-``worst_cells`` read those arrays and build label strings only for the cells
+A ``CellTable`` is built from counts only: the per-variable cell labels and
+the two count vectors over the row-major product of those labels.
+``cross_tabulate`` is the one place rows become cells; ``compare_bivariate``
+reshapes its two-way table, and the statistics, the saturated fit and
+``worst_cells`` read the arrays and build label strings only for the cells
 they report.  ``equivalence_check`` cross-tabulates once and fits the
 saturated model on that same table.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 import warnings as _warnings
 from dataclasses import dataclass, field
@@ -59,13 +59,6 @@ class UtilityStat:
 # Cross-tabulation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Cell:
-    levels: tuple[str, ...]
-    y: int
-    s: int
-
-
 class CellTable:
     """Original and synthetic counts over every combination of cell labels.
 
@@ -73,56 +66,31 @@ class CellTable:
     are read-only int64 count vectors over the row-major product of those
     labels (the last variable varies fastest), empty cells included, so
     ``k`` is the size of the full product and ``shape`` the number of labels
-    of each variable.  The per-cell view ``cells`` is
-    built on first access; ``cross_tabulate`` and the statistics never need
-    it.
-
-    ``CellTable(variables, cells)`` builds the same arrays from hand-made
-    ``Cell``s: each variable's labels in order of first appearance, and any
-    combination the cells do not list counted as an empty cell.
+    of each variable.  A cell's labels are read back with
+    ``np.unravel_index(i, table.shape)``.
     """
 
-    def __init__(self, variables, cells):
+    def __init__(self, variables, labels, y, s):
         variables = tuple(variables)
-        cells = tuple(cells)
-        code_of: list[dict[str, int]] = [{} for _ in variables]
-        for cell in cells:
-            if len(cell.levels) != len(variables):
-                raise UtilityError(
-                    f"cell {cell.levels!r} does not have one level per variable {variables!r}"
-                )
-            for codes, level in zip(code_of, cell.levels):
-                codes.setdefault(level, len(codes))
-        flat = np.zeros(len(cells), dtype=np.int64)
-        for d, codes in enumerate(code_of):
-            flat = flat * len(codes) + np.array(
-                [codes[cell.levels[d]] for cell in cells], dtype=np.int64
-            )
-        if np.unique(flat).size != flat.size:
-            raise UtilityError("cells must have distinct levels")
-        k = math.prod(len(codes) for codes in code_of)
-        y = np.zeros(k, dtype=np.int64)
-        s = np.zeros(k, dtype=np.int64)
-        y[flat] = [cell.y for cell in cells]
-        s[flat] = [cell.s for cell in cells]
-        self._set(variables, tuple(tuple(codes) for codes in code_of), y, s)
-
-    @classmethod
-    def _of_counts(cls, variables, labels, y, s) -> "CellTable":
-        table = cls.__new__(cls)
-        table._set(variables, labels, y, s)
-        return table
-
-    def _set(self, variables, labels, y, s) -> None:
+        labels = tuple(tuple(lv) for lv in labels)
         if not variables:
             raise UtilityError("a cell table needs at least one variable")
+        if len(labels) != len(variables):
+            raise UtilityError(
+                f"{len(labels)} label tuples for {len(variables)} variables {variables!r}"
+            )
         self.variables: tuple[str, ...] = variables
         self.labels: tuple[tuple[str, ...], ...] = labels
         self.shape = tuple(len(lv) for lv in labels)
-        for counts in (y, s):
+        k = math.prod(self.shape)
+        self.y: np.ndarray = np.array(y, dtype=np.int64)
+        self.s: np.ndarray = np.array(s, dtype=np.int64)
+        for name, counts in (("y", self.y), ("s", self.s)):
+            if counts.shape != (k,):
+                raise UtilityError(
+                    f"{name} has shape {counts.shape}, not ({k},) for labels of sizes {self.shape}"
+                )
             counts.setflags(write=False)
-        self.y: np.ndarray = y
-        self.s: np.ndarray = s
 
     @property
     def k(self) -> int:
@@ -134,15 +102,6 @@ class CellTable:
 
     def counts(self) -> tuple[np.ndarray, np.ndarray]:
         return self.y.astype(np.float64), self.s.astype(np.float64)
-
-    @functools.cached_property
-    def cells(self) -> tuple[Cell, ...]:
-        return tuple(
-            Cell(levels, y, s)
-            for levels, y, s in zip(
-                itertools.product(*self.labels), self.y.tolist(), self.s.tolist()
-            )
-        )
 
 
 MAX_TABLE_CELLS = 100_000
@@ -181,9 +140,15 @@ def _cell_codes(
     if obs.size == 0:
         raise UtilityError(f"column {orig.name!r} has no observed numeric values")
     if breaks is None:
+        if n_bins < 2:
+            raise UtilityError(f"column {orig.name!r}: n_bins must be >= 2, got {n_bins}")
         qs = np.quantile(obs, [i / n_bins for i in range(1, n_bins)])
     else:
         qs = np.asarray(breaks, dtype=np.float64)
+        if qs.size == 0 or not np.isfinite(qs).all():
+            raise UtilityError(
+                f"column {orig.name!r}: breaks must be non-empty and finite, got {qs.tolist()!r}"
+            )
     qs = np.unique(qs)
     labels = _bin_labels(qs)
     has_na = bool(np.isnan(orig.values).any() or np.isnan(syn.values).any())
@@ -209,30 +174,28 @@ def cross_tabulate(
 ) -> CellTable:
     """Aligned original/synthetic counts over the cross product of cells."""
     variables = tuple(variables)
+    if not variables:
+        raise UtilityError("a cell table needs at least one variable")
     for v in variables:
         if v not in original or v not in synthetic:
             raise UtilityError(f"variable {v!r} absent from one of the datasets")
-    per_var = []
-    sizes = []
-    for v in variables:
-        brk = numeric_breaks.get(v) if numeric_breaks else None
-        co, cs, labels = _cell_codes(
-            original.column(v), synthetic.column(v), brk, n_bins
+    per_var = [
+        _cell_codes(
+            original.column(v), synthetic.column(v),
+            numeric_breaks.get(v) if numeric_breaks else None, n_bins,
         )
-        per_var.append((co, cs, labels))
-        sizes.append(len(labels))
-    k_total = math.prod(sizes)
+        for v in variables
+    ]
+    shape = tuple(len(lv) for _, _, lv in per_var)
+    k_total = math.prod(shape)
     if k_total > MAX_TABLE_CELLS:
         raise UtilityError(f"table would have {k_total} cells (cap {MAX_TABLE_CELLS})")
-
-    flat_o = np.zeros(original.n_rows, dtype=np.int64)
-    flat_s = np.zeros(synthetic.n_rows, dtype=np.int64)
-    for (co, cs, labels), size in zip(per_var, sizes):
-        flat_o = flat_o * size + co
-        flat_s = flat_s * size + cs
-    return CellTable._of_counts(
+    # row-major cell index over the full product, the layout of CellTable
+    flat_o = np.ravel_multi_index([co for co, _, _ in per_var], shape)
+    flat_s = np.ravel_multi_index([cs for _, cs, _ in per_var], shape)
+    return CellTable(
         variables,
-        tuple(tuple(labels) for _, _, labels in per_var),
+        [lv for _, _, lv in per_var],
         np.bincount(flat_o, minlength=k_total),
         np.bincount(flat_s, minlength=k_total),
     )
@@ -612,27 +575,20 @@ def compare_bivariate(
     n_bins: int = 5,
 ) -> BivariateComparison:
     """Tables like percent-married by age band, original next to synthetic."""
-    ci_o, ci_s, inner_labels = _cell_codes(
-        original.column(inner), synthetic.column(inner),
-        numeric_breaks.get(inner) if numeric_breaks else None, n_bins,
-    )
-    cb_o, cb_s, band_labels = _cell_codes(
-        original.column(by), synthetic.column(by),
-        numeric_breaks.get(by) if numeric_breaks else None, n_bins,
-    )
-    nb, nl = len(band_labels), len(inner_labels)
+    table = cross_tabulate(original, synthetic, (by, inner), numeric_breaks, n_bins)
 
-    def pct(cb, ci):
-        counts = np.bincount(cb * nl + ci, minlength=nb * nl).reshape(nb, nl).astype(float)
+    def pct(counts):
+        counts = counts.reshape(table.shape).astype(float)
         totals = counts.sum(axis=1, keepdims=True)
         with np.errstate(invalid="ignore"):
             return np.where(totals > 0, 100.0 * counts / totals, 0.0)
 
-    po, ps = pct(cb_o, ci_o), pct(cb_s, ci_s)
+    po, ps = pct(table.y), pct(table.s)
+    bands, levels = table.labels
     return BivariateComparison(
         (inner, by),
-        tuple(band_labels),
-        tuple(inner_labels),
+        bands,
+        levels,
         po,
         ps,
         float(np.abs(po - ps).max()),

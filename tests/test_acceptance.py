@@ -28,7 +28,7 @@ import scipy.stats
 
 import synthweave as sw
 from conftest import ACCEPTANCE_LINES
-from synthweave.utility import Cell, CellTable
+from synthweave.utility import CellTable
 
 warnings.filterwarnings("ignore", message=".*did not converge.*")
 warnings.filterwarnings("ignore", message=".*separation.*")
@@ -125,12 +125,7 @@ class TestCriterion2NullCalibration:
         for _ in range(500):
             y = rng.multinomial(n, probs)
             s = rng.multinomial(n, y / n)  # plug-in: bootstrap of the original
-            table = CellTable(
-                ("v",),
-                tuple(
-                    Cell((str(i),), int(y[i]), int(s[i])) for i in range(12)
-                ),
-            )
+            table = CellTable(("v",), [tuple(str(i) for i in range(12))], y, s)
             stat = sw.u_tab(table)
             stats.append(stat.statistic)
             dfs.append(stat.df)

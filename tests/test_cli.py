@@ -540,3 +540,18 @@ class TestCompareCommand:
             ]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize("bins", ["1", "0", "-3"])
+    def test_fewer_than_two_bins_exit_2(self, toy_files, tmp_path, capsys, bins):
+        root, data, schema, _ = toy_files
+        report = tmp_path / "c.json"
+        rc = main(
+            [
+                "compare", "--original", str(data), "--synthetic", str(data),
+                "--schema", str(schema), "--pairs", "mar*age", "--bins", bins,
+                "--report", str(report),
+            ]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: --bins must be >= 2, got {bins}\n"
+        assert not report.exists()

@@ -1,8 +1,10 @@
+import operator
 import warnings
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 from synthweave import (
     Cart,
@@ -24,10 +26,12 @@ from synthweave import (
     cross_tabulate,
     generate_toy_census,
     numeric_column,
+    plan_errors,
     run_report,
     synthesize,
     synthesize_stratified,
     u_tab,
+    validate_plan,
     write_csv,
 )
 from synthweave import engine
@@ -369,6 +373,90 @@ class TestRandomPlans:
                 equivalence_check(o, run.synthetic, pick)
                 ran += 1
         assert ran >= 15
+
+
+_PLAN_DATA = generate_toy_census(ToyCensusSpec(n_rows=240, seed=17)).select(
+    ["region", "sex", "age", "mar", "occ1", "pperroom"]
+)
+_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+@st.composite
+def _valid_plans(draw):
+    """A plan over ``_PLAN_DATA``: a random visit order, a method per later
+    column drawn from those its kind allows, a random subset of the preceding columns
+    as predictors, and 0-2 rules on distinct targets.  A rule's condition is
+    one or two atoms over earlier columns, each holding on at most about half
+    the rows, so every fit keeps rows of its own."""
+    data = _PLAN_DATA
+    names = draw(st.permutations(data.names))
+    seq = tuple(names[: draw(st.integers(2, len(names)))])
+    methods, predictors = {}, {}
+    for i, name in enumerate(seq):
+        col = data.column(name)
+        if i == 0:
+            options = [Sample()]  # the first variable has nothing to condition on
+        elif col.is_numeric:
+            transform = draw(st.sampled_from(["identity", "sqrt", "cuberoot"]))
+            options = [Sample(), Cart(), NormRank(), TransformNormal(transform)]
+        else:
+            options = [Sample(), Cart(), Multinomial()]
+            options += [Logit()] if len(col.levels) == 2 else []
+        methods[name] = draw(st.sampled_from(options))
+        predictors[name] = tuple(p for p in seq[:i] if draw(st.booleans()))
+    rules = []
+    for target in draw(st.lists(st.sampled_from(seq[1:]), max_size=2, unique=True)):
+        before = seq[: seq.index(target)]
+        atoms = []
+        for var in draw(st.lists(st.sampled_from(before), min_size=1, max_size=2, unique=True)):
+            col = data.column(var)
+            if col.is_numeric:
+                op = draw(st.sampled_from(sorted(_COMPARE)))
+                low = op.startswith("<")
+                q = draw(st.sampled_from([0.2, 0.35, 0.5] if low else [0.5, 0.65, 0.8]))
+                atoms.append(f"{var} {op} {np.nanquantile(col.values, q):g}")
+            else:
+                atoms.append(f"{var} == {draw(st.sampled_from(col.levels))}")
+        col = data.column(target)
+        value = draw(st.sampled_from([0.5, 2.0] if col.is_numeric else col.levels))
+        rules.append(Rule(target, " and ".join(atoms), value))
+    return SynthesisPlan(seq, methods, predictors, tuple(rules), seed=draw(st.integers(0, 2**31)))
+
+
+def _holds(atom, data):
+    """Rows of ``data`` where one parsed condition atom holds, evaluated on
+    the decoded cells; a missing number satisfies no comparison."""
+    col = data.column(atom.var)
+    if col.is_numeric:
+        return _COMPARE[atom.op](col.values, float(atom.value))
+    return np.array(col.decoded()) == atom.value
+
+
+class TestPlanProperty:
+    # 60 examples of two 240-row syntheses each: under 1 s
+    @settings(max_examples=60, deadline=None)
+    @given(plan=_valid_plans())
+    def test_seeded_plans_give_one_output_and_keep_every_rule(self, plan, tmp_path_factory):
+        assert not plan_errors(validate_plan(plan, _PLAN_DATA))
+        out = tmp_path_factory.getbasetemp() / "plan_property"
+        out.mkdir(exist_ok=True)
+        written = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for run in range(2):
+                synthetic = synthesize(_PLAN_DATA, plan).synthetic
+                write_csv(synthetic, out / f"run{run}.csv")
+                written.append((out / f"run{run}.csv").read_bytes())
+        assert written[0] == written[1]
+        for rule in plan.rules:
+            cond = np.ones(synthetic.n_rows, dtype=bool)
+            for atom in rule.atoms():
+                cond &= _holds(atom, synthetic)
+            target = synthetic.column(rule.target)
+            if target.is_numeric:
+                assert np.all(target.values[cond] == rule.value), rule
+            else:
+                assert np.all(np.array(target.decoded())[cond] == rule.value), rule
 
 
 class TestStratified:

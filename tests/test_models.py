@@ -298,6 +298,27 @@ class TestNested:
         # still group-conditional: only G2's donors {a, c}
         assert set(np.unique(draws)) <= {0, 2}
 
+    def test_non_nested_warning_names_each_level_and_its_group_count(self):
+        # "m" spans 3 groups, "k" and "z" span 2, "b" is nested in G2; the
+        # level table is out of name order, so the text's order is by name
+        levels = ("z", "m", "b", "k")
+        pairs = [
+            ("G1", "m"), ("G2", "m"), ("G3", "m"), ("G1", "m"),
+            ("G1", "z"), ("G3", "z"), ("G3", "z"),
+            ("G2", "k"), ("G3", "k"),
+            ("G2", "b"), ("G2", "b"),
+        ]
+        group = categorical_column("g", [g for g, _ in pairs], ["G1", "G2", "G3"])
+        target = categorical_column("t", [t for _, t in pairs], levels)
+        with pytest.warns(UserWarning) as caught:
+            fit = fit_nested(target, group)
+        expected = (
+            "nesting does not hold: level(s) observed in multiple groups: "
+            "k (2 groups), m (3 groups), z (2 groups)"
+        )
+        assert [str(w.message) for w in caught] == [expected]
+        assert fit.warnings == (expected,)
+
     def test_empty_donor_group_rejected(self):
         group = categorical_column("g", ["G1", "G1"], levels=["G1", "G2"])
         target = categorical_column("t", ["a", "b"])

@@ -1,4 +1,6 @@
+import itertools
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ from synthweave import (
     worst_cells,
 )
 from synthweave.models import COEF_CAP
-from synthweave.utility import Cell, CellTable, _cell_codes
+from synthweave.utility import CellTable, _cell_codes
 
 
 def two_col_pair(y_vals, s_vals, levels=("a", "b")):
@@ -110,27 +112,43 @@ class TestCrossTabulate:
     def test_synthetic_only_combination_retained(self):
         o, s = two_col_pair(["a", "a"], ["a", "b"])
         table = cross_tabulate(o, s, ["v"])
-        cell_b = [c for c in table.cells if c.levels == ("b",)][0]
-        assert cell_b.y == 0 and cell_b.s == 1
+        b = table.labels[0].index("b")
+        assert table.y[b] == 0 and table.s[b] == 1
 
     def test_missing_gets_own_cell(self):
         o = Dataset((numeric_column("x", [1.0, 2.0, np.nan]),))
         s = Dataset((numeric_column("x", [1.5, np.nan, np.nan]),))
         table = cross_tabulate(o, s, ["x"], numeric_breaks={"x": [1.5]})
-        na_cell = [c for c in table.cells if c.levels == ("NA",)][0]
-        assert na_cell.y == 1 and na_cell.s == 2
+        na = table.labels[0].index("NA")
+        assert table.y[na] == 1 and table.s[na] == 2
 
     def test_out_of_range_synthetic_falls_in_extreme_bins(self):
         o = Dataset((numeric_column("x", np.linspace(0, 10, 100)),))
         s = Dataset((numeric_column("x", np.array([-5.0, 15.0])),))
         table = cross_tabulate(o, s, ["x"])
-        first, last = table.cells[0], table.cells[-1]
-        assert first.s == 1 and last.s == 1
+        assert table.s[0] == 1 and table.s[-1] == 1
 
     def test_unknown_variable_rejected(self):
         o, s = two_col_pair(["a"], ["a"])
         with pytest.raises(UtilityError, match="absent"):
             cross_tabulate(o, s, ["nope"])
+        with pytest.raises(UtilityError, match="at least one variable"):
+            cross_tabulate(o, s, [])
+
+    @pytest.mark.parametrize("n_bins", [1, 0, -3])
+    def test_fewer_than_two_bins_rejected(self, n_bins):
+        o = Dataset((numeric_column("x", np.arange(10.0)),))
+        with pytest.raises(UtilityError, match=f"'x': n_bins must be >= 2, got {n_bins}"):
+            cross_tabulate(o, o, ["x"], n_bins=n_bins)
+        pair = Dataset((numeric_column("x", np.arange(10.0)), categorical_column("v", "ab" * 5)))
+        with pytest.raises(UtilityError, match="n_bins must be >= 2"):
+            compare_bivariate(pair, pair, "v", "x", n_bins=n_bins)
+
+    @pytest.mark.parametrize("breaks", [[], [np.nan, 2.0], [1.0, np.inf]])
+    def test_empty_or_non_finite_breaks_rejected(self, breaks):
+        o = Dataset((numeric_column("x", np.arange(10.0)),))
+        with pytest.raises(UtilityError, match="'x': breaks must be non-empty and finite"):
+            cross_tabulate(o, o, ["x"], numeric_breaks={"x": breaks})
 
 
 class TestUTab:
@@ -162,43 +180,44 @@ class TestUTab:
         # follows the original data, so the table is built once)
         orig, syn = census_pair
         table = cross_tabulate(orig, syn, ["mar", "age"])
-        swapped = CellTable(
-            table.variables,
-            tuple(Cell(c.levels, c.s, c.y) for c in table.cells),
-        )
+        swapped = CellTable(table.variables, table.labels, table.s, table.y)
         a, b = u_tab(table), u_tab(swapped)
         assert a.statistic == pytest.approx(b.statistic)
         assert a.df == b.df
 
     def test_invariant_to_cell_ordering(self):
-        cells = (
-            Cell(("a",), 5, 3),
-            Cell(("b",), 2, 4),
-            Cell(("c",), 3, 3),
-        )
-        t1 = CellTable(("v",), cells)
-        t2 = CellTable(("v",), cells[::-1])
+        t1 = CellTable(("v",), [("a", "b", "c")], [5, 2, 3], [3, 4, 3])
+        t2 = CellTable(("v",), [("c", "b", "a")], [3, 2, 5], [3, 4, 3])
         assert u_tab(t1).statistic == pytest.approx(u_tab(t2).statistic)
 
     def test_hand_built_cells_fill_the_product(self):
-        # combinations the cells do not list become empty cells
-        t = CellTable(("a", "b"), (Cell(("x", "u"), 1, 0), Cell(("y", "v"), 0, 2)))
-        assert t.labels == (("x", "y"), ("u", "v"))
-        assert t.k == 4 and t.n_combined == 3
-        y, s = t.counts()
-        assert y.tolist() == [1, 0, 0, 0] and s.tolist() == [0, 0, 0, 2]
-        assert t.cells[1] == Cell(("x", "v"), 0, 0)
+        # the counts run over the row-major product of the labels, the last
+        # variable fastest, and the cells they leave at zero are empty cells
+        y, s = [1, 0, 0, 0], np.array([0, 0, 0, 2])
+        t = CellTable(["a", "b"], [["x", "y"], ("u", "v")], y, s)
+        assert t.variables == ("a", "b") and t.labels == (("x", "y"), ("u", "v"))
+        assert t.shape == (2, 2) and t.k == 4 and t.n_combined == 3
+        assert t.y.dtype == t.s.dtype == np.int64
+        assert t.y.tolist() == [1, 0, 0, 0] and t.s.tolist() == [0, 0, 0, 2]
+        assert [c["levels"] for c in worst_cells(t)] == [["y", "v"], ["x", "u"]]
+        # the table holds read-only copies, so the caller's array stays writable
+        with pytest.raises(ValueError):
+            t.s[0] = 1
+        s[0] = 5
+        assert t.s[0] == 0
 
     def test_malformed_hand_built_cells_rejected(self):
-        with pytest.raises(UtilityError, match="distinct"):
-            CellTable(("v",), (Cell(("a",), 1, 0), Cell(("a",), 0, 1)))
-        with pytest.raises(UtilityError, match="one level per variable"):
-            CellTable(("v", "w"), (Cell(("a",), 1, 0),))
+        with pytest.raises(UtilityError, match="1 label tuples for 2 variables"):
+            CellTable(("v", "w"), [("a", "b")], [1, 0], [0, 1])
+        with pytest.raises(UtilityError, match=r"y has shape \(3,\), not \(4,\)"):
+            CellTable(("v", "w"), [("a", "b"), ("u", "v")], [1, 0, 0], [0, 1, 0, 0])
+        with pytest.raises(UtilityError, match=r"s has shape \(2, 2\), not \(4,\)"):
+            CellTable(("v", "w"), [("a", "b"), ("u", "v")], [1, 0, 0, 0], [[0, 1], [0, 0]])
         with pytest.raises(UtilityError, match="at least one variable"):
-            CellTable((), ())
+            CellTable((), (), [], [])
 
     def test_single_populated_cell_rejected(self):
-        t = CellTable(("v",), (Cell(("a",), 3, 3), Cell(("b",), 0, 0)))
+        t = CellTable(("v",), [("a", "b")], [3, 0], [3, 0])
         with pytest.raises(UtilityError, match="2 populated"):
             u_tab(t)
 
@@ -544,9 +563,25 @@ class TestUtilityReport:
 
 # ---------------------------------------------------------------------------
 # Reference: the per-cell table that CellTable's count arrays replaced.  It
-# builds one Cell per combination of labels, and reads the worst cells and the
-# saturated terms back from those objects.
+# builds one (levels, y, s) cell per combination of labels, and reads the worst
+# cells and the saturated terms back from those cells.
 # ---------------------------------------------------------------------------
+
+class _RefCell(NamedTuple):
+    levels: tuple[str, ...]
+    y: int
+    s: int
+
+
+def _cells_of(table):
+    """The table's cells as reference cells, in its row-major order."""
+    return tuple(
+        _RefCell(levels, y, s)
+        for levels, y, s in zip(
+            itertools.product(*table.labels), table.y.tolist(), table.s.tolist()
+        )
+    )
+
 
 def _reference_cells(original, synthetic, variables, numeric_breaks=None, n_bins=5):
     per_var = []
@@ -569,7 +604,9 @@ def _reference_cells(original, synthetic, variables, numeric_breaks=None, n_bins
     for flat in range(k_total):
         idx = np.unravel_index(flat, sizes)
         cells.append(
-            Cell(tuple(label_lists[d][i] for d, i in enumerate(idx)), int(y[flat]), int(s[flat]))
+            _RefCell(
+                tuple(label_lists[d][i] for d, i in enumerate(idx)), int(y[flat]), int(s[flat])
+            )
         )
     return tuple(cells)
 
@@ -617,6 +654,27 @@ def _reference_saturated(variables, cells, n_synthetic):
         if pop
     )
     return terms, coefs, pmse
+
+
+def _reference_bivariate(original, synthetic, inner, by, numeric_breaks=None, n_bins=5):
+    """(bands, levels, % original, % synthetic) from each variable's own
+    cell codes, banding variable first."""
+    brk = numeric_breaks or {}
+    ci_o, ci_s, inner_labels = _cell_codes(
+        original.column(inner), synthetic.column(inner), brk.get(inner), n_bins
+    )
+    cb_o, cb_s, band_labels = _cell_codes(
+        original.column(by), synthetic.column(by), brk.get(by), n_bins
+    )
+    nb, nl = len(band_labels), len(inner_labels)
+
+    def pct(cb, ci):
+        counts = np.bincount(cb * nl + ci, minlength=nb * nl).reshape(nb, nl).astype(float)
+        totals = counts.sum(axis=1, keepdims=True)
+        with np.errstate(invalid="ignore"):
+            return np.where(totals > 0, 100.0 * counts / totals, 0.0)
+
+    return tuple(band_labels), tuple(inner_labels), pct(cb_o, ci_o), pct(cb_s, ci_s)
 
 
 def _census_five_way():
@@ -670,7 +728,7 @@ class TestMatchesPerCellReference:
         ref = _reference_cells(orig, syn, variables, breaks)
         table = cross_tabulate(orig, syn, variables, numeric_breaks=breaks)
 
-        assert table.cells == ref
+        assert _cells_of(table) == ref
         assert table.k == len(ref)
         for got, want in zip(table.counts(), _reference_counts(ref)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -687,10 +745,26 @@ class TestMatchesPerCellReference:
         assert fit.pmse == pmse
         assert fit.n_params == len(terms)
 
-        # a table rebuilt from its cells holds the same arrays
-        rebuilt = CellTable(table.variables, table.cells)
+        # a table rebuilt from its counts holds the same arrays
+        rebuilt = CellTable(table.variables, table.labels, table.y, table.s)
         assert rebuilt.labels == table.labels
         assert np.array_equal(rebuilt.y, table.y) and np.array_equal(rebuilt.s, table.s)
+
+
+    @pytest.mark.parametrize("n_bins", [3, 5])
+    @pytest.mark.parametrize(
+        "case",
+        [_census_five_way, _numeric_with_missing_cells, _synthetic_out_of_range,
+         _synthetic_only_level],
+    )
+    def test_bivariate_percentages(self, case, n_bins):
+        orig, syn, variables, breaks = case()
+        for inner, by in itertools.product(variables[-2:], repeat=2):
+            bands, levels, po, ps = _reference_bivariate(orig, syn, inner, by, breaks, n_bins)
+            got = compare_bivariate(orig, syn, inner, by, breaks, n_bins)
+            assert (got.bands, got.levels) == (bands, levels)
+            assert np.array_equal(got.pct_original, po) and np.array_equal(got.pct_synthetic, ps)
+            assert got.max_abs_diff == float(np.abs(po - ps).max())
 
 
 @st.composite
