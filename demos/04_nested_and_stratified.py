@@ -54,7 +54,7 @@ strat_plan = sw.SynthesisPlan(
     stratifier="occ1",
     seed=2,
 )
-run_s = sw.synthesize_stratified(small, strat_plan)
+run_s = sw.synthesize(small, strat_plan)
 print(f"\nstratified on occ1: strata {dict(run_s.strata)}")
 orig = small.select(run_s.synthetic.names)
 print("U_tab ratios for occ1 x other variables (all near 1 by construction):")

@@ -10,13 +10,7 @@ equivalence (for saturated tables) are implemented and tested.
 """
 
 from .cart import CartTree, cart_sample, fit_cart
-from .engine import (
-    SynthesisRun,
-    VariableSummary,
-    run_report,
-    synthesize,
-    synthesize_stratified,
-)
+from .engine import SynthesisRun, VariableSummary, run_report, synthesize
 from .errors import (
     DataError,
     MethodError,
@@ -153,7 +147,6 @@ __all__ = [
     "save_plan",
     "stamp_synthetic",
     "synthesize",
-    "synthesize_stratified",
     "true_model",
     "u_gen",
     "u_tab",

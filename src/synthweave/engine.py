@@ -11,7 +11,7 @@ each stratum independently on its own RNG substream.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .models import MISSING_INDICATOR, CartFit, LogitFit, MultinomialFit, Sample
 # fit_logit is unused here, but perfbench/test_perfbench.py checks that the
 # tracer patches it through this module
 from .models import fit_logit  # noqa: F401
-from .plan import Atom, MethodSpec, SynthesisPlan, plan_errors, validate_plan
+from .plan import Atom, MethodSpec, SynthesisPlan, level_code, plan_errors, validate_plan
 from .tabular import Categorical, Column, Dataset, Numeric
 
 
@@ -51,15 +51,8 @@ class SynthesisRun:
     strata: tuple[tuple[str, int], ...] | None = None
 
 
-def _level_code(kind: Categorical, value) -> int:
-    """Map a rule literal onto a level code, tolerating 16.0 vs "16"."""
-    candidates = [str(value)]
-    if isinstance(value, float) and value.is_integer():
-        candidates.append(str(int(value)))
-    for cand in candidates:
-        if cand in kind.levels:
-            return kind.levels.index(cand)
-    raise PlanError(f"{value!r} is not a level of the target")
+# levels of a stratifier with fewer rows are pooled into one stratum
+MIN_STRATUM_ROWS = 100
 
 
 def _eval_atoms(atoms: tuple[Atom, ...], columns: dict[str, Column], n: int) -> np.ndarray:
@@ -67,7 +60,7 @@ def _eval_atoms(atoms: tuple[Atom, ...], columns: dict[str, Column], n: int) -> 
     for atom in atoms:
         col = columns[atom.var]
         if isinstance(col.kind, Categorical):
-            code = _level_code(col.kind, atom.value)
+            code = level_code(atom.var, col.kind, atom.value)
             hit = col.values == code
             mask &= hit if atom.op == "==" else ~hit
         else:
@@ -161,12 +154,13 @@ def _synthesize_stratum(
     n_rows: int | None = None,
     stratum_label: str | None = None,
     fixed: tuple[Column, ...] = (),
-) -> SynthesisRun:
+) -> tuple[tuple[Column, ...], list[VariableSummary], list[str]]:
     """Synthesize one stratum; RNG substreams keyed by (stratum, position).
 
     ``fixed`` columns (a stratum's copied stratifier) are synthetic from the
-    start: nested targets may group by them and rules may test them, but
-    they are not part of the returned table."""
+    start: nested targets may group by them and rules may test them.
+    Returns the synthetic columns (``fixed`` first, then the visit
+    sequence), one summary per variable and the fit warnings."""
     n_out = n_rows if n_rows is not None else original.n_rows
     entropy = plan.seed % (2**63)
     synth: dict[str, Column] = {c.name: c for c in fixed}
@@ -201,7 +195,8 @@ def _synthesize_stratum(
             model = _fit_with_missing(spec, t_fit, orig_preds)
         else:
             model = spec.fit(t_fit, orig_preds)
-        fit_warnings = tuple(model.warnings)
+        # a note shared by the indicator and the value fit is kept once
+        fit_warnings = tuple(dict.fromkeys(model.warnings))
         fitted = time.perf_counter()
 
         values = model.sample(syn_preds, rng, n_out)
@@ -216,7 +211,7 @@ def _synthesize_stratum(
                 cond = _eval_atoms(rule.atoms(), synth, n_out)
                 apply = cond & ~assigned
                 if isinstance(target.kind, Categorical):
-                    values[apply] = _level_code(target.kind, rule.value)
+                    values[apply] = level_code(name, target.kind, rule.value)
                 else:
                     values[apply] = float(rule.value)
                 assigned |= cond
@@ -244,141 +239,94 @@ def _synthesize_stratum(
             )
         )
 
-    synthetic = Dataset(
-        tuple(synth[c] for c in plan.visit_sequence), name=f"{original.name}_synth"
-    )
-    return SynthesisRun(
-        plan=plan,
-        original=original,
-        synthetic=synthetic,
-        summaries=tuple(summaries),
-        warnings=tuple(run_warnings),
-    )
+    return tuple(synth.values()), summaries, run_warnings
 
 
-def _validated(plan: SynthesisPlan, original: Dataset) -> list[str]:
+def synthesize(original: Dataset, plan: SynthesisPlan, n_rows: int | None = None) -> SynthesisRun:
+    """Full synthesis of ``original`` under ``plan``.
+
+    A plan without a stratifier is one stratum of all rows.  A stratified
+    plan synthesizes each level of ``plan.stratifier`` independently, on its
+    own RNG substream, with the stratifier copied verbatim: any table of
+    stratifier by other variables is well fitted by construction, and a
+    nested target may group by it.  Levels below ``MIN_STRATUM_ROWS`` rows
+    are pooled into one stratum labelled ``(other)``, suffixed until no
+    level of the stratifier has that label.
+    """
     if original.n_rows == 0:
         raise DataError("empty dataset")
     diags = validate_plan(plan, original)
     errs = plan_errors(diags)
     if errs:
         raise PlanError("plan invalid: " + "; ".join(d.message for d in errs))
-    return [d.message for d in diags if not d.is_error]
+    run_warnings = [d.message for d in diags if not d.is_error]
 
-
-def synthesize(original: Dataset, plan: SynthesisPlan, n_rows: int | None = None) -> SynthesisRun:
-    """Full synthesis of ``original`` under ``plan`` (stratified if it says so)."""
-    warnings0 = _validated(plan, original)
-    if plan.stratifier is not None:
+    stratifier = plan.stratifier
+    if stratifier is None:
+        sub_plan = plan
+        strata: list[tuple[str | None, np.ndarray | None]] = [(None, None)]
+    else:
         if n_rows is not None:
             raise PlanError(
                 "stratified synthesis fixes the output to the stratum sizes; "
                 "n_rows cannot be overridden"
             )
-        return _synthesize_strata(original, plan, warnings0)
-    run = _synthesize_stratum(original, plan, stratum_index=0, n_rows=n_rows)
-    return SynthesisRun(
-        plan=run.plan,
-        original=run.original,
-        synthetic=run.synthetic,
-        summaries=run.summaries,
-        warnings=tuple(warnings0) + run.warnings,
-    )
-
-
-def synthesize_stratified(
-    original: Dataset, plan: SynthesisPlan, min_stratum_rows: int = 100
-) -> SynthesisRun:
-    """Independent synthesis within each stratum of ``plan.stratifier``.
-
-    The stratifier column is copied verbatim within each stratum, so any
-    table of stratifier by other variables is well fitted by construction,
-    and a nested target may group by it.
-    Strata below ``min_stratum_rows`` are pooled into one remainder stratum,
-    labelled ``(other)``, suffixed until no level of the stratifier has it.
-    """
-    warnings0 = _validated(plan, original)
-    if plan.stratifier is None:
-        raise PlanError("plan has no stratifier")
-    return _synthesize_strata(original, plan, warnings0, min_stratum_rows)
-
-
-def _synthesize_strata(
-    original: Dataset, plan: SynthesisPlan, warnings0: list[str], min_stratum_rows: int = 100
-) -> SynthesisRun:
-    """The stratified run of an already validated plan."""
-    strat_col = original.column(plan.stratifier)
-    levels = strat_col.kind.levels
-
-    sub_plan = SynthesisPlan(
-        visit_sequence=tuple(c for c in plan.visit_sequence if c != plan.stratifier),
-        methods={c: m for c, m in plan.methods.items() if c != plan.stratifier},
-        predictor_matrix=None
-        if plan.predictor_matrix is None
-        else {
-            t: tuple(p for p in preds if p != plan.stratifier)
-            for t, preds in plan.predictor_matrix.items()
-            if t != plan.stratifier
-        },
-        rules=plan.rules,
-        stratifier=None,
-        nesting=plan.nesting,
-        seed=plan.seed,
-    )
-
-    groups: list[tuple[str, np.ndarray]] = []
-    pooled: list[np.ndarray] = []
-    pooled_levels: list[str] = []
-    for code, level in enumerate(levels):
-        idx = np.flatnonzero(strat_col.values == code)
-        if idx.size == 0:
-            continue
-        if idx.size < min_stratum_rows:
-            pooled.append(idx)
-            pooled_levels.append(level)
-        else:
-            groups.append((level, idx))
-    if pooled:
-        label = "(other)"
-        while label in levels:
-            label += "+"
-        groups.append((label, np.concatenate(pooled)))
-        warnings0.append(
-            f"strata below {min_stratum_rows} rows pooled into one: "
-            + ", ".join(pooled_levels)
+        # off the visit sequence the stratifier is neither a target nor, as
+        # predictors_of keeps only preceding columns, a predictor; a nested
+        # target still groups by the stratum's copy
+        sub_plan = replace(
+            plan,
+            visit_sequence=tuple(c for c in plan.visit_sequence if c != stratifier),
+            stratifier=None,
         )
+        strat_col = original.column(stratifier)
+        strata, pooled = [], []
+        for code, level in enumerate(strat_col.kind.levels):
+            idx = np.flatnonzero(strat_col.values == code)
+            if idx.size >= MIN_STRATUM_ROWS:
+                strata.append((level, idx))
+            elif idx.size:
+                pooled.append((level, idx))
+        if pooled:
+            label = "(other)"
+            while label in strat_col.kind.levels:
+                label += "+"
+            strata.append((label, np.concatenate([idx for _, idx in pooled])))
+            run_warnings.append(
+                f"strata below {MIN_STRATUM_ROWS} rows pooled into one: "
+                + ", ".join(level for level, _ in pooled)
+            )
 
-    parts: list[Dataset] = []
+    parts: list[tuple[Column, ...]] = []
     summaries: list[VariableSummary] = []
-    run_warnings: list[str] = list(warnings0)
-    strata_sizes: list[tuple[str, int]] = []
-    for s_index, (label, idx) in enumerate(groups):
-        sub = original.take(idx)
-        strat_copy = Column(plan.stratifier, strat_col.kind, strat_col.values[idx])
-        run = _synthesize_stratum(
-            sub, sub_plan, stratum_index=s_index, stratum_label=label, fixed=(strat_copy,)
+    for index, (label, idx) in enumerate(strata):
+        if idx is None:
+            rows, fixed = original, ()
+        else:
+            rows = original.take(idx)
+            fixed = (Column(stratifier, strat_col.kind, strat_col.values[idx]),)
+        columns, stratum_summaries, stratum_warnings = _synthesize_stratum(
+            rows, sub_plan, index, n_rows, label, fixed
         )
-        parts.append(
-            Dataset((strat_copy,) + run.synthetic.columns, name=run.synthetic.name)
+        parts.append(columns)
+        summaries.extend(stratum_summaries)
+        run_warnings.extend(
+            stratum_warnings if label is None else (f"[{label}] {w}" for w in stratum_warnings)
         )
-        summaries.extend(run.summaries)
-        run_warnings.extend(f"[{label}] {w}" for w in run.warnings)
-        strata_sizes.append((label, int(idx.size)))
 
-    names = parts[0].names
-    cols = []
-    for name in names:
-        kind = parts[0].column(name).kind
-        values = np.concatenate([p.column(name).values for p in parts])
-        cols.append(Column(name, kind, values))
-    synthetic = Dataset(tuple(cols), name=f"{original.name}_synth")
+    columns = parts[0]
+    if len(parts) > 1:
+        columns = tuple(
+            Column(c.name, c.kind, np.concatenate([p[j].values for p in parts]))
+            for j, c in enumerate(columns)
+        )
     return SynthesisRun(
         plan=plan,
         original=original,
-        synthetic=synthetic,
+        synthetic=Dataset(columns, name=f"{original.name}_synth"),
         summaries=tuple(summaries),
         warnings=tuple(run_warnings),
-        strata=tuple(strata_sizes),
+        strata=None if stratifier is None else tuple((label, int(idx.size)) for label, idx in strata),
     )
 
 

@@ -27,11 +27,12 @@ MISSING_INDICATOR = Categorical(("present", "missing"))
 
 
 def _fit_design(predictors: Dataset | None, n: int) -> tuple:
-    """(design, matrix, column labels) of the fit rows; intercept only without predictors."""
+    """(design, matrix, column labels, notes of the constant columns dropped)
+    of the fit rows; intercept only without predictors."""
     if predictors is None or not predictors.columns:
-        return None, scipy.sparse.csr_array(np.ones((n, 1))), ("(intercept)",)
+        return None, scipy.sparse.csr_array(np.ones((n, 1))), ("(intercept)",), ()
     design = build_design(predictors)
-    return design, design.matrix(predictors), design.labels
+    return design, design.matrix(predictors), design.labels, design.notes
 
 
 def _matrix(design: Design | None, predictors: Dataset | None, n: int) -> scipy.sparse.csr_array:
@@ -145,8 +146,6 @@ def ols(X: scipy.sparse.csr_array, y: np.ndarray, labels) -> OlsFit:
     column-equilibrated Gram, then one step of iterative refinement on the
     residual, which brings the coefficients to the accuracy of a QR solve."""
     X2, kept, notes = drop_aliased(X, labels)
-    if notes:
-        _warnings.warn("; ".join(notes))
     G = Gram(X2)(np.ones(len(y)))
     d = 1.0 / np.sqrt(np.diag(G))
     try:
@@ -198,10 +197,10 @@ def fit_normrank(target: Column, predictors: Dataset | None, residual_scale: flo
         raise MethodError(f"normrank: target {target.name!r} is empty")
     ranks = scipy.stats.rankdata(y, method="average")
     z = ndtri((ranks - 0.375) / (n + 0.25))
-    design, X, labels = _fit_design(predictors, n)
+    design, X, labels, notes = _fit_design(predictors, n)
     fit = ols(X, z, labels)
     return NormRankFit(
-        target.name, design, fit, np.sort(y), residual_scale, warnings=fit.notes
+        target.name, design, fit, np.sort(y), residual_scale, warnings=notes + fit.notes
     )
 
 
@@ -257,9 +256,9 @@ def fit_transform_normal(
     if len(y) == 0:
         raise MethodError(f"transform_normal: target {target.name!r} is empty")
     t = _forward_transform(y, transform, target.name)
-    design, X, labels = _fit_design(predictors, len(y))
+    design, X, labels, notes = _fit_design(predictors, len(y))
     fit = ols(X, t, labels)
-    return TransformNormalFit(target.name, transform, design, fit, warnings=fit.notes)
+    return TransformNormalFit(target.name, transform, design, fit, warnings=notes + fit.notes)
 
 
 # ---------------------------------------------------------------------------
@@ -414,9 +413,9 @@ def fit_logit(
     y = target.values.astype(np.float64)
     if len(np.unique(target.values)) < 2:
         raise MethodError(f"logit: target {target.name!r} must have both levels present")
-    design, X, labels = _fit_design(predictors, len(y))
+    design, X, labels, notes = _fit_design(predictors, len(y))
     res = irls_logit(X, y, max_iter, tol, labels)
-    return LogitFit(target.name, target.kind, design, res, warnings=res.notes)
+    return LogitFit(target.name, target.kind, design, res, warnings=notes + res.notes)
 
 
 # ---------------------------------------------------------------------------
@@ -478,14 +477,14 @@ def fit_multinomial(
             "use nested synthesis within a grouped variable instead"
         )
     y = np.searchsorted(present, target.values)
-    design, X, labels = _fit_design(predictors, len(y))
+    design, X, labels, design_notes = _fit_design(predictors, len(y))
     Y = (y[:, None] == np.arange(1, L)).astype(np.float64)
     X, kept, _, B, it, converged, gnorm, notes = _newton_logit(
         X, Y, max_iter, tol, labels, "multinomial"
     )
     return MultinomialFit(
         target.name, target.kind, design, present, B, kept,
-        tuple(labels[j] for j in kept), it, converged, gnorm, warnings=notes,
+        tuple(labels[j] for j in kept), it, converged, gnorm, warnings=design_notes + notes,
     )
 
 

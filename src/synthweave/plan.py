@@ -211,9 +211,18 @@ class Atom:
     op: str  # one of _OPS
     value: Union[str, float]
 
-    def describe(self) -> str:
-        v = self.value if isinstance(self.value, str) else repr(self.value)
-        return f"{self.var} {self.op} {v}"
+
+def level_code(column: str, kind: Categorical, value: Union[str, float]) -> int:
+    """The code of the level of ``column`` that a rule literal names.  A
+    number names the level spelled like it, or like its integer when it is
+    whole: ``g == 16`` parses 16 as 16.0 and names level "16"."""
+    texts = [str(value)]
+    if isinstance(value, float) and value.is_integer():
+        texts.append(str(int(value)))
+    for text in texts:
+        if text in kind.levels:
+            return kind.levels.index(text)
+    raise PlanError(f"{value!r} is not a level of {column!r}")
 
 
 def _parse_literal(text: str) -> Union[str, float]:
@@ -442,12 +451,11 @@ def validate_plan(
                                 f"categorical column {atom.var!r}"
                             )
                         )
-                    elif str(atom.value) not in ckind.levels:
-                        out.append(
-                            _err(
-                                f"rule {i}: {atom.value!r} is not a level of {atom.var!r}"
-                            )
-                        )
+                    else:
+                        try:
+                            level_code(atom.var, ckind, atom.value)
+                        except PlanError as exc:
+                            out.append(_err(f"rule {i}: {exc}"))
                 elif not isinstance(atom.value, float):
                     out.append(
                         _err(f"rule {i}: numeric column {atom.var!r} compared to text")
@@ -455,13 +463,10 @@ def validate_plan(
         if rule.target in data:
             tkind = data.column(rule.target).kind
             if isinstance(tkind, Categorical):
-                if str(rule.value) not in tkind.levels:
-                    out.append(
-                        _err(
-                            f"rule {i}: forced value {rule.value!r} is not a level of "
-                            f"{rule.target!r}"
-                        )
-                    )
+                try:
+                    level_code(rule.target, tkind, rule.value)
+                except PlanError as exc:
+                    out.append(_err(f"rule {i}: forced value {exc}"))
             elif isinstance(rule.value, str):
                 out.append(
                     _err(f"rule {i}: numeric target {rule.target!r} forced to text value")

@@ -83,14 +83,8 @@ class CellTable:
         self.labels: tuple[tuple[str, ...], ...] = labels
         self.shape = tuple(len(lv) for lv in labels)
         k = math.prod(self.shape)
-        self.y: np.ndarray = np.array(y, dtype=np.int64)
-        self.s: np.ndarray = np.array(s, dtype=np.int64)
-        for name, counts in (("y", self.y), ("s", self.s)):
-            if counts.shape != (k,):
-                raise UtilityError(
-                    f"{name} has shape {counts.shape}, not ({k},) for labels of sizes {self.shape}"
-                )
-            counts.setflags(write=False)
+        self.y: np.ndarray = _counts("y", y, k, self.shape)
+        self.s: np.ndarray = _counts("s", s, k, self.shape)
 
     @property
     def k(self) -> int:
@@ -102,6 +96,21 @@ class CellTable:
 
     def counts(self) -> tuple[np.ndarray, np.ndarray]:
         return self.y.astype(np.float64), self.s.astype(np.float64)
+
+
+def _counts(name: str, values, k: int, shape: tuple[int, ...]) -> np.ndarray:
+    """A read-only int64 copy of ``values``, which must be k whole counts >= 0."""
+    raw = np.asarray(values)
+    if raw.shape != (k,):
+        raise UtilityError(f"{name} has shape {raw.shape}, not ({k},) for labels of sizes {shape}")
+    if raw.dtype.kind not in "biuf":
+        raise UtilityError(f"{name} holds {raw.dtype} values, not counts")
+    with np.errstate(invalid="ignore"):
+        counts = raw.astype(np.int64)
+    if not np.array_equal(counts, raw) or (counts < 0).any():
+        raise UtilityError(f"{name} holds values that are not counts (whole numbers >= 0)")
+    counts.setflags(write=False)
+    return counts
 
 
 MAX_TABLE_CELLS = 100_000
@@ -575,6 +584,7 @@ def compare_bivariate(
     n_bins: int = 5,
 ) -> BivariateComparison:
     """Tables like percent-married by age band, original next to synthetic."""
+    _check_schemas(original, synthetic)
     table = cross_tabulate(original, synthetic, (by, inner), numeric_breaks, n_bins)
 
     def pct(counts):

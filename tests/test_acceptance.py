@@ -284,7 +284,7 @@ class TestCriterion6Stratification:
             stratifier="occ1",
             seed=1,
         )
-        run_s = sw.synthesize_stratified(census20k, strat)
+        run_s = sw.synthesize(census20k, strat)
         others = ["region", "sex", "age", "mar", "pperroom"]
         o_u = census20k.select(run_u.synthetic.names)
         o_s = census20k.select(run_s.synthetic.names)

@@ -5,6 +5,8 @@ aliased columns found by pivoted QR of X, least squares by ``lstsq`` and
 logistic regression by Newton steps on the dense Hessian.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -15,7 +17,6 @@ from synthweave.tabular import Categorical, Column, Dataset, numeric_column
 from synthweave.utility import _stack, fit_propensity
 
 RTOL = 1e-9
-pytestmark = pytest.mark.filterwarnings("ignore:dropped aliased design column")
 
 
 def _dense_column(term, data):
@@ -158,6 +159,19 @@ def test_gram_matches_dense_products():
     blocks = gram(W)
     for m in range(3):
         np.testing.assert_allclose(blocks[m], (D * W[:, m:m + 1]).T @ D, rtol=1e-12)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_ols_notes_aliased_columns_without_warning(name):
+    data, inter, aliased = _case(name)
+    design = build_design(data, interactions=inter)
+    X = design.matrix(data)
+    y = np.random.default_rng(2).normal(size=X.shape[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = ols(X, y, design.labels)
+    assert fit.notes == tuple(drop_aliased(X, design.labels)[2])
+    assert len(fit.notes) == aliased
 
 
 @pytest.mark.parametrize("name", CASES)

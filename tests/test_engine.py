@@ -29,7 +29,6 @@ from synthweave import (
     plan_errors,
     run_report,
     synthesize,
-    synthesize_stratified,
     u_tab,
     validate_plan,
     write_csv,
@@ -53,6 +52,22 @@ def cart_plan(cols, seed=1, rules=()):
 
 
 class TestSynthesize:
+    def test_numeric_literal_forces_its_level(self):
+        rng = np.random.default_rng(8)
+        g = rng.choice(["15", "16", "17"], 600)
+        t = np.where(g == "16", "x", rng.choice(["a", "b"], 600))
+        data = Dataset((categorical_column("g", list(g)), categorical_column("t", list(t))))
+        plan = SynthesisPlan(
+            ("g", "t"), {"g": Sample(), "t": Cart()}, rules=(Rule("t", "g == 16", "x"),), seed=5
+        )
+        run = synthesize(data, plan)
+        syn = run.synthetic
+        hit = np.array(syn.column("g").decoded()) == "16"
+        forced = np.array(syn.column("t").decoded()) == "x"
+        assert hit.any() and np.array_equal(forced, hit)
+        assert run.summaries[-1].rule_forced == int(hit.sum())
+        assert run.summaries[-1].n_fit == int((g != "16").sum())
+
     def test_rule_holds_exactly(self, census):
         cols = ["region", "sex", "age", "mar"]
         plan = cart_plan(cols, rules=[Rule("mar", "age < 16", "Single")])
@@ -224,6 +239,50 @@ class TestRunReport:
         assert set(pperroom["solver"]) == {"iterations", "converged", "gradient_norm"}
         assert pperroom["solver"]["converged"] is True
         assert pperroom["solver"]["iterations"] >= 2
+
+
+class TestFitNotes:
+    """Each design column a fit drops is one note in the variable's warnings,
+    and none of them goes through ``warnings.warn``."""
+
+    @pytest.mark.parametrize(
+        "target,spec",
+        [("age", NormRank()), ("age", TransformNormal()), ("sex", Logit()), ("mar", Multinomial())],
+        ids=["normrank", "transform_normal", "logit", "multinomial"],
+    )
+    def test_constant_design_column_noted(self, target, spec):
+        data = _hostile_data()
+        plan = SynthesisPlan(
+            ("region", "const", target), {"region": Sample(), "const": Sample(), target: spec}, seed=3
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run = synthesize(data.select(["region", "const", target]), plan)
+        note = "dropped constant design column 'const'"
+        assert run.summaries[-1].warnings == (note,)
+        assert f"{target}: {note}" in run.warnings
+
+    def test_aliased_notes_kept_once_per_variable(self, census):
+        # sex2 copies sex, so the missingness logit and the normrank fit of
+        # pperroom both drop the same aliased dummy
+        sex = census.column("sex")
+        data = census.select(["region", "sex", "pperroom"]).with_column(
+            Column("sex2", sex.kind, sex.values)
+        )
+        plan = SynthesisPlan(
+            ("region", "sex", "sex2", "pperroom"),
+            {"region": Sample(), "sex": Cart(), "sex2": Cart(), "pperroom": NormRank()},
+            seed=4,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run = synthesize(data, plan)
+        summary = run.summaries[-1]
+        assert summary.missing_indicator
+        assert summary.warnings == ("dropped aliased design column 'sex2=M'",)
+        assert [w for w in run.warnings if w.startswith("pperroom:")] == [
+            "pperroom: dropped aliased design column 'sex2=M'"
+        ]
 
 
 class TestMissingData:
@@ -469,7 +528,7 @@ class TestStratified:
 
     def test_stratum_sizes_exact(self, census):
         plan = self.strat_plan()
-        run = synthesize_stratified(census, plan)
+        run = synthesize(census, plan)
         orig_counts = np.bincount(census.column("occ1").values, minlength=5)
         syn_counts = np.bincount(run.synthetic.column("occ1").values, minlength=5)
         assert np.array_equal(orig_counts, syn_counts)
@@ -489,7 +548,7 @@ class TestStratified:
         plan = SynthesisPlan(
             ("x", "t"), {"x": Sample(), "t": Cart()}, stratifier="g", seed=4
         )
-        run = synthesize_stratified(data, plan, min_stratum_rows=100)
+        run = synthesize(data, plan)
         assert any("pooled" in w and "tiny1" in w for w in run.warnings)
         assert run.strata is not None
         assert dict(run.strata)["(other)"] == 80
@@ -498,7 +557,7 @@ class TestStratified:
 
     def test_stratum_equals_subset_run_on_same_substream(self, census):
         plan = self.strat_plan(seed=23)
-        run = synthesize_stratified(census, plan)
+        run = synthesize(census, plan)
         # stratum index 1 is the second occ1 level with enough rows
         occ1 = census.column("occ1").values
         idx = np.flatnonzero(occ1 == 1)
@@ -506,12 +565,12 @@ class TestStratified:
         from dataclasses import replace
 
         sub_plan = replace(plan, stratifier=None)
-        solo = _synthesize_stratum(sub, sub_plan, stratum_index=1)
+        solo = Dataset(_synthesize_stratum(sub, sub_plan, stratum_index=1)[0])
         joint = run.synthetic
         rows = np.flatnonzero(joint.column("occ1").values == 1)
         for name in ["region", "sex", "age", "mar"]:
             assert np.array_equal(
-                joint.column(name).values[rows], solo.synthetic.column(name).values
+                joint.column(name).values[rows], solo.column(name).values
             )
 
     def test_stratifier_by_dependent_variable_ratio_near_one(self):
@@ -520,7 +579,7 @@ class TestStratified:
         for seed in range(20):
             census = generate_toy_census(ToyCensusSpec(n_rows=6000, seed=500))
             plan = self.strat_plan(seed=seed)
-            run = synthesize_stratified(census, plan)
+            run = synthesize(census, plan)
             orig = census.select(run.synthetic.names)
             ratio = u_tab(
                 cross_tabulate(orig, run.synthetic, ["occ1", "age"], n_bins=10)
@@ -534,7 +593,7 @@ class TestStratified:
             ("region",), {"region": Sample()}, stratifier="age", seed=1
         )
         with pytest.raises(PlanError, match="categorical"):
-            synthesize_stratified(census, plan)
+            synthesize(census, plan)
 
 
 def expand_missing_predictors(fit_preds, sample_preds):
@@ -761,7 +820,7 @@ class TestStratifiedPlumbing:
         plan = SynthesisPlan(
             ("x", "t"), {"x": Sample(), "t": Cart()}, stratifier="g", seed=4
         )
-        run = synthesize_stratified(data, plan, min_stratum_rows=100)
+        run = synthesize(data, plan)
         labels = [label for label, _ in run.strata]
         assert len(set(labels)) == len(labels) == 2
         assert dict(run.strata)["(other)"] == 300
@@ -893,8 +952,8 @@ class TestHostileInput:
                 warnings.simplefilter("ignore")
                 if (method, k) in fails:
                     with pytest.raises(MethodError, match="levels present"):
-                        synthesize_stratified(data, plan, min_stratum_rows=1)
+                        synthesize(data, plan)
                     continue
-                run = synthesize_stratified(data, plan, min_stratum_rows=1)
-            assert dict(run.strata) == {"big": hostile.n_rows - k, "tiny": k}
+                run = synthesize(data, plan)
+            assert dict(run.strata) == {"big": hostile.n_rows - k, "(other)": k}
             assert run.synthetic.n_rows == hostile.n_rows

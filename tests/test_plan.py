@@ -165,6 +165,21 @@ class TestRules:
         diags = validate_plan(plan, small_data())
         assert any("not a level" in d.message for d in plan_errors(diags))
 
+    def test_numeric_literal_names_a_categorical_level(self):
+        data = Dataset(
+            (
+                categorical_column("g", ["15", "16", "17"] * 4),
+                categorical_column("t", ["u", "v", "16"] * 4),
+            )
+        )
+        plan = SynthesisPlan(("g", "t"), {"g": Sample(), "t": Cart()})
+        # 16 parses as 16.0, and names level "16" as a condition and as a value
+        for rule in (Rule("t", "g == 16", "v"), Rule("t", "g != 15", "v"), Rule("t", "g == '16'", 16.0)):
+            assert plan_errors(validate_plan(dataclasses.replace(plan, rules=(rule,)), data)) == []
+        for rule, bad in ((Rule("t", "g == 18", "v"), "18.0"), (Rule("t", "g == 16", 16.5), "16.5")):
+            messages = [d.message for d in plan_errors(validate_plan(dataclasses.replace(plan, rules=(rule,)), data))]
+            assert messages and all(f"{bad} is not a level" in m for m in messages), messages
+
     def test_ordering_comparison_on_categorical_rejected(self):
         plan = ok_plan(rules=(Rule("c", "a < 'x'", "u"),))
         diags = validate_plan(plan, small_data())

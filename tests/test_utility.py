@@ -216,6 +216,22 @@ class TestUTab:
         with pytest.raises(UtilityError, match="at least one variable"):
             CellTable((), (), [], [])
 
+    def test_fractional_counts_rejected(self):
+        # int64 would truncate 1.7 to 1 and give a U_tab on a table of no data
+        with pytest.raises(UtilityError, match="y holds values that are not counts"):
+            CellTable(("v",), [("a", "b", "c")], [1.7, 2, 3], [0, 0, 4])
+        with pytest.raises(UtilityError, match="s holds values that are not counts"):
+            CellTable(("v",), [("a", "b")], [1, 2], [np.nan, 3.0])
+        # whole floats are counts
+        t = CellTable(("v",), [("a", "b")], [1.0, 2.0], [3.0, 0.0])
+        assert t.y.tolist() == [1, 2] and t.s.dtype == np.int64
+
+    def test_negative_counts_rejected(self):
+        with pytest.raises(UtilityError, match="y holds values that are not counts"):
+            CellTable(("v",), [("a", "b", "c")], [1.7, -2, 3], [0, 0, 4])
+        with pytest.raises(UtilityError, match="s holds values that are not counts"):
+            CellTable(("v",), [("a", "b", "c")], [1, 2, 3], np.array([0, -1, 4]))
+
     def test_single_populated_cell_rejected(self):
         t = CellTable(("v",), [("a", "b")], [3, 0], [3, 0])
         with pytest.raises(UtilityError, match="2 populated"):
@@ -463,6 +479,18 @@ class TestCompare:
         orig, _ = census_pair
         bc = compare_bivariate(orig, orig, "mar", "age")
         assert bc.max_abs_diff == 0.0
+
+    def test_bivariate_header_only_datasets_rejected(self, census_pair):
+        orig, _ = census_pair
+        empty = orig.take(np.arange(0))
+        with pytest.raises(UtilityError, match="has no rows"):
+            compare_bivariate(empty, empty, "mar", "age")
+
+    def test_bivariate_empty_synthetic_rejected(self, census_pair):
+        # used to return max_abs_diff 100.0 against a table of no rows
+        orig, _ = census_pair
+        with pytest.raises(UtilityError, match="synthetic dataset .* has no rows"):
+            compare_bivariate(orig, orig.take(np.arange(0)), "mar", "age")
 
 
 class TestDiagnose:
