@@ -24,7 +24,6 @@ plan = sw.SynthesisPlan(
         "occ3": sw.Nested("occ1"),      # bootstrap within the coarse group
     },
     rules=(sw.Rule("mar", "age < 16", "Single"),),
-    nesting={"occ3": "occ1"},
     seed=7,
 )
 

@@ -21,7 +21,6 @@ census = sw.generate_toy_census(sw.ToyCensusSpec(n_rows=100_000, seed=11))
 plan = sw.SynthesisPlan(
     ("occ1", "occ3"),
     {"occ1": sw.Sample(), "occ3": sw.Nested("occ1")},
-    nesting={"occ3": "occ1"},
     seed=1,
 )
 t0 = time.perf_counter()

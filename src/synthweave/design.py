@@ -36,13 +36,16 @@ GRAM_CHUNK_ROWS = 8192
 class Design:
     """A fitted design layout, reusable on new data with the same columns."""
 
-    source_columns: tuple[str, ...]
     terms: tuple[tuple, ...]          # ("intercept",) | ("numeric", col) |
                                       # ("missing", col) | ("dummy", col, level_code) |
                                       # ("product", term, term)
     labels: tuple[str, ...]           # per kept design column
     variables: tuple[str, ...]        # source variable per kept design column
-    notes: tuple[str, ...]
+    constant: tuple[str, ...]         # labels of the constant columns dropped
+
+    @property
+    def notes(self) -> tuple[str, ...]:
+        return tuple(f"dropped constant design column {label!r}" for label in self.constant)
 
     @property
     def n_columns(self) -> int:
@@ -140,7 +143,7 @@ def build_design(data: Dataset, columns=None, interactions=()) -> Design:
     columns = tuple(columns) if columns is not None else data.names
     terms, labels, variables = _all_terms(data, columns, interactions)
     keep: list[int] = []
-    notes: list[str] = []
+    constant: list[str] = []
     n = data.n_rows
     nonzeros = _Nonzeros(data)
     for j, term in enumerate(terms):
@@ -149,17 +152,16 @@ def build_design(data: Dataset, columns=None, interactions=()) -> Design:
             continue
         rows, vals = nonzeros(term)
         # all zero, or nonzero everywhere with one value
-        constant = len(rows) == 0 or (len(rows) == n and vals.max() == vals.min())
-        if n and constant:
-            notes.append(f"dropped constant design column {labels[j]!r}")
+        is_constant = len(rows) == 0 or (len(rows) == n and vals.max() == vals.min())
+        if n and is_constant:
+            constant.append(labels[j])
         else:
             keep.append(j)
     return Design(
-        source_columns=columns,
         terms=tuple(terms[j] for j in keep),
         labels=tuple(labels[j] for j in keep),
         variables=tuple(variables[j] for j in keep),
-        notes=tuple(notes),
+        constant=tuple(constant),
     )
 
 

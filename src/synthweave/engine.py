@@ -20,7 +20,9 @@ from .models import MISSING_INDICATOR, CartFit, LogitFit, MultinomialFit, Sample
 # fit_logit is unused here, but perfbench/test_perfbench.py checks that the
 # tracer patches it through this module
 from .models import fit_logit  # noqa: F401
-from .plan import Atom, MethodSpec, SynthesisPlan, level_code, plan_errors, validate_plan
+from .plan import (
+    COMPARISONS, Atom, MethodSpec, SynthesisPlan, level_code, plan_errors, validate_plan,
+)
 from .tabular import Categorical, Column, Dataset, Numeric
 
 
@@ -59,27 +61,12 @@ def _eval_atoms(atoms: tuple[Atom, ...], columns: dict[str, Column], n: int) -> 
     mask = np.ones(n, dtype=bool)
     for atom in atoms:
         col = columns[atom.var]
+        compare = COMPARISONS[atom.op]
         if isinstance(col.kind, Categorical):
-            code = level_code(atom.var, col.kind, atom.value)
-            hit = col.values == code
-            mask &= hit if atom.op == "==" else ~hit
+            mask &= compare(col.values, level_code(atom.var, col.kind, atom.value))
         else:
-            v = col.values
-            x = float(atom.value)
-            if atom.op == "==":
-                hit = v == x
-            elif atom.op == "!=":
-                hit = v != x
-            elif atom.op == "<":
-                hit = v < x
-            elif atom.op == "<=":
-                hit = v <= x
-            elif atom.op == ">":
-                hit = v > x
-            else:
-                hit = v >= x
-            # NaN compares false: a missing cell never satisfies a condition
-            mask &= np.where(np.isnan(v), False, hit)
+            # a missing cell never satisfies a condition, "!=" included
+            mask &= compare(col.values, float(atom.value)) & ~np.isnan(col.values)
     return mask
 
 

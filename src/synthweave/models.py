@@ -28,11 +28,16 @@ MISSING_INDICATOR = Categorical(("present", "missing"))
 
 def _fit_design(predictors: Dataset | None, n: int) -> tuple:
     """(design, matrix, column labels, notes of the constant columns dropped)
-    of the fit rows; intercept only without predictors."""
+    of the fit rows; intercept only without predictors.  Several constant
+    columns make one note that names them all."""
     if predictors is None or not predictors.columns:
         return None, scipy.sparse.csr_array(np.ones((n, 1))), ("(intercept)",), ()
     design = build_design(predictors)
-    return design, design.matrix(predictors), design.labels, design.notes
+    notes = design.notes
+    if len(design.constant) > 1:
+        names = ", ".join(map(repr, design.constant))
+        notes = (f"dropped {len(design.constant)} constant design columns: {names}",)
+    return design, design.matrix(predictors), design.labels, notes
 
 
 def _matrix(design: Design | None, predictors: Dataset | None, n: int) -> scipy.sparse.csr_array:

@@ -16,6 +16,7 @@ variables early in the sequence) surface as warnings, never errors.
 from __future__ import annotations
 
 import json
+import operator
 import re
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
@@ -176,12 +177,20 @@ class Multinomial(MethodSpec):
 @dataclass(frozen=True)
 class Nested(MethodSpec):
     """Bootstrap within an already-synthesized grouping column, which is the
-    target's only predictor (``SynthesisPlan.predictors_of``)."""
+    target's only predictor (``SynthesisPlan.predictors_of``).  This method
+    is a plan's only declaration that a target nests in a group; the plan
+    file's ``"nesting"`` map is shorthand for it."""
 
     group_column: str
 
     name = "nested"
     target_kind = Categorical
+
+    def __post_init__(self):
+        if not isinstance(self.group_column, str):
+            raise PlanError(
+                f"nested: group_column must be a column name, got {self.group_column!r}"
+            )
 
     def fit(self, target, predictors):
         return models.fit_nested(target, predictors.column(self.group_column))
@@ -198,7 +207,11 @@ METHODS: dict[str, type[MethodSpec]] = {
 # ---------------------------------------------------------------------------
 
 _OP_ALIASES = {"=": "==", "≠": "!=", "≤": "<=", "≥": ">="}
-_OPS = ("==", "!=", "<=", ">=", "<", ">")
+# what each condition operator computes, elementwise on a column's values
+COMPARISONS = {
+    "==": operator.eq, "!=": operator.ne, "<=": operator.le,
+    ">=": operator.ge, "<": operator.lt, ">": operator.gt,
+}
 
 _ATOM_RE = re.compile(
     r"^\s*([A-Za-z_][A-Za-z0-9_.-]*)\s*(==|!=|<=|>=|<|>|=|≠|≤|≥)\s*(.+?)\s*$"
@@ -208,7 +221,7 @@ _ATOM_RE = re.compile(
 @dataclass(frozen=True)
 class Atom:
     var: str
-    op: str  # one of _OPS
+    op: str  # a key of COMPARISONS
     value: Union[str, float]
 
 
@@ -287,7 +300,6 @@ class SynthesisPlan:
     predictor_matrix: Mapping[str, tuple[str, ...]] | None = None
     rules: tuple[Rule, ...] = ()
     stratifier: str | None = None
-    nesting: Mapping[str, str] = field(default_factory=dict)
     seed: int = 0
 
     def __post_init__(self):
@@ -304,13 +316,13 @@ class SynthesisPlan:
                 "predictor_matrix",
                 {t: tuple(ps) for t, ps in self.predictor_matrix.items()},
             )
-        object.__setattr__(self, "nesting", dict(self.nesting))
 
     def predictors_of(self, target: str) -> tuple[str, ...]:
-        """Selected predictors: the grouping column of a nested target, else
-        the explicit row if given, else all preceding."""
-        if target in self.nesting:
-            return (self.nesting[target],)
+        """Selected predictors: the group column of a ``Nested`` target
+        alone, else the explicit row if given, else all preceding."""
+        spec = self.methods.get(target)
+        if isinstance(spec, Nested):
+            return (spec.group_column,)
         pos = self.visit_sequence.index(target)
         preceding = self.visit_sequence[:pos]
         if self.predictor_matrix is None or target not in self.predictor_matrix:
@@ -340,11 +352,7 @@ def _warn(msg: str) -> PlanDiagnostic:
     return PlanDiagnostic("warning", msg)
 
 
-def validate_plan(
-    plan: SynthesisPlan,
-    data: Dataset,
-    high_cardinality_threshold: int = HIGH_CARDINALITY_THRESHOLD,
-) -> list[PlanDiagnostic]:
+def validate_plan(plan: SynthesisPlan, data: Dataset) -> list[PlanDiagnostic]:
     """Check every plan invariant against the data; pure, returns diagnostics.
 
     An empty error set means the plan is runnable; guideline warnings may
@@ -382,12 +390,11 @@ def validate_plan(
                         )
                     )
 
-    # First variable: no predictors, bootstrap method.
+    # First variable: bootstrap method.  A predictor of it cannot precede
+    # it, which the precedence check above reports.
     first = seq[0]
     if not isinstance(plan.methods.get(first), Sample):
         out.append(_err(f"first variable {first!r} must use the sample method"))
-    if plan.predictor_matrix is not None and plan.predictor_matrix.get(first):
-        out.append(_err(f"first variable {first!r} cannot have predictors"))
 
     # Method / column-kind compatibility.
     for col in known:
@@ -395,29 +402,17 @@ def validate_plan(
         if error is not None:
             out.append(_err(error))
 
-    # Nesting map consistency.
-    for target, group in plan.nesting.items():
-        spec = plan.methods.get(target)
+    # Nested groups.
+    for target, spec in plan.methods.items():
         if not isinstance(spec, Nested):
-            out.append(_err(f"nesting target {target!r} must use the nested method"))
-        elif spec.group_column != group:
-            out.append(
-                _err(
-                    f"nesting map says {target!r} groups by {group!r} but its method "
-                    f"says {spec.group_column!r}"
-                )
-            )
-        if target in position and group in position:
-            if position[group] >= position[target]:
-                out.append(
-                    _err(f"grouping column {group!r} must precede nested target {target!r}")
-                )
-        elif group not in position:
+            continue
+        group = spec.group_column
+        if group not in position:
             out.append(_err(f"grouping column {group!r} is not in visit_sequence"))
-    for col in known:
-        spec = plan.methods[col]
-        if isinstance(spec, Nested) and col not in plan.nesting:
-            out.append(_err(f"nested method on {col!r} missing from the nesting map"))
+        elif target in position and position[group] >= position[target]:
+            out.append(
+                _err(f"grouping column {group!r} must precede nested target {target!r}")
+            )
 
     # Rules.
     for i, rule in enumerate(plan.rules):
@@ -490,7 +485,7 @@ def validate_plan(
     n_high = 0
     for col in known:
         kind = data.column(col).kind
-        if isinstance(kind, Categorical) and len(kind.levels) > high_cardinality_threshold:
+        if isinstance(kind, Categorical) and len(kind.levels) > HIGH_CARDINALITY_THRESHOLD:
             n_high += 1
             if not isinstance(plan.methods[col], Nested):
                 out.append(
@@ -505,7 +500,7 @@ def validate_plan(
             kind = data.column(col).kind
             if (
                 isinstance(kind, Categorical)
-                and len(kind.levels) > high_cardinality_threshold
+                and len(kind.levels) > HIGH_CARDINALITY_THRESHOLD
                 and col not in tail
             ):
                 out.append(
@@ -562,8 +557,11 @@ def plan_to_json(plan: SynthesisPlan) -> dict:
         ]
     if plan.stratifier is not None:
         doc["stratifier"] = plan.stratifier
-    if plan.nesting:
-        doc["nesting"] = dict(plan.nesting)
+    # written for readers of the older format, which wanted each nested
+    # method in this map as well
+    nesting = {c: m.group_column for c, m in plan.methods.items() if isinstance(m, Nested)}
+    if nesting:
+        doc["nesting"] = nesting
     return doc
 
 
@@ -580,17 +578,22 @@ def plan_from_json(doc: Mapping) -> SynthesisPlan:
     rules = tuple(
         Rule(r["target"], r["condition"], r["value"]) for r in doc.get("rules", ())
     )
-    nesting = dict(doc.get("nesting", {}))
-    # Methods may rely on the nesting map instead of spelling group_column.
+    # "nesting": {target: group} is shorthand for a nested method
+    nesting = doc.get("nesting", {})
+    if not isinstance(nesting, Mapping):
+        raise PlanError(f"nesting must map nested targets to group columns, got {nesting!r}")
     for target, group in nesting.items():
-        methods.setdefault(target, Nested(group))
+        spec = methods.setdefault(target, Nested(group))
+        if spec != Nested(group):
+            raise PlanError(
+                f"nesting[{target!r}] = {group!r} conflicts with methods[{target!r}] = {spec}"
+            )
     return SynthesisPlan(
         visit_sequence=seq,
         methods=methods,
         predictor_matrix=matrix,
         rules=rules,
         stratifier=doc.get("stratifier"),
-        nesting=nesting,
         seed=int(doc.get("seed", 0)),
     )
 

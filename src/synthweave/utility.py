@@ -646,7 +646,6 @@ def utility_report(
     synthetic: Dataset,
     tables: list[tuple[str, ...]] | None = None,
     model: str = "main_effects",
-    z_threshold: float = 1.7,
 ) -> dict:
     """JSON-ready utility report: U_gen, per-table U_tab with worst cells.
 
@@ -665,7 +664,7 @@ def utility_report(
     else:
         raise UtilityError(f"unknown propensity model {model!r}")
     ug = u_gen(fit)
-    diag = diagnose(fit, z_threshold)
+    diag = diagnose(fit)
     doc: dict = {
         "u_gen": {
             "model": fit.model,

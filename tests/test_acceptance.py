@@ -318,7 +318,6 @@ class TestCriterion7NestedHighCardinality:
         plan = sw.SynthesisPlan(
             ("occ1", "occ3"),
             {"occ1": sw.Sample(), "occ3": sw.Nested("occ1")},
-            nesting={"occ3": "occ1"},
             seed=9,
         )
         started = time.perf_counter()

@@ -128,6 +128,21 @@ class TestSynth:
         assert rc == 2
         assert "condition must be a string, got 16" in capsys.readouterr().err
 
+    def test_nesting_map_conflicting_with_method_exits_2(self, toy_files, tmp_path, capsys):
+        root, data, schema, plan = toy_files
+        doc = json.loads(plan.read_text())
+        doc["methods"]["occ3"] = "cart"
+        bad = tmp_path / "bad_nesting.json"
+        bad.write_text(json.dumps(doc))
+        rc = main(
+            [
+                "synth", "--data", str(data), "--schema", str(schema),
+                "--plan", str(bad), "--out", str(tmp_path / "o.csv"),
+            ]
+        )
+        assert rc == 2
+        assert "nesting['occ3'] = 'occ1' conflicts with methods['occ3']" in capsys.readouterr().err
+
     def test_seed_override_deterministic(self, toy_files, tmp_path):
         root, data, schema, plan = toy_files
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -80,23 +80,41 @@ class TestSynthesize:
 
     def test_first_matching_rule_wins(self):
         rng = np.random.default_rng(0)
+        x = rng.uniform(0, 10, 500)
+        x[1::25] = 9.0
+        x[::25] = np.nan  # a missing cell satisfies no condition, "!=" included
         data = Dataset(
             (
-                numeric_column("x", rng.uniform(0, 10, 500)),
+                numeric_column("x", x),
                 categorical_column("t", list(rng.choice(["a", "b", "c"], 500))),
             )
         )
         plan = SynthesisPlan(
             ("x", "t"),
             {"x": Sample(), "t": Cart()},
-            rules=(Rule("t", "x < 5", "a"), Rule("t", "x < 8", "b")),
+            rules=(
+                Rule("t", "x < 5", "a"), Rule("t", "x < 8", "b"),
+                # the other four operators cover every number from 8 up
+                Rule("t", "x == 9", "c"), Rule("t", "x >= 9.5", "a"),
+                Rule("t", "x > 8 and x <= 8.5", "b"), Rule("t", "x != 9", "c"),
+            ),
             seed=3,
         )
-        syn = synthesize(data, plan).synthetic
+        run = synthesize(data, plan)
+        syn = run.synthetic
         x, t = syn.column("x").values, syn.column("t").values
         lv = syn.column("t").levels
         assert np.all(t[x < 5] == lv.index("a"))          # first rule
         assert np.all(t[(x >= 5) & (x < 8)] == lv.index("b"))  # second rule
+        assert np.any(x == 9) and np.all(t[x == 9] == lv.index("c"))
+        assert np.all(t[x >= 9.5] == lv.index("a"))
+        assert np.all(t[(x > 8) & (x <= 8.5)] == lv.index("b"))
+        assert np.all(t[(x > 8.5) & (x < 9.5) & (x != 9)] == lv.index("c"))
+        # every number is forced, no missing cell is, and only the original
+        # rows with a missing x are left to fit t
+        assert np.isnan(x).any()
+        assert run.summaries[-1].rule_forced == int((~np.isnan(x)).sum())
+        assert run.summaries[-1].n_fit == int(np.isnan(data.column("x").values).sum())
 
     def test_sample_only_plan_marginals_match_but_dependence_breaks(self, census):
         cols = ["region", "sex", "age", "mar"]
@@ -174,7 +192,6 @@ class TestSynthesize:
         plan = SynthesisPlan(
             tuple(cols),
             {"region": Sample(), "occ1": Cart(), "occ3": Nested("occ1")},
-            nesting={"occ3": "occ1"},
             seed=21,
         )
         run = synthesize(census.select(cols), plan)
@@ -261,6 +278,32 @@ class TestFitNotes:
         note = "dropped constant design column 'const'"
         assert run.summaries[-1].warnings == (note,)
         assert f"{target}: {note}" in run.warnings
+
+    def test_constant_columns_noted_once_per_fit(self, census):
+        # within an occ1 stratum, the occ3 dummies of the other groups are
+        # constant: pperroom's fits name them all in one note
+        plan = SynthesisPlan(
+            ("region", "occ1", "occ3", "pperroom"),
+            {"region": Sample(), "occ3": Nested("occ1"), "pperroom": NormRank()},
+            stratifier="occ1",
+            seed=4,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            run = synthesize(census.select(["region", "occ1", "occ3", "pperroom"]), plan)
+        occ1, occ3 = census.column("occ1"), census.column("occ3")
+        summaries = [s for s in run.summaries if s.name == "pperroom"]
+        assert [s.stratum for s in summaries] == list(occ1.levels)
+        for group, summary in enumerate(summaries):
+            # occ3 code // 40 is its occ1 group; level 0 is the reference
+            dropped = [
+                repr(f"occ3={level}")
+                for code, level in enumerate(occ3.levels)
+                if code and code // 40 != group
+            ]
+            note = f"dropped {len(dropped)} constant design columns: {', '.join(dropped)}"
+            assert [w for w in summary.warnings if "constant design column" in w] == [note]
+        assert sum("constant design column" in w for w in run.warnings) == len(summaries)
 
     def test_aliased_notes_kept_once_per_variable(self, census):
         # sex2 copies sex, so the missingness logit and the normrank fit of
@@ -678,8 +721,7 @@ class TestMissingPredictors:
 
     def census_plan(self, methods, seed):
         return SynthesisPlan(
-            self.VISIT, methods, rules=(Rule("mar", "age < 16", "Single"),),
-            nesting={"occ3": "occ1"}, seed=seed,
+            self.VISIT, methods, rules=(Rule("mar", "age < 16", "Single"),), seed=seed,
         )
 
     def test_cart_plan_same_columns(self, small_census):
@@ -791,7 +833,6 @@ class TestStratifiedPlumbing:
                 "occ1": Cart(),
                 "occ3": Nested("occ1"),
             },
-            nesting={"occ3": "occ1"},
             stratifier="occ1",
             seed=3,
         )
@@ -845,39 +886,39 @@ _NUMERIC_METHODS = {
 _CATEGORICAL_METHODS = {
     "sample": Sample(), "cart": Cart(), "logit": Logit(), "multinomial": Multinomial(),
 }
-# (visit sequence, methods, nesting, outcome): None runs, else the error type
+# (visit sequence, methods, outcome): None runs, else the error type
 _HOSTILE = {
     **{
-        f"constant-target-{m}": (("region", "const"), {"const": s}, {}, None)
+        f"constant-target-{m}": (("region", "const"), {"const": s}, None)
         for m, s in _NUMERIC_METHODS.items()
     },
     **{
-        f"constant-predictor-{m}": (("const", "age"), {"age": s}, {}, None)
+        f"constant-predictor-{m}": (("const", "age"), {"age": s}, None)
         for m, s in _NUMERIC_METHODS.items()
     },
     **{
-        f"constant-predictor-of-binary-{m}": (("const", "sex"), {"sex": s}, {}, None)
+        f"constant-predictor-of-binary-{m}": (("const", "sex"), {"sex": s}, None)
         for m, s in _CATEGORICAL_METHODS.items()
     },
     **{
-        f"single-level-predictor-{m}": (("one", "age"), {"age": s}, {}, None)
+        f"single-level-predictor-{m}": (("one", "age"), {"age": s}, None)
         for m, s in _NUMERIC_METHODS.items()
     },
     **{
-        f"single-level-predictor-of-binary-{m}": (("one", "sex"), {"sex": s}, {}, None)
+        f"single-level-predictor-of-binary-{m}": (("one", "sex"), {"sex": s}, None)
         for m, s in _CATEGORICAL_METHODS.items()
     },
-    "single-level-target-sample": (("region", "one"), {"one": Sample()}, {}, None),
-    "single-level-target-cart": (("region", "one"), {"one": Cart()}, {}, None),
-    "single-level-target-logit": (("region", "one"), {"one": Logit()}, {}, PlanError),
+    "single-level-target-sample": (("region", "one"), {"one": Sample()}, None),
+    "single-level-target-cart": (("region", "one"), {"one": Cart()}, None),
+    "single-level-target-logit": (("region", "one"), {"one": Logit()}, PlanError),
     "single-level-target-multinomial": (
-        ("region", "one"), {"one": Multinomial()}, {}, MethodError
+        ("region", "one"), {"one": Multinomial()}, MethodError
     ),
     "single-level-target-nested": (
-        ("region", "one"), {"one": Nested("region")}, {"one": "region"}, None
+        ("region", "one"), {"one": Nested("region")}, None
     ),
     "single-level-group-nested": (
-        ("one", "mar"), {"mar": Nested("one")}, {"mar": "one"}, None
+        ("one", "mar"), {"mar": Nested("one")}, None
     ),
 }
 
@@ -893,8 +934,8 @@ class TestHostileInput:
 
     @pytest.mark.parametrize("case", sorted(_HOSTILE))
     def test_constant_and_single_level_columns(self, hostile, case):
-        seq, methods, nesting, outcome = _HOSTILE[case]
-        plan = SynthesisPlan(seq, {seq[0]: Sample(), **methods}, nesting=nesting, seed=3)
+        seq, methods, outcome = _HOSTILE[case]
+        plan = SynthesisPlan(seq, {seq[0]: Sample(), **methods}, seed=3)
         data = hostile.select(list(seq))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -940,9 +981,8 @@ class TestHostileInput:
         methods = {
             "region": Sample(), before: Cart(), target: self._TINY_STRATUM_METHODS[target, method]
         }
-        nesting = {"occ3": "occ1"} if target == "occ3" else {}
         plan = SynthesisPlan(
-            ("region", before, target), methods, nesting=nesting, stratifier="g", seed=3
+            ("region", before, target), methods, stratifier="g", seed=3
         )
         fails = {("logit", 1), ("multinomial", 1), ("multinomial", 2)}
         for k in (1, 2, 5):

@@ -14,13 +14,17 @@ from synthweave import (
     Rule,
     Sample,
     SynthesisPlan,
+    ToyCensusSpec,
     categorical_column,
+    generate_toy_census,
     numeric_column,
     plan_errors,
     plan_from_json,
     plan_to_json,
     reorder_visit,
+    synthesize,
     validate_plan,
+    write_csv,
 )
 from synthweave.plan import METHODS, Logit, parse_condition
 
@@ -79,10 +83,17 @@ class TestValidatePlan:
         plan = SynthesisPlan(
             visit_sequence=("c", "a"),
             methods={"c": Sample(), "a": Nested("b")},
-            nesting={"a": "b"},
         )
         diags = validate_plan(plan, small_data())
         assert any("grouping column" in d.message for d in plan_errors(diags))
+
+    def test_nested_method_alone_declares_nesting(self):
+        census = generate_toy_census(ToyCensusSpec(n_rows=300, seed=2))
+        plan = SynthesisPlan(
+            ("region", "occ1", "occ3"), {"region": Sample(), "occ3": Nested("occ1")}
+        )
+        assert plan_errors(validate_plan(plan, census)) == []
+        assert plan.predictors_of("occ3") == ("occ1",)
 
     def test_high_cardinality_warnings(self):
         n = 40
@@ -194,7 +205,6 @@ class TestPlanJson:
             predictor_matrix={"b": ("a",)},
             rules=(Rule("c", "b < 0", "u"),),
             stratifier=None,
-            nesting={"c": "a"},
             seed=7,
         )
         doc = plan_to_json(plan)
@@ -225,6 +235,36 @@ class TestPlanJson:
             {"visit_sequence": ["a", "c"], "nesting": {"c": "a"}}
         )
         assert plan.methods["c"] == Nested("a")
+
+    @pytest.mark.parametrize(
+        "method", [{"kind": "nested", "group_column": "b"}, "cart"], ids=["other-group", "cart"]
+    )
+    def test_nesting_map_conflicting_with_method_rejected(self, method):
+        doc = {"visit_sequence": ["a", "b", "c"], "methods": {"c": method}, "nesting": {"c": "a"}}
+        with pytest.raises(PlanError, match=r"nesting\['c'\] = 'a' conflicts with methods\['c'\]"):
+            plan_from_json(doc)
+
+    @pytest.mark.parametrize("nesting", [["c"], {"c": ["a"]}], ids=["list", "list-group"])
+    def test_malformed_nesting_map_is_a_plan_error(self, nesting):
+        with pytest.raises(PlanError, match="nesting|group_column"):
+            plan_from_json({"visit_sequence": ["a", "b", "c"], "nesting": nesting})
+
+    def test_nesting_map_method_or_both_synthesize_alike(self, tmp_path):
+        census = generate_toy_census(ToyCensusSpec(n_rows=600, seed=3))
+        base = {"visit_sequence": ["region", "sex", "age", "occ1", "occ3"], "seed": 8}
+        nested = {"occ3": {"kind": "nested", "group_column": "occ1"}}
+        docs = {
+            "map": {**base, "nesting": {"occ3": "occ1"}},
+            "method": {**base, "methods": nested},
+            "both": {**base, "methods": nested, "nesting": {"occ3": "occ1"}},
+        }
+        plans = {name: plan_from_json(doc) for name, doc in docs.items()}
+        assert plans["map"] == plans["method"] == plans["both"]
+        written = set()
+        for name, plan in plans.items():
+            write_csv(synthesize(census, plan).synthetic, tmp_path / f"{name}.csv")
+            written.add((tmp_path / f"{name}.csv").read_bytes())
+        assert len(written) == 1
 
     def test_bad_method_name(self):
         with pytest.raises(PlanError):
@@ -293,6 +333,7 @@ class TestMethodRegistry:
             {"kind": "cart", "min_bucket": 0},
             {"kind": "logit", "tol": "small"},
             {"kind": "transform_normal", "transform": "log"},
+            {"kind": "nested", "group_column": ["a"]},
         ],
     )
     def test_unknown_kinds_and_bad_fields_are_plan_errors(self, method):
@@ -319,7 +360,6 @@ class TestMethodRegistry:
         plan = SynthesisPlan(
             order,
             {order[0]: Sample(), column: spec},
-            nesting={column: "a"} if name == "nested" else {},
         )
         errors = [
             d.message for d in plan_errors(validate_plan(plan, small_data()))
