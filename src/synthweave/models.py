@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-import scipy.stats
 from scipy.special import ndtr, ndtri
 
 from . import cart as _cart
@@ -190,6 +189,19 @@ class NormRankFit:
         return np.interp(p, grid, self.sorted_values)
 
 
+def _average_ranks(y: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``y`` in float64, ties sharing the mean of their
+    positions, as SciPy's ``rankdata(y, method="average")``; each rank is an
+    exact half-integer."""
+    order = np.argsort(y, kind="stable")
+    ordered = y[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    sizes = np.diff(starts, append=len(y))
+    ranks = np.empty(len(y))
+    ranks[order] = np.repeat(starts + (sizes + 1) / 2, sizes)
+    return ranks
+
+
 def fit_normrank(target: Column, predictors: Dataset | None, residual_scale: float = 1.0) -> NormRankFit:
     """Regress Blom normal scores of the target, back-transform through the
     empirical quantile function (linear interpolation), so draws never leave
@@ -200,7 +212,7 @@ def fit_normrank(target: Column, predictors: Dataset | None, residual_scale: flo
     n = len(y)
     if n == 0:
         raise MethodError(f"normrank: target {target.name!r} is empty")
-    ranks = scipy.stats.rankdata(y, method="average")
+    ranks = _average_ranks(y)
     z = ndtri((ranks - 0.375) / (n + 0.25))
     design, X, labels, notes = _fit_design(predictors, n)
     fit = ols(X, z, labels)

@@ -565,23 +565,60 @@ def plan_to_json(plan: SynthesisPlan) -> dict:
     return doc
 
 
+def _names(value, field_name: str) -> tuple[str, ...]:
+    """A JSON list of column names; a bare string is refused, not read as
+    a sequence of one-letter names."""
+    if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
+        raise PlanError(f"{field_name} must be a list of column names, got {value!r}")
+    return tuple(value)
+
+
+def _mapping(value, field_name: str, what: str) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise PlanError(f"{field_name} must map {what}, got {value!r}")
+    return value
+
+
+def _rule_from_json(obj, i: int) -> Rule:
+    if not isinstance(obj, Mapping):
+        raise PlanError(f"rules[{i}] must be an object with target, condition and value, got {obj!r}")
+    missing = [key for key in ("target", "condition", "value") if key not in obj]
+    if missing:
+        raise PlanError(f"rules[{i}] lacks {', '.join(missing)}")
+    if not isinstance(obj["target"], str):
+        raise PlanError(f"rules[{i}]: target must be a column name, got {obj['target']!r}")
+    return Rule(obj["target"], obj["condition"], obj["value"])
+
+
 def plan_from_json(doc: Mapping) -> SynthesisPlan:
+    """The plan a parsed plan file describes; a field of the wrong shape is
+    a ``PlanError`` that names it."""
+    if not isinstance(doc, Mapping):
+        raise PlanError(f"plan document must be a JSON object, got {doc!r}")
     if "visit_sequence" not in doc:
         raise PlanError("plan document lacks visit_sequence")
-    seq = tuple(doc["visit_sequence"])
+    seq = _names(doc["visit_sequence"], "visit_sequence")
     methods = {
-        c: _method_from_json(m, c) for c, m in dict(doc.get("methods", {})).items()
+        c: _method_from_json(m, c)
+        for c, m in _mapping(doc.get("methods", {}), "methods", "columns to methods").items()
     }
     matrix = doc.get("predictor_matrix")
     if matrix is not None:
-        matrix = {t: tuple(p) for t, p in matrix.items()}
-    rules = tuple(
-        Rule(r["target"], r["condition"], r["value"]) for r in doc.get("rules", ())
-    )
+        matrix = {
+            t: _names(p, f"predictor_matrix[{t!r}]")
+            for t, p in _mapping(matrix, "predictor_matrix", "targets to predictor lists").items()
+        }
+    rules = doc.get("rules", ())
+    if not isinstance(rules, (list, tuple)):
+        raise PlanError(f"rules must be a list of rule objects, got {rules!r}")
+    stratifier = doc.get("stratifier")
+    if stratifier is not None and not isinstance(stratifier, str):
+        raise PlanError(f"stratifier must be a column name or null, got {stratifier!r}")
+    seed = doc.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise PlanError(f"seed must be an integer, got {seed!r}")
     # "nesting": {target: group} is shorthand for a nested method
-    nesting = doc.get("nesting", {})
-    if not isinstance(nesting, Mapping):
-        raise PlanError(f"nesting must map nested targets to group columns, got {nesting!r}")
+    nesting = _mapping(doc.get("nesting", {}), "nesting", "nested targets to group columns")
     for target, group in nesting.items():
         spec = methods.setdefault(target, Nested(group))
         if spec != Nested(group):
@@ -592,9 +629,9 @@ def plan_from_json(doc: Mapping) -> SynthesisPlan:
         visit_sequence=seq,
         methods=methods,
         predictor_matrix=matrix,
-        rules=rules,
-        stratifier=doc.get("stratifier"),
-        seed=int(doc.get("seed", 0)),
+        rules=tuple(_rule_from_json(r, i) for i, r in enumerate(rules)),
+        stratifier=stratifier,
+        seed=seed,
     )
 
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import synthweave
 from synthweave.cli import main
 
 
@@ -142,6 +147,26 @@ class TestSynth:
         )
         assert rc == 2
         assert "nesting['occ3'] = 'occ1' conflicts with methods['occ3']" in capsys.readouterr().err
+
+    def test_malformed_plan_file_exits_2_without_traceback(self, toy_files, tmp_path):
+        # through a real interpreter, so an escaping exception would show as
+        # a traceback on stderr and exit code 1
+        root, data, schema, plan = toy_files
+        doc = json.loads(plan.read_text())
+        del doc["rules"][0]["condition"]
+        bad = tmp_path / "no_condition.json"
+        bad.write_text(json.dumps(doc))
+        env = dict(os.environ, PYTHONPATH=str(Path(synthweave.__file__).parents[1]))
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "synthweave", "synth", "--data", str(data),
+                "--schema", str(schema), "--plan", str(bad), "--out", str(tmp_path / "o.csv"),
+            ],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert result.returncode == 2, result.stderr
+        assert "Traceback" not in result.stderr
+        assert "plan error: rules[0] lacks condition" in result.stderr
 
     def test_seed_override_deterministic(self, toy_files, tmp_path):
         root, data, schema, plan = toy_files

@@ -1,10 +1,17 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import synthweave
+from synthweave import models
 from synthweave import (
     Dataset,
     MethodError,
@@ -132,6 +139,77 @@ class TestNormRankRange:
         draws = fit.sample(new, rng, m)
         assert draws.shape == (m,)
         assert np.all((draws >= y.min()) & (draws <= y.max()))
+
+
+@st.composite
+def _rank_arrays(draw):
+    """1-120 values: small integers (heavy ties), one constant, a mix of
+    -0.0 and 0.0, or arbitrary floats with infinities."""
+    n = draw(st.integers(1, 120))
+    shape = draw(st.sampled_from(["ties", "constant", "signed-zeros", "floats"]))
+    if shape == "ties":
+        y = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    elif shape == "constant":
+        y = [draw(st.floats(allow_nan=False))] * n
+    elif shape == "signed-zeros":
+        y = draw(st.lists(st.sampled_from([-0.0, 0.0, 1.0]), min_size=n, max_size=n))
+    else:
+        y = draw(st.lists(st.floats(allow_nan=False), min_size=n, max_size=n))
+    return np.asarray(y, dtype=np.float64)
+
+
+class TestAverageRanks:
+    @settings(max_examples=80, deadline=None)
+    @given(_rank_arrays())
+    @example(np.array([2.5]))
+    @example(np.full(7, 3.0))
+    @example(np.array([0.0, -0.0, 1.0, -0.0, 0.0]))
+    def test_equals_scipy_rankdata(self, y):
+        ours = models._average_ranks(y)
+        reference = scipy.stats.rankdata(y, method="average")
+        assert ours.dtype == reference.dtype
+        assert np.array_equal(ours, reference)
+
+    def test_fit_normrank_matches_rankdata_reference(self, monkeypatch):
+        # an integer-valued target with heavy ties, fitted with the helper and
+        # again with scipy's ranks in its place: the same fit, the same draws
+        rng = np.random.default_rng(31)
+        y = numeric_column("y", rng.integers(0, 6, 400).astype(float))
+        predictors = Dataset((numeric_column("x", rng.normal(size=400)),))
+        fit = fit_normrank(y, predictors)
+        monkeypatch.setattr(
+            models, "_average_ranks", lambda v: scipy.stats.rankdata(v, method="average")
+        )
+        reference = fit_normrank(y, predictors)
+        assert np.array_equal(fit.fit.coefficients, reference.fit.coefficients)
+        assert fit.fit.residual_sd == reference.fit.residual_sd
+        assert np.array_equal(fit.sorted_values, reference.sorted_values)
+        draws = fit.sample(predictors, np.random.default_rng(32), 400)
+        assert np.array_equal(draws, reference.sample(predictors, np.random.default_rng(32), 400))
+
+
+def test_normrank_synthesis_leaves_scipy_stats_unloaded():
+    # importing scipy.stats is about half of the CLI start-up; other tests
+    # load it into this process, so the check runs in a fresh interpreter
+    code = textwrap.dedent(
+        """
+        import sys
+        from synthweave import ToyCensusSpec, generate_toy_census, plan_from_json, synthesize
+        census = generate_toy_census(ToyCensusSpec(n_rows=300, seed=4))
+        plan = plan_from_json({
+            "visit_sequence": ["region", "sex", "age", "pperroom"],
+            "methods": {"region": "sample", "pperroom": "normrank"},
+            "seed": 9,
+        })
+        assert synthesize(census, plan).synthetic.n_rows == 300
+        assert "scipy.stats" not in sys.modules
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(synthweave.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
 
 
 class TestTransformNormal:

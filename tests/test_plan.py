@@ -249,6 +249,42 @@ class TestPlanJson:
         with pytest.raises(PlanError, match="nesting|group_column"):
             plan_from_json({"visit_sequence": ["a", "b", "c"], "nesting": nesting})
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("rules", [{"target": "c", "value": "u"}], r"rules\[0\] lacks condition"),
+            ("methods", ["a"], "methods must map columns to methods"),
+            ("predictor_matrix", ["a"], "predictor_matrix must map targets"),
+            ("seed", "x", "seed must be an integer, got 'x'"),
+            ("seed", True, "seed must be an integer, got True"),
+            ("seed", 1.5, "seed must be an integer, got 1.5"),
+            ("visit_sequence", "abc", "visit_sequence must be a list of column names"),
+            ("predictor_matrix", {"c": "a"}, r"predictor_matrix\['c'\] must be a list of column names"),
+            ("rules", {"c": "u"}, "rules must be a list"),
+            ("rules", ["a == 1"], r"rules\[0\] must be an object"),
+            ("rules", [{"target": ["c"], "condition": "a == 'x'", "value": "u"}], r"rules\[0\]: target"),
+            ("stratifier", ["a"], "stratifier must be a column name"),
+        ],
+        ids=[
+            "rule-without-condition", "methods-list", "matrix-list", "seed-text", "seed-bool",
+            "seed-float", "sequence-text", "matrix-row-text", "rules-object", "rule-text",
+            "rule-target-list", "stratifier-list",
+        ],
+    )
+    def test_malformed_field_is_a_plan_error(self, field, value, message):
+        doc = {"visit_sequence": ["a", "b", "c"], field: value}
+        with pytest.raises(PlanError, match=message):
+            plan_from_json(doc)
+
+    @pytest.mark.parametrize("doc", [["a"], 5, "visit_sequence"], ids=["list", "number", "text"])
+    def test_document_must_be_an_object(self, doc):
+        with pytest.raises(PlanError, match="plan document must be a JSON object"):
+            plan_from_json(doc)
+
+    def test_negative_and_large_seeds_still_read(self):
+        for seed in (-1, 0, 2**70):
+            assert plan_from_json({"visit_sequence": ["a"], "seed": seed}).seed == seed
+
     def test_nesting_map_method_or_both_synthesize_alike(self, tmp_path):
         census = generate_toy_census(ToyCensusSpec(n_rows=600, seed=3))
         base = {"visit_sequence": ["region", "sex", "age", "occ1", "occ3"], "seed": 8}
