@@ -30,7 +30,9 @@ ENV_SEED = "SYNTHWEAVE_SEED"
 def load_schema(path: str | Path) -> dict:
     with Path(path).open(encoding="utf-8") as fh:
         doc = json.load(fh)
-    cols = doc.get("columns", doc)
+    cols = doc.get("columns", doc) if isinstance(doc, dict) else doc
+    if not isinstance(cols, dict):
+        raise DataError(f"{path}: schema columns must be an object of column kinds, got {cols!r}")
     schema: dict = {}
     for name, v in cols.items():
         if v == "numeric":
@@ -65,9 +67,12 @@ def _resolve_seed(flag_seed, plan_doc: dict | None) -> int:
     if plan_doc is not None and "seed" in plan_doc:
         return int(plan_doc["seed"])
     env = os.environ.get(ENV_SEED)
-    if env is not None:
+    if env is None:
+        return 0
+    try:
         return int(env)
-    return 0
+    except ValueError:
+        raise PlanError(f"{ENV_SEED} must be an integer, got {env!r}") from None
 
 
 def _timed_read(path, schema) -> tuple[Dataset, float]:
@@ -88,6 +93,8 @@ def cmd_synth(args) -> int:
 
         plan = replace(plan, seed=seed)
 
+    sdc_cfg = sdc_from_json(plan_doc.get("sdc"))
+
     diags = validate_plan(plan, data)
     errs = plan_errors(diags)
     for d in diags:
@@ -96,7 +103,6 @@ def cmd_synth(args) -> int:
         return 2
 
     run = synthesize(data, plan)
-    sdc_cfg = sdc_from_json(plan_doc.get("sdc"))
     sdc_fragment = None
     synthetic = run.synthetic
     if sdc_cfg is not None:

@@ -185,9 +185,12 @@ class Gram:
         # rows that share one pair layout fill one contiguous block of S
         self.order = np.argsort(counts, kind="stable")
         sorted_counts = counts[self.order]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(sorted_counts * (sorted_counts + 1) // 2, out=indptr[1:])
-        pair_cols = np.empty(indptr[-1], dtype=np.int64)
+        pairs = sorted_counts * (sorted_counts + 1) // 2
+        # int32 indices while they fit: 12 bytes per pair in S instead of 16
+        index = np.int32 if max(int(pairs.sum()), p * p) < 2**31 else np.int64
+        indptr = np.zeros(n + 1, dtype=index)
+        np.cumsum(pairs, out=indptr[1:])
+        pair_cols = np.empty(indptr[-1], dtype=index)
         products = np.empty(indptr[-1])
         max_count = int(sorted_counts[-1]) if n else 0
         # the rows with m nonzeros are self.order[first[m]:first[m + 1]]
@@ -200,8 +203,12 @@ class Gram:
                 pos = X.indptr[self.order[lo:hi]][:, None] + np.arange(m)
                 cols, vals = X.indices[pos], X.data[pos]
                 block = slice(indptr[lo], indptr[hi])
-                pair_cols[block] = (cols[:, a] * p + cols[:, b]).ravel()
-                products[block] = (vals[:, a] * vals[:, b]).ravel()
+                # np.take keeps the pairs row-major, so ravel copies nothing;
+                # cols[:, a] comes back column-major
+                pair_cols[block] = (
+                    np.take(cols, a, axis=1) * p + np.take(cols, b, axis=1)
+                ).ravel()
+                products[block] = (np.take(vals, a, axis=1) * np.take(vals, b, axis=1)).ravel()
         self.p = p
         self.S = scipy.sparse.csr_array((products, pair_cols, indptr), shape=(n, p * p)).T
 

@@ -7,7 +7,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, PlanError
+from .plan import _mapping, _names
 from .tabular import Categorical, Column, Dataset, Numeric, distinct_cells
 
 
@@ -28,13 +29,24 @@ class SdcConfig:
 
 
 def sdc_from_json(doc: dict | None) -> SdcConfig | None:
+    """The settings of a plan file's ``sdc`` section, None when it is absent
+    or empty; a field of the wrong shape is a ``PlanError`` that names it."""
+    if doc is None:
+        return None
+    doc = _mapping(doc, "sdc", "settings to values")
     if not doc:
         return None
+    scale = doc.get("noise_scale", 0.0)
+    if isinstance(scale, bool) or not isinstance(scale, (int, float)) or not scale >= 0:
+        raise PlanError(f"sdc.noise_scale must be a number >= 0, got {scale!r}")
+    label = doc.get("label", "synthetic")
+    if not isinstance(label, str):
+        raise PlanError(f"sdc.label must be a string, got {label!r}")
     return SdcConfig(
-        key_variables=tuple(doc.get("key_variables", ())),
-        noise_targets=tuple(doc.get("noise_targets", ())),
-        noise_scale=float(doc.get("noise_scale", 0.0)),
-        label=doc.get("label", "synthetic"),
+        key_variables=_names(doc.get("key_variables", ()), "sdc.key_variables"),
+        noise_targets=_names(doc.get("noise_targets", ()), "sdc.noise_targets"),
+        noise_scale=float(scale),
+        label=label,
     )
 
 

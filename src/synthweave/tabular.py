@@ -241,12 +241,20 @@ def _formatted(values: np.ndarray, missing_token: str) -> np.ndarray:
     return text
 
 
-def _rendered(col: Column, missing_token: str) -> list[str]:
-    """Each cell as CSV text; a numeric column formats each distinct value once."""
+def _texts(col: Column, missing_token: str) -> tuple[np.ndarray, np.ndarray]:
+    """(text of each distinct value, index of each cell into it): a numeric
+    column formats each distinct value once, a categorical one uses its
+    levels and codes."""
     if col.is_numeric:
         distinct, index = np.unique(col.values, return_inverse=True)
-        return _formatted(distinct, missing_token)[index].tolist()
-    return np.array(col.levels, dtype=object)[col.values].tolist()
+        return _formatted(distinct, missing_token), index
+    return np.array(col.levels, dtype=object), col.values
+
+
+def _rendered(col: Column, missing_token: str) -> list[str]:
+    """Each cell as CSV text."""
+    texts, index = _texts(col, missing_token)
+    return texts[index].tolist()
 
 
 def _resolve_kind(entry: SchemaEntry, colname: str) -> tuple[VariableKind | None, bool]:
@@ -261,6 +269,16 @@ def _resolve_kind(entry: SchemaEntry, colname: str) -> tuple[VariableKind | None
         f"schema for {colname!r}: expected Numeric, Categorical, "
         f"'numeric' or 'categorical', got {entry!r}"
     )
+
+
+# The reader converts, and the writer renders, whole rows of about this many
+# cells at a time, so each block's cell strings are still in cache when they
+# are hashed or joined.
+_BLOCK_CELLS = 2**14
+
+
+def _block_rows(width: int) -> int:
+    return max(1, _BLOCK_CELLS // max(width, 1))
 
 
 def read_csv(
@@ -278,12 +296,21 @@ def read_csv(
     categorical columns the token is kept as a dedicated level (appended when
     levels are inferred, required to be listed when they are explicit).
     Other numeric cells are parsed with Python's ``float()`` and must be
-    finite.  Problems are reported in this order: no header, a duplicated
-    header name, a column missing from the schema, a row of the wrong width;
-    then cell errors column by column, the first bad row of a column first.
-    Row numbers count the header as row 1 and skip blank and preamble lines.
-    Bytes that are not UTF-8 and a field above the ``csv`` module's size
-    limit are a ``DataError`` naming the file as well.
+    finite.
+
+    The file is read in blocks of whole rows, about ``_BLOCK_CELLS`` cells
+    each, and each block's cells are converted before the next is read;
+    parsed numbers and inferred levels carry over from block to block, so
+    each distinct numeric cell is parsed once and inferred levels keep
+    first-appearance order.
+
+    Problems are reported in this order: no header, a duplicated header
+    name, a column missing from the schema; then a row of the wrong width,
+    bytes that are not UTF-8 or a field above the ``csv`` module's size
+    limit, anywhere in the file; then, column by column in header order, a
+    bad schema entry or the column's first bad row.  Row numbers count the
+    header as row 1 and skip blank and preamble lines.  Each is a
+    ``DataError``, and each about the file's text names the file.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -299,16 +326,26 @@ def read_csv(
             if missing_cols:
                 raise DataError(f"{path}: no schema entry for column(s) {missing_cols}")
             width = len(header)
-            # one flat list of cells, row after row: no list per row stays alive
+            columns = [_ColumnCells(path, c, schema[c], missing_token) for c in header]
+            block_cells = _block_rows(width) * width
+            row = 2  # the file row of the block's first row
+            # the block's cells, row after row: no list per row stays alive
             flat: list[str] = []
             for r in rows:
                 if len(r) == width:
                     flat += r
+                    if len(flat) == block_cells:
+                        for j, col in enumerate(columns):
+                            col.add(flat[j::width], row)
+                        row += len(flat) // width
+                        flat = []
                 elif r:
                     raise DataError(
-                        f"{path}: row {len(flat) // width + 2} has {len(r)} fields, "
+                        f"{path}: row {row + len(flat) // width} has {len(r)} fields, "
                         f"expected {width}"
                     )
+            for j, col in enumerate(columns):
+                col.add(flat[j::width], row)
         except UnicodeDecodeError as exc:
             # text is decoded a block at a time, so the line is not known
             raise DataError(
@@ -316,60 +353,95 @@ def read_csv(
             ) from None
         except csv.Error as exc:
             raise DataError(f"{path}: line {rows.line_num}: {exc}") from None
+    return Dataset(tuple(col.column() for col in columns), name=name or path.stem)
 
-    columns: list[Column] = []
-    for j, colname in enumerate(header):
-        kind, infer = _resolve_kind(schema[colname], colname)
-        cells = flat[j::width]
-        if isinstance(kind, Numeric):
-            columns.append(_numeric_cells(path, colname, cells, missing_token))
-        elif infer:
-            columns.append(categorical_column(colname, cells))
+
+class _ColumnCells:
+    """One column of a CSV being read, converted a block of cells at a time.
+
+    The lookup from cell text to value grows from block to block: each new
+    numeric cell is parsed once, and each new inferred level is appended in
+    first-appearance order.  The column's first problem, a bad schema entry
+    or its first bad cell, is kept in ``error`` and raised by ``column()``;
+    later cells are then skipped.
+    """
+
+    def __init__(self, path: Path, name: str, entry: SchemaEntry, missing_token: str):
+        self.path, self.name, self.missing_token = path, name, missing_token
+        self.parts: list[np.ndarray] = []
+        self.error: DataError | None = None
+        try:
+            self.kind, self.infer = _resolve_kind(entry, name)
+        except DataError as exc:
+            self.error = exc
+            return
+        self.numeric = isinstance(self.kind, Numeric)
+        self.dtype = np.float64 if self.numeric else np.int64
+        if self.numeric:
+            self.lookup = {missing_token: math.nan}
+        elif self.infer:
+            self.lookup = {}
         else:
-            assert isinstance(kind, Categorical)
-            lookup = {lv: i for i, lv in enumerate(kind.levels)}
+            self.lookup = {lv: i for i, lv in enumerate(self.kind.levels)}
+
+    def add(self, cells: list[str], row: int) -> None:
+        """Convert one block's cells; ``row`` is the file row of the first."""
+        if self.error is not None:
+            return
+        lookup = self.lookup
+        try:
+            self.parts.append(_indexed(lookup, cells, self.dtype))
+            return
+        except KeyError:
+            pass
+        fresh = [c for c in dict.fromkeys(cells) if c not in lookup]
+        if self.numeric:
             try:
-                codes = _indexed(lookup, cells, np.int64)
-            except KeyError:
-                i, cell = next((i, c) for i, c in enumerate(cells) if c not in lookup)
-                raise DataError(
-                    f"{path}: unknown categorical level {cell!r} "
-                    f"(row {i + 2}, column {colname!r}); "
-                    f"declare it in the schema or use infer-levels"
-                ) from None
-            columns.append(Column(colname, kind, codes))
-    return Dataset(tuple(columns), name=name or path.stem)
+                parsed = np.fromiter(map(float, fresh), dtype=np.float64, count=len(fresh))
+                good = bool(np.isfinite(parsed).all())
+            except ValueError:
+                good = False
+            if not good:
+                self._fail(self._bad_number(cells, row))
+                return
+            lookup.update(zip(fresh, parsed.tolist()))
+        elif self.infer:
+            lookup.update(zip(fresh, range(len(lookup), len(lookup) + len(fresh))))
+        else:
+            i, cell = next((i, c) for i, c in enumerate(cells) if c not in lookup)
+            self._fail(
+                f"unknown categorical level {cell!r} (row {row + i}, column "
+                f"{self.name!r}); declare it in the schema or use infer-levels"
+            )
+            return
+        self.parts.append(_indexed(lookup, cells, self.dtype))
 
-
-def _numeric_cells(path: Path, colname: str, cells: list[str], missing_token: str) -> Column:
-    """Parse a numeric column, each distinct cell text once; when one is not
-    a finite number, walk the cells to name the first bad row."""
-    distinct = dict.fromkeys(cells)
-    distinct.pop(missing_token, None)
-    try:
-        parsed = np.fromiter(map(float, distinct), dtype=np.float64, count=len(distinct))
-        finite = bool(np.isfinite(parsed).all())
-    except ValueError:
-        finite = False
-    if not finite:
+    def _bad_number(self, cells: list[str], row: int) -> str:
+        """The error text for the first cell of the block that is not a
+        finite number."""
         for i, cell in enumerate(cells):
-            if cell == missing_token:
+            if cell in self.lookup:
                 continue
             try:
                 value = float(cell)
             except ValueError:
-                raise DataError(
-                    f"{path}: unparseable numeric cell {cell!r} "
-                    f"(row {i + 2}, column {colname!r})"
-                ) from None
+                return f"unparseable numeric cell {cell!r} (row {row + i}, column {self.name!r})"
             if not math.isfinite(value):
-                raise DataError(
-                    f"{path}: non-finite numeric cell {cell!r} (row {i + 2}, "
-                    f"column {colname!r}); write a missing cell as {missing_token!r}"
+                return (
+                    f"non-finite numeric cell {cell!r} (row {row + i}, column "
+                    f"{self.name!r}); write a missing cell as {self.missing_token!r}"
                 )
-    lookup = dict(zip(distinct, parsed.tolist()))
-    lookup[missing_token] = math.nan
-    return Column(colname, Numeric(), _indexed(lookup, cells, np.float64))
+        raise AssertionError("no bad numeric cell in a block that failed to parse")
+
+    def _fail(self, message: str) -> None:
+        self.error = DataError(f"{self.path}: {message}")
+        self.parts = []
+
+    def column(self) -> Column:
+        if self.error is not None:
+            raise self.error
+        kind = Categorical(tuple(self.lookup)) if self.infer else self.kind
+        return Column(self.name, kind, np.concatenate(self.parts))
 
 
 @contextmanager
@@ -409,6 +481,10 @@ def _rewritten(path: str | Path, newline: str | None = None) -> Iterator[TextIO]
 def write_csv(data: Dataset, path: str | Path, missing_token: str = "NA") -> None:
     """Write a Dataset as UTF-8 CSV; round-trips through read_csv exactly.
 
+    Each column's distinct values are formatted once; the rows are then
+    rendered and written in the blocks ``read_csv`` reads, about
+    ``_BLOCK_CELLS`` cells of whole rows each.
+
     An existing file is rewritten in place (see ``_rewritten``): its mode,
     hard links and symlinks are kept, and it ends up holding exactly the
     new bytes.
@@ -436,6 +512,9 @@ def write_csv(data: Dataset, path: str | Path, missing_token: str = "NA") -> Non
                 fh.write(f"# SYNTHETIC DATA: {data.label}\n")
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(data.names)
-            writer.writerows(zip(*(_rendered(c, missing_token) for c in data.columns)))
+            texts = [_texts(c, missing_token) for c in data.columns]
+            step = _block_rows(len(texts))
+            for lo in range(0, data.n_rows, step):
+                writer.writerows(zip(*(t[i[lo : lo + step]].tolist() for t, i in texts)))
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc

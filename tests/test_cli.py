@@ -271,6 +271,70 @@ class TestSynth:
         assert "sdc" in doc and doc["sdc"]["noise"] == {"age": 0.05}
 
 
+    @pytest.mark.parametrize(
+        "sdc, message",
+        [
+            (["a"], "sdc must map settings to values, got ['a']"),
+            ({"noise_scale": "x"}, "sdc.noise_scale must be a number >= 0, got 'x'"),
+            (
+                {"key_variables": "region"},
+                "sdc.key_variables must be a list of column names, got 'region'",
+            ),
+        ],
+    )
+    def test_malformed_sdc_section_exits_2_before_synthesis(
+        self, toy_files, tmp_path, capsys, monkeypatch, sdc, message
+    ):
+        root, data, schema, plan = toy_files
+        doc = dict(json.loads(plan.read_text()), sdc=sdc)
+        bad = tmp_path / "bad_sdc.json"
+        bad.write_text(json.dumps(doc))
+
+        def synthesize(*args, **kwargs):
+            raise AssertionError("synthesis ran before the sdc section was read")
+
+        monkeypatch.setattr("synthweave.cli.synthesize", synthesize)
+        out = tmp_path / "o.csv"
+        rc = main(
+            [
+                "synth", "--data", str(data), "--schema", str(schema),
+                "--plan", str(bad), "--out", str(out),
+            ]
+        )
+        assert rc == 2
+        assert f"plan error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_schema_columns_not_an_object_names_the_file(self, toy_files, tmp_path, capsys):
+        root, data, _, plan = toy_files
+        schema = tmp_path / "list_schema.json"
+        schema.write_text(json.dumps({"columns": ["region", "sex"]}))
+        rc = main(
+            [
+                "synth", "--data", str(data), "--schema", str(schema),
+                "--plan", str(plan), "--out", str(tmp_path / "o.csv"),
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {schema}: schema columns must be an object")
+        assert len(err.splitlines()) == 1
+
+    def test_non_integer_env_seed_exits_2(self, toy_files, tmp_path, capsys, monkeypatch):
+        root, data, schema, _ = toy_files
+        plan = tmp_path / "noseed.json"
+        plan.write_text(json.dumps({"visit_sequence": ["region", "sex"]}))
+        monkeypatch.setenv("SYNTHWEAVE_SEED", "x")
+        rc = main(
+            [
+                "synth", "--data", str(data), "--schema", str(schema),
+                "--plan", str(plan), "--out", str(tmp_path / "o.csv"),
+            ]
+        )
+        assert rc == 2
+        assert "plan error: SYNTHWEAVE_SEED must be an integer, got 'x'" in capsys.readouterr().err
+
+
 class TestUtilityCommand:
     def test_identical_files_all_zero(self, toy_files, tmp_path):
         root, data, schema, _ = toy_files

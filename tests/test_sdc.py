@@ -8,6 +8,7 @@ from synthweave import (
     DataError,
     Dataset,
     Numeric,
+    PlanError,
     add_noise,
     categorical_column,
     numeric_column,
@@ -226,3 +227,20 @@ class TestApplySdc:
         )
         assert cfg == SdcConfig(("a",), ("b",), 0.2, "synthetic")
         assert sdc_from_json(None) is None
+        assert sdc_from_json({}) is None
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            (["a"], "sdc must map"),
+            ({"noise_scale": "x"}, "sdc.noise_scale"),
+            ({"noise_scale": True}, "sdc.noise_scale"),
+            ({"noise_scale": -0.1}, "sdc.noise_scale"),
+            ({"key_variables": "region"}, "sdc.key_variables"),
+            ({"noise_targets": [1]}, "sdc.noise_targets"),
+            ({"label": 3}, "sdc.label"),
+        ],
+    )
+    def test_malformed_section_is_a_plan_error(self, doc, field):
+        with pytest.raises(PlanError, match=field):
+            sdc_from_json(doc)

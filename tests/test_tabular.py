@@ -3,6 +3,7 @@ import math
 import os
 import threading
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -210,19 +211,19 @@ class TestRewriteInPlace:
 
     @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
     def test_error_mid_write_leaves_what_was_written(self, tmp_path, monkeypatch, error):
-        # the columns are rendered after the stamp and header are written;
-        # failing on the second leaves exactly those, as truncating would
+        # the columns' texts are formatted after the stamp and header are
+        # written; failing on the second leaves exactly those, as truncating would
         d = toy_dataset().with_label("demo")
         path = tmp_path / "out.csv"
         path.write_bytes(b"old,content\n" * 1000)
-        real = tabular._rendered
+        real = tabular._texts
 
-        def rendered(col, missing_token):
+        def texts(col, missing_token):
             if col.name == "x":
                 raise error("stop")
             return real(col, missing_token)
 
-        monkeypatch.setattr(tabular, "_rendered", rendered)
+        monkeypatch.setattr(tabular, "_texts", texts)
         with pytest.raises(error):
             write_csv(d, path)
         assert path.read_bytes() == b"# SYNTHETIC DATA: demo\ncolor,x\n"
@@ -257,11 +258,16 @@ class TestReadCsvErrors:
         with pytest.raises(DataError, match=r"non-finite numeric cell .*row 3, column 'x'"):
             read_csv(path, {"x": Numeric()})
 
-    @pytest.mark.parametrize("where", ["header", "body"])
+    @pytest.mark.parametrize("where", ["header", "body", "past_a_bad_cell"])
     def test_bytes_that_are_not_utf8(self, tmp_path, where):
         path = tmp_path / "latin.csv"
-        body = b"a,b\n" + b"1,x\n" * 5000 + b"2,\xff\n"
-        path.write_bytes(b"\xffa,b\n1,x\n" if where == "header" else body)
+        text = {
+            "header": b"\xffa,b\n1,x\n",
+            "body": b"a,b\n" + b"1,x\n" * 5000 + b"2,\xff\n",
+            # decoded after the first block, whose bad cell it still beats
+            "past_a_bad_cell": b"a,b\nabc,x\n" + b"1,x\n" * 20_000 + b"2,\xff\n",
+        }
+        path.write_bytes(text[where])
         with pytest.raises(DataError, match=r"latin\.csv: not UTF-8 text \(byte 0xff"):
             read_csv(path, {"a": Numeric(), "b": "categorical"})
 
@@ -544,6 +550,17 @@ HAND_FILES = {
         "a,b\nabc,1\n", {"a": "categorical", "b": "text"},
         "schema for 'b': expected Numeric",
     ),
+    # past the first block of 2**14 cells: a ragged row anywhere wins over a
+    # bad cell, and a bad cell in a block read after a later column's bad
+    # schema entry still wins over it
+    "ragged_in_later_block_after_bad_cell": (
+        "x\n1\nabc\n" + "1\n" * 20_000 + "1,2\n", {"x": Numeric()},
+        "row 20004 has 2 fields, expected 1",
+    ),
+    "bad_cell_in_later_block_before_bad_schema_entry": (
+        "a,b\n" + "1,x\n" * 10_000 + "abc,x\n", {"a": Numeric(), "b": "text"},
+        "unparseable numeric cell 'abc' (row 10002, column 'a')",
+    ),
 }
 
 
@@ -553,9 +570,13 @@ class TestReaderMatchesReference:
         text, schema, message = HAND_FILES[case]
         path = tmp_path / "f.csv"
         path.write_text(text, encoding="utf-8")
-        got, want = read_both(path, schema, "NA")
-        assert_same_result(got, want)
-        assert isinstance(got, str) and message in got
+        # blocks of the default size, then of a few cells, so that rows,
+        # levels, parsed numbers and errors cross block boundaries
+        for cells in (tabular._BLOCK_CELLS, 1, 3, 5):
+            with mock.patch.object(tabular, "_BLOCK_CELLS", cells):
+                got, want = read_both(path, schema, "NA")
+            assert_same_result(got, want)
+            assert isinstance(got, str) and message in got
 
     def test_hash_cells_after_header_are_data(self, tmp_path):
         path = tmp_path / "h.csv"
@@ -573,11 +594,12 @@ class TestReaderMatchesReference:
         assert got.column("c").levels == (".", "NA")
 
     @settings(max_examples=150, deadline=None)
-    @given(spec=_csv_files())
-    def test_random_files(self, tmp_path_factory, spec):
+    @given(spec=_csv_files(), cells=st.sampled_from([1, 2, 3, 5, 8, tabular._BLOCK_CELLS]))
+    def test_random_files(self, tmp_path_factory, spec, cells):
         path = tmp_path_factory.getbasetemp() / "random_reader.csv"
         write_rows(path, spec["preamble"], spec["rows"])
-        got, want = read_both(path, spec["schema"], spec["missing_token"])
+        with mock.patch.object(tabular, "_BLOCK_CELLS", cells):
+            got, want = read_both(path, spec["schema"], spec["missing_token"])
         assert_same_result(got, want)
 
 
@@ -629,6 +651,38 @@ class TestRoundTripProperty:
         first = path.read_bytes()
         write_csv(back.with_label(label), path)
         assert path.read_bytes() == first
+
+    @pytest.mark.parametrize("cells", [3, 2**14])
+    def test_bytes_across_blocks(self, tmp_path, cells):
+        # 3 columns x 20k rows is four blocks at the default size; the bytes
+        # equal one csv.writer row per row of per-value texts, and read back
+        rng = np.random.default_rng(9)
+        n = 20_000
+        x = np.round(rng.normal(size=n) * 100, 2)
+        x[rng.random(n) < 0.05] = np.nan
+        data = Dataset(
+            (
+                categorical_column("c", rng.choice(["a", "b,c", "NA", 'q"t'], size=n).tolist()),
+                numeric_column("x", x),
+                numeric_column("i", rng.integers(-5, 5, size=n)),
+            )
+        ).with_label("blocks")
+        path, want = tmp_path / "blocks.csv", tmp_path / "want.csv"
+        with want.open("w", newline="", encoding="utf-8") as fh:
+            fh.write("# SYNTHETIC DATA: blocks\n")
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(data.names)
+            columns = [
+                c.decoded() if not c.is_numeric
+                else ["NA" if math.isnan(v) else _format_number(v) for v in c.values.tolist()]
+                for c in data.columns
+            ]
+            writer.writerows(zip(*columns))
+        with mock.patch.object(tabular, "_BLOCK_CELLS", cells):
+            write_csv(data, path)
+            assert path.read_bytes() == want.read_bytes()
+            back = read_csv(path, data.schema())
+        assert back.equals(data)
 
     def test_level_spelled_like_missing_token_stays_a_level(self, tmp_path):
         d = Dataset(
