@@ -304,16 +304,23 @@ def _newton_logit(
     """Baseline-category logit of the (n, K) class indicators ``Y`` (a row
     of zeros is the reference class) on the non-aliased columns of ``X``;
     K = 1 is the binary logit.  Newton steps, halved until the
-    log-likelihood does not decrease, with a small ridge on a singular
-    Hessian and coefficients capped under separation.  Returns (matrix of
-    the kept columns, kept, its ``Gram``, (K, p_kept) coefficients,
-    iterations, converged, max |score| at the last evaluation, notes).
+    log-likelihood does not decrease beyond its rounding level, with a small
+    ridge on a singular Hessian and coefficients capped under separation.
+    Returns (matrix of the kept columns, kept, its ``Gram``, (K, p_kept)
+    coefficients, iterations, converged, max |score| at the last
+    evaluation, notes).
 
     Stopping rule: every score entry below ``tol`` or below its own rounding
     level.  An entry sum_i x_ij r_i carries a summation error of about
     sqrt(n) eps sum_i |x_ij r_i| <= n eps sqrt(sum_i x_ij^2 r_i^2), and r_i^2
     averages the Hessian weight, so the level is n eps sqrt(H_jj).  Only a
     column on a large scale (an income in units) has a level above ``tol``.
+
+    Step rule: a step is taken whole unless it lowers the log-likelihood by
+    more than n eps |ll|, the bound on the error of its sum of n terms, none
+    of them positive.  Near the optimum a whole step gains less than one
+    unit in the last place of ll, so a threshold below that unit would halve
+    such steps on rounding alone and stall the score just above ``tol``.
     """
     X, kept, alias_notes = drop_aliased(X, labels)
     notes = list(alias_notes)
@@ -358,10 +365,11 @@ def _newton_logit(
             step = np.linalg.solve(H + 1e-4 * np.eye(K * p), score.reshape(-1))
             notes.append("ridge fallback on ill-conditioned Hessian")
         scale = 1.0
+        floor = ll - rounding * abs(ll)
         for _ in range(12):
             trial = B + scale * step.reshape(K, p)
             P_trial, ll_trial = evaluate(trial)
-            if ll_trial >= ll - 1e-12:
+            if ll_trial >= floor:
                 break
             scale *= 0.5
         B, P, ll = trial, P_trial, ll_trial

@@ -271,6 +271,24 @@ class TestLogit:
         slope = fit.coefficients[list(fit.result.labels).index("x")]
         assert abs(slope) < 0.1
 
+    def test_large_sample_converges_without_stalling(self):
+        # at 100k rows one unit in the last place of the log-likelihood is
+        # about 7e-12, more than a whole step gains near the optimum; a step
+        # rule that reads that rounding as a decrease halves good steps and
+        # stalls some of these fits for several iterations
+        rng = np.random.default_rng(2)
+        n = 100_000
+        iterations = []
+        for _ in range(12):
+            x = rng.integers(0, 2, n)
+            y = (rng.random(n) < 0.2 + 0.3 * x).astype(int)
+            pred = categorical_column("x", np.array(["a", "b"])[x].tolist(), levels=["a", "b"])
+            t = categorical_column("t", np.array(["n", "y"])[y].tolist(), levels=["n", "y"])
+            fit = fit_logit(t, Dataset((pred,)))
+            assert fit.result.converged
+            iterations.append(fit.result.iterations)
+        assert max(iterations) <= 7, iterations
+
     def test_separation_warns_and_caps(self):
         pred = categorical_column("p", ["a"] * 50 + ["b"] * 50)
         t = categorical_column("t", ["x"] * 50 + ["y"] * 50)
