@@ -27,22 +27,33 @@ from .utility import compare_bivariate, compare_univariate, utility_report
 ENV_SEED = "SYNTHWEAVE_SEED"
 
 
+def _read_json(path: str | Path, error: type[SynthweaveError]):
+    """The JSON document in ``path``; text that is not UTF-8 JSON raises ``error``."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise error(f"{path}: not a UTF-8 JSON document ({exc})") from None
+
+
 def load_schema(path: str | Path) -> dict:
-    with Path(path).open(encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _read_json(path, DataError)
     cols = doc.get("columns", doc) if isinstance(doc, dict) else doc
     if not isinstance(cols, dict):
         raise DataError(f"{path}: schema columns must be an object of column kinds, got {cols!r}")
     schema: dict = {}
     for name, v in cols.items():
+        levels = v.get("levels") if isinstance(v, dict) else None
         if v == "numeric":
             schema[name] = Numeric()
         elif v == "categorical":
             schema[name] = "categorical"  # infer levels from the data
-        elif isinstance(v, dict) and "levels" in v:
-            schema[name] = Categorical(tuple(v["levels"]))
+        elif isinstance(levels, list) and all(isinstance(lv, str) for lv in levels):
+            schema[name] = Categorical(tuple(levels))
         else:
-            raise DataError(f"schema for {name!r}: expected 'numeric', 'categorical' or levels")
+            raise DataError(
+                f"schema for {name!r}: expected 'numeric', 'categorical' or a list of "
+                f"string levels, got {v!r}"
+            )
     return schema
 
 
@@ -84,8 +95,7 @@ def _timed_read(path, schema) -> tuple[Dataset, float]:
 def cmd_synth(args) -> int:
     schema = load_schema(args.schema)
     data, read_s = _timed_read(args.data, schema)
-    with Path(args.plan).open(encoding="utf-8") as fh:
-        plan_doc = json.load(fh)
+    plan_doc = _read_json(args.plan, PlanError)
     plan = plan_from_json(plan_doc)
     seed = _resolve_seed(args.seed, plan_doc)
     if seed != plan.seed:

@@ -11,10 +11,10 @@ rank-deficient designs get aliased columns dropped at solve time.
 ``Design.matrix`` returns a ``scipy.sparse`` CSR matrix that stores only each
 term's nonzero rows: a main-effects row has at most one nonzero per source
 variable (two for a numeric with missing cells), however many levels the
-categoricals have.  No fit needs the n x p matrix as such.  They all work
-from p x p cross-products X'WX (the sufficient statistics of least squares;
-Miller 1992, AS 274): ``Gram`` builds them, and ``drop_aliased`` finds
-aliased columns by a pivoted Cholesky factorisation of X'X.
+categoricals have.  No fit needs the n x p matrix as such.  Each builds one
+``Gram`` of its p x p cross-products X'WX (the sufficient statistics of least
+squares; Miller 1992, AS 274) in ``drop_aliased``, which finds aliased columns
+by a pivoted Cholesky of its X'X; the solver reads the kept rows and columns.
 """
 
 from __future__ import annotations
@@ -224,8 +224,8 @@ class Gram:
         return G if w.ndim == 2 else G[0]
 
 
-def drop_aliased(X, labels) -> tuple[scipy.sparse.csr_array, np.ndarray, list[str]]:
-    """Remove linearly dependent columns via a pivoted Cholesky of X'X.
+def drop_aliased(X, labels) -> tuple[Gram, np.ndarray, list[str]]:
+    """Find aliased columns by a pivoted Cholesky of X'X, from the fit's one ``Gram``.
 
     The Gram is equilibrated to a unit diagonal first, so each pivot is the
     share of a column's sum of squares left after projection on the columns
@@ -236,21 +236,20 @@ def drop_aliased(X, labels) -> tuple[scipy.sparse.csr_array, np.ndarray, list[st
     scale; on the raw Gram, an income-sized column raised the tolerance
     above the counts of rare dummy levels and had them dropped.
 
-    Returns (matrix of the kept columns, kept column indices in original
-    order, notes).
+    Returns (the ``Gram`` of all columns, which the solvers read at the kept
+    rows and columns, kept column indices in original order, notes).
     """
+    gram = Gram(X)
     n, p = X.shape
     if p == 0 or n == 0:
-        return X, np.arange(p), []
-    G = (X.T @ X).toarray()
+        return gram, np.arange(p), []
+    G = gram(np.ones(n))
     d = 1.0 / np.sqrt(np.maximum(np.diag(G), np.finfo(np.float64).tiny))
     _, piv, rank, info = dpstrf(G * d[:, None] * d[None, :], tol=p * np.finfo(np.float64).eps)
     if info < 0:
         raise MethodError(f"pivoted Cholesky failed (LAPACK info {info})")
-    if rank == p:
-        return X, np.arange(p), []
     piv = piv - 1
     kept = np.sort(piv[:rank])
     dropped = np.sort(piv[rank:])
     notes = [f"dropped aliased design column {labels[j]!r}" for j in dropped]
-    return X[:, kept], kept, notes
+    return gram, kept, notes

@@ -17,7 +17,7 @@ import scipy.sparse
 from scipy.special import ndtr, ndtri
 
 from . import cart as _cart
-from .design import Design, Gram, build_design, drop_aliased
+from .design import Design, build_design, drop_aliased
 from .errors import MethodError
 from .tabular import Categorical, Column, Dataset, Numeric, distinct_cells
 
@@ -48,8 +48,8 @@ def _matrix(design: Design | None, predictors: Dataset | None, n: int) -> scipy.
 
 
 def _predict(X: scipy.sparse.csr_array, kept: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
-    """``X[:, kept] @ coefficients`` as one sparse mat-vec on ``X``: the
-    dropped columns get zero coefficients instead of being sliced away."""
+    """``X``'s ``kept`` columns times ``coefficients``, as one sparse mat-vec on
+    ``X``: the dropped columns get zero coefficients instead of being sliced away."""
     full = np.zeros((X.shape[1],) + coefficients.shape[1:])
     full[kept] = coefficients
     return X @ full
@@ -149,18 +149,18 @@ def ols(X: scipy.sparse.csr_array, y: np.ndarray, labels) -> OlsFit:
     """Least squares from the normal equations: a Cholesky factor of the
     column-equilibrated Gram, then one step of iterative refinement on the
     residual, which brings the coefficients to the accuracy of a QR solve."""
-    X2, kept, notes = drop_aliased(X, labels)
-    G = Gram(X2)(np.ones(len(y)))
+    gram, kept, notes = drop_aliased(X, labels)
+    G = gram(np.ones(len(y)))[np.ix_(kept, kept)]
     d = 1.0 / np.sqrt(np.diag(G))
     try:
         factor = scipy.linalg.cho_factor(G * d[:, None] * d[None, :])
     except np.linalg.LinAlgError:
         raise MethodError("least squares: design is numerically rank deficient")
-    beta = d * scipy.linalg.cho_solve(factor, d * (X2.T @ y))
-    resid = y - X2 @ beta
-    beta = beta + d * scipy.linalg.cho_solve(factor, d * (X2.T @ resid))
-    resid = y - X2 @ beta
-    dof = max(len(y) - X2.shape[1], 1)
+    beta = d * scipy.linalg.cho_solve(factor, d * (X.T @ y)[kept])
+    resid = y - _predict(X, kept, beta)
+    beta = beta + d * scipy.linalg.cho_solve(factor, d * (X.T @ resid)[kept])
+    resid = y - _predict(X, kept, beta)
+    dof = max(len(y) - len(kept), 1)
     sd = float(np.sqrt(resid @ resid / dof))
     return OlsFit(beta, kept, tuple(labels[j] for j in kept), sd, tuple(notes))
 
@@ -306,9 +306,9 @@ def _newton_logit(
     K = 1 is the binary logit.  Newton steps, halved until the
     log-likelihood does not decrease beyond its rounding level, with a small
     ridge on a singular Hessian and coefficients capped under separation.
-    Returns (matrix of the kept columns, kept, its ``Gram``, (K, p_kept)
-    coefficients, iterations, converged, max |score| at the last
-    evaluation, notes).
+    Returns (kept, the ``Gram`` of all columns from ``drop_aliased``, whose
+    kept entries are the Hessian's, (K, p_kept) coefficients, iterations,
+    converged, max |score| at the last evaluation, notes).
 
     Stopping rule: every score entry below ``tol`` or below its own rounding
     level.  An entry sum_i x_ij r_i carries a summation error of about
@@ -322,11 +322,9 @@ def _newton_logit(
     unit in the last place of ll, so a threshold below that unit would halve
     such steps on rounding alone and stall the score just above ``tol``.
     """
-    X, kept, alias_notes = drop_aliased(X, labels)
-    notes = list(alias_notes)
-    n, p = X.shape
+    gram, kept, notes = drop_aliased(X, labels)
+    n, p = X.shape[0], len(kept)
     K = Y.shape[1]
-    gram = Gram(X)
     block_a, block_b = np.triu_indices(K)
     diagonal = block_a == block_b
     block_of = np.empty((K, K), dtype=np.int64)
@@ -335,7 +333,7 @@ def _newton_logit(
 
     def evaluate(B: np.ndarray) -> tuple[np.ndarray, float]:
         """Class probabilities and log-likelihood at ``B``."""
-        Eta = np.clip(X @ B.T, -COEF_CAP, COEF_CAP)
+        Eta = np.clip(_predict(X, kept, B.T), -COEF_CAP, COEF_CAP)
         e = np.exp(Eta)
         total = e.sum(axis=1)
         return e / (1.0 + total)[:, None], float(np.vdot(Y, Eta) - np.log1p(total).sum())
@@ -346,13 +344,13 @@ def _newton_logit(
     gnorm = np.inf
     it = 0
     for it in range(1, max_iter + 1):
-        score = (X.T @ (Y - P)).T  # (K, p)
+        score = (X.T @ (Y - P))[kept].T  # (K, p)
         gnorm = float(np.max(np.abs(score), initial=0.0))
         if gnorm < tol:
             converged = True
             break
         # all K(K+1)/2 blocks X' diag(P_a (1[a=b] - P_b)) X from one product
-        blocks = gram(P[:, block_a] * (diagonal - P[:, block_b]))
+        blocks = gram(P[:, block_a] * (diagonal - P[:, block_b]))[:, kept[:, None], kept]
         level = rounding * np.sqrt(np.diagonal(blocks[diagonal], axis1=1, axis2=2))
         if np.all((np.abs(score) < tol) | (np.abs(score) <= level)):
             converged = True
@@ -385,7 +383,7 @@ def _newton_logit(
         notes.append(msg)
         _warnings.warn(msg)
         B = np.clip(B, -COEF_CAP, COEF_CAP)
-    return X, kept, gram, B, it, converged, gnorm, tuple(notes)
+    return kept, gram, B, it, converged, gnorm, tuple(notes)
 
 
 def irls_logit(
@@ -393,12 +391,12 @@ def irls_logit(
 ) -> IrlsResult:
     """Binary logit of the 0/1 response ``y`` by the Newton solver, with
     standard errors from the information at the (capped) estimate."""
-    X, kept, gram, B, it, converged, gnorm, notes = _newton_logit(
+    kept, gram, B, it, converged, gnorm, notes = _newton_logit(
         X, y[:, None], max_iter, tol, labels, "logit"
     )
     beta = B[0]
-    prob = _expit(X @ beta)
-    H = gram(np.maximum(prob * (1.0 - prob), 1e-12))
+    prob = _expit(_predict(X, kept, beta))
+    H = gram(np.maximum(prob * (1.0 - prob), 1e-12))[np.ix_(kept, kept)]
     try:
         cov = np.linalg.inv(H)
         se = np.sqrt(np.maximum(np.diag(cov), 0.0))
@@ -504,7 +502,7 @@ def fit_multinomial(
     y = np.searchsorted(present, target.values)
     design, X, labels, design_notes = _fit_design(predictors, len(y))
     Y = (y[:, None] == np.arange(1, L)).astype(np.float64)
-    X, kept, _, B, it, converged, gnorm, notes = _newton_logit(
+    kept, _, B, it, converged, gnorm, notes = _newton_logit(
         X, Y, max_iter, tol, labels, "multinomial"
     )
     return MultinomialFit(

@@ -133,18 +133,24 @@ class TransformNormal(MethodSpec):
 
 
 @dataclass(frozen=True)
-class Logit(MethodSpec):
+class _Newton(MethodSpec):
+    """The options of a categorical method fit by the Newton solver."""
+
     max_iter: int = 100
     tol: float = 1e-6
 
-    name = "logit"
     target_kind = Categorical
 
     def __post_init__(self):
         if self.max_iter < 1:
-            raise PlanError("logit: max_iter must be >= 1")
+            raise PlanError(f"{self.name}: max_iter must be >= 1")
         if self.tol <= 0:
-            raise PlanError("logit: tol must be > 0")
+            raise PlanError(f"{self.name}: tol must be > 0")
+
+
+@dataclass(frozen=True)
+class Logit(_Newton):
+    name = "logit"
 
     def target_error(self, column, kind):
         if isinstance(kind, Categorical) and len(kind.levels) != 2:
@@ -157,18 +163,8 @@ class Logit(MethodSpec):
 
 
 @dataclass(frozen=True)
-class Multinomial(MethodSpec):
-    max_iter: int = 100
-    tol: float = 1e-6
-
+class Multinomial(_Newton):
     name = "multinomial"
-    target_kind = Categorical
-
-    def __post_init__(self):
-        if self.max_iter < 1:
-            raise PlanError("multinomial: max_iter must be >= 1")
-        if self.tol <= 0:
-            raise PlanError("multinomial: tol must be > 0")
 
     def fit(self, target, predictors):
         return models.fit_multinomial(target, predictors, self.max_iter, self.tol)
@@ -651,8 +647,8 @@ def reorder_visit(plan: SynthesisPlan, column: str, position) -> SynthesisPlan:
 
     ``position`` is "start", "end", or a target index.  The predictor matrix
     keeps only selections that still respect precedence; a column moved to the
-    front is coerced to the sample method (emits a warning entry through the
-    plan's validation, and here immediately).
+    front is coerced to the sample method, with a Python warning that says so
+    (``validate_plan`` reports nothing once the first method is sample).
     """
     import warnings as _warnings
 

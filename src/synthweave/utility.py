@@ -30,7 +30,7 @@ from .design import INTERCEPT, build_design
 from .errors import UtilityError
 from .models import COEF_CAP, _expit, _predict, irls_logit
 from .plan import HIGH_CARDINALITY_THRESHOLD
-from .tabular import Categorical, Column, Dataset, Numeric
+from .tabular import Categorical, Column, Dataset
 
 
 def chisq_upper_tail(x: float, df: int) -> float:
@@ -292,7 +292,8 @@ def fit_propensity(
     max_iter: int = 100,
     tol: float = 1e-6,
 ) -> PropensityFit:
-    """Logistic discrimination of synthetic rows from original rows.
+    """Logistic discrimination of synthetic rows from original rows, on the
+    columns ``variables`` (all columns when None).
 
     main_effects: dummy-coded categoricals and linear numerics, fit by IRLS.
     interactions: the main effects plus all two-way interactions between
@@ -312,7 +313,11 @@ def fit_propensity(
     c = n_s / N
 
     if model in ("main_effects", "interactions"):
-        stacked = _stack(original, synthetic.select(original.names))
+        names = original.names if variables is None else tuple(variables)
+        for v in names:
+            if v not in original:
+                raise UtilityError(f"propensity variable {v!r} absent from the datasets")
+        stacked = _stack(original.select(names), synthetic.select(names))
         crossed = ()
         if model == "interactions":
             crossed = tuple(
@@ -626,18 +631,14 @@ def diagnose(fit: PropensityFit, threshold: float = 1.7) -> Diagnosis:
         if abs(z) >= threshold:
             entries.append((term, var, float(z)))
     entries.sort(key=lambda e: -abs(e[2]))
-    grouped: dict[str, list[tuple[str, float]]] = {}
-    order: list[str] = []
+    grouped: dict[str, list[tuple[str, float]]] = {}  # in order of first flag
     for term, var, z in entries:
-        if var not in grouped:
-            grouped[var] = []
-            order.append(var)
-        grouped[var].append((term, z))
+        grouped.setdefault(var, []).append((term, z))
     return Diagnosis(
         threshold=threshold,
         flagged=tuple((t, z) for t, _, z in entries),
-        variables=tuple(order),
-        by_variable=tuple((v, tuple(grouped[v])) for v in order),
+        variables=tuple(grouped),
+        by_variable=tuple((v, tuple(terms)) for v, terms in grouped.items()),
     )
 
 
@@ -653,16 +654,11 @@ def utility_report(
     is computed over the union of the requested tables' variables (all
     columns when no tables are given).
     """
-    if model in ("main_effects", "interactions"):
-        fit = fit_propensity(original, synthetic, model=model)
-    elif model == "table_saturated":
+    variables = None
+    if model == "table_saturated":
         in_tables = {v for tbl in tables or [] for v in tbl}
         variables = [c for c in original.names if not in_tables or c in in_tables]
-        fit = fit_propensity(
-            original, synthetic, model="table_saturated", variables=variables
-        )
-    else:
-        raise UtilityError(f"unknown propensity model {model!r}")
+    fit = fit_propensity(original, synthetic, model=model, variables=variables)
     ug = u_gen(fit)
     diag = diagnose(fit)
     doc: dict = {

@@ -320,6 +320,59 @@ class TestSynth:
         assert err.startswith(f"error: {schema}: schema columns must be an object")
         assert len(err.splitlines()) == 1
 
+    def test_schema_file_not_json_exits_1_naming_the_file(self, toy_files, tmp_path, capsys):
+        root, data, _, plan = toy_files
+        schema = tmp_path / "schema.json"
+        schema.write_text('{"columns": {"region": "categorical",')
+        rc = main(
+            [
+                "synth", "--data", str(data), "--schema", str(schema),
+                "--plan", str(plan), "--out", str(tmp_path / "o.csv"),
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {schema}: not a UTF-8 JSON document")
+        assert len(err.splitlines()) == 1
+
+    def test_plan_file_not_json_exits_2_naming_the_file(self, toy_files, tmp_path, capsys):
+        root, data, schema, _ = toy_files
+        plan = tmp_path / "plan.json"
+        plan.write_text("visit_sequence: [region, sex]\n")
+        out = tmp_path / "o.csv"
+        rc = main(
+            [
+                "synth", "--data", str(data), "--schema", str(schema),
+                "--plan", str(plan), "--out", str(out),
+            ]
+        )
+        assert rc == 2
+        assert f"plan error: {plan}: not a UTF-8 JSON document" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("levels", [5, ["R1", 1]], ids=["not-a-list", "non-string-level"])
+    def test_bad_schema_levels_exit_1_naming_the_column(
+        self, toy_files, tmp_path, capsys, levels
+    ):
+        root, data, schema, plan = toy_files
+        doc = json.loads(schema.read_text())
+        doc["columns"]["region"] = {"levels": levels}
+        bad = tmp_path / "schema.json"
+        bad.write_text(json.dumps(doc))
+        rc = main(
+            [
+                "synth", "--data", str(data), "--schema", str(bad),
+                "--plan", str(plan), "--out", str(tmp_path / "o.csv"),
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: schema for 'region': expected 'numeric', 'categorical' or a list of "
+            f"string levels, got {doc['columns']['region']!r}"
+        )
+        assert len(err.splitlines()) == 1
+
     def test_non_integer_env_seed_exits_2(self, toy_files, tmp_path, capsys, monkeypatch):
         root, data, schema, _ = toy_files
         plan = tmp_path / "noseed.json"

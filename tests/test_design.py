@@ -12,7 +12,7 @@ import pytest
 import scipy.linalg
 
 from synthweave.design import Gram, build_design, drop_aliased
-from synthweave.models import _expit, irls_logit, ols
+from synthweave.models import _expit, fit_multinomial, irls_logit, ols
 from synthweave.tabular import Categorical, Column, Dataset, numeric_column
 from synthweave.utility import _stack, fit_propensity
 
@@ -63,6 +63,26 @@ def _dense_irls(X, y, iterations=50):
         w = prob * (1.0 - prob)
         beta = beta + np.linalg.solve((X * w[:, None]).T @ X, score)
     return beta
+
+
+def _dense_multinomial(X, Y, iterations=50):
+    """Baseline-category logit of the (n, K) class indicators ``Y`` by Newton
+    steps on the dense (K p x K p) Hessian; returns (K, p) coefficients."""
+    K, p = Y.shape[1], X.shape[1]
+    B = np.zeros((K, p))
+    for _ in range(iterations):
+        e = np.exp(X @ B.T)
+        P = e / (1.0 + e.sum(axis=1))[:, None]
+        score = (X.T @ (Y - P)).T
+        if np.max(np.abs(score)) < 1e-12:
+            break
+        H = np.empty((K, p, K, p))
+        for a in range(K):
+            for b in range(K):
+                w = P[:, a] * ((a == b) - P[:, b])
+                H[a, :, b, :] = (X * w[:, None]).T @ X
+        B = B + np.linalg.solve(H.reshape(K * p, K * p), score.ravel()).reshape(K, p)
+    return B
 
 
 def _base(n=1500, seed=3):
@@ -141,9 +161,9 @@ def test_kept_columns_match_pivoted_qr(name):
     data, inter, aliased = _case(name)
     design = build_design(data, interactions=inter)
     X = design.matrix(data)
-    X2, kept, notes = drop_aliased(X, design.labels)
+    gram, kept, notes = drop_aliased(X, design.labels)
     assert len(kept) == len(_qr_kept(_dense_matrix(design, data))) == design.n_columns - aliased
-    assert X2.shape == (data.n_rows, len(kept))
+    assert isinstance(gram, Gram) and gram.p == design.n_columns
     assert len(notes) == aliased
     assert all(note.startswith("dropped aliased design column ") for note in notes)
 
@@ -201,8 +221,37 @@ def test_irls_matches_dense_newton(name):
     y = (np.random.default_rng(2).random(len(D)) < _expit(D @ _effects(D, 0.25))).astype(float)
     res = irls_logit(X, y, 100, 1e-10, design.labels)
     assert res.converged
-    ref = _dense_irls(D[:, res.kept], y)
+    D_k = D[:, res.kept]
+    ref = _dense_irls(D_k, y)
     np.testing.assert_allclose(res.coefficients, ref, rtol=RTOL, atol=1e-12)
+    prob = _expit(D_k @ res.coefficients)
+    info = (D_k * (prob * (1.0 - prob))[:, None]).T @ D_k
+    np.testing.assert_allclose(
+        res.standard_errors, np.sqrt(np.diag(np.linalg.inv(info))), rtol=RTOL
+    )
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_multinomial_matches_dense_newton(name):
+    data, _, _ = _case(name)
+    # the design fit_multinomial builds: main effects, no interactions
+    D = _dense_matrix(build_design(data), data)
+    effects = _effects(D, 0.25)
+    eta = np.column_stack([np.zeros(len(D)), D @ effects, -(D @ effects)])
+    P = np.exp(eta) / np.exp(eta).sum(axis=1)[:, None]
+    u = np.random.default_rng(4).random(len(D))
+    y = (u[:, None] >= np.cumsum(P, axis=1)[:, :-1]).sum(axis=1)
+    # a level seen in a few rows can miss a class, and its coefficients then
+    # have no finite estimate: give those rows each class in turn
+    for j in np.flatnonzero(np.isin(D, (0.0, 1.0)).all(axis=0) & (D.sum(axis=0) < 30)):
+        rows = np.flatnonzero(D[:, j])
+        y[rows] = np.arange(len(rows)) % 3
+    target = Column("t", Categorical(("a", "b", "c")), y)
+    fit = fit_multinomial(target, data, tol=1e-10)
+    assert fit.converged
+    Y = (y[:, None] == np.arange(1, 3)).astype(float)
+    ref = _dense_multinomial(D[:, fit.kept], Y)
+    np.testing.assert_allclose(fit.coefficients, ref, rtol=RTOL, atol=1e-12)
 
 
 @pytest.mark.parametrize("model", ["main_effects", "interactions"])

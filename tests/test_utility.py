@@ -274,6 +274,17 @@ class TestFitPropensity:
         fit = fit_propensity(orig, syn, "main_effects")
         assert 0.0 <= fit.pmse <= 0.25
 
+    @pytest.mark.parametrize("model", ["main_effects", "interactions"])
+    def test_variables_select_the_propensity_columns(self, census_pair, model):
+        orig, syn = census_pair
+        fit = fit_propensity(orig, syn, model, variables=["mar", "age"])
+        ref = fit_propensity(orig.select(["mar", "age"]), syn.select(["mar", "age"]), model)
+        assert fit.terms == ref.terms
+        np.testing.assert_array_equal(fit.coefficients, ref.coefficients)
+        assert fit.pmse == ref.pmse
+        with pytest.raises(UtilityError, match="'income'"):
+            fit_propensity(orig, syn, model, variables=["mar", "income"])
+
     def test_schema_mismatch_rejected(self):
         o = Dataset((categorical_column("v", ["a"], ["a", "b"]),))
         s = Dataset((categorical_column("v", ["a"], ["a", "c"]),))
