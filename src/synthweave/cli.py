@@ -48,7 +48,10 @@ def load_schema(path: str | Path) -> dict:
         elif v == "categorical":
             schema[name] = "categorical"  # infer levels from the data
         elif isinstance(levels, list) and all(isinstance(lv, str) for lv in levels):
-            schema[name] = Categorical(tuple(levels))
+            try:
+                schema[name] = Categorical(tuple(levels))
+            except DataError as exc:
+                raise DataError(f"schema for {name!r}: {exc}, got {v!r}") from None
         else:
             raise DataError(
                 f"schema for {name!r}: expected 'numeric', 'categorical' or a list of "

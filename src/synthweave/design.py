@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
-from scipy.linalg.lapack import dpstrf
 
 from .errors import MethodError
 from .tabular import Categorical, Dataset, Numeric
@@ -224,17 +223,49 @@ class Gram:
         return G if w.ndim == 2 else G[0]
 
 
+def _pivoted_cholesky(A: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
+    """(pivot order, rank) of the pivoted Cholesky factorisation of the
+    symmetric positive semi-definite ``A``, by LAPACK's dpstf2 rule.
+
+    Step j takes the column with the largest remaining diagonal, the first
+    one on ties, and stops when that diagonal is at most ``tol`` or NaN.  The
+    remaining diagonals are updated left-looking, as in LAPACK: each is ``A``'s
+    own diagonal less a running sum of its squared factor entries.
+    """
+    p = len(A)
+    piv = np.arange(p)
+    diag = np.diag(A).copy()
+    squares = np.zeros(p)
+    L = np.zeros((p, p))  # the factor, rows in pivot order, one column per step
+    for j in range(p):
+        if j:
+            squares[j:] += L[j:, j - 1] ** 2
+        left = diag[j:] - squares[j:]
+        k = j + int(np.argmax(left))  # NaN counts as the largest
+        ajj = left[k - j]
+        if not ajj > tol:
+            return piv, j
+        if k != j:
+            piv[j], piv[k] = piv[k], piv[j]
+            diag[j], diag[k] = diag[k], diag[j]
+            squares[j], squares[k] = squares[k], squares[j]
+            L[[j, k], :j] = L[[k, j], :j]
+        L[j + 1:, j] = (A[piv[j + 1:], piv[j]] - L[j + 1:, :j] @ L[j, :j]) * (1.0 / np.sqrt(ajj))
+    return piv, p
+
+
 def drop_aliased(X, labels) -> tuple[Gram, np.ndarray, list[str]]:
     """Find aliased columns by a pivoted Cholesky of X'X, from the fit's one ``Gram``.
 
     The Gram is equilibrated to a unit diagonal first, so each pivot is the
     share of a column's sum of squares left after projection on the columns
     already kept (1 - R^2), and the factorisation always takes the column
-    with the largest share next.  Rank tolerance: a column is aliased when
-    its share is at most p * eps, LAPACK's default for a unit diagonal.
-    Being relative to each column's own scale, it holds for numerics on any
-    scale; on the raw Gram, an income-sized column raised the tolerance
-    above the counts of rare dummy levels and had them dropped.
+    with the largest share next (``_pivoted_cholesky``, LAPACK's dpstf2 rule
+    in numpy).  Rank tolerance: a column is aliased when its share is at
+    most p * eps, LAPACK's default for a unit diagonal.  Being relative to
+    each column's own scale, it holds for numerics on any scale; on the raw
+    Gram, an income-sized column raised the tolerance above the counts of
+    rare dummy levels and had them dropped.
 
     Returns (the ``Gram`` of all columns, which the solvers read at the kept
     rows and columns, kept column indices in original order, notes).
@@ -245,10 +276,7 @@ def drop_aliased(X, labels) -> tuple[Gram, np.ndarray, list[str]]:
         return gram, np.arange(p), []
     G = gram(np.ones(n))
     d = 1.0 / np.sqrt(np.maximum(np.diag(G), np.finfo(np.float64).tiny))
-    _, piv, rank, info = dpstrf(G * d[:, None] * d[None, :], tol=p * np.finfo(np.float64).eps)
-    if info < 0:
-        raise MethodError(f"pivoted Cholesky failed (LAPACK info {info})")
-    piv = piv - 1
+    piv, rank = _pivoted_cholesky(G * d[:, None] * d[None, :], p * np.finfo(np.float64).eps)
     kept = np.sort(piv[:rank])
     dropped = np.sort(piv[rank:])
     notes = [f"dropped aliased design column {labels[j]!r}" for j in dropped]

@@ -12,9 +12,7 @@ import warnings as _warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
-from scipy.special import ndtr, ndtri
 
 from . import cart as _cart
 from .design import Design, build_design, drop_aliased
@@ -146,19 +144,21 @@ class OlsFit:
 
 
 def ols(X: scipy.sparse.csr_array, y: np.ndarray, labels) -> OlsFit:
-    """Least squares from the normal equations: a Cholesky factor of the
-    column-equilibrated Gram, then one step of iterative refinement on the
-    residual, which brings the coefficients to the accuracy of a QR solve."""
+    """Least squares from the normal equations: a Cholesky factor C of the
+    column-equilibrated Gram D G D, then one step of iterative refinement on
+    the residual, which brings the coefficients to the accuracy of a QR solve."""
     gram, kept, notes = drop_aliased(X, labels)
     G = gram(np.ones(len(y)))[np.ix_(kept, kept)]
     d = 1.0 / np.sqrt(np.diag(G))
     try:
-        factor = scipy.linalg.cho_factor(G * d[:, None] * d[None, :])
+        C = np.linalg.cholesky(G * d[:, None] * d[None, :])
     except np.linalg.LinAlgError:
         raise MethodError("least squares: design is numerically rank deficient")
-    beta = d * scipy.linalg.cho_solve(factor, d * (X.T @ y)[kept])
+    # G^-1 = D (C C')^-1 D = B'B with B = C^-1 D
+    B = np.linalg.inv(C) * d
+    beta = B.T @ (B @ (X.T @ y)[kept])
     resid = y - _predict(X, kept, beta)
-    beta = beta + d * scipy.linalg.cho_solve(factor, d * (X.T @ resid)[kept])
+    beta = beta + B.T @ (B @ (X.T @ resid)[kept])
     resid = y - _predict(X, kept, beta)
     dof = max(len(y) - len(kept), 1)
     sd = float(np.sqrt(resid @ resid / dof))
@@ -168,6 +168,114 @@ def ols(X: scipy.sparse.csr_array, y: np.ndarray, labels) -> OlsFit:
 # ---------------------------------------------------------------------------
 # Normal-scores regression
 # ---------------------------------------------------------------------------
+
+# ndtri: Wichura (1988), Algorithm AS 241 (PPND16), coefficients highest
+# degree first.  Central region |p - 1/2| <= 0.425 in r = 0.180625 - q^2;
+# tails in r = sqrt(-log(min(p, 1 - p))) - 1.6 up to 5, then r - 5.
+_AS241 = (
+    (
+        (2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4,
+         4.5921953931549871457e4, 1.3731693765509461125e4, 1.9715909503065514427e3,
+         1.3314166789178437745e2, 3.3871328727963666080e0),
+        (5.2264952788528545610e3, 2.8729085735721942674e4, 3.9307895800092710610e4,
+         2.1213794301586595867e4, 5.3941960214247511077e3, 6.8718700749205790830e2,
+         4.2313330701600911252e1, 1.0),
+    ),
+    (
+        (7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1,
+         1.27045825245236838258e0, 3.64784832476320460504e0, 5.76949722146069140550e0,
+         4.63033784615654529590e0, 1.42343711074968357734e0),
+        (1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
+         1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e0,
+         2.05319162663775882187e0, 1.0),
+    ),
+    (
+        (2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
+         2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e0,
+         5.46378491116411436990e0, 6.65790464350110377720e0),
+        (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
+         7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
+         5.99832206555887937690e-1, 1.0),
+    ),
+)
+
+# ndtr: Cody (1969) rational approximations, coefficients highest degree
+# first: erf(y) = y P(y^2)/Q(y^2) for y <= 0.46875; erfc(y) = exp(-y^2) R(y)
+# up to y = 4, with R(y) = (1/sqrt(pi) - z P(z)/Q(z)) / y in z = 1/y^2 beyond.
+_CODY_ERF = (
+    (1.85777706184603153e-1, 3.16112374387056560e0, 1.13864154151050156e2,
+     3.77485237685302021e2, 3.20937758913846947e3),
+    (1.0, 2.36012909523441209e1, 2.44024637934444173e2, 1.28261652607737228e3,
+     2.84423683343917062e3),
+)
+_CODY_ERFC_MID = (
+    (2.15311535474403846e-8, 5.64188496988670089e-1, 8.88314979438837594e0,
+     6.61191906371416295e1, 2.98635138197400131e2, 8.81952221241769090e2,
+     1.71204761263407058e3, 2.05107837782607147e3, 1.23033935479799725e3),
+    (1.0, 1.57449261107098347e1, 1.17693950891312499e2, 5.37181101862009858e2,
+     1.62138957456669019e3, 3.29079923573345963e3, 4.36261909014324716e3,
+     3.43936767414372164e3, 1.23033935480374942e3),
+)
+_CODY_ERFC_TAIL = (
+    (1.63153871373020978e-2, 3.05326634961232344e-1, 3.60344899949804439e-1,
+     1.25781726111229246e-1, 1.60837851487422766e-2, 6.58749161529837803e-4),
+    (1.0, 2.56852019228982242e0, 1.87295284992346725e0, 5.27905102951428412e-1,
+     6.05183413124413191e-2, 2.33520497626869185e-3),
+)
+_SQRT1_2 = 0.70710678118654752440
+_INV_SQRT_PI = 0.56418958354775628695
+
+
+def _rational(coefficients, t: np.ndarray) -> np.ndarray:
+    num, den = coefficients
+    return np.polyval(num, t) / np.polyval(den, t)
+
+
+def ndtri(p: np.ndarray) -> np.ndarray:
+    """Standard normal quantile function, the inverse of ``ndtr``, elementwise
+    (AS 241): relative error about 1e-16 for p in (0, 1); -inf at 0, inf at
+    1, NaN outside [0, 1]."""
+    p = np.asarray(p, dtype=np.float64)
+    q = p - 0.5
+    out = np.empty_like(p)
+    central = np.abs(q) <= 0.425
+    qc = q[central]
+    out[central] = qc * _rational(_AS241[0], 0.180625 - qc * qc)
+    tail = ~central
+    # p of 0 or 1 makes r infinite and is set below; outside [0, 1] r is NaN
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.sqrt(-np.log(np.minimum(p[tail], 1.0 - p[tail])))
+        z = np.where(r <= 5.0, _rational(_AS241[1], r - 1.6), _rational(_AS241[2], r - 5.0))
+    out[tail] = np.where(q[tail] < 0, -z, z)
+    out[p == 0.0] = -np.inf
+    out[p == 1.0] = np.inf
+    return out
+
+
+def ndtr(x: np.ndarray) -> np.ndarray:
+    """Standard normal distribution function Phi(x), elementwise, from Cody's
+    erf and erfc (within a few ulp).  In the tails the Gaussian factor
+    exp(-x^2/2) is taken in two parts, exp(-h^2/2) exp(-(x - h)(x + h)/2) with
+    h = x rounded down to 1/16, so the rounding of x^2 does not reach it."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    central = np.abs(x) * _SQRT1_2 <= 0.46875
+    y = x[central] * _SQRT1_2
+    out[central] = 0.5 + 0.5 * y * _rational(_CODY_ERF, y * y)
+    tail = ~central
+    # past 40 the result is 0 or 1 in float64; the clip also keeps infinities
+    # out of the exponent
+    a = np.minimum(np.abs(x[tail]), 40.0)
+    y = a * _SQRT1_2
+    z = 1.0 / (y * y)
+    R = np.where(
+        y <= 4.0, _rational(_CODY_ERFC_MID, y), (_INV_SQRT_PI - z * _rational(_CODY_ERFC_TAIL, z)) / y
+    )
+    h = np.trunc(a * 16.0) / 16.0
+    half_erfc = 0.5 * np.exp(-0.5 * h * h) * np.exp(-0.5 * (a - h) * (a + h)) * R
+    out[tail] = np.where(x[tail] < 0, half_erfc, 1.0 - half_erfc)
+    return out
+
 
 @dataclass(frozen=True)
 class NormRankFit:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -373,6 +374,32 @@ class TestSynth:
         )
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "levels, problem",
+        [
+            ([], "categorical kind needs at least one level"),
+            (["R1", "R1"], "categorical levels must be unique"),
+        ],
+        ids=["no-levels", "repeated-level"],
+    )
+    def test_invalid_schema_levels_exit_1_naming_the_column(
+        self, toy_files, tmp_path, capsys, levels, problem
+    ):
+        root, data, schema, plan = toy_files
+        doc = json.loads(schema.read_text())
+        doc["columns"]["region"] = {"levels": levels}
+        bad = tmp_path / "schema.json"
+        bad.write_text(json.dumps(doc))
+        rc = main(
+            [
+                "synth", "--data", str(data), "--schema", str(bad),
+                "--plan", str(plan), "--out", str(tmp_path / "o.csv"),
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: schema for 'region': {problem}, got {{'levels': {levels!r}}}\n"
+
     def test_non_integer_env_seed_exits_2(self, toy_files, tmp_path, capsys, monkeypatch):
         root, data, schema, _ = toy_files
         plan = tmp_path / "noseed.json"
@@ -712,3 +739,54 @@ class TestCompareCommand:
         assert rc == 2
         assert capsys.readouterr().err == f"error: --bins must be >= 2, got {bins}\n"
         assert not report.exists()
+
+
+def test_synth_and_utility_leave_scipy_linalg_special_and_stats_unloaded(tmp_path):
+    # the CLI's start-up and memory grow by about a third with any of these
+    # modules; other tests load them into this process, so the check runs the
+    # commands in a fresh interpreter, on a plan with every regression method
+    code = textwrap.dedent(
+        """
+        import json, sys
+        from pathlib import Path
+        from synthweave.cli import main
+        work = Path(sys.argv[1])
+        assert main(["gentoy", "--rows", "2000", "--seed", "3", "--out", str(work / "d.csv")]) == 0
+        model = json.loads((work / "d.model.json").read_text())
+        (work / "schema.json").write_text(json.dumps(model["schema"]))
+        (work / "plan.json").write_text(json.dumps({
+            "visit_sequence": ["region", "sex", "age", "mar", "occ1", "occ3", "pperroom"],
+            "methods": {
+                "region": "sample",
+                "sex": "logit",
+                "age": {"kind": "transform_normal", "transform": "sqrt"},
+                "mar": "multinomial",
+                "occ1": "multinomial",
+                "occ3": {"kind": "nested", "group_column": "occ1"},
+                "pperroom": "normrank",
+            },
+            "nesting": {"occ3": "occ1"},
+            "seed": 8,
+        }))
+        files = {name: str(work / name) for name in ("d.csv", "schema.json", "plan.json", "s.csv", "u.json")}
+        assert main([
+            "synth", "--data", files["d.csv"], "--schema", files["schema.json"],
+            "--plan", files["plan.json"], "--out", files["s.csv"],
+        ]) == 0
+        assert main([
+            "utility", "--original", files["d.csv"], "--synthetic", files["s.csv"],
+            "--schema", files["schema.json"], "--tables", "mar*age", "--report", files["u.json"],
+        ]) == 0
+        report = json.loads(Path(files["u.json"]).read_text())
+        assert 0.0 < report["u_gen"]["p_value"] <= 1.0
+        assert 0.0 <= report["tables"][0]["p_value"] <= 1.0
+        loaded = [m for m in ("scipy.linalg", "scipy.special", "scipy.stats") if m in sys.modules]
+        assert not loaded, loaded
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(synthweave.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

@@ -10,8 +10,10 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
+from scipy.linalg.lapack import dpstrf
 
-from synthweave.design import Gram, build_design, drop_aliased
+from synthweave.design import Gram, _pivoted_cholesky, build_design, drop_aliased
 from synthweave.models import _expit, fit_multinomial, irls_logit, ols
 from synthweave.tabular import Categorical, Column, Dataset, numeric_column
 from synthweave.utility import _stack, fit_propensity
@@ -44,6 +46,19 @@ def _qr_kept(X):
     diag = np.abs(np.diag(R))
     tol = diag[0] * max(X.shape) * np.finfo(np.float64).eps
     return np.sort(piv[: int((diag > tol).sum())])
+
+
+def _equilibrated(G):
+    d = 1.0 / np.sqrt(np.maximum(np.diag(G), np.finfo(np.float64).tiny))
+    return G * d[:, None] * d[None, :]
+
+
+def _lapack_kept(A):
+    """(kept columns in original order, rank) of LAPACK's pivoted Cholesky,
+    dpstrf, at drop_aliased's tolerance."""
+    _, piv, rank, info = dpstrf(A, tol=len(A) * np.finfo(np.float64).eps)
+    assert info >= 0
+    return np.sort(piv[:rank] - 1), rank
 
 
 def _effects(D, scale):
@@ -163,9 +178,41 @@ def test_kept_columns_match_pivoted_qr(name):
     X = design.matrix(data)
     gram, kept, notes = drop_aliased(X, design.labels)
     assert len(kept) == len(_qr_kept(_dense_matrix(design, data))) == design.n_columns - aliased
+    lapack_kept, _ = _lapack_kept(_equilibrated(gram(np.ones(data.n_rows))))
+    np.testing.assert_array_equal(kept, lapack_kept)
     assert isinstance(gram, Gram) and gram.p == design.n_columns
     assert len(notes) == aliased
     assert all(note.startswith("dropped aliased design column ") for note in notes)
+
+
+@st.composite
+def _aliased_grams(draw):
+    """Equilibrated Grams of an intercept and 15-40 random columns, with
+    planted aliasing: random combinations of two or three of the columns
+    before them.  The columns are shuffled and put on scales from 1e-3 to
+    1e3.  No copies: a copy ties with its original in exact arithmetic, and
+    which of the two a factorisation keeps is then decided by rounding.  With
+    fewer columns the tolerance p * eps comes within rounding of an aliased
+    column's share, and rounding decides again."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(60, 150))
+    cols = [np.ones(n), *rng.normal(size=(draw(st.integers(15, 40)), n))]
+    for m in draw(st.lists(st.integers(2, 3), max_size=5)):
+        parts = np.array([cols[j] for j in rng.choice(len(cols), m, replace=False)])
+        cols.append(rng.normal(size=m) @ (parts / np.sqrt((parts**2).mean(axis=1, keepdims=True))))
+    X = np.column_stack([cols[j] for j in rng.permutation(len(cols))])
+    X = X * 10.0 ** rng.integers(-3, 4, X.shape[1])
+    return _equilibrated(X.T @ X)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_aliased_grams())
+def test_pivoted_cholesky_keeps_lapacks_columns(A):
+    piv, rank = _pivoted_cholesky(A, len(A) * np.finfo(np.float64).eps)
+    lapack_kept, lapack_rank = _lapack_kept(A)
+    assert rank == lapack_rank
+    np.testing.assert_array_equal(np.sort(piv[:rank]), lapack_kept)
+    assert sorted(piv) == list(range(len(A)))
 
 
 def test_gram_matches_dense_products():

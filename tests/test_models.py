@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 from hypothesis import example, given, settings, strategies as st
 
@@ -186,6 +187,63 @@ class TestAverageRanks:
         assert np.array_equal(fit.sorted_values, reference.sorted_values)
         draws = fit.sample(predictors, np.random.default_rng(32), 400)
         assert np.array_equal(draws, reference.sample(predictors, np.random.default_rng(32), 400))
+
+
+# Phi(x) from mpmath.ncdf at 60 digits, rounded to float64.  Below about
+# x = -5, SciPy's ndtr takes exp(-x^2/2) at a rounded x^2 and is off by up to
+# about 1.5 x^2 ulp (1508 ulp at x = -35.8), and it returns 0 below -37.5.
+NDTR_REFERENCE = [
+    (-38.0, 2.88542835e-316),
+    (-37.77, 1.76640355165e-312),
+    (-37.5, 4.605353009581955e-308),
+    (-29.3, 5.185649315724583e-189),
+    (-19.87, 3.7001435461465256e-88),
+    (-9.61, 3.6274493134073126e-22),
+    (-4.9, 4.79183276590319e-07),
+    (-2.37, 0.008894042630336775),
+    (-1.13, 0.12923811224001786),
+    (-0.3, 0.3820885778110474),
+    (0.77, 0.7793500536573504),
+    (1.9, 0.9712834401839981),
+    (6.3, 0.9999999998511772),
+]
+
+
+class TestNormalDistributionFunctions:
+    """``models.ndtr`` and ``models.ndtri`` against SciPy's, the reference."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.floats(1e-300, 1.0, exclude_max=True), min_size=1, max_size=40),
+        st.lists(st.floats(-300.0, 0.0, exclude_max=True), min_size=1, max_size=40),
+    )
+    def test_ndtri_within_eight_ulp_of_scipy(self, uniform, exponents):
+        tail = 10.0 ** np.array(exponents)
+        p = np.concatenate([uniform, tail, 1.0 - tail])
+        p = p[(p > 0.0) & (p < 1.0)]
+        reference = scipy.special.ndtri(p)
+        assert np.all(np.abs(models.ndtri(p) - reference) <= 8 * np.spacing(np.abs(reference)))
+
+    def test_ndtri_ends_of_the_domain(self):
+        p = np.array([0.0, 1.0, -0.5, 1.5, np.nan, 0.5])
+        np.testing.assert_array_equal(models.ndtri(p), [-np.inf, np.inf, np.nan, np.nan, np.nan, 0.0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(-37.0, 38.0), min_size=1, max_size=40))
+    def test_ndtr_within_scipys_own_error_of_scipy(self, xs):
+        x = np.array(xs)
+        reference = scipy.special.ndtr(x)
+        # SciPy's own error (see NDTR_REFERENCE) plus a few ulp
+        allowed = (10 + 2 * x * x) * np.spacing(reference)
+        assert np.all(np.abs(models.ndtr(x) - reference) <= allowed)
+
+    @pytest.mark.parametrize("x, phi", NDTR_REFERENCE)
+    def test_ndtr_within_four_ulp_of_a_60_digit_reference(self, x, phi):
+        assert abs(models.ndtr(np.array([x]))[0] - phi) <= 4 * np.spacing(phi)
+
+    def test_ndtr_at_the_extremes(self):
+        x = np.array([-np.inf, -40.0, 0.0, 40.0, np.inf, np.nan])
+        np.testing.assert_array_equal(models.ndtr(x), [0.0, 0.0, 0.5, 1.0, 1.0, np.nan])
 
 
 def test_normrank_synthesis_leaves_scipy_stats_unloaded():

@@ -1,9 +1,11 @@
 import itertools
+import math
 import warnings
 from typing import NamedTuple
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings, strategies as st
 
 from synthweave import (
@@ -56,9 +58,57 @@ def census_pair():
     return orig, syn
 
 
+@st.composite
+def _chisq_points(draw, max_df):
+    """(x, df): x some standard deviations from the mean df, or df times a
+    power of ten, which reaches the far tails of small df."""
+    df = draw(st.integers(1, max_df))
+    if draw(st.booleans()):
+        x = df + draw(st.floats(-10.0, 40.0)) * math.sqrt(2.0 * df)
+    else:
+        x = df * 10.0 ** draw(st.floats(-8.0, 3.0))
+    return max(x, 0.0), df
+
+
 class TestChisqUpperTail:
     def test_zero_statistic(self):
-        assert chisq_upper_tail(0.0, 3) == 1.0
+        for df in (1, 2, 3, 401, 40_000):
+            assert chisq_upper_tail(0.0, df) == 1.0
+
+    def test_infinite_statistic(self):
+        for df in (1, 2, 3, 401, 40_000):
+            assert chisq_upper_tail(math.inf, df) == 0.0
+
+    @pytest.mark.parametrize(
+        "x, df, q",
+        # Q(df/2, x/2) from a 50-digit series and continued fraction (mpmath)
+        [
+            (30.0, 1, 4.3204630578274975e-08),
+            (7.0, 3, 0.07189777249646513),
+            (450.0, 400, 0.04249935069792306),
+            (20500.0, 20_000, 0.006517863488342559),
+            (35500.0, 36_001, 0.9694889597994796),
+            (40000.0, 40_000, 0.49905968376625065),
+            (41000.0, 40_000, 0.0002250280356423413),
+        ],
+    )
+    def test_within_1e_13_of_a_50_digit_reference(self, x, df, q):
+        # at df = 40,000, a log y - y - lgamma(a) taken directly errs by 1e-11
+        assert chisq_upper_tail(x, df) == pytest.approx(q, rel=1e-13)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_chisq_points(400))
+    def test_within_1e_12_of_scipy_up_to_df_400(self, point):
+        x, df = point
+        reference = scipy.special.gammaincc(df / 2.0, x / 2.0)
+        assert chisq_upper_tail(x, df) == pytest.approx(reference, rel=1e-12, abs=1e-300)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_chisq_points(40_000))
+    def test_within_1e_10_of_scipy_up_to_df_40000(self, point):
+        x, df = point
+        reference = scipy.special.gammaincc(df / 2.0, x / 2.0)
+        assert chisq_upper_tail(x, df) == pytest.approx(reference, rel=1e-10, abs=1e-300)
 
     def test_classic_five_percent_point(self):
         # oracle: P(chi2_1 > 3.841) = P(|Z| > 1.95984...) = 0.0500
@@ -70,11 +120,9 @@ class TestChisqUpperTail:
         assert chisq_upper_tail(200.0, 200) == pytest.approx(0.49, abs=0.02)
 
     def test_matches_normal_relation(self):
-        from scipy.special import ndtr
-
         for z in [0.5, 1.0, 2.5]:
             assert chisq_upper_tail(z * z, 1) == pytest.approx(
-                2 * (1 - ndtr(z)), abs=1e-12
+                2 * (1 - scipy.special.ndtr(z)), abs=1e-12
             )
 
     def test_domain_errors(self):
