@@ -110,7 +110,6 @@ class CartTree:
     leaf_sizes: np.ndarray = field(repr=False)
     min_bucket: int = 5
     complexity: float = 1e-8
-    root_impurity: float = 0.0
 
     @property
     def n_leaves(self) -> int:
@@ -639,7 +638,6 @@ def fit_cart(
         leaf_sizes=leaf_sizes,
         min_bucket=min_bucket,
         complexity=complexity,
-        root_impurity=root_imp,
     )
 
 

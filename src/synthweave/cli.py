@@ -12,13 +12,14 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .engine import run_report, synthesize
 from .errors import DataError, MethodError, PlanError, SynthweaveError, UtilityError
-from .plan import plan_errors, plan_from_json, validate_plan
+from .plan import SynthesisPlan, plan_errors, plan_from_json, validate_plan
 from .sdc import apply_sdc, sdc_from_json, stamp_synthetic
 from .tabular import Categorical, Dataset, Numeric, _rewritten, read_csv, write_csv
 from .toycensus import ToyCensusSpec, generate_toy_census, true_model
@@ -75,18 +76,27 @@ def _parse_tables(text: str | None) -> list[tuple[str, ...]]:
     return [tuple(part.split("*")) for part in text.split(",") if part]
 
 
-def _resolve_seed(flag_seed, plan_doc: dict | None) -> int:
+def _resolve_seed(flag_seed, plan: SynthesisPlan, plan_doc: dict) -> SynthesisPlan:
+    """``plan`` with its seed from --seed, else the plan file, else
+    SYNTHWEAVE_SEED, else 0."""
     if flag_seed is not None:
-        return int(flag_seed)
-    if plan_doc is not None and "seed" in plan_doc:
-        return int(plan_doc["seed"])
-    env = os.environ.get(ENV_SEED)
-    if env is None:
-        return 0
+        return replace(plan, seed=flag_seed)
+    if "seed" in plan_doc:
+        return plan
+    env = os.environ.get(ENV_SEED, "0")
     try:
-        return int(env)
+        return replace(plan, seed=int(env))
     except ValueError:
         raise PlanError(f"{ENV_SEED} must be an integer, got {env!r}") from None
+
+
+def _unknown_variable(variables, data: Dataset, flag: str) -> bool:
+    """Print an error for the first of ``variables`` not in ``data``, if any."""
+    for v in variables:
+        if v not in data:
+            print(f"error: unknown variable {v!r} in {flag}", file=sys.stderr)
+            return True
+    return False
 
 
 def _timed_read(path, schema) -> tuple[Dataset, float]:
@@ -99,12 +109,7 @@ def cmd_synth(args) -> int:
     schema = load_schema(args.schema)
     data, read_s = _timed_read(args.data, schema)
     plan_doc = _read_json(args.plan, PlanError)
-    plan = plan_from_json(plan_doc)
-    seed = _resolve_seed(args.seed, plan_doc)
-    if seed != plan.seed:
-        from dataclasses import replace
-
-        plan = replace(plan, seed=seed)
+    plan = _resolve_seed(args.seed, plan_from_json(plan_doc), plan_doc)
 
     sdc_cfg = sdc_from_json(plan_doc.get("sdc"))
 
@@ -171,11 +176,8 @@ UTILITY_MODELS = {
 def cmd_utility(args) -> int:
     original, synthetic, read_s = _load_pair(args)
     tables = _parse_tables(args.tables)
-    for variables in tables:
-        for v in variables:
-            if v not in original:
-                print(f"error: unknown variable {v!r} in --tables", file=sys.stderr)
-                return 2
+    if any(_unknown_variable(variables, original, "--tables") for variables in tables):
+        return 2
     doc = utility_report(original, synthetic, tables, model=UTILITY_MODELS[args.model])
     doc["read_s"] = round(read_s, 6)
     _write_json(doc, args.report)
@@ -206,10 +208,8 @@ def cmd_compare(args) -> int:
         if len(pair) != 2:
             print(f"error: --pairs entries must be a*b, got {'*'.join(pair)}", file=sys.stderr)
             return 2
-        for v in pair:
-            if v not in original:
-                print(f"error: unknown variable {v!r} in --pairs", file=sys.stderr)
-                return 2
+        if _unknown_variable(pair, original, "--pairs"):
+            return 2
     uni = compare_univariate(original, synthetic)
     doc: dict = {
         "univariate": {},

@@ -14,7 +14,9 @@ variable (two for a numeric with missing cells), however many levels the
 categoricals have.  No fit needs the n x p matrix as such.  Each builds one
 ``Gram`` of its p x p cross-products X'WX (the sufficient statistics of least
 squares; Miller 1992, AS 274) in ``drop_aliased``, which finds aliased columns
-by a pivoted Cholesky of its X'X; the solver reads the kept rows and columns.
+by a pivoted Cholesky of its X'X; the solver reads the kept rows and columns,
+and least squares reuses that X'X.  ``build_design`` evaluates each term once
+and returns the fit rows' matrix with the layout.
 """
 
 from __future__ import annotations
@@ -53,12 +55,15 @@ class Design:
     def matrix(self, data: Dataset) -> scipy.sparse.csr_array:
         """The n x n_columns design of ``data``, holding only nonzero cells."""
         nonzeros = _Nonzeros(data)
-        parts = [nonzeros(term) for term in self.terms]
-        rows = np.concatenate([r for r, _ in parts])
-        vals = np.concatenate([v for _, v in parts])
-        cols = np.repeat(np.arange(len(parts)), [len(r) for r, _ in parts])
-        X = scipy.sparse.coo_array((vals, (rows, cols)), shape=(data.n_rows, len(parts)))
-        return X.tocsr()
+        return _assemble([nonzeros(term) for term in self.terms], data.n_rows)
+
+
+def _assemble(parts, n: int) -> scipy.sparse.csr_array:
+    """The n-row CSR matrix whose column j holds the (rows, values) ``parts[j]``."""
+    rows = np.concatenate([r for r, _ in parts])
+    vals = np.concatenate([v for _, v in parts])
+    cols = np.repeat(np.arange(len(parts)), [len(r) for r, _ in parts])
+    return scipy.sparse.coo_array((vals, (rows, cols)), shape=(n, len(parts))).tocsr()
 
 
 class _Nonzeros:
@@ -100,14 +105,12 @@ class _Nonzeros:
         return rows, np.ones(len(rows))
 
 
-def _all_terms(
-    data: Dataset, columns, interactions=()
-) -> tuple[list[tuple], list[str], list[str]]:
+def _all_terms(data: Dataset, interactions=()) -> tuple[list[tuple], list[str], list[str]]:
     terms: list[tuple] = [("intercept",)]
     labels = [INTERCEPT]
     variables = [INTERCEPT]
-    for name in columns:
-        col = data.column(name)
+    for col in data.columns:
+        name = col.name
         if isinstance(col.kind, Numeric):
             if np.isnan(col.values).any():
                 terms.append(("missing", name))
@@ -132,36 +135,33 @@ def _all_terms(
     return terms, labels, variables
 
 
-def build_design(data: Dataset, columns=None, interactions=()) -> Design:
-    """Fit a design layout on ``data``; constant non-intercept columns drop.
+def build_design(data: Dataset, interactions=()) -> tuple[Design, scipy.sparse.csr_array]:
+    """Fit a design layout on ``data`` and return it with its matrix of
+    ``data``, from one evaluation of each term; constant non-intercept
+    columns drop.
 
     ``interactions`` names the columns whose design columns are crossed
     pairwise (two-way interactions between different variables); the main
-    effects keep their layout and come first.
+    effects keep their layout and come first.  ``Design.matrix`` builds the
+    same matrix of new data.
     """
-    columns = tuple(columns) if columns is not None else data.names
-    terms, labels, variables = _all_terms(data, columns, interactions)
-    keep: list[int] = []
-    constant: list[str] = []
+    terms, labels, variables = _all_terms(data, interactions)
     n = data.n_rows
     nonzeros = _Nonzeros(data)
-    for j, term in enumerate(terms):
-        if term[0] == "intercept":
-            keep.append(j)
-            continue
-        rows, vals = nonzeros(term)
-        # all zero, or nonzero everywhere with one value
-        is_constant = len(rows) == 0 or (len(rows) == n and vals.max() == vals.min())
-        if n and is_constant:
-            constant.append(labels[j])
-        else:
-            keep.append(j)
-    return Design(
+    parts = [nonzeros(term) for term in terms]
+    # all zero, or nonzero everywhere with one value; never the intercept
+    constant = [
+        j > 0 and n > 0 and (len(rows) == 0 or (len(rows) == n and vals.max() == vals.min()))
+        for j, (rows, vals) in enumerate(parts)
+    ]
+    keep = [j for j, c in enumerate(constant) if not c]
+    design = Design(
         terms=tuple(terms[j] for j in keep),
         labels=tuple(labels[j] for j in keep),
         variables=tuple(variables[j] for j in keep),
-        constant=tuple(constant),
+        constant=tuple(label for label, c in zip(labels, constant) if c),
     )
+    return design, _assemble([parts[j] for j in keep], n)
 
 
 class Gram:
@@ -254,7 +254,7 @@ def _pivoted_cholesky(A: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
     return piv, p
 
 
-def drop_aliased(X, labels) -> tuple[Gram, np.ndarray, list[str]]:
+def drop_aliased(X, labels) -> tuple[Gram, np.ndarray, list[str], np.ndarray]:
     """Find aliased columns by a pivoted Cholesky of X'X, from the fit's one ``Gram``.
 
     The Gram is equilibrated to a unit diagonal first, so each pivot is the
@@ -268,16 +268,17 @@ def drop_aliased(X, labels) -> tuple[Gram, np.ndarray, list[str]]:
     rare dummy levels and had them dropped.
 
     Returns (the ``Gram`` of all columns, which the solvers read at the kept
-    rows and columns, kept column indices in original order, notes).
+    rows and columns, kept column indices in original order, notes, and the
+    unweighted X'X of all columns that was factored).
     """
     gram = Gram(X)
     n, p = X.shape
     if p == 0 or n == 0:
-        return gram, np.arange(p), []
+        return gram, np.arange(p), [], np.zeros((p, p))
     G = gram(np.ones(n))
     d = 1.0 / np.sqrt(np.maximum(np.diag(G), np.finfo(np.float64).tiny))
     piv, rank = _pivoted_cholesky(G * d[:, None] * d[None, :], p * np.finfo(np.float64).eps)
     kept = np.sort(piv[:rank])
     dropped = np.sort(piv[rank:])
     notes = [f"dropped aliased design column {labels[j]!r}" for j in dropped]
-    return gram, kept, notes
+    return gram, kept, notes, G

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse
 
 from . import cart as _cart
-from .design import Design, build_design, drop_aliased
+from .design import INTERCEPT, Design, build_design, drop_aliased
 from .errors import MethodError
 from .tabular import Categorical, Column, Dataset, Numeric, distinct_cells
 
@@ -28,13 +28,13 @@ def _fit_design(predictors: Dataset | None, n: int) -> tuple:
     of the fit rows; intercept only without predictors.  Several constant
     columns make one note that names them all."""
     if predictors is None or not predictors.columns:
-        return None, scipy.sparse.csr_array(np.ones((n, 1))), ("(intercept)",), ()
-    design = build_design(predictors)
+        return None, _matrix(None, None, n), (INTERCEPT,), ()
+    design, X = build_design(predictors)
     notes = design.notes
     if len(design.constant) > 1:
         names = ", ".join(map(repr, design.constant))
         notes = (f"dropped {len(design.constant)} constant design columns: {names}",)
-    return design, design.matrix(predictors), design.labels, notes
+    return design, X, design.labels, notes
 
 
 def _matrix(design: Design | None, predictors: Dataset | None, n: int) -> scipy.sparse.csr_array:
@@ -43,6 +43,26 @@ def _matrix(design: Design | None, predictors: Dataset | None, n: int) -> scipy.
     if predictors is None:
         raise MethodError("this fit needs predictor columns for sampling")
     return design.matrix(predictors)
+
+
+def _complete_target(target: Column, method: str) -> np.ndarray:
+    """The values of a numeric target, which must be non-empty and complete."""
+    y = target.values
+    if np.isnan(y).any():
+        raise MethodError(f"{method}: target {target.name!r} has missing values")
+    if len(y) == 0:
+        raise MethodError(f"{method}: target {target.name!r} is empty")
+    return y
+
+
+def _draw_categorical(rng: np.random.Generator, P: np.ndarray) -> np.ndarray:
+    """One inverse-CDF draw per row of the (n, K) probabilities ``P``: the
+    number of cumulative probabilities at or below a uniform, the last taken
+    as 1 so that rounding never draws past the end."""
+    cum = np.cumsum(P, axis=1)
+    cum[:, -1] = 1.0
+    u = rng.random(P.shape[0])
+    return (u[:, None] >= cum).sum(axis=1).astype(np.int64)
 
 
 def _predict(X: scipy.sparse.csr_array, kept: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
@@ -147,8 +167,8 @@ def ols(X: scipy.sparse.csr_array, y: np.ndarray, labels) -> OlsFit:
     """Least squares from the normal equations: a Cholesky factor C of the
     column-equilibrated Gram D G D, then one step of iterative refinement on
     the residual, which brings the coefficients to the accuracy of a QR solve."""
-    gram, kept, notes = drop_aliased(X, labels)
-    G = gram(np.ones(len(y)))[np.ix_(kept, kept)]
+    _, kept, notes, G = drop_aliased(X, labels)
+    G = G[np.ix_(kept, kept)]
     d = 1.0 / np.sqrt(np.diag(G))
     try:
         C = np.linalg.cholesky(G * d[:, None] * d[None, :])
@@ -314,12 +334,8 @@ def fit_normrank(target: Column, predictors: Dataset | None, residual_scale: flo
     """Regress Blom normal scores of the target, back-transform through the
     empirical quantile function (linear interpolation), so draws never leave
     the observed range."""
-    y = target.values
-    if np.isnan(y).any():
-        raise MethodError(f"normrank: target {target.name!r} has missing values")
+    y = _complete_target(target, "normrank")
     n = len(y)
-    if n == 0:
-        raise MethodError(f"normrank: target {target.name!r} is empty")
     ranks = _average_ranks(y)
     z = ndtri((ranks - 0.375) / (n + 0.25))
     design, X, labels, notes = _fit_design(predictors, n)
@@ -375,11 +391,7 @@ def fit_transform_normal(
 ) -> TransformNormalFit:
     """OLS on the transformed scale; draws are back-transformed, so unlike
     the rank method this one can extrapolate past the observed range."""
-    y = target.values
-    if np.isnan(y).any():
-        raise MethodError(f"transform_normal: target {target.name!r} has missing values")
-    if len(y) == 0:
-        raise MethodError(f"transform_normal: target {target.name!r} is empty")
+    y = _complete_target(target, "transform_normal")
     t = _forward_transform(y, transform, target.name)
     design, X, labels, notes = _fit_design(predictors, len(y))
     fit = ols(X, t, labels)
@@ -430,7 +442,7 @@ def _newton_logit(
     unit in the last place of ll, so a threshold below that unit would halve
     such steps on rounding alone and stall the score just above ``tol``.
     """
-    gram, kept, notes = drop_aliased(X, labels)
+    gram, kept, notes, _ = drop_aliased(X, labels)
     n, p = X.shape[0], len(kept)
     K = Y.shape[1]
     block_a, block_b = np.triu_indices(K)
@@ -582,12 +594,7 @@ class MultinomialFit:
         return P
 
     def sample(self, predictors, rng: np.random.Generator, n: int) -> np.ndarray:
-        P = self.probabilities(predictors, n)
-        cum = np.cumsum(P, axis=1)
-        cum[:, -1] = 1.0
-        u = rng.random(n)
-        choice = (u[:, None] >= cum).sum(axis=1)
-        return self.present_codes[choice]
+        return self.present_codes[_draw_categorical(rng, self.probabilities(predictors, n))]
 
 
 def fit_multinomial(

@@ -367,6 +367,14 @@ def validate_plan(plan: SynthesisPlan, data: Dataset) -> list[PlanDiagnostic]:
     known = [c for c in seq if c in data]
     position = {c: i for i, c in enumerate(seq)}
 
+    def precedes(col: str, target: str, absent: str, late: str) -> None:
+        """Report ``absent`` if a column ``target`` reads is not visited, or
+        ``late`` if it is visited at or after a visited ``target``."""
+        if col not in position:
+            out.append(_err(absent))
+        elif target in position and position[col] >= position[target]:
+            out.append(_err(late))
+
     # Predictor precedence.
     if plan.predictor_matrix is not None:
         for target, preds in plan.predictor_matrix.items():
@@ -374,17 +382,10 @@ def validate_plan(plan: SynthesisPlan, data: Dataset) -> list[PlanDiagnostic]:
                 out.append(_err(f"predictor_matrix row for non-synthesized {target!r}"))
                 continue
             for p in preds:
-                if p not in position:
-                    out.append(
-                        _err(f"predictor_matrix[{target!r}] names unknown column {p!r}")
-                    )
-                elif position[p] >= position[target]:
-                    out.append(
-                        _err(
-                            f"predictor {p!r} does not precede target {target!r} "
-                            "in visit_sequence"
-                        )
-                    )
+                precedes(
+                    p, target, f"predictor_matrix[{target!r}] names unknown column {p!r}",
+                    f"predictor {p!r} does not precede target {target!r} in visit_sequence",
+                )
 
     # First variable: bootstrap method.  A predictor of it cannot precede
     # it, which the precedence check above reports.
@@ -403,12 +404,10 @@ def validate_plan(plan: SynthesisPlan, data: Dataset) -> list[PlanDiagnostic]:
         if not isinstance(spec, Nested):
             continue
         group = spec.group_column
-        if group not in position:
-            out.append(_err(f"grouping column {group!r} is not in visit_sequence"))
-        elif target in position and position[group] >= position[target]:
-            out.append(
-                _err(f"grouping column {group!r} must precede nested target {target!r}")
-            )
+        precedes(
+            group, target, f"grouping column {group!r} is not in visit_sequence",
+            f"grouping column {group!r} must precede nested target {target!r}",
+        )
 
     # Rules.
     for i, rule in enumerate(plan.rules):
@@ -421,17 +420,12 @@ def validate_plan(plan: SynthesisPlan, data: Dataset) -> list[PlanDiagnostic]:
             out.append(_err(f"rule {i}: {exc}"))
             continue
         for atom in atoms:
-            if atom.var not in position:
-                out.append(
-                    _err(f"rule {i}: condition column {atom.var!r} not in visit_sequence")
-                )
-            elif position[atom.var] >= position[rule.target]:
-                out.append(
-                    _err(
-                        f"rule {i}: condition column {atom.var!r} does not precede "
-                        f"target {rule.target!r}"
-                    )
-                )
+            precedes(
+                atom.var, rule.target,
+                f"rule {i}: condition column {atom.var!r} not in visit_sequence",
+                f"rule {i}: condition column {atom.var!r} does not precede "
+                f"target {rule.target!r}",
+            )
             if atom.var in data:
                 ckind = data.column(atom.var).kind
                 if isinstance(ckind, Categorical):
@@ -478,34 +472,29 @@ def validate_plan(plan: SynthesisPlan, data: Dataset) -> list[PlanDiagnostic]:
             )
 
     # Guideline warnings (non-fatal).
-    n_high = 0
-    for col in known:
-        kind = data.column(col).kind
-        if isinstance(kind, Categorical) and len(kind.levels) > HIGH_CARDINALITY_THRESHOLD:
-            n_high += 1
-            if not isinstance(plan.methods[col], Nested):
-                out.append(
-                    _warn(
-                        f"guideline 3: {col!r} has {len(kind.levels)} levels; consider "
-                        "grouping it and synthesizing with the nested method"
-                    )
+    high = [
+        (col, len(kind.levels))
+        for col, kind in ((c, data.column(c).kind) for c in known)
+        if isinstance(kind, Categorical) and len(kind.levels) > HIGH_CARDINALITY_THRESHOLD
+    ]
+    for col, n_levels in high:
+        if not isinstance(plan.methods[col], Nested):
+            out.append(
+                _warn(
+                    f"guideline 3: {col!r} has {n_levels} levels; consider "
+                    "grouping it and synthesizing with the nested method"
                 )
-    if n_high:
-        tail = set(seq[-n_high:])
-        for col in known:
-            kind = data.column(col).kind
-            if (
-                isinstance(kind, Categorical)
-                and len(kind.levels) > HIGH_CARDINALITY_THRESHOLD
-                and col not in tail
-            ):
-                out.append(
-                    _warn(
-                        f"guideline 6: move variables with many categories to the end "
-                        f"of the synthesis ({col!r} has {len(kind.levels)} levels at "
-                        f"position {position[col] + 1} of {len(seq)})"
-                    )
+            )
+    tail = set(seq[len(seq) - len(high):])
+    for col, n_levels in high:
+        if col not in tail:
+            out.append(
+                _warn(
+                    f"guideline 6: move variables with many categories to the end "
+                    f"of the synthesis ({col!r} has {n_levels} levels at "
+                    f"position {position[col] + 1} of {len(seq)})"
                 )
+            )
     return out
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
+from .models import _draw_categorical
 from .tabular import Categorical, Column, Dataset, Numeric
 
 OCC1_LEVELS = ("NotWork", "Farm", "Trade", "Craft", "Prof")
@@ -67,14 +68,6 @@ class ToyCensusSpec:
             raise DataError("age_band_probs must sum to 1")
 
 
-def _draw_rows(rng, prob_rows: np.ndarray) -> np.ndarray:
-    """One categorical draw per row from per-row probability vectors."""
-    cum = np.cumsum(prob_rows, axis=1)
-    cum[:, -1] = 1.0
-    u = rng.random(prob_rows.shape[0])
-    return (u[:, None] >= cum).sum(axis=1).astype(np.int64)
-
-
 def generate_toy_census(spec: ToyCensusSpec = ToyCensusSpec()) -> Dataset:
     n = spec.n_rows
     rng = np.random.default_rng(spec.seed)
@@ -99,11 +92,11 @@ def generate_toy_census(spec: ToyCensusSpec = ToyCensusSpec()) -> Dataset:
     mar[age < 16] = 0  # deterministic: children are Single
 
     band5 = np.digitize(age, [16, 30, 50, 70])
-    occ1 = _draw_rows(rng, _OCC_TABLE[band5, sex])
+    occ1 = _draw_categorical(rng, _OCC_TABLE[band5, sex])
 
     w = 1.0 / np.arange(1, spec.occ3_per_group + 1) ** spec.occ3_zipf
     w = w / w.sum()
-    within = _draw_rows(rng, np.broadcast_to(w, (n, spec.occ3_per_group)))
+    within = _draw_categorical(rng, np.broadcast_to(w, (n, spec.occ3_per_group)))
     occ3 = occ1 * spec.occ3_per_group + within
 
     reg_eff = np.asarray(spec.pperroom_region_effect)

@@ -264,24 +264,27 @@ def cross_tabulate(
     )
 
 
-def u_tab(table: CellTable) -> UtilityStat:
-    """Neyman-denominator lack-of-fit statistic over populated cells."""
+def _contributions(table: CellTable) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell's term (s - y)^2 / ((y + s)/2) of u_tab, 0 in an empty cell,
+    and the mask of populated cells."""
     y, s = table.counts()
     tot = y + s
-    populated = tot > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(tot > 0, (s - y) ** 2 / (tot / 2.0), 0.0), tot > 0
+
+
+def u_tab(table: CellTable) -> UtilityStat:
+    """Neyman-denominator lack-of-fit statistic over populated cells."""
+    contrib, populated = _contributions(table)
     k_pop = int(populated.sum())
     if k_pop < 2:
         raise UtilityError("u_tab needs at least 2 populated cells")
-    stat = float((((s - y) ** 2)[populated] / (tot[populated] / 2.0)).sum())
-    return UtilityStat.from_statistic(stat, k_pop - 1)
+    return UtilityStat.from_statistic(float(contrib[populated].sum()), k_pop - 1)
 
 
 def worst_cells(table: CellTable, top: int = 10) -> list[dict]:
     """Largest per-cell contributions to u_tab, for misfit diagnosis."""
-    y, s = table.counts()
-    tot = y + s
-    with np.errstate(divide="ignore", invalid="ignore"):
-        contrib = np.where(tot > 0, (s - y) ** 2 / (tot / 2.0), 0.0)
+    contrib, _ = _contributions(table)
     order = np.argsort(-contrib, kind="stable")[:top]
     order = order[contrib[order] > 0]
     codes = zip(*np.unravel_index(order, table.shape))
@@ -379,8 +382,7 @@ def fit_propensity(
                 if not isinstance(col.kind, Categorical)
                 or len(col.kind.levels) <= HIGH_CARDINALITY_THRESHOLD
             )
-        design = build_design(stacked, interactions=crossed)
-        X = design.matrix(stacked)
+        design, X = build_design(stacked, interactions=crossed)
         y = np.concatenate([np.zeros(n_o), np.ones(n_s)])
         res = irls_logit(X, y, max_iter, tol, design.labels)
         p_hat = _expit(_predict(X, res.kept, res.coefficients))
@@ -559,8 +561,8 @@ class UnivariateReport:
     flags: tuple[str, ...]
 
 
-def _numeric_stats(v: np.ndarray) -> dict:
-    obs = v[~np.isnan(v)]
+def _numeric_stats(obs: np.ndarray) -> dict:
+    """Summary statistics of the observed (non-missing) values ``obs``."""
     if obs.size == 0:
         return {}
     q1, med, q3 = np.quantile(obs, [0.25, 0.5, 0.75])
@@ -613,8 +615,8 @@ def compare_univariate(original: Dataset, synthetic: Dataset, n_bins: int = 20) 
                 edges,
                 co,
                 cs,
-                _numeric_stats(vo),
-                _numeric_stats(vs),
+                _numeric_stats(obs_o),
+                _numeric_stats(obs_s),
                 float(np.isnan(vo).mean()),
                 float(np.isnan(vs).mean()),
                 exceeded,

@@ -158,15 +158,14 @@ CASES = [
 @pytest.mark.parametrize("name", CASES)
 def test_sparse_matrix_equals_dense_build(name):
     data, inter, _ = _case(name)
-    design = build_design(data, interactions=inter)
-    X = design.matrix(data)
+    design, X = build_design(data, interactions=inter)
     assert X.format == "csr"
     np.testing.assert_array_equal(X.toarray(), _dense_matrix(design, data))
 
 
 def test_constant_column_dropped_with_note():
     data, _, _ = _case("constant column")
-    design = build_design(data)
+    design, _ = build_design(data)
     assert "c" not in design.labels
     assert design.notes == ("dropped constant design column 'c'",)
 
@@ -174,9 +173,8 @@ def test_constant_column_dropped_with_note():
 @pytest.mark.parametrize("name", CASES)
 def test_kept_columns_match_pivoted_qr(name):
     data, inter, aliased = _case(name)
-    design = build_design(data, interactions=inter)
-    X = design.matrix(data)
-    gram, kept, notes = drop_aliased(X, design.labels)
+    design, X = build_design(data, interactions=inter)
+    gram, kept, notes, _ = drop_aliased(X, design.labels)
     assert len(kept) == len(_qr_kept(_dense_matrix(design, data))) == design.n_columns - aliased
     lapack_kept, _ = _lapack_kept(_equilibrated(gram(np.ones(data.n_rows))))
     np.testing.assert_array_equal(kept, lapack_kept)
@@ -217,8 +215,7 @@ def test_pivoted_cholesky_keeps_lapacks_columns(A):
 
 def test_gram_matches_dense_products():
     data, inter, _ = _case("missing numeric")
-    design = build_design(data, interactions=inter)
-    X = design.matrix(data)
+    design, X = build_design(data, interactions=inter)
     D = X.toarray()
     W = np.random.default_rng(0).random((data.n_rows, 3))
     gram = Gram(X)
@@ -231,8 +228,7 @@ def test_gram_matches_dense_products():
 @pytest.mark.parametrize("name", CASES)
 def test_ols_notes_aliased_columns_without_warning(name):
     data, inter, aliased = _case(name)
-    design = build_design(data, interactions=inter)
-    X = design.matrix(data)
+    design, X = build_design(data, interactions=inter)
     y = np.random.default_rng(2).normal(size=X.shape[0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -244,8 +240,7 @@ def test_ols_notes_aliased_columns_without_warning(name):
 @pytest.mark.parametrize("name", CASES)
 def test_ols_matches_lstsq(name):
     data, inter, _ = _case(name)
-    design = build_design(data, interactions=inter)
-    X = design.matrix(data)
+    design, X = build_design(data, interactions=inter)
     D = _dense_matrix(design, data)
     y = D @ _effects(D, 1.0) + np.random.default_rng(1).normal(size=len(D))
     fit = ols(X, y, design.labels)
@@ -262,8 +257,7 @@ def test_ols_matches_lstsq(name):
 @pytest.mark.parametrize("name", CASES)
 def test_irls_matches_dense_newton(name):
     data, inter, _ = _case(name)
-    design = build_design(data, interactions=inter)
-    X = design.matrix(data)
+    design, X = build_design(data, interactions=inter)
     D = _dense_matrix(design, data)
     y = (np.random.default_rng(2).random(len(D)) < _expit(D @ _effects(D, 0.25))).astype(float)
     res = irls_logit(X, y, 100, 1e-10, design.labels)
@@ -282,7 +276,7 @@ def test_irls_matches_dense_newton(name):
 def test_multinomial_matches_dense_newton(name):
     data, _, _ = _case(name)
     # the design fit_multinomial builds: main effects, no interactions
-    D = _dense_matrix(build_design(data), data)
+    D = _dense_matrix(build_design(data)[0], data)
     effects = _effects(D, 0.25)
     eta = np.column_stack([np.zeros(len(D)), D @ effects, -(D @ effects)])
     P = np.exp(eta) / np.exp(eta).sum(axis=1)[:, None]
@@ -311,7 +305,7 @@ def test_pmse_matches_dense_reference(model):
     fit = fit_propensity(original, synthetic, model=model, tol=1e-10)
     stacked = _stack(original, synthetic)
     crossed = names if model == "interactions" else ()
-    design = build_design(stacked, interactions=crossed)
+    design, _ = build_design(stacked, interactions=crossed)
     D = _dense_matrix(design, stacked)
     kept = _qr_kept(D)
     y = np.concatenate([np.zeros(original.n_rows), np.ones(synthetic.n_rows)])
