@@ -1,0 +1,243 @@
+"""Checks at the benchmark's size (50k rows), too slow for the tier-1 suite.
+
+    python -m pytest checks -q -s
+
+Run from the repository root; the module puts ``src``, ``tests`` and the
+root on ``sys.path`` itself.  Each check writes its files under pytest's
+temporary directory.  The CART and SDC references read one recorded run of
+the benchmark's ``synth_cart`` operation (50k rows, seed 7).
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import re
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT)]
+
+from perfbench import workloads  # noqa: E402
+from synthweave import cart, cli, read_csv, sdc, write_csv  # noqa: E402
+from test_cart import _ref_fit_cart  # noqa: E402
+from test_sdc import _text_key_drops  # noqa: E402
+
+ROWS = 50_000
+
+
+def _gentoy(work: Path, name: str, rows: int, *seed: str) -> tuple[Path, Path]:
+    """A census CSV written by the ``gentoy`` command, and its schema file."""
+    data = work / f"{name}.csv"
+    assert cli.main(["gentoy", "--rows", str(rows), *seed, "--out", str(data)]) == 0
+    model = json.loads((work / f"{name}.model.json").read_text(encoding="utf-8"))
+    schema = work / f"{name}_schema.json"
+    schema.write_text(json.dumps(model["schema"]), encoding="utf-8")
+    return data, schema
+
+
+def test_csv_round_trip(tmp_path):
+    """Read a 50k-row census back with its schema, write it again over a file
+    twice its size, compare bytes: no tail of the old file may survive.  The
+    read converts the file a block of rows at a time, so its peak allocation
+    stays below 3x the arrays it returns; a list of every cell string of the
+    file would take it to about 8x."""
+    src, schema = _gentoy(tmp_path, "census", ROWS)
+    again = tmp_path / "again.csv"
+    again.write_bytes(src.read_bytes() * 2)
+    schema = cli.load_schema(schema)
+    tracemalloc.start()
+    data = read_csv(src, schema)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    arrays = sum(c.values.nbytes for c in data.columns)
+    print(f"read_csv peak {peak / 2**20:.2f} MiB, {peak / arrays:.2f}x its arrays' {arrays / 2**20:.2f} MiB")
+    assert peak < 3 * arrays, (peak, arrays)
+    write_csv(data, again)
+    assert again.read_bytes() == src.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def synth_cart_run(tmp_path_factory):
+    """The trees and the replicated-unique removal of one run of the
+    benchmark's synth_cart operation (50k rows, seed 7), with their inputs."""
+    inputs = workloads.setup("synth_cart", 7, tmp_path_factory.mktemp("cart"), ROWS)
+    fits, removals = [], []
+    fit_cart, remove = cart.fit_cart, sdc.remove_replicated_uniques
+
+    def recorded_fit(target, predictors, *args, **kwargs):
+        tree = fit_cart(target, predictors, *args, **kwargs)
+        fits.append((tree, target, predictors, args, kwargs))
+        return tree
+
+    def recorded_removal(original, synthetic, keys):
+        out, removed = remove(original, synthetic, keys)
+        removals.append((original, synthetic, tuple(keys), out, removed))
+        return out, removed
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cart, "fit_cart", recorded_fit)
+        mp.setattr(sdc, "remove_replicated_uniques", recorded_removal)
+        assert cli.main(inputs.argv) == 0
+    return fits, removals
+
+
+def test_cart_equals_its_depth_first_reference(synth_cart_run):
+    """The six trees of the run, against tests/test_cart.py's depth-first reference."""
+    fits, _ = synth_cart_run
+    assert len(fits) == 6, len(fits)
+    for tree, target, predictors, args, kwargs in fits:
+        nodes, donor_rows, offsets, sizes = _ref_fit_cart(target, predictors, *args, **kwargs)
+        assert tree.nodes == nodes, target.name
+        assert np.array_equal(tree.donor_rows, donor_rows), target.name
+        assert np.array_equal(tree.leaf_offsets, offsets), target.name
+        assert np.array_equal(tree.leaf_sizes, sizes), target.name
+        print(f"{target.name}: {len(nodes)} nodes, {target.n_rows} rows, same as reference")
+
+
+def test_sdc_removals_equal_their_text_reference(synth_cart_run):
+    """The run's replicated-unique removal (four keys with the numeric age
+    among them), against tests/test_sdc.py's reference over tuples of cell texts."""
+    _, removals = synth_cart_run
+    assert len(removals) == 1, len(removals)
+    original, synthetic, keys, out, removed = removals[0]
+    assert len(keys) == 4 and "age" in keys, keys
+    assert synthetic.column("age").is_numeric
+    drop = _text_key_drops(original, synthetic, keys)
+    assert removed == int(drop.sum()), (removed, int(drop.sum()))
+    assert out.equals(synthetic.take(np.flatnonzero(~drop)))
+    print(f"{removed} of {synthetic.n_rows} rows removed on keys {keys}, same as reference")
+
+
+def test_parametric_solvers_converge(tmp_path):
+    """The benchmark's synth_parametric operation (50k rows, seed 7): every
+    Logit and Multinomial fit, the pperroom missingness logit included,
+    reports a converged Newton solve in the run report.  occ3 nests in occ1,
+    so each occ1 dummy of the pperroom fit is the sum of its occ3 dummies:
+    the aliasing check must drop exactly the four occ1 dummies and keep
+    every occ3 level, as README says."""
+    inputs = workloads.setup("synth_parametric", 7, tmp_path, ROWS)
+    assert cli.main(inputs.argv) == 0
+    report = json.loads(inputs.report.read_text(encoding="utf-8"))
+    solvers = {v["name"]: v["solver"] for v in report["variables"] if v["solver"]}
+    assert set(solvers) == {"sex", "mar", "occ1", "pperroom"}, solvers
+    for name, solver in solvers.items():
+        assert solver["converged"] is True, (name, solver)
+        print(f"{name}: {solver['iterations']} iterations, max |score| {solver['gradient_norm']:.2e}")
+    occ1 = inputs.schema["columns"]["occ1"]["levels"]
+    expected = [f"dropped aliased design column 'occ1={level}'" for level in occ1[1:]]
+    assert len(expected) == 4, occ1
+    warnings = {v["name"]: v["warnings"] for v in report["variables"]}
+    assert warnings["pperroom"] == expected, warnings["pperroom"]
+    print(f"pperroom warnings: {expected}")
+
+
+def test_stratified_synthesis_through_the_cli(tmp_path):
+    """A 50k-row census (seed 7) synthesized within each occ1 level, with
+    occ3 nested in occ1 and the rule age < 16 => Single."""
+    data, schema = _gentoy(tmp_path, "strat", ROWS, "--seed", "7")
+    plan = {
+        "visit_sequence": ["region", "sex", "age", "mar", "occ1", "pperroom", "occ3"],
+        "methods": {"region": "sample", "occ3": {"kind": "nested", "group_column": "occ1"}},
+        "nesting": {"occ3": "occ1"},
+        "rules": [{"target": "mar", "condition": "age < 16", "value": "Single"}],
+        "stratifier": "occ1",
+        "seed": 7,
+    }
+    (tmp_path / "strat_plan.json").write_text(json.dumps(plan))
+    argv = [
+        "synth", "--data", str(data), "--schema", str(schema),
+        "--plan", str(tmp_path / "strat_plan.json"), "--out", str(tmp_path / "strat_syn.csv"),
+        "--report", str(tmp_path / "strat_report.json"),
+    ]
+    assert cli.main(argv) == 0
+    report = json.loads((tmp_path / "strat_report.json").read_text())
+    assert report["stratified"] is True, report["stratified"]
+    schema_doc = cli.load_schema(schema)
+    original = read_csv(data, schema_doc)
+    synthetic = read_csv(tmp_path / "strat_syn.csv", schema_doc)
+    occ1 = original.column("occ1")
+    counts = dict(zip(occ1.levels, np.bincount(occ1.values, minlength=len(occ1.levels)).tolist()))
+    assert {s["level"]: s["rows"] for s in report["strata"]} == counts, report["strata"]
+    syn_occ1 = synthetic.column("occ1")
+    assert np.bincount(syn_occ1.values, minlength=len(occ1.levels)).tolist() == list(counts.values())
+    group_of = dict(zip(original.column("occ3").decoded(), occ1.decoded()))
+    outside = sum(
+        group_of[o3] != o1
+        for o3, o1 in zip(synthetic.column("occ3").decoded(), syn_occ1.decoded())
+    )
+    assert outside == 0, outside
+    age = synthetic.column("age").values
+    broken = (age < 16) & (np.array(synthetic.column("mar").decoded()) != "Single")
+    assert not broken.any(), int(broken.sum())
+    print(f"{synthetic.n_rows} rows in strata {counts}: occ1 counts kept, occ3 nested, rule holds")
+
+
+def test_readme_plan_file_through_the_cli(tmp_path):
+    """The plan JSON under the README's "### Plan file" heading, run as
+    written on a 2000-row census: the documented format must parse and
+    synthesize."""
+    data, schema = _gentoy(tmp_path, "readme", 2000)
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("### Plan file", 1)[1]
+    plan = section.split("```json", 1)[1].split("```", 1)[0]
+    (tmp_path / "readme_plan.json").write_text(plan)
+    argv = [
+        "synth", "--data", str(data), "--schema", str(schema),
+        "--plan", str(tmp_path / "readme_plan.json"), "--out", str(tmp_path / "readme_syn.csv"),
+        "--report", str(tmp_path / "readme_report.json"),
+    ]
+    assert cli.main(argv) == 0
+    schema_doc = cli.load_schema(schema)
+    original = read_csv(data, schema_doc)
+    synthetic = read_csv(tmp_path / "readme_syn.csv", schema_doc)
+    group_of = dict(zip(original.column("occ3").decoded(), original.column("occ1").decoded()))
+    pairs = list(zip(synthetic.column("occ3").decoded(), synthetic.column("occ1").decoded()))
+    outside = sum(group_of[o3] != o1 for o3, o1 in pairs)
+    assert outside == 0, outside
+    print(f"README plan: {synthetic.n_rows} rows, every occ3 inside its occ1 group")
+
+
+def test_cli_start_up_stays_lean(tmp_path):
+    """The real entry point, ``python -m synthweave synth`` and then
+    ``utility``, on a 2000-row census with a normrank plan: scipy.stats,
+    scipy.linalg and scipy.special, which cost about a third of the start-up
+    and memory when they were loaded, must not appear in either import log."""
+    data, schema = _gentoy(tmp_path, "lean", 2000)
+    plan = {
+        "visit_sequence": ["region", "sex", "age", "mar", "occ1", "pperroom"],
+        "methods": {"region": "sample", "pperroom": "normrank"},
+        "seed": 7,
+    }
+    (tmp_path / "lean_plan.json").write_text(json.dumps(plan))
+    synthetic = tmp_path / "lean_syn.csv"
+    commands = {
+        "synth": [
+            "synth", "--data", str(data), "--schema", str(schema),
+            "--plan", str(tmp_path / "lean_plan.json"), "--out", str(synthetic),
+        ],
+        "utility": [
+            "utility", "--original", str(data), "--synthetic", str(synthetic),
+            "--schema", str(schema), "--tables", "mar*age",
+        ],
+    }
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    logs = {}
+    for command, argv in commands.items():
+        run = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "synthweave", *argv],
+            env=env, capture_output=True, text=True,
+        )
+        assert run.returncode == 0, run.stderr
+        logs[command] = run.stderr
+        loaded = re.findall(r"\|\s+(scipy\.(?:stats|linalg|special))$", run.stderr, re.MULTILINE)
+        assert not loaded, f"the {command} command imported {loaded}"
+    for line in logs["synth"].splitlines():
+        fields = line.split("|")
+        if len(fields) == 3 and fields[2] == " synthweave":
+            print(f"synthweave import: {int(fields[1]) / 1e6:.3f} s cumulative")

@@ -79,15 +79,13 @@ def _parse_tables(text: str | None) -> list[tuple[str, ...]]:
 def _resolve_seed(flag_seed, plan: SynthesisPlan, plan_doc: dict) -> SynthesisPlan:
     """``plan`` with its seed from --seed, else the plan file, else
     SYNTHWEAVE_SEED, else 0."""
-    if flag_seed is not None:
-        return replace(plan, seed=flag_seed)
-    if "seed" in plan_doc:
+    if flag_seed is None and "seed" in plan_doc:
         return plan
-    env = os.environ.get(ENV_SEED, "0")
+    seed = flag_seed if flag_seed is not None else os.environ.get(ENV_SEED, "0")
     try:
-        return replace(plan, seed=int(env))
-    except ValueError:
-        raise PlanError(f"{ENV_SEED} must be an integer, got {env!r}") from None
+        return replace(plan, seed=int(seed))
+    except ValueError:  # only a SYNTHWEAVE_SEED can fail: --seed is parsed as an int
+        raise PlanError(f"{ENV_SEED} must be an integer, got {seed!r}") from None
 
 
 def _unknown_variable(variables, data: Dataset, flag: str) -> bool:

@@ -265,7 +265,9 @@ def drop_aliased(X, labels) -> tuple[Gram, np.ndarray, list[str], np.ndarray]:
     most p * eps, LAPACK's default for a unit diagonal.  Being relative to
     each column's own scale, it holds for numerics on any scale; on the raw
     Gram, an income-sized column raised the tolerance above the counts of
-    rare dummy levels and had them dropped.
+    rare dummy levels and had them dropped.  Exact ties (a copied column, or
+    a copy times 10) are decided by rounding, so the copy kept can differ
+    between BLAS or numpy builds.
 
     Returns (the ``Gram`` of all columns, which the solvers read at the kept
     rows and columns, kept column indices in original order, notes, and the

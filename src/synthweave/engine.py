@@ -242,6 +242,9 @@ def synthesize(original: Dataset, plan: SynthesisPlan, n_rows: int | None = None
     """
     if original.n_rows == 0:
         raise DataError("empty dataset")
+    whole = isinstance(n_rows, (int, np.integer)) and not isinstance(n_rows, bool)
+    if n_rows is not None and (not whole or n_rows < 0):
+        raise PlanError(f"n_rows must be a whole number >= 0, got {n_rows!r}")
     diags = validate_plan(plan, original)
     errs = plan_errors(diags)
     if errs:

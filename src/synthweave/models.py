@@ -56,9 +56,8 @@ def _complete_target(target: Column, method: str) -> np.ndarray:
 
 
 def _draw_categorical(rng: np.random.Generator, P: np.ndarray) -> np.ndarray:
-    """One inverse-CDF draw per row of the (n, K) probabilities ``P``: the
-    number of cumulative probabilities at or below a uniform, the last taken
-    as 1 so that rounding never draws past the end."""
+    """One inverse-CDF draw per row of the (n, K) probabilities ``P``; the last
+    cumulative probability is taken as 1, so rounding never draws past the end."""
     cum = np.cumsum(P, axis=1)
     cum[:, -1] = 1.0
     u = rng.random(P.shape[0])

@@ -649,7 +649,10 @@ def reorder_visit(plan: SynthesisPlan, column: str, position) -> SynthesisPlan:
     elif position == "end":
         idx = len(seq)
     else:
-        idx = int(position)
+        try:
+            idx = int(position)
+        except (TypeError, ValueError):
+            raise PlanError(f"position must be 'start', 'end' or an index, got {position!r}") from None
         if not 0 <= idx <= len(seq):
             raise PlanError(f"position {idx} out of range")
     seq.insert(idx, column)

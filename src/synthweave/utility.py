@@ -203,11 +203,16 @@ def _cell_codes(
     if obs.size == 0:
         raise UtilityError(f"column {orig.name!r} has no observed numeric values")
     if breaks is None:
+        if not isinstance(n_bins, (int, np.integer)):
+            raise UtilityError(f"column {orig.name!r}: n_bins must be a whole number, got {n_bins!r}")
         if n_bins < 2:
             raise UtilityError(f"column {orig.name!r}: n_bins must be >= 2, got {n_bins}")
         qs = np.quantile(obs, [i / n_bins for i in range(1, n_bins)])
     else:
-        qs = np.asarray(breaks, dtype=np.float64)
+        try:
+            qs = np.asarray(breaks, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise UtilityError(f"column {orig.name!r}: breaks must be numbers, got {breaks!r}") from None
         if qs.size == 0 or not np.isfinite(qs).all():
             raise UtilityError(
                 f"column {orig.name!r}: breaks must be non-empty and finite, got {qs.tolist()!r}"
@@ -562,7 +567,6 @@ class UnivariateReport:
 
 
 def _numeric_stats(obs: np.ndarray) -> dict:
-    """Summary statistics of the observed (non-missing) values ``obs``."""
     if obs.size == 0:
         return {}
     q1, med, q3 = np.quantile(obs, [0.25, 0.5, 0.75])

@@ -400,6 +400,35 @@ class TestSynth:
         err = capsys.readouterr().err
         assert err == f"error: schema for 'region': {problem}, got {{'levels': {levels!r}}}\n"
 
+    @pytest.mark.parametrize(
+        "flag, plan_seed, env, expected",
+        [
+            ("99", 5, "7", 99),   # --seed first
+            (None, 5, "7", 5),    # then the plan's seed
+            (None, 0, "7", 0),    # a plan seed of 0 is still the plan's
+            (None, None, "7", 7),  # then SYNTHWEAVE_SEED
+            (None, None, None, 0),  # then 0
+        ],
+    )
+    def test_seed_order(self, toy_files, tmp_path, monkeypatch, flag, plan_seed, env, expected):
+        root, data, schema, _ = toy_files
+        plan_doc = {"visit_sequence": ["region", "sex"]}
+        if plan_seed is not None:
+            plan_doc["seed"] = plan_seed
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(plan_doc))
+        if env is None:
+            monkeypatch.delenv("SYNTHWEAVE_SEED", raising=False)
+        else:
+            monkeypatch.setenv("SYNTHWEAVE_SEED", env)
+        report = tmp_path / "r.json"
+        argv = [
+            "synth", "--data", str(data), "--schema", str(schema), "--plan", str(plan),
+            "--out", str(tmp_path / "o.csv"), "--report", str(report),
+        ]
+        assert main(argv + (["--seed", flag] if flag else [])) == 0
+        assert json.loads(report.read_text())["seed"] == expected
+
     def test_non_integer_env_seed_exits_2(self, toy_files, tmp_path, capsys, monkeypatch):
         root, data, schema, _ = toy_files
         plan = tmp_path / "noseed.json"
@@ -464,7 +493,7 @@ class TestUtilityCommand:
             ]
         )
         assert rc == 2
-        assert "nope" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: unknown variable 'nope' in --tables\n"
 
     def test_parametric_mar_age_table_ratio_huge(self, toy_files, tmp_path):
         # linear-in-age multinomial leaves a glaring mar-by-age misfit
@@ -724,6 +753,17 @@ class TestCompareCommand:
             ]
         )
         assert rc == 2
+
+    def test_unknown_pair_variable_exit_2(self, toy_files, tmp_path, capsys):
+        root, data, schema, _ = toy_files
+        rc = main(
+            [
+                "compare", "--original", str(data), "--synthetic", str(data),
+                "--schema", str(schema), "--pairs", "mar*age,sex*nope",
+            ]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == "error: unknown variable 'nope' in --pairs\n"
 
     @pytest.mark.parametrize("bins", ["1", "0", "-3"])
     def test_fewer_than_two_bins_exit_2(self, toy_files, tmp_path, capsys, bins):

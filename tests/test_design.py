@@ -13,8 +13,10 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from scipy.linalg.lapack import dpstrf
 
-from synthweave.design import Gram, _pivoted_cholesky, build_design, drop_aliased
-from synthweave.models import _expit, fit_multinomial, irls_logit, ols
+from synthweave.design import Gram, _Nonzeros, _pivoted_cholesky, build_design, drop_aliased
+from synthweave.models import (
+    _expit, _predict, fit_logit, fit_multinomial, fit_normrank, irls_logit, ols,
+)
 from synthweave.tabular import Categorical, Column, Dataset, numeric_column
 from synthweave.utility import _stack, fit_propensity
 
@@ -157,10 +159,55 @@ CASES = [
 
 @pytest.mark.parametrize("name", CASES)
 def test_sparse_matrix_equals_dense_build(name):
+    """The fit rows' matrix that build_design returns, and Design.matrix
+    rebuilt on the same rows, both equal the dense column-by-column build."""
     data, inter, _ = _case(name)
     design, X = build_design(data, interactions=inter)
-    assert X.format == "csr"
-    np.testing.assert_array_equal(X.toarray(), _dense_matrix(design, data))
+    dense = _dense_matrix(design, data)
+    for M in (X, design.matrix(data)):
+        assert M.format == "csr"
+        np.testing.assert_array_equal(M.toarray(), dense)
+
+
+def _spy(monkeypatch, cls, name):
+    """The list of argument tuples ``cls.name`` is called with from now on."""
+    calls, method = [], getattr(cls, name)
+
+    def spy(self, *args):
+        calls.append(args)
+        return method(self, *args)
+
+    monkeypatch.setattr(cls, name, spy)
+    return calls
+
+
+def test_normrank_forms_one_gram_product(monkeypatch):
+    """Least squares reuses the X'X the aliasing check factored."""
+    data, _, _ = _case("missing numeric")
+    y = numeric_column("y", np.random.default_rng(7).normal(size=data.n_rows))
+    calls = _spy(monkeypatch, Gram, "__call__")
+    fit_normrank(y, data)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("fit", ["logit", "main_effects", "interactions"])
+def test_fits_evaluate_each_design_term_once(monkeypatch, fit):
+    """The fit rows' nonzeros of each term are computed once per fit: the
+    constant-column check and the matrix share them, and a product term
+    reuses its factors'."""
+    _, c = _base(n=1200, seed=5)
+    _, d = _base(n=1200, seed=6)
+    names = ("occ1", "g", "x")
+    original = Dataset(tuple(c[k] for k in names))
+    computed = _spy(monkeypatch, _Nonzeros, "_compute")
+    if fit == "logit":
+        noisy = c["x"].values + np.random.default_rng(8).normal(size=original.n_rows)
+        target = Column("t", Categorical(("a", "b")), (noisy > 0).astype(np.int64))
+        fit_logit(target, original)
+    else:
+        fit_propensity(original, Dataset(tuple(d[k] for k in names)), model=fit)
+    terms = [term for (term,) in computed]
+    assert terms and len(terms) == len(set(terms))
 
 
 def test_constant_column_dropped_with_note():
@@ -252,6 +299,31 @@ def test_ols_matches_lstsq(name):
     np.testing.assert_allclose(
         fit.predict(X), D[:, qr_kept] @ qr_coef, rtol=RTOL, atol=RTOL * np.abs(y).max()
     )
+
+
+@pytest.mark.parametrize("factor", [1.0, 10.0])
+def test_swapped_copies_give_the_same_fit(factor):
+    """A column and its copy (times ``factor``) tie in exact arithmetic, so
+    rounding decides which one the aliasing check keeps.  Swapping their
+    order may change that choice, but not how many columns are kept, the
+    least-squares fitted values or the logit probabilities."""
+    rng, c = _base()
+    x, g = c["x"].values, c["g"].values
+    copy = numeric_column("copy", x * factor)
+    y = x + (g == 1) + rng.normal(size=len(x))
+    outcome = (rng.random(len(x)) < _expit(0.5 * x - 0.25 * (g == 2))).astype(float)
+    fits = []
+    for cols in ([c["g"], c["x"], copy], [c["g"], copy, c["x"]]):
+        design, X = build_design(Dataset(tuple(cols)))
+        fit = ols(X, y, design.labels)
+        res = irls_logit(X, outcome, 100, 1e-10, design.labels)
+        prob = _expit(_predict(X, res.kept, res.coefficients))
+        fits.append((len(fit.kept), len(res.kept), fit.predict(X), prob))
+    (ols_a, logit_a, fitted_a, prob_a), (ols_b, logit_b, fitted_b, prob_b) = fits
+    # intercept, two dummies of g and one of the copies
+    assert ols_a == ols_b == logit_a == logit_b == 4
+    np.testing.assert_allclose(fitted_a, fitted_b, rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(prob_a, prob_b, rtol=1e-10, atol=1e-10)
 
 
 @pytest.mark.parametrize("name", CASES)

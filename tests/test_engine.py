@@ -52,6 +52,17 @@ def cart_plan(cols, seed=1, rules=()):
 
 
 class TestSynthesize:
+    @pytest.mark.parametrize("n_rows", [-3, 2.5, True, "10"])
+    def test_n_rows_that_is_no_count_rejected(self, census, n_rows):
+        plan = cart_plan(["region", "sex"])
+        with pytest.raises(PlanError, match=f"n_rows must be a whole number >= 0, got {n_rows!r}"):
+            synthesize(census.select(["region", "sex"]), plan, n_rows=n_rows)
+
+    def test_zero_rows_allowed(self, census):
+        plan = cart_plan(["region", "sex"])
+        run = synthesize(census.select(["region", "sex"]), plan, n_rows=0)
+        assert run.synthetic.n_rows == 0
+
     def test_numeric_literal_forces_its_level(self):
         rng = np.random.default_rng(8)
         g = rng.choice(["15", "16", "17"], 600)

@@ -413,6 +413,51 @@ class TestMultinomial:
         assert np.allclose(freqs, [0.5, 0.3, 0.2], atol=0.01)
 
 
+def _inverse_cdf_reference(P, u):
+    """Row by row: the first category whose cumulative probability exceeds
+    the uniform, the last category taking whatever rounding leaves over."""
+    out = []
+    for p, ui in zip(P, u):
+        total, k = 0.0, len(p) - 1
+        for j, pj in enumerate(p[:-1]):
+            total += pj
+            if ui < total:
+                k = j
+                break
+        out.append(k)
+    return np.array(out)
+
+
+class TestCategoricalDraw:
+    def test_matches_per_row_inverse_cdf(self):
+        rng = np.random.default_rng(44)
+        P = rng.dirichlet(np.ones(5), size=3000)
+        P[:5] = np.eye(5)          # all mass on one category
+        P[5] = [0.5, 0.0, 0.0, 0.5, 0.0]
+        P[6] = [0.1, 0.2, 0.3, 0.4, 0.0]
+        drawn = models._draw_categorical(np.random.default_rng(45), P)
+        u = np.random.default_rng(45).random(len(P))
+        np.testing.assert_array_equal(drawn, _inverse_cdf_reference(P, u))
+        assert drawn.dtype == np.int64
+        assert list(drawn[:5]) == [0, 1, 2, 3, 4]
+
+    def test_multinomial_sample_draws_its_probabilities_in_present_codes(self):
+        col = categorical_column("t", ["a", "c"] * 40 + ["c"], levels=["a", "b", "c"])
+        fit = fit_multinomial(col, None)
+        draws = fit.sample(None, np.random.default_rng(46), 500)
+        P = fit.probabilities(None, 500)
+        u = np.random.default_rng(46).random(500)
+        np.testing.assert_array_equal(draws, fit.present_codes[_inverse_cdf_reference(P, u)])
+
+
+@pytest.mark.parametrize("fit, method", [(fit_normrank, "normrank"), (fit_transform_normal, "transform_normal")])
+def test_numeric_target_must_be_complete_and_non_empty(fit, method):
+    with pytest.raises(MethodError, match=f"^{method}: target 'y' has missing values$"):
+        fit(numeric_column("y", [1.0, np.nan, 3.0]), None)
+    with pytest.raises(MethodError, match=f"^{method}: target 'y' is empty$"):
+        fit(numeric_column("y", np.array([])), None)
+
+
 class TestNested:
     def test_group_with_single_donor_value(self):
         group = categorical_column("g", ["G1"] * 3 + ["G2"])

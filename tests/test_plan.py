@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -86,6 +87,29 @@ class TestValidatePlan:
         )
         diags = validate_plan(plan, small_data())
         assert any("grouping column" in d.message for d in plan_errors(diags))
+
+    def test_precedence_messages_in_order(self):
+        """Each check of a column a target reads gives its own two messages:
+        the column is not visited, or it is visited too late; predictor rows
+        first, then nested groups, then rule conditions."""
+        plan = SynthesisPlan(
+            visit_sequence=("a", "b", "c"),
+            methods={"a": Sample(), "b": Nested("zz"), "c": Nested("c")},
+            predictor_matrix={"a": ("b", "q")},
+            rules=(Rule("a", "c == 'u'", "x"), Rule("b", "w > 1", "y")),
+        )
+        precedence = [
+            d.message for d in plan_errors(validate_plan(plan, small_data()))
+            if "precede" in d.message or "unknown" in d.message or "not in visit" in d.message
+        ]
+        assert precedence == [
+            "predictor 'b' does not precede target 'a' in visit_sequence",
+            "predictor_matrix['a'] names unknown column 'q'",
+            "grouping column 'zz' is not in visit_sequence",
+            "grouping column 'c' must precede nested target 'c'",
+            "rule 0: condition column 'c' does not precede target 'a'",
+            "rule 1: condition column 'w' not in visit_sequence",
+        ]
 
     def test_nested_method_alone_declares_nesting(self):
         census = generate_toy_census(ToyCensusSpec(n_rows=300, seed=2))
@@ -331,6 +355,11 @@ class TestReorderVisit:
     def test_unknown_column_rejected(self):
         with pytest.raises(PlanError):
             reorder_visit(ok_plan(), "zzz", "start")
+
+    @pytest.mark.parametrize("position", ["middle", None, [1]])
+    def test_position_that_is_no_index_rejected(self, position):
+        with pytest.raises(PlanError, match=f"position must be 'start', 'end' or an index, got {re.escape(repr(position))}"):
+            reorder_visit(ok_plan(), "b", position)
 
 
 def _example(cls):

@@ -192,6 +192,18 @@ class TestCrossTabulate:
         with pytest.raises(UtilityError, match="n_bins must be >= 2"):
             compare_bivariate(pair, pair, "v", "x", n_bins=n_bins)
 
+    @pytest.mark.parametrize("n_bins", [2.5, "5", None])
+    def test_bins_that_are_no_whole_number_rejected(self, n_bins):
+        o = Dataset((numeric_column("x", np.arange(10.0)),))
+        with pytest.raises(UtilityError, match=f"'x': n_bins must be a whole number, got {n_bins!r}"):
+            cross_tabulate(o, o, ["x"], n_bins=n_bins)
+
+    @pytest.mark.parametrize("breaks", [["a"], [[1.0, 2.0], [3.0]], "x"])
+    def test_breaks_that_are_no_numbers_rejected(self, breaks):
+        o = Dataset((numeric_column("x", np.arange(10.0)),))
+        with pytest.raises(UtilityError, match="'x': breaks must be numbers, got "):
+            cross_tabulate(o, o, ["x"], numeric_breaks={"x": breaks})
+
     @pytest.mark.parametrize("breaks", [[], [np.nan, 2.0], [1.0, np.inf]])
     def test_empty_or_non_finite_breaks_rejected(self, breaks):
         o = Dataset((numeric_column("x", np.arange(10.0)),))
