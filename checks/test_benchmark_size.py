@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -201,6 +202,43 @@ def test_readme_plan_file_through_the_cli(tmp_path):
     outside = sum(group_of[o3] != o1 for o3, o1 in pairs)
     assert outside == 0, outside
     print(f"README plan: {synthetic.n_rows} rows, every occ3 inside its occ1 group")
+
+
+def test_readme_command_line_block(tmp_path, monkeypatch, capsys):
+    """The bash block under the README's "## Command line" heading, run as
+    written in an empty directory: gentoy, synth, then utility and compare
+    with --pretty.  Before synth, the schema in gentoy's model file and the
+    plan under "### Plan file" are written to the names the block reads.
+    Each command exits 0, and the two --pretty commands print their
+    summaries."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    commands = [
+        shlex.split(line, comments=True)
+        for line in block.replace("\\\n", " ").splitlines() if line.strip()
+    ]
+    assert [argv[:2] for argv in commands] == [
+        ["synthweave", command] for command in ("gentoy", "synth", "utility", "compare")
+    ]
+    plan = readme.split("### Plan file", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    printed = {}
+    for argv in commands:
+        if argv[1] == "synth":
+            model = json.loads(Path("census.model.json").read_text(encoding="utf-8"))
+            Path("schema.json").write_text(json.dumps(model["schema"]), encoding="utf-8")
+            Path("plan.json").write_text(plan, encoding="utf-8")
+        assert cli.main(argv[1:]) == 0, argv
+        printed[argv[1]] = capsys.readouterr().out.splitlines()
+    utility, compare = printed["utility"], printed["compare"]
+    assert utility[0].startswith("U_gen[main_effects] = "), utility
+    assert [line.split(" = ")[0] for line in utility if line.startswith("U_tab")] == [
+        "U_tab[mar*age]", "U_tab[occ1*sex]"
+    ], utility
+    assert any(line.startswith("%mar by age: max |pct diff| = ") for line in compare), compare
+    assert any(line.startswith("occ3: max |prop diff| = ") for line in compare), compare
+    with capsys.disabled():
+        print("\n".join(["utility --pretty:", *utility, "compare --pretty:", *compare]))
 
 
 def test_cli_start_up_stays_lean(tmp_path):

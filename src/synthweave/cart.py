@@ -108,8 +108,6 @@ class CartTree:
     donor_rows: np.ndarray = field(repr=False)   # training row indices, leaf-major
     leaf_offsets: np.ndarray = field(repr=False)
     leaf_sizes: np.ndarray = field(repr=False)
-    min_bucket: int = 5
-    complexity: float = 1e-8
 
     @property
     def n_leaves(self) -> int:
@@ -459,6 +457,15 @@ def _depth_first_numbering(split_of, left_of, right_of):
     return tuple(nodes), leaf_id
 
 
+def _complete_target(target: Column, method: str) -> np.ndarray:
+    """The values of a target, which must be non-empty and complete."""
+    if target.n_rows == 0:
+        raise MethodError(f"{method}: target {target.name!r} is empty")
+    if target.missing_mask().any():
+        raise MethodError(f"{method}: target {target.name!r} has missing values")
+    return target.values
+
+
 def fit_cart(
     target: Column,
     predictors: Dataset | None,
@@ -467,12 +474,8 @@ def fit_cart(
 ) -> CartTree:
     """Grow a tree by greedy recursive partitioning of the training rows,
     scoring all open nodes of a depth together."""
-    if target.n_rows == 0:
-        raise MethodError(f"cart: target {target.name!r} is empty")
-    if target.missing_mask().any():
-        raise MethodError(f"cart: target {target.name!r} has missing values")
+    t = _complete_target(target, "cart")
     categorical = isinstance(target.kind, Categorical)
-    t = target.values
     n_tgt_levels = len(target.kind.levels) if categorical else 0
     n = target.n_rows
 
@@ -636,8 +639,6 @@ def fit_cart(
         donor_rows=donor_rows,
         leaf_offsets=np.cumsum(leaf_sizes) - leaf_sizes,
         leaf_sizes=leaf_sizes,
-        min_bucket=min_bucket,
-        complexity=complexity,
     )
 
 

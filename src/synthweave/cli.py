@@ -15,25 +15,15 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from .engine import run_report, synthesize
+from .engine import _substream, run_report, synthesize
 from .errors import DataError, MethodError, PlanError, SynthweaveError, UtilityError
 from .plan import SynthesisPlan, plan_errors, plan_from_json, validate_plan
-from .sdc import apply_sdc, sdc_from_json, stamp_synthetic
-from .tabular import Categorical, Dataset, Numeric, _rewritten, read_csv, write_csv
+from .sdc import apply_sdc, check_sdc_columns, sdc_from_json, stamp_synthetic
+from .tabular import Categorical, Dataset, _read_json, _rewritten, read_csv, write_csv
 from .toycensus import ToyCensusSpec, generate_toy_census, true_model
 from .utility import compare_bivariate, compare_univariate, utility_report
 
 ENV_SEED = "SYNTHWEAVE_SEED"
-
-
-def _read_json(path: str | Path, error: type[SynthweaveError]):
-    """The JSON document in ``path``; text that is not UTF-8 JSON raises ``error``."""
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise error(f"{path}: not a UTF-8 JSON document ({exc})") from None
 
 
 def load_schema(path: str | Path) -> dict:
@@ -44,10 +34,8 @@ def load_schema(path: str | Path) -> dict:
     schema: dict = {}
     for name, v in cols.items():
         levels = v.get("levels") if isinstance(v, dict) else None
-        if v == "numeric":
-            schema[name] = Numeric()
-        elif v == "categorical":
-            schema[name] = "categorical"  # infer levels from the data
+        if v in ("numeric", "categorical"):
+            schema[name] = v  # read_csv resolves the shorthands
         elif isinstance(levels, list) and all(isinstance(lv, str) for lv in levels):
             try:
                 schema[name] = Categorical(tuple(levels))
@@ -117,13 +105,14 @@ def cmd_synth(args) -> int:
         print(f"{d.severity}: {d.message}", file=sys.stderr)
     if errs:
         return 2
+    if sdc_cfg is not None:
+        check_sdc_columns(sdc_cfg, plan, data)
 
     run = synthesize(data, plan)
     sdc_fragment = None
     synthetic = run.synthetic
     if sdc_cfg is not None:
-        entropy = plan.seed % (2**63)
-        rng = np.random.default_rng(np.random.SeedSequence([entropy, 10**9 + 7, 0]))
+        rng = _substream(plan.seed, 10**9 + 7, 0)
         synthetic, sdc_fragment = apply_sdc(data, synthetic, sdc_cfg, rng)
     else:
         synthetic = stamp_synthetic(synthetic)
@@ -261,9 +250,10 @@ def cmd_compare(args) -> int:
 
 
 def cmd_gentoy(args) -> int:
-    if args.rows < 100:
-        print("error: --rows must be >= 100", file=sys.stderr)
-        return 2
+    for flag, value, least in (("--rows", args.rows, 100), ("--seed", args.seed, 0)):
+        if value < least:
+            print(f"error: {flag} must be >= {least}", file=sys.stderr)
+            return 2
     spec = ToyCensusSpec(n_rows=args.rows, seed=args.seed)
     data = generate_toy_census(spec)
     write_csv(data, args.out)

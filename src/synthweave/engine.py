@@ -23,7 +23,7 @@ from .models import fit_logit  # noqa: F401
 from .plan import (
     COMPARISONS, Atom, MethodSpec, SynthesisPlan, level_code, plan_errors, validate_plan,
 )
-from .tabular import Categorical, Column, Dataset, Numeric
+from .tabular import Categorical, Column, Dataset, Numeric, stack_rows
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,12 @@ class SynthesisRun:
 
 # levels of a stratifier with fewer rows are pooled into one stratum
 MIN_STRATUM_ROWS = 100
+
+
+def _substream(seed: int, *key: int) -> np.random.Generator:
+    """The random stream ``key`` of a run seeded with ``seed``: the seed's
+    value modulo 2**63, then the key, seed one ``SeedSequence``."""
+    return np.random.default_rng(np.random.SeedSequence([seed % 2**63, *key]))
 
 
 def _eval_atoms(atoms: tuple[Atom, ...], columns: dict[str, Column], n: int) -> np.ndarray:
@@ -95,7 +101,7 @@ def _fit_with_missing(spec: MethodSpec, target: Column, orig_preds: Dataset | No
         raise MethodError(f"{target.name}: all values missing")
     indicator_spec = spec.missing_model
     if indicator_spec is None:
-        return SampleFit(target.name, target.kind, target.values)
+        return SampleFit(target.values)
     ind = Column(f"{target.name}:missing", MISSING_INDICATOR, missing.astype(np.int64))
     ind_fit = indicator_spec.fit(ind, orig_preds)
     keep = np.flatnonzero(~missing)
@@ -149,7 +155,6 @@ def _synthesize_stratum(
     Returns the synthetic columns (``fixed`` first, then the visit
     sequence), one summary per variable and the fit warnings."""
     n_out = n_rows if n_rows is not None else original.n_rows
-    entropy = plan.seed % (2**63)
     synth: dict[str, Column] = {c.name: c for c in fixed}
     orig_cols = {c.name: c for c in original.columns}
     summaries: list[VariableSummary] = []
@@ -157,7 +162,7 @@ def _synthesize_stratum(
 
     for pos, name in enumerate(plan.visit_sequence):
         started = time.perf_counter()
-        rng = np.random.default_rng(np.random.SeedSequence([entropy, stratum_index, pos]))
+        rng = _substream(plan.seed, stratum_index, pos)
         target = original.column(name)
         spec = plan.methods[name]
         pred_names = plan.predictors_of(name)
@@ -287,7 +292,7 @@ def synthesize(original: Dataset, plan: SynthesisPlan, n_rows: int | None = None
                 + ", ".join(level for level, _ in pooled)
             )
 
-    parts: list[tuple[Column, ...]] = []
+    parts: list[Dataset] = []
     summaries: list[VariableSummary] = []
     for index, (label, idx) in enumerate(strata):
         if idx is None:
@@ -298,22 +303,16 @@ def synthesize(original: Dataset, plan: SynthesisPlan, n_rows: int | None = None
         columns, stratum_summaries, stratum_warnings = _synthesize_stratum(
             rows, sub_plan, index, n_rows, label, fixed
         )
-        parts.append(columns)
+        parts.append(Dataset(columns))
         summaries.extend(stratum_summaries)
         run_warnings.extend(
             stratum_warnings if label is None else (f"[{label}] {w}" for w in stratum_warnings)
         )
 
-    columns = parts[0]
-    if len(parts) > 1:
-        columns = tuple(
-            Column(c.name, c.kind, np.concatenate([p[j].values for p in parts]))
-            for j, c in enumerate(columns)
-        )
     return SynthesisRun(
         plan=plan,
         original=original,
-        synthetic=Dataset(columns, name=f"{original.name}_synth"),
+        synthetic=stack_rows(parts, f"{original.name}_synth"),
         summaries=tuple(summaries),
         warnings=tuple(run_warnings),
         strata=None if stratifier is None else tuple((label, int(idx.size)) for label, idx in strata),

@@ -45,16 +45,6 @@ def _matrix(design: Design | None, predictors: Dataset | None, n: int) -> scipy.
     return design.matrix(predictors)
 
 
-def _complete_target(target: Column, method: str) -> np.ndarray:
-    """The values of a numeric target, which must be non-empty and complete."""
-    y = target.values
-    if np.isnan(y).any():
-        raise MethodError(f"{method}: target {target.name!r} has missing values")
-    if len(y) == 0:
-        raise MethodError(f"{method}: target {target.name!r} is empty")
-    return y
-
-
 def _draw_categorical(rng: np.random.Generator, P: np.ndarray) -> np.ndarray:
     """One inverse-CDF draw per row of the (n, K) probabilities ``P``; the last
     cumulative probability is taken as 1, so rounding never draws past the end."""
@@ -78,8 +68,6 @@ def _predict(X: scipy.sparse.csr_array, kept: np.ndarray, coefficients: np.ndarr
 
 @dataclass(frozen=True)
 class SampleFit:
-    name: str
-    kind: object
     pool: np.ndarray = field(repr=False)
     warnings: tuple[str, ...] = ()
 
@@ -93,7 +81,7 @@ def fit_sample(values: Column) -> SampleFit:
     pool = values.values[~values.missing_mask()]
     if len(pool) == 0:
         raise MethodError(f"sample: column {values.name!r} has no observed values")
-    return SampleFit(values.name, values.kind, pool)
+    return SampleFit(pool)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +286,6 @@ def ndtr(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NormRankFit:
-    name: str
     design: Design | None
     fit: OlsFit
     sorted_values: np.ndarray = field(repr=False)
@@ -333,15 +320,13 @@ def fit_normrank(target: Column, predictors: Dataset | None, residual_scale: flo
     """Regress Blom normal scores of the target, back-transform through the
     empirical quantile function (linear interpolation), so draws never leave
     the observed range."""
-    y = _complete_target(target, "normrank")
+    y = _cart._complete_target(target, "normrank")
     n = len(y)
     ranks = _average_ranks(y)
     z = ndtri((ranks - 0.375) / (n + 0.25))
     design, X, labels, notes = _fit_design(predictors, n)
     fit = ols(X, z, labels)
-    return NormRankFit(
-        target.name, design, fit, np.sort(y), residual_scale, warnings=notes + fit.notes
-    )
+    return NormRankFit(design, fit, np.sort(y), residual_scale, warnings=notes + fit.notes)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +358,6 @@ def _inverse_transform(t: np.ndarray, transform: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TransformNormalFit:
-    name: str
     transform: str
     design: Design | None
     fit: OlsFit
@@ -390,11 +374,11 @@ def fit_transform_normal(
 ) -> TransformNormalFit:
     """OLS on the transformed scale; draws are back-transformed, so unlike
     the rank method this one can extrapolate past the observed range."""
-    y = _complete_target(target, "transform_normal")
+    y = _cart._complete_target(target, "transform_normal")
     t = _forward_transform(y, transform, target.name)
     design, X, labels, notes = _fit_design(predictors, len(y))
     fit = ols(X, t, labels)
-    return TransformNormalFit(target.name, transform, design, fit, warnings=notes + fit.notes)
+    return TransformNormalFit(transform, design, fit, warnings=notes + fit.notes)
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +395,7 @@ class IrlsResult:
     converged: bool
     final_gradient_norm: float
     notes: tuple[str, ...]
+    probabilities: np.ndarray = field(repr=False)  # fitted P(y = 1) of each row
 
 
 def _expit(eta: np.ndarray) -> np.ndarray:
@@ -509,7 +494,8 @@ def irls_logit(
     X: scipy.sparse.csr_array, y: np.ndarray, max_iter: int, tol: float, labels
 ) -> IrlsResult:
     """Binary logit of the 0/1 response ``y`` by the Newton solver, with
-    standard errors from the information at the (capped) estimate."""
+    standard errors from the information at the (capped) estimate and the
+    fitted probabilities that information is formed from."""
     kept, gram, B, it, converged, gnorm, notes = _newton_logit(
         X, y[:, None], max_iter, tol, labels, "logit"
     )
@@ -522,14 +508,12 @@ def irls_logit(
     except np.linalg.LinAlgError:
         se = np.full(len(beta), np.nan)
     return IrlsResult(
-        beta, se, kept, tuple(labels[j] for j in kept), it, converged, gnorm, notes
+        beta, se, kept, tuple(labels[j] for j in kept), it, converged, gnorm, notes, prob
     )
 
 
 @dataclass(frozen=True)
 class LogitFit:
-    name: str
-    kind: Categorical
     design: Design | None
     result: IrlsResult
     warnings: tuple[str, ...] = ()
@@ -557,7 +541,7 @@ def fit_logit(
         raise MethodError(f"logit: target {target.name!r} must have both levels present")
     design, X, labels, notes = _fit_design(predictors, len(y))
     res = irls_logit(X, y, max_iter, tol, labels)
-    return LogitFit(target.name, target.kind, design, res, warnings=notes + res.notes)
+    return LogitFit(design, res, warnings=notes + res.notes)
 
 
 # ---------------------------------------------------------------------------
@@ -569,8 +553,6 @@ MAX_MULTINOMIAL_LEVELS = 64
 
 @dataclass(frozen=True)
 class MultinomialFit:
-    name: str
-    kind: Categorical
     design: Design | None
     present_codes: np.ndarray        # original level codes, ascending; [0] = reference
     coefficients: np.ndarray          # (L-1, p_kept)
@@ -620,7 +602,7 @@ def fit_multinomial(
         X, Y, max_iter, tol, labels, "multinomial"
     )
     return MultinomialFit(
-        target.name, target.kind, design, present, B, kept,
+        design, present, B, kept,
         tuple(labels[j] for j in kept), it, converged, gnorm, warnings=design_notes + notes,
     )
 
@@ -632,7 +614,6 @@ def fit_multinomial(
 @dataclass(frozen=True)
 class NestedFit:
     name: str
-    kind: Categorical
     group_name: str
     group_kind: Categorical
     donor_flat: np.ndarray = field(repr=False)
@@ -682,12 +663,5 @@ def fit_nested(target: Column, group: Column) -> NestedFit:
         notes.append(msg)
         _warnings.warn(msg)
     return NestedFit(
-        target.name,
-        target.kind,
-        group.name,
-        group.kind,
-        donor_flat,
-        offsets,
-        counts,
-        warnings=tuple(notes),
+        target.name, group.name, group.kind, donor_flat, offsets, counts, warnings=tuple(notes)
     )

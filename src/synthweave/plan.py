@@ -25,7 +25,7 @@ from typing import ClassVar, Mapping, Sequence, Union
 
 from . import models
 from .errors import PlanError
-from .tabular import Categorical, Column, Dataset, Numeric, VariableKind, _rewritten
+from .tabular import Categorical, Column, Dataset, Numeric, VariableKind, _read_json, _rewritten
 
 # Categorical variables above this many levels trigger grouping / ordering
 # warnings.  Chosen between the level counts that were workable (<= 29) and
@@ -621,8 +621,9 @@ def plan_from_json(doc: Mapping) -> SynthesisPlan:
 
 
 def load_plan(path: str | Path) -> SynthesisPlan:
-    with Path(path).open(encoding="utf-8") as fh:
-        return plan_from_json(json.load(fh))
+    """The plan in the JSON file ``path``; text that is not UTF-8 JSON is a
+    ``PlanError``, as is a document ``plan_from_json`` rejects."""
+    return plan_from_json(_read_json(path, PlanError))
 
 
 def save_plan(plan: SynthesisPlan, path: str | Path) -> None:

@@ -8,7 +8,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .errors import DataError, PlanError
-from .plan import _mapping, _names
+from .plan import SynthesisPlan, _mapping, _names
 from .tabular import Categorical, Column, Dataset, Numeric, distinct_cells
 
 
@@ -48,6 +48,19 @@ def sdc_from_json(doc: dict | None) -> SdcConfig | None:
         noise_scale=float(scale),
         label=label,
     )
+
+
+def check_sdc_columns(config: SdcConfig, plan: SynthesisPlan, data: Dataset) -> None:
+    """A ``PlanError`` naming the field and the column for a key variable or
+    noise target that ``plan``, valid for ``data``, does not synthesize (its
+    visit sequence and stratifier), or for a noise target that is not numeric."""
+    synthesized = set(plan.visit_sequence) | {plan.stratifier}
+    for field_name in ("key_variables", "noise_targets"):
+        for name in getattr(config, field_name):
+            if name not in synthesized:
+                raise PlanError(f"sdc.{field_name}: column {name!r} is not synthesized")
+            if field_name == "noise_targets" and not isinstance(data.column(name).kind, Numeric):
+                raise PlanError(f"sdc.noise_targets: column {name!r} is not numeric")
 
 
 def _joint_codes(a: Column, b: Column) -> tuple[np.ndarray, np.ndarray, int]:

@@ -10,6 +10,7 @@ data treats "not stated" as one more category.
 from __future__ import annotations
 
 import csv
+import json
 import math
 import os
 import stat
@@ -20,7 +21,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, TextIO, Union
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, SynthweaveError
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,15 @@ class Column:
                     f"column {self.name!r}: infinite value at index {int(infinite[0])}"
                 )
         else:
-            vals = np.asarray(self.values, dtype=np.int64)
+            vals = np.asarray(self.values)
+            if vals.dtype.kind == "f":  # integer input needs no check
+                bad = np.flatnonzero((vals != np.trunc(vals)) | np.isinf(vals))
+                if bad.size:
+                    raise DataError(
+                        f"column {self.name!r}: categorical code {float(vals[bad[0]])!r} "
+                        f"at index {int(bad[0])} is not a whole number"
+                    )
+            vals = vals.astype(np.int64, copy=False)
             if vals.size and (vals.min() < 0 or vals.max() >= len(self.kind.levels)):
                 raise DataError(
                     f"column {self.name!r}: categorical code out of range "
@@ -199,6 +208,18 @@ class Dataset:
 
     def schema(self) -> dict[str, VariableKind]:
         return {c.name: c.kind for c in self.columns}
+
+
+def stack_rows(parts: Sequence[Dataset], name: str = "data") -> Dataset:
+    """The rows of ``parts``, one part after another, under the first part's
+    columns; every part has columns of those names and kinds."""
+    columns = parts[0].columns
+    if len(parts) > 1:
+        columns = tuple(
+            Column(c.name, c.kind, np.concatenate([p.column(c.name).values for p in parts]))
+            for c in columns
+        )
+    return Dataset(columns, name)
 
 
 def distinct_cells(codes, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -354,6 +375,14 @@ def read_csv(
         except csv.Error as exc:
             raise DataError(f"{path}: line {rows.line_num}: {exc}") from None
     return Dataset(tuple(col.column() for col in columns), name=name or path.stem)
+
+
+def _read_json(path: str | Path, error: type[SynthweaveError]):
+    """The JSON document in ``path``; text that is not UTF-8 JSON raises ``error``."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise error(f"{path}: not a UTF-8 JSON document ({exc})") from None
 
 
 class _ColumnCells:

@@ -62,10 +62,19 @@ class ToyCensusSpec:
     def __post_init__(self):
         if self.n_rows < 1:
             raise DataError("toy census needs at least 1 row")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise DataError(f"toy census seed must be an integer >= 0, got {self.seed!r}")
         if abs(sum(self.region_probs) - 1.0) > 1e-9:
             raise DataError("region_probs must sum to 1")
         if abs(sum(self.age_band_probs) - 1.0) > 1e-9:
             raise DataError("age_band_probs must sum to 1")
+
+
+def _level_names(spec: ToyCensusSpec) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The ``region`` and ``occ3`` level names under ``spec``."""
+    region = tuple(f"R{i + 1}" for i in range(len(spec.region_probs)))
+    occ3 = tuple(f"{g}{i + 1:02d}" for g in OCC1_LEVELS for i in range(spec.occ3_per_group))
+    return region, occ3
 
 
 def generate_toy_census(spec: ToyCensusSpec = ToyCensusSpec()) -> Dataset:
@@ -114,10 +123,7 @@ def generate_toy_census(spec: ToyCensusSpec = ToyCensusSpec()) -> Dataset:
     if n_missing:
         pperroom[rng.permutation(n)[:n_missing]] = np.nan
 
-    region_levels = tuple(f"R{i + 1}" for i in range(len(spec.region_probs)))
-    occ3_levels = tuple(
-        f"{g}{i + 1:02d}" for g in OCC1_LEVELS for i in range(spec.occ3_per_group)
-    )
+    region_levels, occ3_levels = _level_names(spec)
     return Dataset(
         (
             Column("region", Categorical(region_levels), region),
@@ -135,7 +141,7 @@ def generate_toy_census(spec: ToyCensusSpec = ToyCensusSpec()) -> Dataset:
 def true_model(spec: ToyCensusSpec = ToyCensusSpec()) -> dict:
     """JSON-ready description of the generating model, including the exact
     sex-by-region cell probabilities useful for null-calibration studies."""
-    region_levels = [f"R{i + 1}" for i in range(len(spec.region_probs))]
+    region_levels, occ3_levels = _level_names(spec)
     cell_probs = {
         f"{s}|{r}": sp * rp
         for s, sp in zip(SEX_LEVELS, (spec.female_share, 1 - spec.female_share))
@@ -146,18 +152,12 @@ def true_model(spec: ToyCensusSpec = ToyCensusSpec()) -> dict:
         "seed": spec.seed,
         "schema": {
             "columns": {
-                "region": {"levels": region_levels},
+                "region": {"levels": list(region_levels)},
                 "sex": {"levels": list(SEX_LEVELS)},
                 "age": "numeric",
                 "mar": {"levels": list(MAR_LEVELS)},
                 "occ1": {"levels": list(OCC1_LEVELS)},
-                "occ3": {
-                    "levels": [
-                        f"{g}{i + 1:02d}"
-                        for g in OCC1_LEVELS
-                        for i in range(spec.occ3_per_group)
-                    ]
-                },
+                "occ3": {"levels": list(occ3_levels)},
                 "pperroom": "numeric",
             }
         },

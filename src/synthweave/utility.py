@@ -28,9 +28,9 @@ import scipy.sparse
 
 from .design import INTERCEPT, build_design
 from .errors import UtilityError
-from .models import COEF_CAP, _expit, _predict, irls_logit
+from .models import COEF_CAP, irls_logit
 from .plan import HIGH_CARDINALITY_THRESHOLD
-from .tabular import Categorical, Column, Dataset
+from .tabular import Categorical, Column, Dataset, stack_rows
 
 
 _EPS = sys.float_info.epsilon
@@ -337,14 +337,6 @@ def _check_schemas(original: Dataset, synthetic: Dataset) -> None:
             raise UtilityError(f"column {name!r} has different kinds in the two datasets")
 
 
-def _stack(original: Dataset, synthetic: Dataset) -> Dataset:
-    cols = []
-    for name in original.names:
-        o, s = original.column(name), synthetic.column(name)
-        cols.append(Column(name, o.kind, np.concatenate([o.values, s.values])))
-    return Dataset(tuple(cols), name="stacked")
-
-
 def fit_propensity(
     original: Dataset,
     synthetic: Dataset,
@@ -379,7 +371,7 @@ def fit_propensity(
         for v in names:
             if v not in original:
                 raise UtilityError(f"propensity variable {v!r} absent from the datasets")
-        stacked = _stack(original.select(names), synthetic.select(names))
+        stacked = stack_rows([original.select(names), synthetic.select(names)])
         crossed = ()
         if model == "interactions":
             crossed = tuple(
@@ -390,8 +382,7 @@ def fit_propensity(
         design, X = build_design(stacked, interactions=crossed)
         y = np.concatenate([np.zeros(n_o), np.ones(n_s)])
         res = irls_logit(X, y, max_iter, tol, design.labels)
-        p_hat = _expit(_predict(X, res.kept, res.coefficients))
-        pmse = float(np.clip(np.mean((p_hat - c) ** 2), 0.0, c * (1 - c)))
+        pmse = float(np.clip(np.mean((res.probabilities - c) ** 2), 0.0, c * (1 - c)))
         with np.errstate(divide="ignore", invalid="ignore"):
             z = np.where(res.standard_errors > 0, res.coefficients / res.standard_errors, np.nan)
         variables_kept = tuple(design.variables[j] for j in res.kept)

@@ -53,6 +53,13 @@ class TestGentoy:
         rc = main(["gentoy", "--rows", "50", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = main(["gentoy", "--rows", "200", "--seed", "-1", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: --seed must be >= 0\n"
+        assert not out.exists()
+
     def test_model_json_written(self, tmp_path):
         out = tmp_path / "t.csv"
         assert main(["gentoy", "--rows", "200", "--out", str(out)]) == 0
@@ -305,6 +312,46 @@ class TestSynth:
         assert rc == 2
         assert f"plan error: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "sdc, message",
+        [
+            (
+                {"key_variables": ["region", "nope"]},
+                "sdc.key_variables: column 'nope' is not synthesized",
+            ),
+            (
+                {"noise_targets": ["sex"], "noise_scale": 0.1},
+                "sdc.noise_targets: column 'sex' is not numeric",
+            ),
+            (
+                {"noise_targets": ["age", "nope"], "noise_scale": 0.1},
+                "sdc.noise_targets: column 'nope' is not synthesized",
+            ),
+        ],
+    )
+    def test_sdc_columns_checked_before_synthesis(
+        self, toy_files, tmp_path, capsys, monkeypatch, sdc, message
+    ):
+        root, data, schema, plan = toy_files
+        doc = dict(json.loads(plan.read_text()), sdc=sdc)
+        bad = tmp_path / "bad_sdc.json"
+        bad.write_text(json.dumps(doc))
+
+        def synthesize(*args, **kwargs):
+            raise AssertionError("synthesis ran before the sdc columns were checked")
+
+        monkeypatch.setattr("synthweave.cli.synthesize", synthesize)
+        out, report = tmp_path / "o.csv", tmp_path / "r.json"
+        rc = main(
+            [
+                "synth", "--data", str(data), "--schema", str(schema),
+                "--plan", str(bad), "--out", str(out), "--report", str(report),
+            ]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == f"plan error: {message}\n"
+        assert not out.exists() and not report.exists()
 
     def test_schema_columns_not_an_object_names_the_file(self, toy_files, tmp_path, capsys):
         root, data, _, plan = toy_files
@@ -599,6 +646,115 @@ class TestUtilityCommand:
         assert doc["u_gen"]["iterations"] >= 2
         assert doc["u_gen"]["converged"] is True
         assert 0.0 <= doc["u_gen"]["gradient_norm"] < 1e-6
+
+
+class TestPrettyOutput:
+    """The human-readable lines ``--pretty`` prints, each from the report
+    the same run writes."""
+
+    def test_synth(self, toy_files, tmp_path, capsys):
+        root, data, schema, _ = toy_files
+        plan = tmp_path / "plan.json"
+        plan.write_text(
+            json.dumps(
+                {
+                    "visit_sequence": ["region", "sex", "age", "mar"],
+                    "rules": [{"target": "mar", "condition": "age < 16", "value": "Single"}],
+                    "stratifier": "sex",
+                    "seed": 4,
+                }
+            )
+        )
+        report = tmp_path / "r.json"
+        rc = main(
+            [
+                "synth", "--data", str(data), "--schema", str(schema), "--plan", str(plan),
+                "--out", str(tmp_path / "o.csv"), "--report", str(report), "--pretty",
+            ]
+        )
+        assert rc == 0
+        doc = json.loads(report.read_text())
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [
+            f"{v['name']} [{v['stratum']}]: {v['method']}  fit n={v['n_fit']}  "
+            f"{v['elapsed_s']:.3f}s  forced={v['rule_forced']}"
+            for v in doc["variables"]
+        ] + [
+            "warning: stratifier 'sex' also appears in visit_sequence; it is copied "
+            "verbatim within each stratum, not synthesized"
+        ]
+        assert [line.split(": ")[0] for line in lines[:3]] == ["region [F]", "age [F]", "mar [F]"]
+        assert doc["variables"][2]["rule_forced"] > 0
+
+    def test_utility(self, toy_files, tmp_path, capsys):
+        root, data, schema, _ = toy_files
+        # every column bootstrapped on its own: the audit flags the damage
+        columns = ["region", "sex", "age", "mar", "occ1", "pperroom", "occ3"]
+        plan = tmp_path / "plan.json"
+        plan.write_text(
+            json.dumps(
+                {
+                    "visit_sequence": columns,
+                    "methods": {c: "sample" for c in columns},
+                    "seed": 2,
+                }
+            )
+        )
+        synthetic = tmp_path / "syn.csv"
+        assert main(
+            [
+                "synth", "--data", str(data), "--schema", str(schema), "--plan", str(plan),
+                "--out", str(synthetic),
+            ]
+        ) == 0
+        report = tmp_path / "u.json"
+        rc = main(
+            [
+                "utility", "--original", str(data), "--synthetic", str(synthetic),
+                "--schema", str(schema), "--tables", "mar*age,occ1*sex",
+                "--report", str(report), "--pretty",
+            ]
+        )
+        assert rc == 0
+        doc = json.loads(report.read_text())
+        ug = doc["u_gen"]
+        assert ug["flagged_variables"] and ug["p_value"] is not None
+        assert capsys.readouterr().out.splitlines() == [
+            f"U_gen[main_effects] = {ug['statistic']:.2f}  df={ug['df']}  "
+            f"ratio={ug['ratio']:.2f}  p={ug['p_value']:.4g}",
+            "flagged variables: " + ", ".join(ug["flagged_variables"]),
+        ] + [
+            f"U_tab[{name}] = {t['u_tab']:.2f}  df={t['df']}  ratio={t['ratio']:.2f}"
+            for name, t in zip(("mar*age", "occ1*sex"), doc["tables"])
+        ]
+
+    def test_compare(self, toy_files, tmp_path, capsys):
+        root, data, schema, plan = toy_files
+        synthetic = tmp_path / "syn.csv"
+        assert main(
+            [
+                "synth", "--data", str(data), "--schema", str(schema), "--plan", str(plan),
+                "--out", str(synthetic),
+            ]
+        ) == 0
+        report = tmp_path / "c.json"
+        rc = main(
+            [
+                "compare", "--original", str(data), "--synthetic", str(synthetic),
+                "--schema", str(schema), "--pairs", "mar*age,occ1*age",
+                "--report", str(report), "--pretty",
+            ]
+        )
+        assert rc == 0
+        doc = json.loads(report.read_text())
+        categorical = ("region", "sex", "mar", "occ1", "occ3")
+        assert capsys.readouterr().out.splitlines() == [
+            f"{name}: max |prop diff| = {doc['univariate'][name]['max_abs_diff']:.4f}"
+            for name in categorical
+        ] + [
+            f"%{a} by age: max |pct diff| = {b['max_abs_diff_pct']:.2f}"
+            for a, b in zip(("mar", "occ1"), doc["bivariate"])
+        ] + [f"flag: {f}" for f in doc["flags"]]
 
 
 class TestNonFiniteInput:

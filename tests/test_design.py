@@ -13,12 +13,13 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from scipy.linalg.lapack import dpstrf
 
+from synthweave import models
 from synthweave.design import Gram, _Nonzeros, _pivoted_cholesky, build_design, drop_aliased
 from synthweave.models import (
     _expit, _predict, fit_logit, fit_multinomial, fit_normrank, irls_logit, ols,
 )
-from synthweave.tabular import Categorical, Column, Dataset, numeric_column
-from synthweave.utility import _stack, fit_propensity
+from synthweave.tabular import Categorical, Column, Dataset, numeric_column, stack_rows
+from synthweave.utility import fit_propensity
 
 RTOL = 1e-9
 
@@ -326,6 +327,27 @@ def test_swapped_copies_give_the_same_fit(factor):
     np.testing.assert_allclose(prob_a, prob_b, rtol=1e-10, atol=1e-10)
 
 
+def test_halved_steps_end_at_the_dense_newton_estimate(monkeypatch):
+    """On a heavy-tailed predictor some whole Newton steps lower the
+    log-likelihood, so the solver halves them (each halving evaluates one
+    more trial, beyond one per iteration and the final probabilities); it
+    still ends where the dense, whole-step Newton reference does."""
+    rng = np.random.default_rng(317)
+    x = rng.standard_t(1.5, size=30)
+    z = rng.normal(size=30)
+    y = (rng.random(30) < _expit(3 * x - z)).astype(float)
+    design, X = build_design(Dataset((numeric_column("x", x), numeric_column("z", z))))
+    calls = []
+    monkeypatch.setattr(models, "_predict", lambda *a: calls.append(1) or _predict(*a))
+    res = irls_logit(X, y, 100, 1e-10, design.labels)
+    assert res.converged
+    assert len(calls) > res.iterations + 1
+    ref = _dense_irls(X.toarray(), y)
+    np.testing.assert_allclose(res.coefficients, ref, rtol=RTOL, atol=1e-12)
+    # the fitted probabilities come back with the fit, as a separate predict gives them
+    np.testing.assert_array_equal(res.probabilities, _expit(_predict(X, res.kept, res.coefficients)))
+
+
 @pytest.mark.parametrize("name", CASES)
 def test_irls_matches_dense_newton(name):
     data, inter, _ = _case(name)
@@ -375,7 +397,7 @@ def test_pmse_matches_dense_reference(model):
     original = Dataset(tuple(c[k] for k in names))
     synthetic = Dataset(tuple(d[k] for k in names))
     fit = fit_propensity(original, synthetic, model=model, tol=1e-10)
-    stacked = _stack(original, synthetic)
+    stacked = stack_rows([original, synthetic])
     crossed = names if model == "interactions" else ()
     design, _ = build_design(stacked, interactions=crossed)
     D = _dense_matrix(design, stacked)

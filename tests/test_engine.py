@@ -156,6 +156,18 @@ class TestSynthesize:
         with pytest.raises(DataError, match="empty"):
             synthesize(data, SynthesisPlan(("x",), {"x": Sample()}))
 
+    def test_every_row_excluded_by_rules(self):
+        data = Dataset(
+            (
+                categorical_column("a", ["x", "y"] * 10),
+                numeric_column("b", np.arange(20.0)),
+            )
+        )
+        plan = SynthesisPlan(("b", "a"), {"b": Sample()}, rules=(Rule("a", "b >= 0", "x"),))
+        with pytest.raises(MethodError) as exc:
+            synthesize(data, plan)
+        assert str(exc.value) == "a: every original row is excluded by rules"
+
     def test_method_kind_mismatch_fails_before_fitting(self, census):
         cols = ["region", "sex", "occ1"]
         plan = SynthesisPlan(
@@ -587,6 +599,14 @@ class TestStratified:
         syn_counts = np.bincount(run.synthetic.column("occ1").values, minlength=5)
         assert np.array_equal(orig_counts, syn_counts)
         assert run.synthetic.n_rows == census.n_rows
+
+    def test_n_rows_rejected(self, census):
+        with pytest.raises(PlanError) as exc:
+            synthesize(census, self.strat_plan(), n_rows=100)
+        assert str(exc.value) == (
+            "stratified synthesis fixes the output to the stratum sizes; "
+            "n_rows cannot be overridden"
+        )
 
     def test_small_strata_pooled_with_warning(self):
         rng = np.random.default_rng(71)

@@ -354,6 +354,19 @@ class TestLogit:
             fit = fit_logit(t, Dataset((pred,)), max_iter=25)
         assert np.max(np.abs(fit.coefficients)) <= 30.0
 
+    @pytest.mark.parametrize("fit, name", [(fit_logit, "logit"), (fit_multinomial, "multinomial")])
+    def test_not_converged_note(self, fit, name):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=400)
+        t = categorical_column(
+            "t", list(np.where(rng.random(400) < models._expit(2 * x), "b", "a")), levels=["a", "b"]
+        )
+        note = f"{name}: did not converge in 1 iterations; coefficients capped at 30"
+        with pytest.warns(UserWarning) as caught:
+            result = fit(t, Dataset((numeric_column("x", x),)), max_iter=1)
+        assert [str(w.message) for w in caught] == [note]
+        assert result.warnings == (note,)
+
     def test_single_level_rejected(self):
         col = categorical_column("t", ["a"] * 10, levels=["a", "b"])
         with pytest.raises(MethodError, match="both levels"):

@@ -18,16 +18,18 @@ from synthweave import (
     ToyCensusSpec,
     categorical_column,
     generate_toy_census,
+    load_plan,
     numeric_column,
     plan_errors,
     plan_from_json,
     plan_to_json,
     reorder_visit,
+    save_plan,
     synthesize,
     validate_plan,
     write_csv,
 )
-from synthweave.plan import METHODS, Logit, parse_condition
+from synthweave.plan import METHODS, Logit, TransformNormal, parse_condition
 
 
 def small_data(n=50, seed=0):
@@ -110,6 +112,21 @@ class TestValidatePlan:
             "rule 0: condition column 'c' does not precede target 'a'",
             "rule 1: condition column 'w' not in visit_sequence",
         ]
+
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            ({"visit_sequence": ()}, "visit_sequence is empty"),
+            ({"visit_sequence": ("a", "b", "a")}, "visit_sequence contains duplicates"),
+            ({"predictor_matrix": {"zz": ("a",)}}, "predictor_matrix row for non-synthesized 'zz'"),
+            ({"rules": (Rule("zz", "a == 'x'", "u"),)}, "rule 0: target 'zz' not in visit_sequence"),
+            ({"rules": (Rule("c", "b == 'x'", "u"),)}, "rule 0: numeric column 'b' compared to text"),
+            ({"stratifier": "zz"}, "stratifier 'zz' is not a data column"),
+        ],
+    )
+    def test_error_texts(self, kw, message):
+        diags = validate_plan(ok_plan(**kw), small_data())
+        assert [d.message for d in plan_errors(diags)] == [message]
 
     def test_nested_method_alone_declares_nesting(self):
         census = generate_toy_census(ToyCensusSpec(n_rows=300, seed=2))
@@ -239,6 +256,25 @@ class TestPlanJson:
         back = plan_from_json(doc)
         assert back == plan
 
+    def test_document_without_visit_sequence(self):
+        with pytest.raises(PlanError) as exc:
+            plan_from_json({"methods": {"a": "sample"}})
+        assert str(exc.value) == "plan document lacks visit_sequence"
+
+    def test_stratified_plan_round_trip_through_a_file(self, tmp_path):
+        plan = ok_plan(visit_sequence=("b", "c"), methods={"b": Sample()}, stratifier="a", seed=3)
+        save_plan(plan, tmp_path / "plan.json")
+        assert json.loads((tmp_path / "plan.json").read_text())["stratifier"] == "a"
+        assert load_plan(tmp_path / "plan.json") == plan
+
+    @pytest.mark.parametrize("text", [b"visit_sequence: [a, b]\n", b'{"visit_sequence": ["\xff"]}'])
+    def test_load_plan_text_that_is_not_json(self, tmp_path, text):
+        path = tmp_path / "plan.json"
+        path.write_bytes(text)
+        with pytest.raises(PlanError) as exc:
+            load_plan(path)
+        assert str(exc.value).startswith(f"{path}: not a UTF-8 JSON document (")
+
     def test_method_shorthand_strings(self):
         plan = plan_from_json(
             {"visit_sequence": ["a", "b"], "methods": {"a": "sample", "b": "cart"}}
@@ -356,6 +392,12 @@ class TestReorderVisit:
         with pytest.raises(PlanError):
             reorder_visit(ok_plan(), "zzz", "start")
 
+    @pytest.mark.parametrize("position", [-1, 3])
+    def test_position_out_of_range(self, position):
+        with pytest.raises(PlanError) as exc:
+            reorder_visit(ok_plan(), "b", position)
+        assert str(exc.value) == f"position {position} out of range"
+
     @pytest.mark.parametrize("position", ["middle", None, [1]])
     def test_position_that_is_no_index_rejected(self, position):
         with pytest.raises(PlanError, match=f"position must be 'start', 'end' or an index, got {re.escape(repr(position))}"):
@@ -432,6 +474,24 @@ class TestMethodRegistry:
         ]
         expected = self.KIND_ERRORS.get((column, name))
         assert errors == ([expected] if expected else [])
+
+    @pytest.mark.parametrize(
+        "spec, options, message",
+        [
+            (Cart, {"min_bucket": 0}, "cart: min_bucket must be >= 1"),
+            (Cart, {"complexity": -1e-3}, "cart: complexity must be >= 0"),
+            (NormRank, {"residual_scale": -0.5}, "normrank: residual_scale must be >= 0"),
+            (TransformNormal, {"transform": "log"}, "unknown transform 'log'"),
+            (Logit, {"max_iter": 0}, "logit: max_iter must be >= 1"),
+            (Logit, {"tol": 0.0}, "logit: tol must be > 0"),
+            (Multinomial, {"max_iter": -2}, "multinomial: max_iter must be >= 1"),
+            (Multinomial, {"tol": -1e-6}, "multinomial: tol must be > 0"),
+        ],
+    )
+    def test_option_error_texts(self, spec, options, message):
+        with pytest.raises(PlanError) as exc:
+            spec(**options)
+        assert str(exc.value) == message
 
     def test_missing_models(self):
         assert Sample().missing_model is None

@@ -9,6 +9,8 @@ from synthweave import (
     Dataset,
     Numeric,
     PlanError,
+    Sample,
+    SynthesisPlan,
     add_noise,
     categorical_column,
     numeric_column,
@@ -17,7 +19,7 @@ from synthweave import (
     stamp_synthetic,
     write_csv,
 )
-from synthweave.sdc import SdcConfig, apply_sdc, sdc_from_json
+from synthweave.sdc import SdcConfig, apply_sdc, check_sdc_columns, sdc_from_json
 from synthweave.tabular import Categorical, Column
 
 
@@ -220,6 +222,20 @@ class TestApplySdc:
         assert report["removed_replicated_uniques"] == 1
         assert report["noise"] == {"b": 0.1}
         assert out.label == "pilot"
+
+    def test_columns_checked_against_the_plan(self):
+        data = Dataset((*keyed([("x", 1.0), ("y", 2.0)]).columns, numeric_column("c", [3.0, 4.0])))
+        plan = SynthesisPlan(("b",), {"b": Sample()}, stratifier="a")
+        # the stratifier is copied into the output, so it may be a key
+        check_sdc_columns(SdcConfig(key_variables=("a", "b"), noise_targets=("b",)), plan, data)
+        for cfg, message in [
+            (SdcConfig(key_variables=("a", "c")), "sdc.key_variables: column 'c' is not synthesized"),
+            (SdcConfig(noise_targets=("c",)), "sdc.noise_targets: column 'c' is not synthesized"),
+            (SdcConfig(noise_targets=("a",)), "sdc.noise_targets: column 'a' is not numeric"),
+        ]:
+            with pytest.raises(PlanError) as exc:
+                check_sdc_columns(cfg, plan, data)
+            assert str(exc.value) == message
 
     def test_config_from_json(self):
         cfg = sdc_from_json(

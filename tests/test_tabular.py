@@ -44,6 +44,19 @@ class TestColumn:
         with pytest.raises(DataError):
             Column("c", Categorical(("a", "b")), np.array([0, 2]))
 
+    @pytest.mark.parametrize(
+        "codes, bad",
+        [([0, 0.7, 1.9], "0.7 at index 1"), ([1.0, np.nan], "nan at index 1"), ([np.inf], "inf at index 0")],
+    )
+    def test_categorical_codes_must_be_whole(self, codes, bad):
+        with pytest.raises(DataError) as exc:
+            Column("c", Categorical(("a", "b")), codes)
+        assert str(exc.value) == f"column 'c': categorical code {bad} is not a whole number"
+
+    def test_whole_float_codes_read_as_codes(self):
+        col = Column("c", Categorical(("a", "b")), np.array([1.0, 0.0, -0.0]))
+        assert col.values.dtype == np.int64 and col.values.tolist() == [1, 0, 0]
+
     def test_levels_must_be_unique(self):
         with pytest.raises(DataError):
             Categorical(("a", "a"))

@@ -82,6 +82,12 @@ class TestTrueModel:
         doc = true_model(ToyCensusSpec(n_rows=12_000, seed=3))
         assert set(doc["schema"]["columns"]) == set(census.names)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, "7"])
+    def test_seed_that_is_no_count_rejected(self, seed):
+        with pytest.raises(DataError) as exc:
+            ToyCensusSpec(seed=seed)
+        assert str(exc.value) == f"toy census seed must be an integer >= 0, got {seed!r}"
+
     def test_bad_spec_rejected(self):
         with pytest.raises(DataError):
             ToyCensusSpec(region_probs=(0.5, 0.2))
