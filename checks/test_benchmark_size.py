@@ -5,7 +5,8 @@
 Run from the repository root; the module puts ``src``, ``tests`` and the
 root on ``sys.path`` itself.  Each check writes its files under pytest's
 temporary directory.  The CART and SDC references read one recorded run of
-the benchmark's ``synth_cart`` operation (50k rows, seed 7).
+the benchmark's ``synth_cart`` operation (50k rows, seed 7), and the
+regression references one of its ``synth_parametric`` operation.
 """
 
 from __future__ import annotations
@@ -26,8 +27,10 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT)]
 
 from perfbench import workloads  # noqa: E402
-from synthweave import cart, cli, read_csv, sdc, write_csv  # noqa: E402
+from synthweave import cart, cli, models, read_csv, sdc, write_csv  # noqa: E402
+from synthweave.tabular import distinct_rows  # noqa: E402
 from test_cart import _ref_fit_cart  # noqa: E402
+from test_design import _assert_same_solve  # noqa: E402
 from test_sdc import _text_key_drops  # noqa: E402
 
 ROWS = 50_000
@@ -116,15 +119,53 @@ def test_sdc_removals_equal_their_text_reference(synth_cart_run):
     print(f"{removed} of {synthetic.n_rows} rows removed on keys {keys}, same as reference")
 
 
-def test_parametric_solvers_converge(tmp_path):
+@pytest.fixture(scope="module")
+def synth_parametric_run(tmp_path_factory):
+    """The regression fits of one run of the benchmark's synth_parametric
+    operation (50k rows, seed 7), each with its target, predictors and
+    solver arguments, and the run's inputs."""
+    inputs = workloads.setup("synth_parametric", 7, tmp_path_factory.mktemp("parametric"), ROWS)
+    fits = []
+
+    def recorded(fit_method):
+        def fit(target, predictors, *args):
+            model = fit_method(target, predictors, *args)
+            fits.append((model, target, predictors, args))
+            return model
+        return fit
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("fit_logit", "fit_multinomial", "fit_normrank", "fit_transform_normal"):
+            mp.setattr(models, name, recorded(getattr(models, name)))
+        assert cli.main(inputs.argv) == 0
+    return inputs, fits
+
+
+def test_grouped_fits_equal_their_row_design_solves(synth_parametric_run):
+    """Each regression of the run is fit on its distinct predictor rows.
+    Against the same solver on the design of every row, each with a count
+    of 1 (tests/test_design.py's reference): coefficients within 1e-9
+    relative, and the same kept columns, iterations, convergence and
+    warnings."""
+    _, fits = synth_parametric_run
+    assert len(fits) == 6, [target.name for _, target, _, _ in fits]
+    for model, target, predictors, args in fits:
+        newton = isinstance(model, (models.LogitFit, models.MultinomialFit))
+        solver = dict(zip(("max_iter", "tol"), args)) if newton else {}
+        _assert_same_solve(model, target, predictors, **solver)
+        cells = distinct_rows(predictors)[1].size
+        kind = type(model).__name__
+        print(f"{target.name}: {kind} on {cells} cells of {target.n_rows} rows, as on the rows")
+
+
+def test_parametric_solvers_converge(synth_parametric_run):
     """The benchmark's synth_parametric operation (50k rows, seed 7): every
     Logit and Multinomial fit, the pperroom missingness logit included,
     reports a converged Newton solve in the run report.  occ3 nests in occ1,
     so each occ1 dummy of the pperroom fit is the sum of its occ3 dummies:
     the aliasing check must drop exactly the four occ1 dummies and keep
     every occ3 level, as README says."""
-    inputs = workloads.setup("synth_parametric", 7, tmp_path, ROWS)
-    assert cli.main(inputs.argv) == 0
+    inputs, _ = synth_parametric_run
     report = json.loads(inputs.report.read_text(encoding="utf-8"))
     solvers = {v["name"]: v["solver"] for v in report["variables"] if v["solver"]}
     assert set(solvers) == {"sex", "mar", "occ1", "pperroom"}, solvers

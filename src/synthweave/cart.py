@@ -79,7 +79,9 @@ from itertools import chain
 import numpy as np
 
 from .errors import MethodError
-from .tabular import Categorical, Column, Dataset, Numeric, VariableKind, distinct_cells
+from .tabular import (
+    Categorical, Column, Dataset, Numeric, VariableKind, column_codes, distinct_cells,
+)
 
 MAX_EXHAUSTIVE_LEVELS = 12
 # elements per block of batched candidate sums, to bound memory on many-node depths
@@ -500,14 +502,8 @@ def fit_cart(
     # count, since its gains depend only on counts; a numeric target's float
     # sums must run over rows in row order, so its units are its rows
     if categorical:
-        cell_codes = [(t, n_tgt_levels)]
-        for _, is_cat, values, n_levels in pred_cols:
-            if is_cat:
-                cell_codes.append((values, n_levels))
-            else:
-                distinct, code = np.unique(values, return_inverse=True)
-                cell_codes.append((code, distinct.size))
-        unit_of, first = distinct_cells(cell_codes, n)
+        columns = predictors.columns if predictors is not None else ()
+        unit_of, first = distinct_cells([(t, n_tgt_levels), *map(column_codes, columns)], n)
         tu = t[first]
         unit_cols = [(name, is_cat, values[first], k) for name, is_cat, values, k in pred_cols]
     else:

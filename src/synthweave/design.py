@@ -16,7 +16,8 @@ categoricals have.  No fit needs the n x p matrix as such.  Each builds one
 squares; Miller 1992, AS 274) in ``drop_aliased``, which finds aliased columns
 by a pivoted Cholesky of its X'X; the solver reads the kept rows and columns,
 and least squares reuses that X'X.  ``build_design`` evaluates each term once
-and returns the fit rows' matrix with the layout.
+and returns the fit rows' matrix with the layout.  The fits pass it their
+distinct predictor rows only, and weight each by its count of rows.
 """
 
 from __future__ import annotations
@@ -254,8 +255,11 @@ def _pivoted_cholesky(A: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
     return piv, p
 
 
-def drop_aliased(X, labels) -> tuple[Gram, np.ndarray, list[str], np.ndarray]:
-    """Find aliased columns by a pivoted Cholesky of X'X, from the fit's one ``Gram``.
+def drop_aliased(X, labels, weights) -> tuple[Gram, np.ndarray, list[str], np.ndarray]:
+    """Find aliased columns by a pivoted Cholesky of X' diag(weights) X, from
+    the fit's one ``Gram``.  A fit's ``X`` has one row per distinct predictor
+    row and ``weights`` holds each one's count of data rows, so the matrix
+    factored is the X'X of the design of every row, and the same columns drop.
 
     The Gram is equilibrated to a unit diagonal first, so each pivot is the
     share of a column's sum of squares left after projection on the columns
@@ -271,13 +275,13 @@ def drop_aliased(X, labels) -> tuple[Gram, np.ndarray, list[str], np.ndarray]:
 
     Returns (the ``Gram`` of all columns, which the solvers read at the kept
     rows and columns, kept column indices in original order, notes, and the
-    unweighted X'X of all columns that was factored).
+    X' diag(weights) X of all columns that was factored).
     """
     gram = Gram(X)
     n, p = X.shape
     if p == 0 or n == 0:
         return gram, np.arange(p), [], np.zeros((p, p))
-    G = gram(np.ones(n))
+    G = gram(weights)
     d = 1.0 / np.sqrt(np.maximum(np.diag(G), np.finfo(np.float64).tiny))
     piv, rank = _pivoted_cholesky(G * d[:, None] * d[None, :], p * np.finfo(np.float64).eps)
     kept = np.sort(piv[:rank])

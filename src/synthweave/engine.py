@@ -126,8 +126,9 @@ def _tree_stats(model) -> dict | None:
 
 
 def _solver_stats(model) -> dict | None:
-    """How a variable's Newton fit ended: a Logit or Multinomial target's,
-    or a numeric target's missingness-indicator logit."""
+    """How a variable's Newton fit ended, and the distinct predictor rows
+    it ran on: a Logit or Multinomial target's, or a numeric target's
+    missingness-indicator logit."""
     fit = model.indicator if isinstance(model, _MissingAwareFit) else model
     if isinstance(fit, LogitFit):
         fit = fit.result
@@ -137,6 +138,7 @@ def _solver_stats(model) -> dict | None:
         "iterations": fit.iterations,
         "converged": fit.converged,
         "gradient_norm": fit.final_gradient_norm,
+        "cells": fit.cells,
     }
 
 

@@ -17,24 +17,30 @@ import scipy.sparse
 from . import cart as _cart
 from .design import INTERCEPT, Design, build_design, drop_aliased
 from .errors import MethodError
-from .tabular import Categorical, Column, Dataset, Numeric, distinct_cells
+from .tabular import Categorical, Column, Dataset, Numeric, distinct_cells, distinct_rows
 
 COEF_CAP = 30.0  # linear-scale magnitude cap under separation
 MISSING_INDICATOR = Categorical(("present", "missing"))
 
 
 def _fit_design(predictors: Dataset | None, n: int) -> tuple:
-    """(design, matrix, column labels, notes of the constant columns dropped)
-    of the fit rows; intercept only without predictors.  Several constant
-    columns make one note that names them all."""
+    """The ``n`` fit rows grouped into cells that agree on every predictor:
+    (design, matrix with one row per cell, column labels, notes of the
+    constant columns dropped, the cell of each row, the rows of each cell).
+    Rows of one cell have one design row, so a fit on the cells, each
+    weighted by its count, is the fit on the rows.  Without predictors,
+    intercept only: one cell of all the rows.  Several constant columns
+    make one note that names them all."""
     if predictors is None or not predictors.columns:
-        return None, _matrix(None, None, n), (INTERCEPT,), ()
-    design, X = build_design(predictors)
+        cell_of = np.zeros(n, dtype=np.int64)
+        return None, _matrix(None, None, 1), (INTERCEPT,), (), cell_of, np.array([float(n)])
+    cell_of, first = distinct_rows(predictors)
+    design, X = build_design(predictors.take(first))
     notes = design.notes
     if len(design.constant) > 1:
         names = ", ".join(map(repr, design.constant))
         notes = (f"dropped {len(design.constant)} constant design columns: {names}",)
-    return design, X, design.labels, notes
+    return design, X, design.labels, notes, cell_of, np.bincount(cell_of).astype(np.float64)
 
 
 def _matrix(design: Design | None, predictors: Dataset | None, n: int) -> scipy.sparse.csr_array:
@@ -150,11 +156,19 @@ class OlsFit:
         return _predict(X, self.kept, self.coefficients)
 
 
-def ols(X: scipy.sparse.csr_array, y: np.ndarray, labels) -> OlsFit:
-    """Least squares from the normal equations: a Cholesky factor C of the
-    column-equilibrated Gram D G D, then one step of iterative refinement on
-    the residual, which brings the coefficients to the accuracy of a QR solve."""
-    _, kept, notes, G = drop_aliased(X, labels)
+def ols(X: scipy.sparse.csr_array, y: np.ndarray, labels, cell_of: np.ndarray) -> OlsFit:
+    """Least squares of the rows' ``y`` on the design rows ``X[cell_of]``,
+    from the normal equations: a Cholesky factor C of the column-equilibrated
+    Gram D G D, then one step of iterative refinement on the residual, which
+    brings the coefficients to the accuracy of a QR solve.
+
+    ``X`` holds each distinct design row once and ``cell_of`` gives each
+    row's: G is X'X weighted by the rows of each cell, X'y is taken from
+    each cell's sum of y in row order, and the residuals, their SD and its
+    degrees of freedom count rows."""
+    cells = X.shape[0]
+    counts = np.bincount(cell_of, minlength=cells).astype(np.float64)
+    _, kept, notes, G = drop_aliased(X, labels, counts)
     G = G[np.ix_(kept, kept)]
     d = 1.0 / np.sqrt(np.diag(G))
     try:
@@ -163,10 +177,15 @@ def ols(X: scipy.sparse.csr_array, y: np.ndarray, labels) -> OlsFit:
         raise MethodError("least squares: design is numerically rank deficient")
     # G^-1 = D (C C')^-1 D = B'B with B = C^-1 D
     B = np.linalg.inv(C) * d
-    beta = B.T @ (B @ (X.T @ y)[kept])
-    resid = y - _predict(X, kept, beta)
-    beta = beta + B.T @ (B @ (X.T @ resid)[kept])
-    resid = y - _predict(X, kept, beta)
+
+    def solve(v: np.ndarray) -> np.ndarray:
+        """G^-1 X'v of the rows' ``v``."""
+        return B.T @ (B @ (X.T @ np.bincount(cell_of, weights=v, minlength=cells))[kept])
+
+    beta = solve(y)
+    resid = y - _predict(X, kept, beta)[cell_of]
+    beta = beta + solve(resid)
+    resid = y - _predict(X, kept, beta)[cell_of]
     dof = max(len(y) - len(kept), 1)
     sd = float(np.sqrt(resid @ resid / dof))
     return OlsFit(beta, kept, tuple(labels[j] for j in kept), sd, tuple(notes))
@@ -324,8 +343,8 @@ def fit_normrank(target: Column, predictors: Dataset | None, residual_scale: flo
     n = len(y)
     ranks = _average_ranks(y)
     z = ndtri((ranks - 0.375) / (n + 0.25))
-    design, X, labels, notes = _fit_design(predictors, n)
-    fit = ols(X, z, labels)
+    design, X, labels, notes, cell_of, _ = _fit_design(predictors, n)
+    fit = ols(X, z, labels, cell_of)
     return NormRankFit(design, fit, np.sort(y), residual_scale, warnings=notes + fit.notes)
 
 
@@ -376,8 +395,8 @@ def fit_transform_normal(
     the rank method this one can extrapolate past the observed range."""
     y = _cart._complete_target(target, "transform_normal")
     t = _forward_transform(y, transform, target.name)
-    design, X, labels, notes = _fit_design(predictors, len(y))
-    fit = ols(X, t, labels)
+    design, X, labels, notes, cell_of, _ = _fit_design(predictors, len(y))
+    fit = ols(X, t, labels, cell_of)
     return TransformNormalFit(transform, design, fit, warnings=notes + fit.notes)
 
 
@@ -395,7 +414,12 @@ class IrlsResult:
     converged: bool
     final_gradient_norm: float
     notes: tuple[str, ...]
-    probabilities: np.ndarray = field(repr=False)  # fitted P(y = 1) of each row
+    probabilities: np.ndarray = field(repr=False)  # fitted P(y = 1) of each design row
+
+    @property
+    def cells(self) -> int:
+        """The design rows the fit ran on, one per distinct predictor row."""
+        return len(self.probabilities)
 
 
 def _expit(eta: np.ndarray) -> np.ndarray:
@@ -403,16 +427,24 @@ def _expit(eta: np.ndarray) -> np.ndarray:
 
 
 def _newton_logit(
-    X: scipy.sparse.csr_array, Y: np.ndarray, max_iter: int, tol: float, labels, name: str
+    X: scipy.sparse.csr_array, Y: np.ndarray, trials: np.ndarray, max_iter: int, tol: float,
+    labels, name: str,
 ) -> tuple:
-    """Baseline-category logit of the (n, K) class indicators ``Y`` (a row
-    of zeros is the reference class) on the non-aliased columns of ``X``;
-    K = 1 is the binary logit.  Newton steps, halved until the
+    """Baseline-category logit on the non-aliased columns of ``X``, whose
+    row i stands for ``trials[i]`` data rows with one design row: (cells, K)
+    ``Y`` counts those rows in each non-reference class, and the rest are
+    the reference class; K = 1 is the binary logit.  The log-likelihood is
+    <Y, eta> - sum_i trials_i log(1 + sum_k e^eta_ik), the score X'(Y - trials P)
+    and the Hessian blocks X' diag(trials P_a (1[a=b] - P_b)) X: the sums
+    over the rows, taken once per cell.  Newton steps, halved until the
     log-likelihood does not decrease beyond its rounding level, with a small
     ridge on a singular Hessian and coefficients capped under separation.
     Returns (kept, the ``Gram`` of all columns from ``drop_aliased``, whose
     kept entries are the Hessian's, (K, p_kept) coefficients, iterations,
     converged, max |score| at the last evaluation, notes).
+
+    Below, n is the number of data rows, the sum of ``trials``, so a fit
+    steps and stops as it would with one design row per data row.
 
     Stopping rule: every score entry below ``tol`` or below its own rounding
     level.  An entry sum_i x_ij r_i carries a summation error of about
@@ -426,21 +458,21 @@ def _newton_logit(
     unit in the last place of ll, so a threshold below that unit would halve
     such steps on rounding alone and stall the score just above ``tol``.
     """
-    gram, kept, notes, _ = drop_aliased(X, labels)
-    n, p = X.shape[0], len(kept)
+    gram, kept, notes, _ = drop_aliased(X, labels, trials)
+    p = len(kept)
     K = Y.shape[1]
     block_a, block_b = np.triu_indices(K)
     diagonal = block_a == block_b
     block_of = np.empty((K, K), dtype=np.int64)
     block_of[block_a, block_b] = block_of[block_b, block_a] = np.arange(len(block_a))
-    rounding = n * np.finfo(np.float64).eps
+    rounding = trials.sum() * np.finfo(np.float64).eps
 
     def evaluate(B: np.ndarray) -> tuple[np.ndarray, float]:
         """Class probabilities and log-likelihood at ``B``."""
         Eta = np.clip(_predict(X, kept, B.T), -COEF_CAP, COEF_CAP)
         e = np.exp(Eta)
         total = e.sum(axis=1)
-        return e / (1.0 + total)[:, None], float(np.vdot(Y, Eta) - np.log1p(total).sum())
+        return e / (1.0 + total)[:, None], float(np.vdot(Y, Eta) - trials @ np.log1p(total))
 
     B = np.zeros((K, p))
     P, ll = evaluate(B)
@@ -448,13 +480,14 @@ def _newton_logit(
     gnorm = np.inf
     it = 0
     for it in range(1, max_iter + 1):
-        score = (X.T @ (Y - P))[kept].T  # (K, p)
+        score = (X.T @ (Y - trials[:, None] * P))[kept].T  # (K, p)
         gnorm = float(np.max(np.abs(score), initial=0.0))
         if gnorm < tol:
             converged = True
             break
-        # all K(K+1)/2 blocks X' diag(P_a (1[a=b] - P_b)) X from one product
-        blocks = gram(P[:, block_a] * (diagonal - P[:, block_b]))[:, kept[:, None], kept]
+        # all K(K+1)/2 blocks X' diag(trials P_a (1[a=b] - P_b)) X from one product
+        blocks = gram(trials[:, None] * P[:, block_a] * (diagonal - P[:, block_b]))
+        blocks = blocks[:, kept[:, None], kept]
         level = rounding * np.sqrt(np.diagonal(blocks[diagonal], axis1=1, axis2=2))
         if np.all((np.abs(score) < tol) | (np.abs(score) <= level)):
             converged = True
@@ -491,17 +524,19 @@ def _newton_logit(
 
 
 def irls_logit(
-    X: scipy.sparse.csr_array, y: np.ndarray, max_iter: int, tol: float, labels
+    X: scipy.sparse.csr_array, successes: np.ndarray, trials: np.ndarray, max_iter: int,
+    tol: float, labels,
 ) -> IrlsResult:
-    """Binary logit of the 0/1 response ``y`` by the Newton solver, with
+    """Binary logit by the Newton solver: row i of ``X`` stands for
+    ``trials[i]`` data rows, ``successes[i]`` of them with response 1.  With
     standard errors from the information at the (capped) estimate and the
-    fitted probabilities that information is formed from."""
+    fitted probabilities of the design rows that information is formed from."""
     kept, gram, B, it, converged, gnorm, notes = _newton_logit(
-        X, y[:, None], max_iter, tol, labels, "logit"
+        X, successes[:, None], trials, max_iter, tol, labels, "logit"
     )
     beta = B[0]
     prob = _expit(_predict(X, kept, beta))
-    H = gram(np.maximum(prob * (1.0 - prob), 1e-12))[np.ix_(kept, kept)]
+    H = gram(trials * np.maximum(prob * (1.0 - prob), 1e-12))[np.ix_(kept, kept)]
     try:
         cov = np.linalg.inv(H)
         se = np.sqrt(np.maximum(np.diag(cov), 0.0))
@@ -539,8 +574,9 @@ def fit_logit(
     y = target.values.astype(np.float64)
     if len(np.unique(target.values)) < 2:
         raise MethodError(f"logit: target {target.name!r} must have both levels present")
-    design, X, labels, notes = _fit_design(predictors, len(y))
-    res = irls_logit(X, y, max_iter, tol, labels)
+    design, X, labels, notes, cell_of, counts = _fit_design(predictors, len(y))
+    successes = np.bincount(cell_of, weights=y, minlength=len(counts))
+    res = irls_logit(X, successes, counts, max_iter, tol, labels)
     return LogitFit(design, res, warnings=notes + res.notes)
 
 
@@ -561,6 +597,7 @@ class MultinomialFit:
     iterations: int
     converged: bool
     final_gradient_norm: float
+    cells: int                        # design rows fit, one per distinct predictor row
     warnings: tuple[str, ...] = ()
 
     def probabilities(self, predictors, n: int) -> np.ndarray:
@@ -596,14 +633,16 @@ def fit_multinomial(
             "use nested synthesis within a grouped variable instead"
         )
     y = np.searchsorted(present, target.values)
-    design, X, labels, design_notes = _fit_design(predictors, len(y))
-    Y = (y[:, None] == np.arange(1, L)).astype(np.float64)
+    design, X, labels, design_notes, cell_of, counts = _fit_design(predictors, len(y))
+    cells = len(counts)
+    # the rows of each cell in each level, the reference level dropped
+    Y = np.bincount(cell_of * L + y, minlength=cells * L).reshape(cells, L)[:, 1:]
     kept, _, B, it, converged, gnorm, notes = _newton_logit(
-        X, Y, max_iter, tol, labels, "multinomial"
+        X, Y.astype(np.float64), counts, max_iter, tol, labels, "multinomial"
     )
     return MultinomialFit(
-        design, present, B, kept,
-        tuple(labels[j] for j in kept), it, converged, gnorm, warnings=design_notes + notes,
+        design, present, B, kept, tuple(labels[j] for j in kept), it, converged, gnorm, cells,
+        warnings=design_notes + notes,
     )
 
 

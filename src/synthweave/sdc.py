@@ -24,8 +24,12 @@ class SdcConfig:
     label: str = "synthetic"
 
     def __post_init__(self):
-        if self.noise_scale < 0:
-            raise DataError("noise_scale must be >= 0")
+        _check_noise_scale(self.noise_scale)
+
+
+def _check_noise_scale(noise_scale: float) -> None:
+    if noise_scale < 0:
+        raise DataError("noise_scale must be >= 0")
 
 
 def sdc_from_json(doc: dict | None) -> SdcConfig | None:
@@ -125,8 +129,7 @@ def add_noise(
     synthetic: Dataset, targets, noise_scale: float, rng: np.random.Generator
 ) -> Dataset:
     """Add N(0, (noise_scale * column sd)^2) to non-missing numeric cells."""
-    if noise_scale < 0:
-        raise DataError("noise_scale must be >= 0")
+    _check_noise_scale(noise_scale)
     out = synthetic
     for name in targets:
         col = synthetic.column(name)

@@ -226,7 +226,7 @@ def distinct_cells(codes, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(cell of each row, first row of each cell) for ``n`` rows grouped by
     agreement on every code column; cells are numbered in key order.
 
-    ``codes`` holds (codes, number of codes) pairs.  The mixed-radix key is
+    ``codes`` yields (codes, number of codes) pairs.  The mixed-radix key is
     renumbered to 0..cells-1 (fewer than the rows) whenever the next column
     could push it past 2**62, so it stays inside int64 however many columns
     there are, as long as rows times one column's codes do.
@@ -239,8 +239,32 @@ def distinct_cells(codes, n: int) -> tuple[np.ndarray, np.ndarray]:
             bound = distinct.size
         key = key * n_codes + code
         bound *= n_codes
-    _, first, cell = np.unique(key, return_index=True, return_inverse=True)
+    distinct, cell = np.unique(key, return_inverse=True)
+    # each cell's lowest row, without the stable sort ``return_index`` needs
+    first = np.full(distinct.size, n, dtype=np.int64)
+    np.minimum.at(first, cell, np.arange(n))
     return cell, first
+
+
+def column_codes(column: Column) -> tuple[np.ndarray, int]:
+    """(code of each row, number of codes) of one column: a categorical's
+    level codes, or the index of a numeric's value among its distinct
+    values, under which -0.0 and 0.0 share a code, with one code past them
+    for every NaN (the codes of ``np.unique``; taking the NaNs out first
+    makes its sort about three times faster on a column that has them)."""
+    if column.is_numeric:
+        missing = np.isnan(column.values)
+        distinct, present = np.unique(column.values[~missing], return_inverse=True)
+        code = np.full(column.n_rows, distinct.size)
+        code[~missing] = present
+        return code, distinct.size + 1
+    return column.values, len(column.kind.levels)
+
+
+def distinct_rows(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """``distinct_cells`` of the rows of ``data`` grouped by agreement on
+    every column, by ``column_codes``; no columns make one cell."""
+    return distinct_cells(map(column_codes, data.columns), data.n_rows)
 
 
 def _indexed(lookup: Mapping[str, float | int], cells: list[str], dtype) -> np.ndarray:

@@ -30,7 +30,7 @@ from .design import INTERCEPT, build_design
 from .errors import UtilityError
 from .models import COEF_CAP, irls_logit
 from .plan import HIGH_CARDINALITY_THRESHOLD
-from .tabular import Categorical, Column, Dataset, stack_rows
+from .tabular import Categorical, Column, Dataset, distinct_rows, stack_rows
 
 
 _EPS = sys.float_info.epsilon
@@ -320,6 +320,7 @@ class PropensityFit:
     c: float = 0.5
     n_combined: int = 0
     n_params: int = 0               # effective parameters, intercept included
+    cells: int = 0                  # distinct rows of the variables fit; populated cells
     warnings: tuple[str, ...] = ()
     iterations: int = 0             # solver iterations; 0 for the closed form
     converged: bool = True
@@ -335,6 +336,17 @@ def _check_schemas(original: Dataset, synthetic: Dataset) -> None:
     for name in original.names:
         if original.column(name).kind != synthetic.column(name).kind:
             raise UtilityError(f"column {name!r} has different kinds in the two datasets")
+
+
+def _stacked_cells(original: Dataset, synthetic: Dataset, names) -> tuple:
+    """The distinct rows of ``original`` and ``synthetic`` stacked, on the
+    columns ``names``, with each one's count of rows and of synthetic rows.
+    The row-level stack is freed on return, before any design is built."""
+    stacked = stack_rows([original.select(names), synthetic.select(names)])
+    cell_of, first = distinct_rows(stacked)
+    trials = np.bincount(cell_of).astype(np.float64)
+    successes = np.bincount(cell_of[original.n_rows:], minlength=first.size).astype(np.float64)
+    return stacked.take(first), trials, successes
 
 
 def fit_propensity(
@@ -371,18 +383,19 @@ def fit_propensity(
         for v in names:
             if v not in original:
                 raise UtilityError(f"propensity variable {v!r} absent from the datasets")
-        stacked = stack_rows([original.select(names), synthetic.select(names)])
+        # the fit runs on the distinct stacked rows, each with its counts
+        cells, trials, successes = _stacked_cells(original, synthetic, names)
         crossed = ()
         if model == "interactions":
             crossed = tuple(
-                col.name for col in stacked.columns
+                col.name for col in cells.columns
                 if not isinstance(col.kind, Categorical)
                 or len(col.kind.levels) <= HIGH_CARDINALITY_THRESHOLD
             )
-        design, X = build_design(stacked, interactions=crossed)
-        y = np.concatenate([np.zeros(n_o), np.ones(n_s)])
-        res = irls_logit(X, y, max_iter, tol, design.labels)
-        pmse = float(np.clip(np.mean((res.probabilities - c) ** 2), 0.0, c * (1 - c)))
+        design, X = build_design(cells, interactions=crossed)
+        res = irls_logit(X, successes, trials, max_iter, tol, design.labels)
+        # the mean over the N rows, each row at its cell's probability
+        pmse = float(np.clip(trials @ (res.probabilities - c) ** 2 / N, 0.0, c * (1 - c)))
         with np.errstate(divide="ignore", invalid="ignore"):
             z = np.where(res.standard_errors > 0, res.coefficients / res.standard_errors, np.nan)
         variables_kept = tuple(design.variables[j] for j in res.kept)
@@ -397,9 +410,10 @@ def fit_propensity(
             c=c,
             n_combined=N,
             n_params=len(res.kept),
+            cells=res.cells,
             warnings=(
                 tuple(design.notes) + tuple(res.notes)
-                + _one_sided_terms(X, y, res.kept, design.labels)
+                + _one_sided_terms(X, successes, trials, res.kept, design.labels)
             ),
             iterations=res.iterations,
             converged=res.converged,
@@ -415,15 +429,16 @@ def fit_propensity(
 
 
 def _one_sided_terms(
-    X: scipy.sparse.csr_array, y: np.ndarray, kept: np.ndarray, labels
+    X: scipy.sparse.csr_array, successes: np.ndarray, trials: np.ndarray, kept: np.ndarray, labels
 ) -> tuple[str, ...]:
     """One warning naming the kept terms whose nonzero rows all come from
-    one side (quasi-separation), or none.  The solver stops on a small
-    score while such a coefficient is still running off, so it converges
-    without a warning, but the coefficient and its standard error mean
-    nothing."""
+    one side (quasi-separation), or none; row i of ``X`` stands for
+    ``trials[i]`` rows, ``successes[i]`` of them synthetic.  The solver
+    stops on a small score while such a coefficient is still running off,
+    so it converges without a warning, but the coefficient and its standard
+    error mean nothing."""
     nonzero = scipy.sparse.csr_array((X.data != 0, X.indices, X.indptr), shape=X.shape)
-    rows = (nonzero.T @ np.column_stack([1.0 - y, y]))[kept]
+    rows = (nonzero.T @ np.column_stack([trials - successes, successes]))[kept]
     sides = [
         f"{side} only: " + ", ".join(labels[j] for j in kept[rows[:, other] == 0])
         for side, other in (("original", 1), ("synthetic", 0))
@@ -476,6 +491,7 @@ def _saturated_fit(table: CellTable) -> PropensityFit:
         c=c,
         n_combined=N,
         n_params=len(terms),
+        cells=len(terms),
         warnings=(),
     )
 
@@ -726,6 +742,7 @@ def utility_report(
             "iterations": fit.iterations,
             "converged": fit.converged,
             "gradient_norm": fit.gradient_norm,
+            "cells": fit.cells,
         },
         "tables": [],
         "flags": list(compare_univariate(original, synthetic).flags),

@@ -572,9 +572,14 @@ class TestUtilityCommand:
         solvers = {v["name"]: v["solver"] for v in variables}
         assert solvers["region"] is None and solvers["age"] is None
         for name in ("sex", "mar"):
-            assert set(solvers[name]) == {"iterations", "converged", "gradient_norm"}
+            assert set(solvers[name]) == {"iterations", "converged", "gradient_norm", "cells"}
             assert solvers[name]["converged"] is True and solvers[name]["iterations"] >= 2
             assert solvers[name]["gradient_norm"] < 1e-6
+        # sex is fit on region alone: one design row per region, and 3000
+        # rows hold every region
+        regions = json.loads(schema.read_text())["columns"]["region"]["levels"]
+        assert solvers["sex"]["cells"] == len(regions)
+        assert len(regions) < solvers["mar"]["cells"] <= 3000
         report = tmp_path / "u.json"
         rc = main(
             [
@@ -646,6 +651,8 @@ class TestUtilityCommand:
         assert doc["u_gen"]["iterations"] >= 2
         assert doc["u_gen"]["converged"] is True
         assert 0.0 <= doc["u_gen"]["gradient_norm"] < 1e-6
+        # the fit's design rows: the distinct rows of the stacked data
+        assert 1 <= doc["u_gen"]["cells"] <= 6000
 
 
 class TestPrettyOutput:

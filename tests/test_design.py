@@ -16,10 +16,11 @@ from scipy.linalg.lapack import dpstrf
 from synthweave import models
 from synthweave.design import Gram, _Nonzeros, _pivoted_cholesky, build_design, drop_aliased
 from synthweave.models import (
-    _expit, _predict, fit_logit, fit_multinomial, fit_normrank, irls_logit, ols,
+    _expit, _predict, fit_logit, fit_multinomial, fit_normrank, fit_transform_normal, irls_logit,
+    ols,
 )
 from synthweave.tabular import Categorical, Column, Dataset, numeric_column, stack_rows
-from synthweave.utility import fit_propensity
+from synthweave.utility import _one_sided_terms, fit_propensity
 
 RTOL = 1e-9
 
@@ -222,7 +223,7 @@ def test_constant_column_dropped_with_note():
 def test_kept_columns_match_pivoted_qr(name):
     data, inter, aliased = _case(name)
     design, X = build_design(data, interactions=inter)
-    gram, kept, notes, _ = drop_aliased(X, design.labels)
+    gram, kept, notes, _ = drop_aliased(X, design.labels, np.ones(data.n_rows))
     assert len(kept) == len(_qr_kept(_dense_matrix(design, data))) == design.n_columns - aliased
     lapack_kept, _ = _lapack_kept(_equilibrated(gram(np.ones(data.n_rows))))
     np.testing.assert_array_equal(kept, lapack_kept)
@@ -280,8 +281,8 @@ def test_ols_notes_aliased_columns_without_warning(name):
     y = np.random.default_rng(2).normal(size=X.shape[0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        fit = ols(X, y, design.labels)
-    assert fit.notes == tuple(drop_aliased(X, design.labels)[2])
+        fit = ols(X, y, design.labels, np.arange(len(y)))
+    assert fit.notes == tuple(drop_aliased(X, design.labels, np.ones(len(y)))[2])
     assert len(fit.notes) == aliased
 
 
@@ -291,7 +292,7 @@ def test_ols_matches_lstsq(name):
     design, X = build_design(data, interactions=inter)
     D = _dense_matrix(design, data)
     y = D @ _effects(D, 1.0) + np.random.default_rng(1).normal(size=len(D))
-    fit = ols(X, y, design.labels)
+    fit = ols(X, y, design.labels, np.arange(len(y)))
     ref, *_ = np.linalg.lstsq(D[:, fit.kept], y, rcond=None)
     np.testing.assert_allclose(fit.coefficients, ref, rtol=RTOL, atol=0)
     # the QR path's kept columns span the same space: same fitted values
@@ -316,8 +317,8 @@ def test_swapped_copies_give_the_same_fit(factor):
     fits = []
     for cols in ([c["g"], c["x"], copy], [c["g"], copy, c["x"]]):
         design, X = build_design(Dataset(tuple(cols)))
-        fit = ols(X, y, design.labels)
-        res = irls_logit(X, outcome, 100, 1e-10, design.labels)
+        fit = ols(X, y, design.labels, np.arange(len(y)))
+        res = irls_logit(X, outcome, np.ones(len(y)), 100, 1e-10, design.labels)
         prob = _expit(_predict(X, res.kept, res.coefficients))
         fits.append((len(fit.kept), len(res.kept), fit.predict(X), prob))
     (ols_a, logit_a, fitted_a, prob_a), (ols_b, logit_b, fitted_b, prob_b) = fits
@@ -339,7 +340,7 @@ def test_halved_steps_end_at_the_dense_newton_estimate(monkeypatch):
     design, X = build_design(Dataset((numeric_column("x", x), numeric_column("z", z))))
     calls = []
     monkeypatch.setattr(models, "_predict", lambda *a: calls.append(1) or _predict(*a))
-    res = irls_logit(X, y, 100, 1e-10, design.labels)
+    res = irls_logit(X, y, np.ones(len(y)), 100, 1e-10, design.labels)
     assert res.converged
     assert len(calls) > res.iterations + 1
     ref = _dense_irls(X.toarray(), y)
@@ -354,7 +355,7 @@ def test_irls_matches_dense_newton(name):
     design, X = build_design(data, interactions=inter)
     D = _dense_matrix(design, data)
     y = (np.random.default_rng(2).random(len(D)) < _expit(D @ _effects(D, 0.25))).astype(float)
-    res = irls_logit(X, y, 100, 1e-10, design.labels)
+    res = irls_logit(X, y, np.ones(len(y)), 100, 1e-10, design.labels)
     assert res.converged
     D_k = D[:, res.kept]
     ref = _dense_irls(D_k, y)
@@ -406,3 +407,154 @@ def test_pmse_matches_dense_reference(model):
     p_hat = _expit(D[:, kept] @ _dense_irls(D[:, kept], y))
     assert fit.n_params == len(kept)
     assert fit.pmse == pytest.approx(np.mean((p_hat - 0.5) ** 2), rel=RTOL)
+
+
+# ---------------------------------------------------------------------------
+# Fits on the distinct predictor rows against the same solvers on every row
+# ---------------------------------------------------------------------------
+
+def _grouping_case(name, n=1500, seed=11):
+    """Predictors of one grouping case: heavily duplicated rows, all rows
+    distinct, a numeric with missing cells and both signed zeros, or none
+    (intercept only)."""
+    rng, c = _base(n=n, seed=seed)
+    if name == "duplicated":
+        few = numeric_column("few", rng.choice([-1.0, 0.5, 2.0], n))
+        return Dataset((c["occ1"], c["g"], few))
+    if name == "distinct":
+        return Dataset((c["g"], c["x"]))
+    if name == "missing and signed zeros":
+        values = rng.choice([-0.0, 0.0, np.nan, 1.5, -2.5], n)
+        return Dataset((c["g"], numeric_column("z", values)))
+    return None
+
+
+GROUPINGS = ["duplicated", "distinct", "missing and signed zeros", "intercept only"]
+
+
+def _row_design(predictors, n):
+    """(matrix, labels, notes) of the design of every row."""
+    if predictors is None:
+        return models._matrix(None, None, n), (models.INTERCEPT,), ()
+    design, X = build_design(predictors)
+    return X, design.labels, design.notes
+
+
+def _row_solve(fit, target, predictors, max_iter=100, tol=1e-6):
+    """The solver of ``fit`` run again on the design of every row, each with
+    a count of 1, beside the fit's own results: two (coefficients, kept
+    columns, iterations, converged, warnings) tuples.  Least squares has no
+    iterations, and its residual SD stands in for convergence.  The row
+    design notes one constant column at a time, as a fit does while there
+    is at most one."""
+    n = target.n_rows
+    X, labels, notes = _row_design(predictors, n)
+    if isinstance(fit, models.LogitFit):
+        ref = irls_logit(X, target.values.astype(np.float64), np.ones(n), max_iter, tol, labels)
+        res = fit.result
+        return (
+            (res.coefficients, res.kept, res.iterations, res.converged, fit.warnings),
+            (ref.coefficients, ref.kept, ref.iterations, ref.converged, notes + ref.notes),
+        )
+    if isinstance(fit, models.MultinomialFit):
+        y = np.searchsorted(fit.present_codes, target.values)
+        Y = (y[:, None] == np.arange(1, len(fit.present_codes))).astype(np.float64)
+        kept, _, B, it, converged, _, solver_notes = models._newton_logit(
+            X, Y, np.ones(n), max_iter, tol, labels, "multinomial"
+        )
+        return (
+            (fit.coefficients, fit.kept, fit.iterations, fit.converged, fit.warnings),
+            (B, kept, it, converged, notes + solver_notes),
+        )
+    y = target.values
+    if isinstance(fit, models.NormRankFit):
+        y = models.ndtri((models._average_ranks(y) - 0.375) / (n + 0.25))
+    else:
+        y = models._forward_transform(y, fit.transform, target.name)
+    ref = ols(X, y, labels, np.arange(n))
+    return (
+        (fit.fit.coefficients, fit.fit.kept, None, fit.fit.residual_sd, fit.warnings),
+        (ref.coefficients, ref.kept, None, ref.residual_sd, notes + ref.notes),
+    )
+
+
+def _assert_same_solve(fit, target, predictors, **solver):
+    """``fit`` within 1e-9 relative of its solver on the design of every row,
+    with the same kept columns, iterations, convergence and warnings."""
+    (coef, kept, it, end, notes), (ref_coef, ref_kept, ref_it, ref_end, ref_notes) = _row_solve(
+        fit, target, predictors, **solver
+    )
+    np.testing.assert_allclose(coef, ref_coef, rtol=1e-9)
+    np.testing.assert_array_equal(kept, ref_kept)
+    assert (it, notes) == (ref_it, ref_notes)
+    assert end == pytest.approx(ref_end, rel=1e-9)
+
+
+def _linear_score(predictors, n, rng):
+    X, _, _ = _row_design(predictors, n)
+    return X @ np.linspace(-0.6, 0.6, X.shape[1]) + rng.normal(size=n)
+
+
+@pytest.mark.parametrize("name", GROUPINGS)
+def test_grouped_cells_count_the_distinct_predictor_rows(name):
+    predictors = _grouping_case(name)
+    _, X, _, _, cell_of, counts = models._fit_design(predictors, 1500)
+    expected = {"duplicated": 4 * 3 * 3, "distinct": 1500, "intercept only": 1}
+    # -0.0 and 0.0 are one value and every NaN another: four per g level
+    assert X.shape[0] == len(counts) == expected.get(name, 3 * 4)
+    assert counts.sum() == 1500 and np.array_equal(np.bincount(cell_of), counts)
+
+
+@pytest.mark.parametrize("name", GROUPINGS)
+def test_grouped_logit_equals_the_row_fit(name):
+    predictors = _grouping_case(name)
+    rng = np.random.default_rng(21)
+    y = (rng.random(1500) < _expit(_linear_score(predictors, 1500, rng))).astype(np.int64)
+    target = Column("t", Categorical(("a", "b")), y)
+    fit = fit_logit(target, predictors, tol=1e-10)
+    _assert_same_solve(fit, target, predictors, tol=1e-10)
+    X, labels, _ = _row_design(predictors, 1500)
+    ref = irls_logit(X, y.astype(np.float64), np.ones(1500), 100, 1e-10, labels)
+    np.testing.assert_allclose(fit.result.standard_errors, ref.standard_errors, rtol=1e-9)
+
+
+@pytest.mark.parametrize("name", GROUPINGS)
+def test_grouped_multinomial_equals_the_row_fit(name):
+    predictors = _grouping_case(name)
+    rng = np.random.default_rng(22)
+    score = _linear_score(predictors, 1500, rng)
+    eta = np.column_stack([np.zeros(1500), score, -score])
+    u = rng.random(1500)[:, None]
+    y = (u >= np.cumsum(np.exp(eta) / np.exp(eta).sum(axis=1)[:, None], axis=1)[:, :-1]).sum(axis=1)
+    target = Column("t", Categorical(("a", "b", "c")), y)
+    fit = fit_multinomial(target, predictors, tol=1e-10)
+    _assert_same_solve(fit, target, predictors, tol=1e-10)
+
+
+@pytest.mark.parametrize("fit_method", [fit_transform_normal, fit_normrank])
+@pytest.mark.parametrize("name", GROUPINGS)
+def test_grouped_least_squares_equals_the_row_fit(name, fit_method):
+    predictors = _grouping_case(name)
+    target = numeric_column("t", _linear_score(predictors, 1500, np.random.default_rng(23)))
+    _assert_same_solve(fit_method(target, predictors), target, predictors)
+
+
+@pytest.mark.parametrize("model", ["main_effects", "interactions"])
+@pytest.mark.parametrize("name", ["duplicated", "distinct", "missing and signed zeros"])
+def test_grouped_propensity_equals_the_row_fit(name, model):
+    original = _grouping_case(name, n=1200, seed=5)
+    synthetic = _grouping_case(name, n=1000, seed=6)
+    fit = fit_propensity(original, synthetic, model=model, tol=1e-10)
+    stacked = stack_rows([original, synthetic])
+    crossed = stacked.names if model == "interactions" else ()
+    design, X = build_design(stacked, interactions=crossed)
+    y = np.concatenate([np.zeros(1200), np.ones(1000)])
+    ref = irls_logit(X, y, np.ones(2200), 100, 1e-10, design.labels)
+    c = 1000 / 2200
+    assert fit.pmse == pytest.approx(np.mean((ref.probabilities - c) ** 2), rel=1e-12)
+    np.testing.assert_allclose(fit.coefficients, ref.coefficients, rtol=1e-9)
+    assert (fit.terms, fit.iterations, fit.converged) == (ref.labels, ref.iterations, ref.converged)
+    assert fit.warnings == design.notes + ref.notes + _one_sided_terms(
+        X, y, np.ones(2200), ref.kept, design.labels
+    )
+    assert fit.cells == len(np.unique(X.toarray(), axis=0))

@@ -272,11 +272,14 @@ class TestRunReport:
                 "iterations": fit.iterations,
                 "converged": fit.converged,
                 "gradient_norm": fit.final_gradient_norm,
+                "cells": fit.cells,
             }
+        # one design row per distinct predictor row: per region for sex
+        assert sex.cells == len(np.unique(census.column("region").values))
         # pperroom is fit by least squares; its missingness indicator by a logit
         pperroom = by_name["pperroom"]
         assert pperroom["missing_indicator"] is True
-        assert set(pperroom["solver"]) == {"iterations", "converged", "gradient_norm"}
+        assert set(pperroom["solver"]) == {"iterations", "converged", "gradient_norm", "cells"}
         assert pperroom["solver"]["converged"] is True
         assert pperroom["solver"]["iterations"] >= 2
 

@@ -757,3 +757,36 @@ class TestBulkFormatter:
             "." if math.isnan(v) else _format_number(v) for v in values.tolist()
         ]
         assert col.decoded() == [_format_number(v) for v in values.tolist()]
+
+
+class TestDistinctCells:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(1, 400),
+        st.lists(st.integers(1, 9), min_size=1, max_size=4),
+    )
+    def test_matches_the_stable_sort_reference(self, seed, n, sizes):
+        """The cells, their numbering and each cell's first row are those of
+        ``np.unique(key, return_index=True)``, on code columns with many ties."""
+        rng = np.random.default_rng(seed)
+        codes = [(rng.integers(0, k, n), k) for k in sizes]
+        cell, first = tabular.distinct_cells(codes, n)
+        key = np.zeros(n, dtype=np.int64)
+        for code, k in codes:
+            key = key * k + code
+        _, ref_first, ref_cell = np.unique(key, return_index=True, return_inverse=True)
+        np.testing.assert_array_equal(cell, ref_cell)
+        np.testing.assert_array_equal(first, ref_first)
+
+    def test_numeric_codes_merge_signed_zeros_and_missing_cells(self):
+        col = numeric_column("v", [0.0, np.nan, -0.0, 1.5, np.nan, 0.0])
+        code, n_codes = tabular.column_codes(col)
+        assert n_codes == 3 and code.tolist() == [0, 2, 0, 1, 2, 0]
+
+    def test_rows_group_on_every_column(self):
+        data = Dataset((
+            categorical_column("c", ["a", "b", "a", "a", "b"]),
+            numeric_column("v", [1.0, 1.0, 2.0, 1.0, 1.0]),
+        ))
+        cell, first = tabular.distinct_rows(data)
+        assert cell.tolist() == [0, 2, 1, 0, 2] and first.tolist() == [0, 2, 1]
