@@ -29,7 +29,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT)]
 from perfbench import workloads  # noqa: E402
 from synthweave import cart, cli, models, read_csv, sdc, write_csv  # noqa: E402
 from synthweave.tabular import distinct_rows  # noqa: E402
-from test_cart import _ref_fit_cart  # noqa: E402
+from test_cart import _ref_fit_cart, _ref_route_rows  # noqa: E402
 from test_design import _assert_same_solve  # noqa: E402
 from test_sdc import _text_key_drops  # noqa: E402
 
@@ -103,6 +103,21 @@ def test_cart_equals_its_depth_first_reference(synth_cart_run):
         assert np.array_equal(tree.leaf_offsets, offsets), target.name
         assert np.array_equal(tree.leaf_sizes, sizes), target.name
         print(f"{target.name}: {len(nodes)} nodes, {target.n_rows} rows, same as reference")
+
+
+def test_route_rows_equals_its_node_by_node_reference(synth_cart_run):
+    """The six trees of the run route their own fit predictors to the leaves
+    that tests/test_cart.py's node-by-node router gives, and each training
+    row to the leaf that holds it as a donor."""
+    fits, _ = synth_cart_run
+    assert len(fits) == 6, len(fits)
+    for tree, target, predictors, _, _ in fits:
+        leaf_of = cart.route_rows(tree, predictors, target.n_rows)
+        reference = _ref_route_rows(tree, predictors, target.n_rows)
+        assert np.array_equal(leaf_of, reference), target.name
+        donors = np.repeat(np.arange(tree.n_leaves), tree.leaf_sizes)
+        assert np.array_equal(leaf_of[tree.donor_rows], donors), target.name
+        print(f"{target.name}: {target.n_rows} rows to {tree.n_leaves} leaves, same as reference")
 
 
 def test_sdc_removals_equal_their_text_reference(synth_cart_run):

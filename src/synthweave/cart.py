@@ -33,13 +33,15 @@ passes.  The search runs on units:
   and the majority side count rows, not units.
 - Nodes too small to split, or already pure, become leaves before scoring.
 - At the end, nodes and leaves are renumbered into depth-first order (node
-  ids handed out as the depth-first search would, left child first), and the
-  donor rows of each leaf, its units' rows, are listed in ascending order.
+  ids handed out as the depth-first search would, left child first) from
+  subtree sizes, a depth at a time, into the flat per-node arrays of
+  ``CartTree``; the donor rows of each leaf, its units' rows, are listed in
+  ascending order.  No per-node Python object is made unless ``nodes`` is read.
 
-``route_rows`` also goes depth by depth through per-node lookup arrays, and
-visits each distinct cell once: rows that agree on every categorical split
-column and fall between the same thresholds of every numeric one (or are
-missing there) reach the same leaf.
+``route_rows`` also goes depth by depth through those arrays, and visits
+each distinct cell once: rows that agree on every categorical split column
+and fall between the same thresholds of every numeric one (or are missing
+there) reach the same leaf.
 
 Exactness
 ---------
@@ -74,7 +76,7 @@ search over one node at a time:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from functools import cached_property
 
 import numpy as np
 
@@ -103,26 +105,58 @@ class CartNode:
 
 @dataclass(frozen=True)
 class CartTree:
+    """A fitted tree as flat per-node arrays, indexed by node id; ``nodes``
+    builds it as ``CartNode`` objects only when read.
+
+    Ids are those a depth-first grower hands out: the root is 0, and a
+    node's children get the next two free ids when it splits, left first.
+    ``left`` is a split's left child (the right one is the next id), -1 at a
+    leaf; ``leaf_id`` numbers the leaves in depth-first order, -1 at a split.
+    A split tests predictor ``columns[column]``: a numeric one sends
+    ``x <= threshold`` left; a categorical one has a ``level_row`` (-1 on
+    other nodes) in two boolean tables of one column per level code, the
+    levels its training rows had (``seen``) and those it sends left
+    (``goes_left``).  The last column is a level no split saw, so it holds
+    the majority side, where unseen levels go.
+    """
+
     target_name: str
     target_kind: VariableKind
     target_values: np.ndarray = field(repr=False)
-    nodes: tuple[CartNode, ...] = field(repr=False)
+    columns: tuple[str, ...]
+    left: np.ndarray = field(repr=False)
+    leaf_id: np.ndarray = field(repr=False)
+    column: np.ndarray = field(repr=False)
+    threshold: np.ndarray = field(repr=False)
+    level_row: np.ndarray = field(repr=False)
+    goes_left: np.ndarray = field(repr=False)
+    seen: np.ndarray = field(repr=False)
+    depth: int  # splits on the longest root-to-leaf path (0 for a single leaf)
     donor_rows: np.ndarray = field(repr=False)   # training row indices, leaf-major
     leaf_offsets: np.ndarray = field(repr=False)
     leaf_sizes: np.ndarray = field(repr=False)
 
     @property
+    def n_nodes(self) -> int:
+        return len(self.left)
+
+    @property
     def n_leaves(self) -> int:
         return len(self.leaf_sizes)
 
-    @property
-    def depth(self) -> int:
-        """Splits on the longest root-to-leaf path (0 for a single leaf)."""
-        depth = [0] * len(self.nodes)
-        for i, node in enumerate(self.nodes):
-            if not node.is_leaf:  # children always have larger ids
-                depth[node.left] = depth[node.right] = depth[i] + 1
-        return max(depth)
+    @cached_property
+    def nodes(self) -> tuple[CartNode, ...]:
+        """The tree as one ``CartNode`` per node id, built when first read."""
+        arrays = (self.column, self.threshold, self.level_row, self.left, self.leaf_id)
+        out = []
+        for col, cut, row, left, leaf in zip(*(a.tolist() for a in arrays)):
+            split = None if col < 0 else ("num", self.columns[col], cut)
+            if row >= 0:
+                goes, seen = self.goes_left[row], self.seen[row]
+                codes = [frozenset(np.flatnonzero(m).tolist()) for m in (goes & seen, seen)]
+                split = ("cat", split[1], *codes, bool(goes[-1]))
+            out.append(CartNode(split, left, -1 if left < 0 else left + 1, leaf))
+        return tuple(out)
 
     def training_impurity(self) -> float:
         """Total leaf impurity over the training data (0 = perfect fit)."""
@@ -421,42 +455,32 @@ def _categorical_gains(codes, n_levels, units, t, categorical, n_tgt, depth: _De
     return gain, left, seen
 
 
-def _code_sets(table: np.ndarray) -> list[frozenset[int]]:
-    """The codes (columns) set in each row of a boolean table."""
-    row, code = np.nonzero(table)
-    bounds = np.searchsorted(row, np.arange(len(table) + 1)).tolist()
-    code = code.tolist()
-    return [frozenset(code[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+def _depth_first_ids(split_ids: list[np.ndarray], kid: np.ndarray):
+    """Renumber a breadth-first grown tree as a depth-first grower numbers it.
 
-
-def _depth_first_numbering(split_of, left_of, right_of):
-    """Nodes of a breadth-first grown tree, renumbered as a depth-first grower
-    numbers them: children get the next two ids when their parent is popped,
-    left child first, and leaves are numbered in the order they are reached.
-    Returns (nodes, leaf id of each breadth-first node, -1 for a split)."""
-    new_id = [0] * len(split_of)
-    leaf_id = [-1] * len(split_of)
-    n_leaves = 0
-    stack = [0]
-    next_id = 1
-    while stack:
-        u = stack.pop()
-        lo, hi = left_of[u], right_of[u]
-        if lo < 0:
-            leaf_id[u] = n_leaves
-            n_leaves += 1
-            continue
-        new_id[lo], new_id[hi] = next_id, next_id + 1
-        next_id += 2
-        stack.append(hi)
-        stack.append(lo)
-    nodes: list = [None] * len(split_of)
-    for u, split in enumerate(split_of):
-        lo, hi = left_of[u], right_of[u]
-        nodes[new_id[u]] = CartNode(
-            split, new_id[lo] if lo >= 0 else -1, new_id[hi] if hi >= 0 else -1, leaf_id[u]
-        )
-    return tuple(nodes), leaf_id
+    ``split_ids`` holds, per depth, the breadth-first ids of the nodes that
+    split, and ``kid`` each node's left child (the right one is next), or -1.
+    A depth-first grower gives a node's children the next two ids when it
+    pops the node, left child first, and numbers leaves in the order it
+    reaches them.  So a child's id follows from the splits, and a leaf's id
+    from the leaves, that come before its parent in depth-first order.
+    Returns (depth-first id, leaf id or -1) of each breadth-first node.
+    """
+    # nodes in each subtree, bottom-up: a subtree of m nodes has m // 2 splits
+    size = np.ones(kid.size, dtype=np.int64)
+    for s in reversed(split_ids):
+        size[s] += size[kid[s]] + size[kid[s] + 1]
+    # splits and leaves before each node in depth-first order, top-down
+    splits_before, leaves_before, new_id = np.zeros((3, kid.size), dtype=np.int64)
+    for s in split_ids:
+        lo, left_size = kid[s], size[kid[s]]
+        new_id[lo] = 2 * splits_before[s] + 1
+        new_id[lo + 1] = new_id[lo] + 1
+        splits_before[lo] = splits_before[s] + 1
+        splits_before[lo + 1] = splits_before[s] + 1 + left_size // 2
+        leaves_before[lo] = leaves_before[s]
+        leaves_before[lo + 1] = leaves_before[s] + left_size // 2 + 1
+    return new_id, np.where(kid < 0, leaves_before, -1)
 
 
 def _complete_target(target: Column, method: str) -> np.ndarray:
@@ -511,11 +535,12 @@ def fit_cart(
     w = np.bincount(unit_of)
     w_float = w.astype(np.float64)  # as ``bincount`` takes weights; exact below 2**53
 
-    # nodes in creation (breadth-first) order, and each unit's leaf among them
-    split_of: list[tuple | None] = [None]
-    left_of: list[int] = [-1]
-    right_of: list[int] = [-1]
+    # nodes are numbered in creation (breadth-first) order; per depth, each
+    # node's left child and split predictor (-1 at a leaf) and its threshold
+    # or level-table row, and the nodes that split; each unit's leaf
+    by_depth, split_ids, level_tables = [], [], []
     unit_node = np.empty(w.size, dtype=np.int64)
+    n_nodes, n_level_rows = 1, 0
 
     # the open nodes of the current depth, their unit and row counts, and
     # their units in unit order and in value order per numeric predictor
@@ -526,6 +551,10 @@ def fit_cart(
     orders = [np.argsort(v, kind="stable") for _, is_cat, v, _ in unit_cols if not is_cat]
     go_unit = np.zeros(w.size, dtype=bool)
     while ids.size:
+        kid, split_col, level_row = np.full((3, ids.size), -1)
+        threshold = np.zeros(ids.size)
+        by_depth.append((kid, split_col, level_row, threshold))
+        first_id = ids[0]
         # nodes too small to split, or pure, are leaves
         seg = np.repeat(np.arange(ids.size), sizes)
         big = np.flatnonzero(node_rows >= 2 * min_bucket)
@@ -562,11 +591,11 @@ def fit_cart(
                 )
                 found.append(tables)
             else:
-                gain, threshold = _numeric_gains(
+                gain, cut = _numeric_gains(
                     values, next(numeric_orders), tu, w, categorical, n_tgt_levels, depth,
                     min_bucket,
                 )
-                found.append(threshold)
+                found.append(cut)
             better = gain > best
             best[better] = gain[better]
             best_pred[better] = j
@@ -583,31 +612,21 @@ def fit_cart(
         n_left = np.bincount(seg_left, minlength=ids.size)
         rows_left = np.bincount(seg_left, depth.weights[go_left], ids.size).astype(np.int64)
 
-        first_child = len(split_of)
         winners = np.flatnonzero(splitting)
+        at = ids - first_id  # each open node's place among its depth's nodes
         for j in np.unique(best_pred[winners]):
-            name, is_cat, _, _ = unit_cols[j]
-            mine = np.flatnonzero(best_pred[winners] == j)
-            p = winners[mine]
-            if is_cat:
-                left_tab, seen = found[j]
-                majority = (rows_left[p] >= depth.rows[p] - rows_left[p]).tolist()
-                splits = [
-                    ("cat", name, left_codes, known, maj)
-                    for left_codes, known, maj in zip(
-                        _code_sets(left_tab[p]), _code_sets(seen[p]), majority
-                    )
-                ]
+            p = winners[best_pred[winners] == j]
+            if unit_cols[j][1]:
+                left_tab, known = found[j]
+                majority = rows_left[p] >= depth.rows[p] - rows_left[p]
+                level_tables.append((n_level_rows, left_tab[p], known[p], majority))
+                level_row[at[p]] = n_level_rows + np.arange(p.size)
+                n_level_rows += p.size
             else:
-                splits = [("num", name, threshold) for threshold in found[j][p].tolist()]
-            for q, node, split in zip(mine.tolist(), ids[p].tolist(), splits):
-                split_of[node] = split
-                left_of[node] = first_child + 2 * q
-                right_of[node] = first_child + 2 * q + 1
-        n_split = int(splitting.sum())
-        split_of.extend([None] * 2 * n_split)
-        left_of.extend([-1] * 2 * n_split)
-        right_of.extend([-1] * 2 * n_split)
+                threshold[at[p]] = found[j][p]
+        split_ids.append(ids[winners])
+        split_col[at[winners]] = best_pred[winners]
+        kid[at[winners]] = n_nodes + 2 * np.arange(winners.size)
 
         closed = ~splitting[seg]
         unit_node[units[closed]] = ids[seg[closed]]
@@ -616,37 +635,48 @@ def fit_cart(
         units, *orders = depth.partition(
             [units, *orders], [go_left, *(go_unit[o] for o in orders)], splitting, n_left
         )
-        ids = first_child + np.arange(2 * n_split)
+        ids = n_nodes + np.arange(2 * winners.size)
+        n_nodes += 2 * winners.size
         sizes = np.column_stack([n_left, depth.sizes - n_left])[splitting].ravel()
         node_rows = np.column_stack([rows_left, depth.rows - rows_left])[splitting].ravel()
 
-    nodes, leaf_id = _depth_first_numbering(split_of, left_of, right_of)
+    kid, split_col, level_row, threshold = (np.concatenate(a) for a in zip(*by_depth))
+    new_id, leaf_id = _depth_first_ids(split_ids, kid)
+    bfs = np.argsort(new_id)  # the breadth-first id of each node id
+    # level tables: one row per categorical split, one column per level code
+    # of its predictor, and one past them all for the majority side
+    width = 1 + max((known.shape[1] for _, _, known, _ in level_tables), default=0)
+    goes_left = np.zeros((n_level_rows, width), dtype=bool)
+    seen = np.zeros_like(goes_left)
+    for start, left_tab, known, majority in level_tables:
+        rows, k = slice(start, start + len(known)), known.shape[1]
+        seen[rows, :k] = known
+        goes_left[rows] = majority[:, None]
+        goes_left[rows, :k] = np.where(known, left_tab, majority[:, None])
+
     # donor rows leaf by leaf in leaf-id order, each leaf's rows ascending
     # (a stable sort of the rows by leaf id, a radix sort for small ids)
-    leaf_of = np.array(leaf_id)[unit_node][unit_of]
-    n_leaves = (len(nodes) + 1) // 2
+    leaf_of = leaf_id[unit_node][unit_of]
+    n_leaves = (n_nodes + 1) // 2
     donor_rows = np.argsort(leaf_of.astype(np.min_scalar_type(n_leaves)), kind="stable")
     leaf_sizes = np.bincount(leaf_of, minlength=n_leaves)
     return CartTree(
         target_name=target.name,
         target_kind=target.kind,
         target_values=t,
-        nodes=nodes,
+        columns=tuple(name for name, _, _, _ in pred_cols),
+        left=np.where(kid[bfs] < 0, -1, new_id[kid[bfs]]),
+        leaf_id=leaf_id[bfs],
+        column=split_col[bfs],
+        threshold=threshold[bfs],
+        level_row=level_row[bfs],
+        goes_left=goes_left,
+        seen=seen,
+        depth=sum(1 for ids in split_ids if ids.size),
         donor_rows=donor_rows,
         leaf_offsets=np.cumsum(leaf_sizes) - leaf_sizes,
         leaf_sizes=leaf_sizes,
     )
-
-
-def _depth_first(tree: CartTree):
-    """Node ids in the order a depth-first walk, left child first, meets them."""
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        yield u
-        node = tree.nodes[u]
-        if not node.is_leaf:
-            stack += [node.right, node.left]
 
 
 def route_rows(tree: CartTree, new_predictors: Dataset | None, n_rows: int | None = None) -> np.ndarray:
@@ -656,8 +686,8 @@ def route_rows(tree: CartTree, new_predictors: Dataset | None, n_rows: int | Non
     categorical one, and on where a numeric one falls among that column's
     thresholds (or whether it is missing).  Rows that agree on all of these
     form one cell, and each cell is routed once.  Cells move down one depth
-    at a time; each node's test is read from per-node arrays (threshold, or
-    a level lookup row for categorical splits).
+    at a time; each node's test is read from the tree's arrays (threshold,
+    or a row of the level table for categorical splits).
     """
     if new_predictors is not None and len(new_predictors.columns):
         n = new_predictors.n_rows
@@ -665,87 +695,53 @@ def route_rows(tree: CartTree, new_predictors: Dataset | None, n_rows: int | Non
         n = n_rows
     else:
         raise MethodError("cart: routing needs predictors or an explicit row count")
-    nodes = tree.nodes
-    splits = [node.split for node in nodes]
-    left = np.array([node.left for node in nodes])
-    right = np.array([node.right for node in nodes])
-    leaf_id = np.array([node.leaf_id for node in nodes])
-    names = list(dict.fromkeys(s[1] for s in splits if s is not None))
-    col_index = {name: c for c, name in enumerate(names)}
-    col_of = np.array([-1 if s is None else col_index[s[1]] for s in splits])
-    threshold = np.array([s[2] if s is not None and s[0] == "num" else 0.0 for s in splits])
-    majority = np.array([s is not None and s[0] == "cat" and s[4] for s in splits])
-    cat_nodes: dict[int, list[int]] = {}
-    for i, s in enumerate(splits):
-        if s is not None and s[0] == "cat":
-            cat_nodes.setdefault(col_index[s[1]], []).append(i)
-    columns = [new_predictors.column(name) for name in names]
-
-    # per categorical column: one lookup row per node, True = go left;
-    # codes beyond the row (never seen in training) go majority-side too
-    lookup: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for c, owners in cat_nodes.items():
-        cat_splits = [splits[i] for i in owners]
-        width = 1 + max(max(s[3]) for s in cat_splits)
-        table = np.repeat(majority[owners, None], width, axis=1)
-        for part, goes_left in ((3, False), (2, True)):  # known codes, then left codes
-            code_sets = [s[part] for s in cat_splits]
-            table_row = np.repeat(np.arange(len(code_sets)), [len(s) for s in code_sets])
-            code = np.fromiter(chain.from_iterable(code_sets), np.int64, table_row.size)
-            table[table_row, code] = goes_left
-        row_of = np.full(len(nodes), -1)
-        row_of[owners] = np.arange(len(owners))
-        lookup[c] = (table, row_of)
+    used = np.unique(tree.column[tree.column >= 0]).tolist()
+    columns = {c: new_predictors.column(tree.columns[c]) for c in used}
 
     # each row's cell: its code per categorical split column, and per numeric
     # one the number of the column's thresholds below it (``v <= cut`` holds
     # exactly for the cuts from that index on), or one past them if missing
     cell_codes = []
-    for c, column in enumerate(columns):
-        if c in lookup:
-            cell_codes.append((column.values, len(column.levels)))
-        else:
-            cuts = np.unique(threshold[col_of == c])
+    for c, column in columns.items():
+        if column.is_numeric:
+            cuts = np.unique(tree.threshold[tree.column == c])
             interval = np.searchsorted(cuts, column.values)
             interval[np.isnan(column.values)] = cuts.size + 1
             cell_codes.append((interval, cuts.size + 2))
+        else:
+            cell_codes.append((column.values, len(column.levels)))
     cell_of, first = distinct_cells(cell_codes, n)
-    cell_values = [column.values[first] for column in columns]
+    # each cell's value of every predictor it is split on (codes are exact as floats)
+    values = np.zeros((first.size, len(tree.columns)))
+    for c, column in columns.items():
+        values[:, c] = column.values[first]
 
     leaf_of = np.empty(first.size, dtype=np.int64)
     cells = np.arange(first.size)
     at = np.zeros(first.size, dtype=np.int64)
     stuck: set[int] = set()  # numeric-split nodes a missing value reached
     while cells.size:
-        done = leaf_id[at] >= 0
-        leaf_of[cells[done]] = leaf_id[at[done]]
+        done = tree.leaf_id[at] >= 0
+        leaf_of[cells[done]] = tree.leaf_id[at[done]]
         cells, at = cells[~done], at[~done]
-        go_left = np.zeros(cells.size, dtype=bool)
-        keep = np.ones(cells.size, dtype=bool)
-        col = col_of[at]
-        for c, values in enumerate(cell_values):
-            sel = np.flatnonzero(col == c)
-            if not sel.size:
-                continue
-            v = values[cells[sel]]
-            node = at[sel]
-            if c in lookup:
-                table, row_of = lookup[c]
-                inside = v < table.shape[1]
-                go = majority[node]
-                go[inside] = table[row_of[node[inside]], v[inside]]
-            else:
-                missing = np.isnan(v)
-                if missing.any():
-                    stuck.update(node[missing].tolist())
-                    keep[sel[missing]] = False
-                go = v <= threshold[node]
-            go_left[sel] = go
-        cells, at = cells[keep], np.where(go_left, left[at], right[at])[keep]
+        v = values[cells, tree.column[at]]
+        go = v <= tree.threshold[at]
+        row = tree.level_row[at]
+        cat = np.flatnonzero(row >= 0)
+        # codes past the level table were never seen: they read its last column
+        code = np.minimum(v[cat], tree.goes_left.shape[1] - 1).astype(np.int64)
+        go[cat] = tree.goes_left[row[cat], code]
+        missing = np.isnan(v)
+        stuck.update(at[missing].tolist())
+        cells, at = cells[~missing], (tree.left[at] + ~go)[~missing]  # right child: left + 1
     if stuck:
-        # the node a depth-first router would have reached first
-        reached = next(u for u in _depth_first(tree) if u in stuck)
-        colname = tree.nodes[reached].split[1]
+        # the node a depth-first router, left child first, would have reached first
+        stack, left = [0], tree.left.tolist()
+        while stack[-1] not in stuck:
+            u = stack.pop()
+            if left[u] >= 0:
+                stack += [left[u] + 1, left[u]]
+        colname = tree.columns[tree.column[stack[-1]]]
         raise MethodError(f"cart: predictor {colname!r} has missing values at sampling")
     return leaf_of[cell_of]
 

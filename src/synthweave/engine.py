@@ -119,7 +119,7 @@ def _tree_stats(model) -> dict | None:
     if not trees:
         return None
     return {
-        "nodes": sum(len(t.nodes) for t in trees),
+        "nodes": sum(t.n_nodes for t in trees),
         "leaves": sum(t.n_leaves for t in trees),
         "depth": max(t.depth for t in trees),
     }

@@ -125,10 +125,8 @@ class CellTable:
     """
 
     def __init__(self, variables, labels, y, s):
-        variables = tuple(variables)
+        variables = _table_variables(variables)
         labels = tuple(tuple(lv) for lv in labels)
-        if not variables:
-            raise UtilityError("a cell table needs at least one variable")
         if len(labels) != len(variables):
             raise UtilityError(
                 f"{len(labels)} label tuples for {len(variables)} variables {variables!r}"
@@ -150,6 +148,13 @@ class CellTable:
 
     def counts(self) -> tuple[np.ndarray, np.ndarray]:
         return self.y.astype(np.float64), self.s.astype(np.float64)
+
+
+def _table_variables(variables) -> tuple[str, ...]:
+    variables = tuple(variables)
+    if not variables:
+        raise UtilityError("a cell table needs at least one variable")
+    return variables
 
 
 def _counts(name: str, values, k: int, shape: tuple[int, ...]) -> np.ndarray:
@@ -190,8 +195,6 @@ def _cell_codes(
     data only (quintiles by default); values outside the original range fall
     in the open extreme bins, and NaN forms its own cell when present.
     """
-    if orig.kind != syn.kind:
-        raise UtilityError(f"column {orig.name!r} has different kinds in the two datasets")
     if isinstance(orig.kind, Categorical):
         union = np.union1d(np.unique(orig.values), np.unique(syn.values))
         remap = np.full(len(orig.kind.levels), -1, dtype=np.int64)
@@ -241,12 +244,11 @@ def cross_tabulate(
     n_bins: int = 5,
 ) -> CellTable:
     """Aligned original/synthetic counts over the cross product of cells."""
-    variables = tuple(variables)
-    if not variables:
-        raise UtilityError("a cell table needs at least one variable")
+    variables = _table_variables(variables)
     for v in variables:
         if v not in original or v not in synthetic:
             raise UtilityError(f"variable {v!r} absent from one of the datasets")
+    _check_kinds(original, synthetic, variables)
     per_var = [
         _cell_codes(
             original.column(v), synthetic.column(v),
@@ -333,7 +335,11 @@ def _check_schemas(original: Dataset, synthetic: Dataset) -> None:
             raise UtilityError(f"the {role} dataset {data.name!r} has no rows")
     if set(original.names) != set(synthetic.names):
         raise UtilityError("datasets have different column sets")
-    for name in original.names:
+    _check_kinds(original, synthetic, original.names)
+
+
+def _check_kinds(original: Dataset, synthetic: Dataset, names) -> None:
+    for name in names:
         if original.column(name).kind != synthetic.column(name).kind:
             raise UtilityError(f"column {name!r} has different kinds in the two datasets")
 
@@ -683,7 +689,6 @@ def compare_bivariate(
 
 @dataclass(frozen=True)
 class Diagnosis:
-    threshold: float
     flagged: tuple[tuple[str, float], ...]          # (term, z), |z| descending
     variables: tuple[str, ...]                      # source variables, worst first
     by_variable: tuple[tuple[str, tuple[tuple[str, float], ...]], ...]
@@ -702,7 +707,6 @@ def diagnose(fit: PropensityFit, threshold: float = 1.7) -> Diagnosis:
     for term, var, z in entries:
         grouped.setdefault(var, []).append((term, z))
     return Diagnosis(
-        threshold=threshold,
         flagged=tuple((t, z) for t, _, z in entries),
         variables=tuple(grouped),
         by_variable=tuple((v, tuple(terms)) for v, terms in grouped.items()),

@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from synthweave import Dataset, MethodError, categorical_column, numeric_column
+from synthweave import (
+    Cart, Dataset, MethodError, Sample, SynthesisPlan, ToyCensusSpec, categorical_column,
+    generate_toy_census, numeric_column, run_report, synthesize,
+)
+from synthweave import cart
 from synthweave.cart import CartNode, cart_sample, fit_cart, route_rows
 from synthweave.tabular import Categorical, Column, Numeric
 
@@ -710,3 +714,35 @@ class TestDonorProperty:
             lo = tree.leaf_offsets[leaf]
             donors = target.values[tree.donor_rows[lo : lo + tree.leaf_sizes[leaf]]]
             assert np.isin(draws[leaf_of == leaf], donors).all()
+
+
+def test_fit_sample_and_report_build_no_node_objects(monkeypatch):
+    # the tree is its arrays: fitting, routing and the run report's tree
+    # sizes never build a CartNode, and the sizes are those of the nodes view
+    census = generate_toy_census(ToyCensusSpec(n_rows=3000, seed=6))
+    cols = ["region", "sex", "age", "mar", "pperroom"]
+    methods = {"region": Sample(), "sex": Cart(), "age": Cart(), "mar": Cart(), "pperroom": Cart()}
+    trees = {}
+
+    def recorded_fit(target, predictors, *args, **kwargs):
+        tree = fit(target, predictors, *args, **kwargs)
+        trees.setdefault(target.name.split(":")[0], []).append(tree)
+        return tree
+
+    def no_node(*args, **kwargs):
+        raise AssertionError("a CartNode was built")
+
+    fit = cart.fit_cart
+    plan = SynthesisPlan(tuple(cols), methods, seed=2)
+    with monkeypatch.context() as patch:
+        patch.setattr(cart, "fit_cart", recorded_fit)
+        patch.setattr(cart, "CartNode", no_node)
+        doc = run_report(synthesize(census.select(cols), plan))
+    by_name = {v["name"]: v for v in doc["variables"]}
+    assert by_name["pperroom"]["missing_indicator"] and len(trees["pperroom"]) == 2
+    for name, fitted in trees.items():
+        assert by_name[name]["tree"] == {
+            "nodes": sum(len(t.nodes) for t in fitted),
+            "leaves": sum(sum(node.is_leaf for node in t.nodes) for t in fitted),
+            "depth": max(max(_path_lengths(t)) for t in fitted),
+        }

@@ -518,6 +518,22 @@ def test_grouped_logit_equals_the_row_fit(name):
     np.testing.assert_allclose(fit.result.standard_errors, ref.standard_errors, rtol=1e-9)
 
 
+@pytest.mark.parametrize("seed", [3, 5, 7])
+def test_grouped_logit_rounding_level_counts_rows_not_cells(seed):
+    # 1500 rows in 12 cells, with an income on a scale of 1e7: its score
+    # stops at its rounding level, which grows with the data rows (n eps)
+    # the cells stand for; a level from the cell count stops later
+    rng, c = _base(seed=seed)
+    income = numeric_column("income", rng.choice([1.5, 2.5, 4.0, 7.0], 1500) * 1e7)
+    predictors = Dataset((c["g"], income))
+    eta = -1.0 + 0.4 * (c["g"].values == 1) + 3e-8 * income.values
+    y = (rng.random(1500) < _expit(eta)).astype(np.int64)
+    target = Column("t", Categorical(("a", "b")), y)
+    fit = fit_logit(target, predictors)
+    assert fit.result.cells == 12
+    _assert_same_solve(fit, target, predictors)
+
+
 @pytest.mark.parametrize("name", GROUPINGS)
 def test_grouped_multinomial_equals_the_row_fit(name):
     predictors = _grouping_case(name)
