@@ -6,7 +6,9 @@ Run from the repository root; the module puts ``src``, ``tests`` and the
 root on ``sys.path`` itself.  Each check writes its files under pytest's
 temporary directory.  The CART and SDC references read one recorded run of
 the benchmark's ``synth_cart`` operation (50k rows, seed 7), and the
-regression references one of its ``synth_parametric`` operation.
+regression references one of its ``synth_parametric`` operation.  The
+benchmark's CART plan visits ``pperroom`` last, so a CART plan that visits
+it before ``mar`` and ``occ1`` checks trees on its missing cells.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from synthweave import cart, cli, models, read_csv, sdc, write_csv  # noqa: E402
 from synthweave.tabular import distinct_rows  # noqa: E402
 from test_cart import _ref_fit_cart, _ref_route_rows  # noqa: E402
 from test_design import _assert_same_solve  # noqa: E402
+from test_engine import expand_missing_predictors  # noqa: E402
 from test_sdc import _text_key_drops  # noqa: E402
 
 ROWS = 50_000
@@ -118,6 +121,82 @@ def test_route_rows_equals_its_node_by_node_reference(synth_cart_run):
         donors = np.repeat(np.arange(tree.n_leaves), tree.leaf_sizes)
         assert np.array_equal(leaf_of[tree.donor_rows], donors), target.name
         print(f"{target.name}: {target.n_rows} rows to {tree.n_leaves} leaves, same as reference")
+
+
+@pytest.fixture(scope="module")
+def pperroom_first_run(tmp_path_factory):
+    """The CART fits and routings of a 50k-row census (seed 7) synthesized
+    by a CART plan that visits pperroom before mar and occ1, so their trees
+    see its missing cells at fit and the synthetic ones when routing."""
+    work = tmp_path_factory.mktemp("pperroom_first")
+    data, schema = _gentoy(work, "census", ROWS, "--seed", "7")
+    plan = {
+        "visit_sequence": ["region", "sex", "age", "pperroom", "mar", "occ1", "occ3"],
+        "methods": {"region": "sample", "occ3": {"kind": "nested", "group_column": "occ1"}},
+        "rules": [{"target": "mar", "condition": "age < 16", "value": "Single"}],
+        "seed": 7,
+    }
+    (work / "plan.json").write_text(json.dumps(plan))
+    argv = [
+        "synth", "--data", str(data), "--schema", str(schema),
+        "--plan", str(work / "plan.json"), "--out", str(work / "syn.csv"),
+    ]
+    fits, routings = [], []
+    fit_cart, route_rows = cart.fit_cart, cart.route_rows
+
+    def recorded_fit(target, predictors, *args, **kwargs):
+        tree = fit_cart(target, predictors, *args, **kwargs)
+        fits.append((tree, target, predictors, args, kwargs))
+        return tree
+
+    def recorded_route(tree, new_predictors, n_rows=None):
+        leaf_of = route_rows(tree, new_predictors, n_rows)
+        routings.append((tree, new_predictors, n_rows, leaf_of))
+        return leaf_of
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cart, "fit_cart", recorded_fit)
+        mp.setattr(cart, "route_rows", recorded_route)
+        assert cli.main(argv) == 0
+    return fits, routings
+
+
+def test_cart_on_missing_predictor_cells_equals_its_references(pperroom_first_run):
+    """The six trees of the run (sex, age, pperroom's indicator and values,
+    mar, occ1) against tests/test_cart.py's depth-first reference on the
+    predictors that tests/test_engine.py's ``expand_missing_predictors``
+    expands, and their routing of the synthetic predictors against the
+    node-by-node reference on the expanded synthetic predictors."""
+    fits, routings = pperroom_first_run
+    assert [target.name for _, target, *_ in fits] == [
+        "sex", "age", "pperroom:missing", "pperroom", "mar", "occ1"
+    ]
+    expanded = {target.name: tree.expanded for tree, target, *_ in fits}
+    assert expanded["mar"] == expanded["occ1"] == ("pperroom",), expanded
+    fit_predictors = {}
+    for tree, target, predictors, args, kwargs in fits:
+        fit_predictors[id(tree)] = predictors
+        expanded_predictors, _ = expand_missing_predictors(predictors, predictors)
+        nodes, donor_rows, offsets, sizes = _ref_fit_cart(
+            target, expanded_predictors, *args, **kwargs
+        )
+        assert tree.nodes == nodes, target.name
+        assert np.array_equal(tree.donor_rows, donor_rows), target.name
+        assert np.array_equal(tree.leaf_offsets, offsets), target.name
+        assert np.array_equal(tree.leaf_sizes, sizes), target.name
+        on_pperroom = sum(
+            node.split[1].startswith("pperroom") for node in tree.nodes if node.split
+        )
+        print(f"{target.name}: {len(nodes)} nodes, {on_pperroom} splits on pperroom, same as reference")
+    assert len(routings) == len(fits), len(routings)
+    for tree, synthetic, n_rows, leaf_of in routings:
+        _, expanded_synthetic = expand_missing_predictors(fit_predictors[id(tree)], synthetic)
+        reference = _ref_route_rows(tree, expanded_synthetic, n_rows)
+        assert np.array_equal(leaf_of, reference), tree.target_name
+        missing = sum(
+            int(np.isnan(c.values).sum()) for c in synthetic.columns if c.is_numeric
+        ) if synthetic is not None else 0
+        print(f"{tree.target_name}: {len(leaf_of)} synthetic rows ({missing} missing cells) routed as the reference")
 
 
 def test_sdc_removals_equal_their_text_reference(synth_cart_run):

@@ -11,6 +11,11 @@ Synthetic values are drawn uniformly from the donor rows of the leaf each
 synthetic row routes to, so over-fitting only adds noise to the draws rather
 than invented values.
 
+A numeric predictor with missing cells in the fit rows is split on as a
+present/missing indicator (``name:missing``) and its zero-filled values, as
+the regressions' design does; ``route_rows`` expands new predictors the
+same way, and a missing cell met only there counts as zero.
+
 Level-wise search
 -----------------
 The tree is the one a depth-first search would grow, but it is grown one
@@ -40,8 +45,8 @@ passes.  The search runs on units:
 
 ``route_rows`` also goes depth by depth through those arrays, and visits
 each distinct cell once: rows that agree on every categorical split column
-and fall between the same thresholds of every numeric one (or are missing
-there) reach the same leaf.
+and fall between the same thresholds of every numeric one reach the same
+leaf.
 
 Exactness
 ---------
@@ -86,6 +91,7 @@ from .tabular import (
 )
 
 MAX_EXHAUSTIVE_LEVELS = 12
+MISSING_INDICATOR = Categorical(("present", "missing"))
 # elements per block of batched candidate sums, to bound memory on many-node depths
 _BLOCK_ELEMENTS = 1 << 20
 
@@ -117,7 +123,9 @@ class CartTree:
     other nodes) in two boolean tables of one column per level code, the
     levels its training rows had (``seen``) and those it sends left
     (``goes_left``).  The last column is a level no split saw, so it holds
-    the majority side, where unseen levels go.
+    the majority side, where unseen levels go.  ``expanded`` names the
+    numeric predictors with missing cells at fit, each split on as
+    ``name:missing`` and ``name``.  ``sample`` draws as ``cart_sample`` does.
     """
 
     target_name: str
@@ -135,6 +143,8 @@ class CartTree:
     donor_rows: np.ndarray = field(repr=False)   # training row indices, leaf-major
     leaf_offsets: np.ndarray = field(repr=False)
     leaf_sizes: np.ndarray = field(repr=False)
+    expanded: tuple[str, ...] = ()
+    warnings = ()  # not a field: a tree fit gives no notes
 
     @property
     def n_nodes(self) -> int:
@@ -167,6 +177,25 @@ class CartTree:
             ]
             total += _impurity(self.target_values[rows], isinstance(self.target_kind, Categorical))
         return total
+
+    def sample(self, predictors: Dataset | None, rng: np.random.Generator, n: int) -> np.ndarray:
+        return cart_sample(self, predictors, rng, n).values
+
+
+def _missing_rule(columns: tuple[Column, ...], expanded: tuple[str, ...]) -> Dataset:
+    """The predictors a tree splits on: each numeric named in ``expanded``
+    becomes a present/missing indicator followed by its values, and every
+    missing numeric cell counts as zero."""
+    out: list[Column] = []
+    for col in columns:
+        if isinstance(col.kind, Numeric):
+            missing = np.isnan(col.values)
+            if col.name in expanded:
+                out.append(Column(f"{col.name}:missing", MISSING_INDICATOR, missing.astype(np.int64)))
+            if missing.any():
+                col = Column(col.name, col.kind, np.where(missing, 0.0, col.values))
+        out.append(col)
+    return Dataset(tuple(out))
 
 
 def _impurity(values: np.ndarray, categorical: bool) -> float:
@@ -483,6 +512,14 @@ def _depth_first_ids(split_ids: list[np.ndarray], kid: np.ndarray):
     return new_id, np.where(kid < 0, leaves_before, -1)
 
 
+def check_cart_options(min_bucket, complexity) -> None:
+    """The option values ``fit_cart`` and the plan's ``Cart`` accept."""
+    if min_bucket < 1:
+        raise MethodError("cart: min_bucket must be >= 1")
+    if complexity < 0:
+        raise MethodError("cart: complexity must be >= 0")
+
+
 def _complete_target(target: Column, method: str) -> np.ndarray:
     """The values of a target, which must be non-empty and complete."""
     if target.n_rows == 0:
@@ -499,24 +536,25 @@ def fit_cart(
     complexity: float = 1e-8,
 ) -> CartTree:
     """Grow a tree by greedy recursive partitioning of the training rows,
-    scoring all open nodes of a depth together."""
+    scoring all open nodes of a depth together.  A numeric predictor with
+    missing cells is split on as a present/missing indicator and its
+    zero-filled values; the tree's ``expanded`` names those predictors."""
+    check_cart_options(min_bucket, complexity)
     t = _complete_target(target, "cart")
     categorical = isinstance(target.kind, Categorical)
     n_tgt_levels = len(target.kind.levels) if categorical else 0
     n = target.n_rows
 
-    pred_cols: list[tuple[str, bool, np.ndarray, int]] = []
-    if predictors is not None:
-        for col in predictors.columns:
-            if isinstance(col.kind, Numeric):
-                if np.isnan(col.values).any():
-                    raise MethodError(
-                        f"cart: predictor {col.name!r} has missing values; expand it "
-                        "with a missing indicator first"
-                    )
-                pred_cols.append((col.name, False, col.values, 0))
-            else:
-                pred_cols.append((col.name, True, col.values, len(col.kind.levels)))
+    columns = predictors.columns if predictors is not None else ()
+    expanded = tuple(
+        col.name for col in columns if isinstance(col.kind, Numeric) and np.isnan(col.values).any()
+    )
+    columns = _missing_rule(columns, expanded).columns
+    pred_cols = [
+        (col.name, False, col.values, 0) if isinstance(col.kind, Numeric)
+        else (col.name, True, col.values, len(col.kind.levels))
+        for col in columns
+    ]
 
     root_imp = _impurity(t, categorical)
     gain_floor = complexity * root_imp + 1e-12 * (abs(root_imp) + 1.0)
@@ -526,7 +564,6 @@ def fit_cart(
     # count, since its gains depend only on counts; a numeric target's float
     # sums must run over rows in row order, so its units are its rows
     if categorical:
-        columns = predictors.columns if predictors is not None else ()
         unit_of, first = distinct_cells([(t, n_tgt_levels), *map(column_codes, columns)], n)
         tu = t[first]
         unit_cols = [(name, is_cat, values[first], k) for name, is_cat, values, k in pred_cols]
@@ -676,18 +713,20 @@ def fit_cart(
         donor_rows=donor_rows,
         leaf_offsets=np.cumsum(leaf_sizes) - leaf_sizes,
         leaf_sizes=leaf_sizes,
+        expanded=expanded,
     )
 
 
 def route_rows(tree: CartTree, new_predictors: Dataset | None, n_rows: int | None = None) -> np.ndarray:
-    """Leaf id per row of ``new_predictors``; unseen levels go majority-side.
+    """Leaf id per row of ``new_predictors``, expanded as ``fit_cart``
+    expanded the training ones; unseen levels go majority-side.
 
     A row's leaf depends only on its split columns: on the code of a
     categorical one, and on where a numeric one falls among that column's
-    thresholds (or whether it is missing).  Rows that agree on all of these
-    form one cell, and each cell is routed once.  Cells move down one depth
-    at a time; each node's test is read from the tree's arrays (threshold,
-    or a row of the level table for categorical splits).
+    thresholds.  Rows that agree on all of these form one cell, and each
+    cell is routed once.  Cells move down one depth at a time; each node's
+    test is read from the tree's arrays (threshold, or a row of the level
+    table for categorical splits).
     """
     if new_predictors is not None and len(new_predictors.columns):
         n = new_predictors.n_rows
@@ -696,18 +735,17 @@ def route_rows(tree: CartTree, new_predictors: Dataset | None, n_rows: int | Non
     else:
         raise MethodError("cart: routing needs predictors or an explicit row count")
     used = np.unique(tree.column[tree.column >= 0]).tolist()
-    columns = {c: new_predictors.column(tree.columns[c]) for c in used}
+    split_on = _missing_rule(new_predictors.columns, tree.expanded) if used else None
+    columns = {c: split_on.column(tree.columns[c]) for c in used}
 
     # each row's cell: its code per categorical split column, and per numeric
     # one the number of the column's thresholds below it (``v <= cut`` holds
-    # exactly for the cuts from that index on), or one past them if missing
+    # exactly for the cuts from that index on)
     cell_codes = []
     for c, column in columns.items():
         if column.is_numeric:
             cuts = np.unique(tree.threshold[tree.column == c])
-            interval = np.searchsorted(cuts, column.values)
-            interval[np.isnan(column.values)] = cuts.size + 1
-            cell_codes.append((interval, cuts.size + 2))
+            cell_codes.append((np.searchsorted(cuts, column.values), cuts.size + 1))
         else:
             cell_codes.append((column.values, len(column.levels)))
     cell_of, first = distinct_cells(cell_codes, n)
@@ -719,7 +757,6 @@ def route_rows(tree: CartTree, new_predictors: Dataset | None, n_rows: int | Non
     leaf_of = np.empty(first.size, dtype=np.int64)
     cells = np.arange(first.size)
     at = np.zeros(first.size, dtype=np.int64)
-    stuck: set[int] = set()  # numeric-split nodes a missing value reached
     while cells.size:
         done = tree.leaf_id[at] >= 0
         leaf_of[cells[done]] = tree.leaf_id[at[done]]
@@ -731,18 +768,7 @@ def route_rows(tree: CartTree, new_predictors: Dataset | None, n_rows: int | Non
         # codes past the level table were never seen: they read its last column
         code = np.minimum(v[cat], tree.goes_left.shape[1] - 1).astype(np.int64)
         go[cat] = tree.goes_left[row[cat], code]
-        missing = np.isnan(v)
-        stuck.update(at[missing].tolist())
-        cells, at = cells[~missing], (tree.left[at] + ~go)[~missing]  # right child: left + 1
-    if stuck:
-        # the node a depth-first router, left child first, would have reached first
-        stack, left = [0], tree.left.tolist()
-        while stack[-1] not in stuck:
-            u = stack.pop()
-            if left[u] >= 0:
-                stack += [left[u] + 1, left[u]]
-        colname = tree.columns[tree.column[stack[-1]]]
-        raise MethodError(f"cart: predictor {colname!r} has missing values at sampling")
+        at = tree.left[at] + ~go  # right child: left + 1
     return leaf_of[cell_of]
 
 

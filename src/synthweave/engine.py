@@ -15,8 +15,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .cart import MISSING_INDICATOR, CartTree
 from .errors import DataError, MethodError, PlanError
-from .models import MISSING_INDICATOR, CartFit, LogitFit, MultinomialFit, SampleFit
+from .models import LogitFit, MultinomialFit, SampleFit
 # fit_logit is unused here, but perfbench/test_perfbench.py checks that the
 # tracer patches it through this module
 from .models import fit_logit  # noqa: F401
@@ -46,7 +47,6 @@ class VariableSummary:
 @dataclass(frozen=True)
 class SynthesisRun:
     plan: SynthesisPlan
-    original: Dataset
     synthetic: Dataset
     summaries: tuple[VariableSummary, ...]
     warnings: tuple[str, ...]
@@ -115,7 +115,7 @@ def _tree_stats(model) -> dict | None:
     """Size of a variable's CART trees, the missingness-indicator tree
     included: nodes and leaves summed, depth of the deepest."""
     parts = [model.indicator, model.observed] if isinstance(model, _MissingAwareFit) else [model]
-    trees = [p.tree for p in parts if isinstance(p, CartFit)]
+    trees = [p for p in parts if isinstance(p, CartTree)]
     if not trees:
         return None
     return {
@@ -184,8 +184,7 @@ def _synthesize_stratum(
         syn_preds = (
             Dataset(tuple(synth[p] for p in pred_names)) if pred_names else None
         )
-        used_indicator = isinstance(target.kind, Numeric) and bool(t_fit.missing_mask().any())
-        if used_indicator:
+        if isinstance(target.kind, Numeric) and t_fit.missing_mask().any():
             model = _fit_with_missing(spec, t_fit, orig_preds)
         else:
             model = spec.fit(t_fit, orig_preds)
@@ -222,7 +221,8 @@ def _synthesize_stratum(
                 n_fit=int(fit_idx.size),
                 elapsed=time.perf_counter() - started,
                 rule_forced=forced,
-                missing_indicator=used_indicator,
+                # the sample method bootstraps missing cells with the rest
+                missing_indicator=isinstance(model, _MissingAwareFit),
                 warnings=fit_warnings,
                 stratum=stratum_label,
                 fit_s=fitted - started,
@@ -313,7 +313,6 @@ def synthesize(original: Dataset, plan: SynthesisPlan, n_rows: int | None = None
 
     return SynthesisRun(
         plan=plan,
-        original=original,
         synthetic=stack_rows(parts, f"{original.name}_synth"),
         summaries=tuple(summaries),
         warnings=tuple(run_warnings),

@@ -17,10 +17,9 @@ import scipy.sparse
 from . import cart as _cart
 from .design import INTERCEPT, Design, build_design, drop_aliased
 from .errors import MethodError
-from .tabular import Categorical, Column, Dataset, Numeric, distinct_cells, distinct_rows
+from .tabular import Categorical, Column, Dataset, distinct_cells, distinct_rows
 
 COEF_CAP = 30.0  # linear-scale magnitude cap under separation
-MISSING_INDICATOR = Categorical(("present", "missing"))
 
 
 def _fit_design(predictors: Dataset | None, n: int) -> tuple:
@@ -88,56 +87,6 @@ def fit_sample(values: Column) -> SampleFit:
     if len(pool) == 0:
         raise MethodError(f"sample: column {values.name!r} has no observed values")
     return SampleFit(pool)
-
-
-# ---------------------------------------------------------------------------
-# CART adapter
-# ---------------------------------------------------------------------------
-
-def _indicator_expanded(predictors: Dataset | None, expanded: tuple[str, ...]) -> Dataset | None:
-    """The predictors a tree sees, by the design layer's rule for numerics:
-    each column in ``expanded`` becomes a present/missing indicator followed
-    by its values, and every missing numeric cell counts as zero."""
-    if predictors is None:
-        return None
-    columns: list[Column] = []
-    for col in predictors.columns:
-        if isinstance(col.kind, Numeric):
-            missing = np.isnan(col.values)
-            if col.name in expanded:
-                columns.append(
-                    Column(f"{col.name}:missing", MISSING_INDICATOR, missing.astype(np.int64))
-                )
-            if missing.any():
-                col = Column(col.name, col.kind, np.where(missing, 0.0, col.values))
-        columns.append(col)
-    return Dataset(tuple(columns))
-
-
-@dataclass(frozen=True)
-class CartFit:
-    tree: _cart.CartTree
-    expanded: tuple[str, ...] = ()  # numeric predictors with missing cells at fit
-    warnings: tuple[str, ...] = ()
-
-    def sample(self, predictors, rng: np.random.Generator, n: int) -> np.ndarray:
-        predictors = _indicator_expanded(predictors, self.expanded)
-        return _cart.cart_sample(self.tree, predictors, rng, n_rows=n).values
-
-
-def fit_cart_model(target: Column, predictors: Dataset | None, min_bucket=5, complexity=1e-8) -> CartFit:
-    """A tree on any predictors: a numeric with missing cells in the fit rows
-    is split on as a present/missing indicator and its zero-filled values.
-    At sampling, a missing cell of a numeric that had none counts as zero."""
-    expanded = tuple(
-        col.name
-        for col in (predictors.columns if predictors is not None else ())
-        if isinstance(col.kind, Numeric) and np.isnan(col.values).any()
-    )
-    tree = _cart.fit_cart(
-        target, _indicator_expanded(predictors, expanded), min_bucket, complexity
-    )
-    return CartFit(tree, expanded)
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +284,17 @@ def _average_ranks(y: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def check_residual_scale(residual_scale) -> None:
+    """The ``residual_scale`` values ``fit_normrank`` and the plan's ``NormRank`` accept."""
+    if residual_scale < 0:
+        raise MethodError("normrank: residual_scale must be >= 0")
+
+
 def fit_normrank(target: Column, predictors: Dataset | None, residual_scale: float = 1.0) -> NormRankFit:
     """Regress Blom normal scores of the target, back-transform through the
     empirical quantile function (linear interpolation), so draws never leave
     the observed range."""
+    check_residual_scale(residual_scale)
     y = _cart._complete_target(target, "normrank")
     n = len(y)
     ranks = _average_ranks(y)
@@ -352,6 +308,12 @@ def fit_normrank(target: Column, predictors: Dataset | None, residual_scale: flo
 # Transform + Normal regression
 # ---------------------------------------------------------------------------
 
+def check_transform(transform) -> None:
+    """The transforms ``fit_transform_normal`` and the plan's ``TransformNormal`` accept."""
+    if transform not in ("identity", "sqrt", "cuberoot"):
+        raise MethodError(f"unknown transform {transform!r}")
+
+
 def _forward_transform(y: np.ndarray, transform: str, name: str) -> np.ndarray:
     if transform == "identity":
         return y.copy()
@@ -362,9 +324,7 @@ def _forward_transform(y: np.ndarray, transform: str, name: str) -> np.ndarray:
                 f"sqrt transform: {name!r} is negative at row {int(neg[0])}"
             )
         return np.sqrt(y)
-    if transform == "cuberoot":
-        return np.cbrt(y)
-    raise MethodError(f"unknown transform {transform!r}")
+    return np.cbrt(y)  # cuberoot
 
 
 def _inverse_transform(t: np.ndarray, transform: str) -> np.ndarray:
@@ -393,6 +353,7 @@ def fit_transform_normal(
 ) -> TransformNormalFit:
     """OLS on the transformed scale; draws are back-transformed, so unlike
     the rank method this one can extrapolate past the observed range."""
+    check_transform(transform)
     y = _cart._complete_target(target, "transform_normal")
     t = _forward_transform(y, transform, target.name)
     design, X, labels, notes, cell_of, _ = _fit_design(predictors, len(y))
@@ -424,6 +385,15 @@ class IrlsResult:
 
 def _expit(eta: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(eta, -COEF_CAP, COEF_CAP)))
+
+
+def check_newton_options(name: str, max_iter, tol) -> None:
+    """The solver options the Newton fits and the plan's ``Logit`` and
+    ``Multinomial`` accept; ``name`` is the method's."""
+    if max_iter < 1:
+        raise MethodError(f"{name}: max_iter must be >= 1")
+    if tol <= 0:
+        raise MethodError(f"{name}: tol must be > 0")
 
 
 def _newton_logit(
@@ -458,6 +428,7 @@ def _newton_logit(
     unit in the last place of ll, so a threshold below that unit would halve
     such steps on rounding alone and stall the score just above ``tol``.
     """
+    check_newton_options(name, max_iter, tol)
     gram, kept, notes, _ = drop_aliased(X, labels, trials)
     p = len(kept)
     K = Y.shape[1]

@@ -4,7 +4,7 @@ A method is one class here (its name, the target kind it accepts, the model
 of a numeric target's missing cells, and ``fit``) plus its entry in
 ``METHODS``.  The engine, the plan JSON and the kind checks read only those,
 so a new method needs no other edit.  Numeric predictors with missing cells
-are the fitted models' business: the design layer and the CART adapter both
+are the fitted models' business: the design layer and ``fit_cart`` both
 turn them into a missing indicator plus zero-filled values.
 
 A plan is validated against a concrete Dataset before any fitting happens;
@@ -23,8 +23,8 @@ from functools import cached_property
 from pathlib import Path
 from typing import ClassVar, Mapping, Sequence, Union
 
-from . import models
-from .errors import PlanError
+from . import cart, models
+from .errors import MethodError, PlanError
 from .tabular import Categorical, Column, Dataset, Numeric, VariableKind, _read_json, _rewritten
 
 # Categorical variables above this many levels trigger grouping / ordering
@@ -44,11 +44,22 @@ class MethodSpec:
     None for any); ``missing_model`` synthesizes the missingness indicator
     of a numeric target (None: missing cells are bootstrapped with the rest);
     ``fit(target, predictors)`` returns a model with ``sample(predictors,
-    rng, n)`` and ``warnings``.
+    rng, n)`` and ``warnings``.  ``check_options`` raises the fit
+    function's ``MethodError`` for an option value it rejects, which a plan
+    reports as a ``PlanError``.
     """
 
     name: ClassVar[str]
     target_kind: ClassVar[type | None] = None
+
+    def __post_init__(self):
+        try:
+            self.check_options()
+        except MethodError as exc:
+            raise PlanError(str(exc)) from None
+
+    def check_options(self) -> None:
+        pass
 
     @property
     def missing_model(self) -> MethodSpec | None:
@@ -86,18 +97,15 @@ class Cart(MethodSpec):
 
     name = "cart"
 
-    def __post_init__(self):
-        if self.min_bucket < 1:
-            raise PlanError("cart: min_bucket must be >= 1")
-        if self.complexity < 0:
-            raise PlanError("cart: complexity must be >= 0")
+    def check_options(self):
+        cart.check_cart_options(self.min_bucket, self.complexity)
 
     @property
     def missing_model(self) -> Cart:
         return self
 
     def fit(self, target, predictors):
-        return models.fit_cart_model(target, predictors, self.min_bucket, self.complexity)
+        return cart.fit_cart(target, predictors, self.min_bucket, self.complexity)
 
 
 @dataclass(frozen=True)
@@ -109,9 +117,8 @@ class NormRank(MethodSpec):
     name = "normrank"
     target_kind = Numeric
 
-    def __post_init__(self):
-        if self.residual_scale < 0:
-            raise PlanError("normrank: residual_scale must be >= 0")
+    def check_options(self):
+        models.check_residual_scale(self.residual_scale)
 
     def fit(self, target, predictors):
         return models.fit_normrank(target, predictors, self.residual_scale)
@@ -124,9 +131,8 @@ class TransformNormal(MethodSpec):
     name = "transform_normal"
     target_kind = Numeric
 
-    def __post_init__(self):
-        if self.transform not in ("sqrt", "cuberoot", "identity"):
-            raise PlanError(f"unknown transform {self.transform!r}")
+    def check_options(self):
+        models.check_transform(self.transform)
 
     def fit(self, target, predictors):
         return models.fit_transform_normal(target, predictors, self.transform)
@@ -141,11 +147,8 @@ class _Newton(MethodSpec):
 
     target_kind = Categorical
 
-    def __post_init__(self):
-        if self.max_iter < 1:
-            raise PlanError(f"{self.name}: max_iter must be >= 1")
-        if self.tol <= 0:
-            raise PlanError(f"{self.name}: tol must be > 0")
+    def check_options(self):
+        models.check_newton_options(self.name, self.max_iter, self.tol)
 
 
 @dataclass(frozen=True)

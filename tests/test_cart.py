@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from synthweave import (
-    Cart, Dataset, MethodError, Sample, SynthesisPlan, ToyCensusSpec, categorical_column,
-    generate_toy_census, numeric_column, run_report, synthesize,
+    Cart, DataError, Dataset, MethodError, Sample, SynthesisPlan, ToyCensusSpec,
+    categorical_column, generate_toy_census, numeric_column, run_report, synthesize,
 )
 from synthweave import cart
 from synthweave.cart import CartNode, cart_sample, fit_cart, route_rows
 from synthweave.tabular import Categorical, Column, Numeric
+from test_engine import expand_missing_predictors
 
 
 def exhaustive_best_numeric_split(x, y):
@@ -97,6 +98,12 @@ class TestFitCart:
         tgt = numeric_column("y", [1.0, np.nan])
         with pytest.raises(MethodError, match="missing"):
             fit_cart(tgt, None)
+
+    def test_indicator_name_taken_by_another_predictor_rejected(self):
+        x = numeric_column("x", [1.0, np.nan, 3.0, 4.0] * 5)
+        taken = categorical_column("x:missing", ["a", "b"] * 10)
+        with pytest.raises(DataError, match=r"duplicate column names: \['x:missing'\]"):
+            fit_cart(numeric_column("y", np.arange(20.0)), Dataset((x, taken)))
 
     def test_many_level_predictor_contiguous_search(self):
         # 20 levels forces the ordered-contiguous path; deterministic target
@@ -563,21 +570,21 @@ class TestMatchesDepthFirstReference:
                 for c in new.columns
             ]
             broken = Dataset(tuple(holes))
-            with pytest.raises(MethodError) as expected:
-                _ref_route_rows(tree, broken)
-            with pytest.raises(MethodError, match="missing values at sampling") as got:
-                route_rows(tree, broken)
-            assert str(got.value) == str(expected.value)
+            _, filled = expand_missing_predictors(preds, broken)
+            assert np.array_equal(route_rows(tree, broken), _ref_route_rows(tree, filled))
         # a missing cell is never routed as another row's cell: two copies of
-        # one row, above every threshold of the root's column and then missing
-        kind, name = tree.nodes[0].split[:2]
-        assert kind == "num"
+        # one row, above every threshold of the root's column and then
+        # missing, which counts as zero and goes left of the root's cut
+        kind, name, cut = tree.nodes[0].split
+        assert kind == "num" and cut > 0
         pair = Dataset(tuple(
             numeric_column(c.name, [1e9, np.nan]) if c.name == name else c.take([0, 0])
             for c in preds.columns
         ))
-        with pytest.raises(MethodError, match=f"predictor {name!r} has missing values"):
-            route_rows(tree, pair)
+        _, filled = expand_missing_predictors(preds, pair)
+        leaves = route_rows(tree, pair)
+        assert leaves[0] != leaves[1]
+        assert np.array_equal(leaves, _ref_route_rows(tree, filled))
 
     def test_unit_key_of_many_wide_predictors(self):
         # four predictors of 2**16 declared levels and a two-level target:
@@ -617,7 +624,7 @@ class TestMatchesDepthFirstReference:
         ))
         assert np.array_equal(route_rows(tree, new), _ref_route_rows(tree, new))
 
-    def test_missing_value_at_sampling_same_error(self):
+    def test_missing_values_at_sampling_count_as_zero(self):
         target, preds = _reference_case("categorical", 3, 700)
         tree = fit_cart(target, preds, min_bucket=5)
         new = _sampling_predictors(preds, 3, 400)
@@ -629,11 +636,39 @@ class TestMatchesDepthFirstReference:
                     values[::7] = np.nan
                 cols.append(Column(col.name, col.kind, values))
             broken = Dataset(tuple(cols))
-            with pytest.raises(MethodError) as expected:
-                _ref_route_rows(tree, broken)
-            with pytest.raises(MethodError, match="missing values at sampling") as got:
-                route_rows(tree, broken)
-            assert str(got.value) == str(expected.value)
+            _, filled = expand_missing_predictors(preds, broken)
+            assert np.array_equal(route_rows(tree, broken), _ref_route_rows(tree, filled))
+
+    @pytest.mark.parametrize("case", ["categorical", "tied_ratio"])
+    @pytest.mark.parametrize("min_bucket", [1, 5])
+    def test_missing_predictor_cells_are_an_indicator_and_zeros(self, case, min_bucket):
+        # age is missing mostly where the target is in its lower half, so
+        # the indicator carries signal; every numeric predictor has holes
+        for seed in (5, 6):
+            target, preds = _reference_case(case, seed, 700)
+            rng = np.random.default_rng(seed)
+            low = target.values <= np.median(target.values)
+            cols = []
+            for col in preds.columns:
+                if col.is_numeric:
+                    rate = np.where(low, 0.4, 0.05) if col.name == "age" else 0.1
+                    col = Column(col.name, col.kind, np.where(rng.random(700) < rate, np.nan, col.values))
+                cols.append(col)
+            holed = Dataset(tuple(cols))
+            new = _sampling_predictors(preds, seed, 500)
+            new = Dataset(tuple(
+                Column(c.name, c.kind, np.where(rng.random(500) < 0.2, np.nan, c.values))
+                if c.is_numeric else c
+                for c in new.columns
+            ))
+            tree = fit_cart(target, holed, min_bucket=min_bucket)
+            fit_preds, sample_preds = expand_missing_predictors(holed, new)
+            assert tree.expanded == tuple(c.name for c in holed.columns if c.is_numeric)
+            assert tree.columns == fit_preds.names
+            assert any(node.split[1] == "age:missing" for node in tree.nodes if node.split)
+            _assert_same_as_reference(tree, target, fit_preds, min_bucket, 1e-8)
+            assert np.array_equal(route_rows(tree, new), _ref_route_rows(tree, sample_preds))
+            assert np.array_equal(route_rows(tree, holed), _training_leaf_of(tree))
 
     def test_midpoint_rounding_up_still_splits_the_candidate(self):
         # (b + c) / 2 rounds to c for these adjacent floats; cutting at the

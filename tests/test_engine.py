@@ -36,7 +36,7 @@ from synthweave import (
 from synthweave import engine
 from synthweave.cart import cart_sample, fit_cart
 from synthweave.engine import _eval_atoms, _fit_with_missing, _synthesize_stratum
-from synthweave.models import fit_cart_model, fit_logit, fit_multinomial
+from synthweave.models import fit_logit, fit_multinomial
 from synthweave.tabular import Categorical, Column, Numeric
 
 
@@ -363,6 +363,20 @@ class TestMissingData:
         assert abs(rate - 0.072) < 0.01
         assert [s.missing_indicator for s in run.summaries if s.name == "pperroom"] == [True]
 
+    def test_sample_method_reports_no_indicator(self):
+        # the sample method bootstraps missing cells with the rest: no
+        # missingness model is fitted, so the report must not claim one
+        rng = np.random.default_rng(43)
+        y = rng.normal(size=300)
+        y[rng.random(300) < 0.2] = np.nan
+        data = Dataset(
+            (numeric_column("y", y), categorical_column("g", list(rng.choice(["a", "b"], 300))))
+        )
+        run = synthesize(data, SynthesisPlan(("y", "g"), {"y": Sample(), "g": Cart()}, seed=2))
+        assert np.isnan(run.synthetic.column("y").values).any()
+        doc = run_report(run)
+        assert [v["missing_indicator"] for v in doc["variables"]] == [False, False]
+
     def test_no_missing_skips_indicator_and_matches_plain_path(self):
         rng = np.random.default_rng(41)
         data = Dataset(
@@ -375,10 +389,8 @@ class TestMissingData:
         run = synthesize(data, plan)
         assert [s.missing_indicator for s in run.summaries if s.name == "y"] == [False]
         # reproduce by hand with the same substream: (entropy, stratum 0, pos 1)
-        from synthweave.models import fit_cart_model
-
         stream = np.random.default_rng(np.random.SeedSequence([8, 0, 1]))
-        model = fit_cart_model(data.column("y"), data.select(["g"]))
+        model = fit_cart(data.column("y"), data.select(["g"]))
         expected = model.sample(run.synthetic.select(["g"]), stream, 400)
         assert np.array_equal(run.synthetic.column("y").values, expected)
 
@@ -739,7 +751,7 @@ def assert_matches_reference(original, plan, run):
 
 class TestMissingPredictors:
     """Numeric predictors with missing cells: the design layer (regressions)
-    and the CART adapter apply the rule the engine used to apply itself."""
+    and ``fit_cart`` apply the rule the engine used to apply itself."""
 
     # pperroom moved before mar and occ1, so later fits condition on it
     VISIT = ("region", "sex", "age", "pperroom", "mar", "occ1", "occ3")
@@ -812,7 +824,7 @@ class TestMissingPredictors:
         syn_g = run.synthetic.column("g").values
         assert np.isnan(syn_x[syn_g == data.column("g").levels.index("a")]).any()
 
-    def test_cart_adapter_takes_missing_numeric_predictor(self, small_census):
+    def test_fit_cart_takes_missing_numeric_predictor(self, small_census):
         # a propensity-style tree on two stacked census draws, pperroom included
         other = generate_toy_census(ToyCensusSpec(n_rows=3000, seed=18))
         stacked = Dataset(
@@ -822,9 +834,7 @@ class TestMissingPredictors:
             )
         )
         label = categorical_column("synthetic", ["no"] * 3000 + ["yes"] * 3000)
-        with pytest.raises(MethodError, match="expand it with a missing indicator"):
-            fit_cart(label, stacked)
-        fit = fit_cart_model(label, stacked)
+        fit = fit_cart(label, stacked)
         assert fit.expanded == ("pperroom",)
         fresh = generate_toy_census(ToyCensusSpec(n_rows=500, seed=19))
         draws = fit.sample(fresh, np.random.default_rng(3), fresh.n_rows)
@@ -832,9 +842,10 @@ class TestMissingPredictors:
         # the same tree and draws as on reference-expanded predictors
         fit_preds, sample_preds = expand_missing_predictors(stacked, stacked)
         reference = fit_cart(label, fit_preds)
-        assert fit.tree.nodes == reference.nodes
+        assert reference.expanded == ()
+        assert fit.nodes == reference.nodes
         for field in ("donor_rows", "leaf_offsets", "leaf_sizes"):
-            assert np.array_equal(getattr(fit.tree, field), getattr(reference, field)), field
+            assert np.array_equal(getattr(fit, field), getattr(reference, field)), field
         _, fresh_preds = expand_missing_predictors(fresh, fresh)
         expected = cart_sample(reference, fresh_preds, np.random.default_rng(3), 500)
         assert np.array_equal(draws, expected.values)

@@ -16,15 +16,19 @@ from synthweave import models
 from synthweave import (
     Dataset,
     MethodError,
+    PlanError,
     categorical_column,
+    fit_cart,
     fit_logit,
     fit_multinomial,
     fit_nested,
     fit_normrank,
+    fit_propensity,
     fit_sample,
     fit_transform_normal,
     numeric_column,
 )
+from synthweave.plan import METHODS
 
 
 def ks_distance(a, b):
@@ -469,6 +473,58 @@ def test_numeric_target_must_be_complete_and_non_empty(fit, method):
         fit(numeric_column("y", [1.0, np.nan, 3.0]), None)
     with pytest.raises(MethodError, match=f"^{method}: target 'y' is empty$"):
         fit(numeric_column("y", np.array([])), None)
+
+
+def _option_case(method):
+    """(target, predictors) that ``method`` fits without complaint."""
+    rng = np.random.default_rng(3)
+    x = numeric_column("x", rng.normal(size=60))
+    if method in ("logit", "multinomial"):
+        levels = ["a", "b"] if method == "logit" else ["a", "b", "c"]
+        return categorical_column("y", list(rng.choice(levels, 60))), Dataset((x,))
+    return numeric_column("y", rng.gamma(2.0, size=60)), Dataset((x,))
+
+
+FIT_FUNCTIONS = {
+    "cart": fit_cart, "normrank": fit_normrank, "transform_normal": fit_transform_normal,
+    "logit": fit_logit, "multinomial": fit_multinomial,
+}
+
+
+@pytest.mark.parametrize(
+    "method, options, message",
+    [
+        ("cart", {"min_bucket": 0}, "cart: min_bucket must be >= 1"),
+        ("cart", {"min_bucket": -3}, "cart: min_bucket must be >= 1"),
+        ("cart", {"complexity": -1.0}, "cart: complexity must be >= 0"),
+        ("normrank", {"residual_scale": -2.0}, "normrank: residual_scale must be >= 0"),
+        ("transform_normal", {"transform": "log"}, "unknown transform 'log'"),
+        ("logit", {"max_iter": 0}, "logit: max_iter must be >= 1"),
+        ("logit", {"tol": -1.0}, "logit: tol must be > 0"),
+        ("multinomial", {"max_iter": 0}, "multinomial: max_iter must be >= 1"),
+        ("multinomial", {"tol": 0.0}, "multinomial: tol must be > 0"),
+    ],
+)
+def test_fit_functions_reject_the_options_their_plan_methods_reject(method, options, message):
+    target, predictors = _option_case(method)
+    with pytest.raises(MethodError) as got:
+        FIT_FUNCTIONS[method](target, predictors, **options)
+    assert str(got.value) == message
+    with pytest.raises(PlanError) as planned:
+        METHODS[method](**options)
+    assert str(planned.value) == message
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [({"max_iter": 0}, "logit: max_iter must be >= 1"), ({"tol": -1.0}, "logit: tol must be > 0")],
+)
+def test_propensity_solver_options_checked(options, message):
+    data = Dataset((categorical_column("g", ["a", "b"] * 25),))
+    other = Dataset((categorical_column("g", ["a", "b", "b"] * 20),))
+    with pytest.raises(MethodError) as got:
+        fit_propensity(data, other, **options)
+    assert str(got.value) == message
 
 
 class TestNested:
