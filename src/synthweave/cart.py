@@ -80,6 +80,8 @@ search over one node at a time:
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -460,7 +462,9 @@ def _categorical_gains(codes, n_levels, units, t, categorical, n_tgt, depth: _De
             left[idx[ok, None], rest[ok]] = masks[best[ok]] > 0
 
     # above that: order levels by target mean (numeric) / first-level share
-    # (categorical), then scan contiguous splits only
+    # (categorical), then scan contiguous splits only; the observed levels
+    # sort first, so a cut past the last of them leaves the right side no
+    # rows, which min_bucket >= 1 rejects
     many = np.flatnonzero(k > MAX_EXHAUSTIVE_LEVELS)
     block = max(1, _BLOCK_ELEMENTS // (K * stat.shape[2]))
     for lo in range(0, many.size, block):
@@ -475,7 +479,6 @@ def _categorical_gains(codes, n_levels, units, t, categorical, n_tgt, depth: _De
             np.take_along_axis(st, order[:, :, None], axis=1).cumsum(axis=1)[:, :-1],
             st.cumsum(axis=1)[:, -1][:, None],
         )
-        g[np.arange(K - 1) >= (k[idx] - 1)[:, None]] = -np.inf
         best, top, ok = _best_of(g)
         gain[idx[ok]] = top[ok]
         chosen = np.zeros((idx.size, K), dtype=bool)
@@ -512,11 +515,27 @@ def _depth_first_ids(split_ids: list[np.ndarray], kid: np.ndarray):
     return new_id, np.where(kid < 0, leaves_before, -1)
 
 
+def check_whole(method: str, option: str, value) -> None:
+    """A ``MethodError`` unless the count option ``value`` is an integer
+    (numpy's too) that is not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise MethodError(f"{method}: {option} must be a whole number, got {value!r}")
+
+
+def check_number(method: str, option: str, value) -> None:
+    """A ``MethodError`` unless the real-valued option ``value`` is a finite
+    number (numpy's too) that is not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise MethodError(f"{method}: {option} must be a finite number, got {value!r}")
+
+
 def check_cart_options(min_bucket, complexity) -> None:
     """The option values ``fit_cart`` and the plan's ``Cart`` accept."""
+    check_whole("cart", "min_bucket", min_bucket)
     if min_bucket < 1:
         raise MethodError("cart: min_bucket must be >= 1")
-    if complexity < 0:
+    check_number("cart", "complexity", complexity)
+    if not complexity >= 0:
         raise MethodError("cart: complexity must be >= 0")
 
 

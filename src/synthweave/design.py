@@ -8,6 +8,12 @@ product of every pair of those columns that come from different source
 variables.  Constant columns are dropped at fit time with a recorded note;
 rank-deficient designs get aliased columns dropped at solve time.
 
+Every sparse matrix of the package is built here: the design matrix, the
+intercept-only matrix of a fit without predictors, a design's nonzero
+pattern and the ``Gram`` pair index.  ``scipy.sparse`` is imported the first
+time one is built, so the commands that fit no regression (a sample, CART or
+nested plan, ``compare``, ``gentoy``) never load SciPy.
+
 ``Design.matrix`` returns a ``scipy.sparse`` CSR matrix that stores only each
 term's nonzero rows: a main-effects row has at most one nonzero per source
 variable (two for a numeric with missing cells), however many levels the
@@ -25,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from .errors import MethodError
 from .tabular import Categorical, Dataset, Numeric
@@ -59,12 +64,29 @@ class Design:
         return _assemble([nonzeros(term) for term in self.terms], data.n_rows)
 
 
+def _sparse():
+    """``scipy.sparse``, imported on the first call: the one import of SciPy."""
+    import scipy.sparse
+
+    return scipy.sparse
+
+
 def _assemble(parts, n: int) -> scipy.sparse.csr_array:
     """The n-row CSR matrix whose column j holds the (rows, values) ``parts[j]``."""
     rows = np.concatenate([r for r, _ in parts])
     vals = np.concatenate([v for _, v in parts])
     cols = np.repeat(np.arange(len(parts)), [len(r) for r, _ in parts])
-    return scipy.sparse.coo_array((vals, (rows, cols)), shape=(n, len(parts))).tocsr()
+    return _sparse().coo_array((vals, (rows, cols)), shape=(n, len(parts))).tocsr()
+
+
+def intercept_matrix(n: int) -> scipy.sparse.csr_array:
+    """The n x 1 matrix of ones: the design of a fit without predictors."""
+    return _assemble([(np.arange(n), np.ones(n))], n)
+
+
+def nonzero_pattern(X: scipy.sparse.csr_array) -> scipy.sparse.csr_array:
+    """The CSR matrix of ``X``'s shape that is True at its nonzero entries."""
+    return _sparse().csr_array((X.data != 0, X.indices, X.indptr), shape=X.shape)
 
 
 class _Nonzeros:
@@ -210,7 +232,7 @@ class Gram:
                 ).ravel()
                 products[block] = (np.take(vals, a, axis=1) * np.take(vals, b, axis=1)).ravel()
         self.p = p
-        self.S = scipy.sparse.csr_array((products, pair_cols, indptr), shape=(n, p * p)).T
+        self.S = _sparse().csr_array((products, pair_cols, indptr), shape=(n, p * p)).T
 
     def __call__(self, w: np.ndarray) -> np.ndarray:
         """X' diag(w) X for a 1-D ``w``; shape (m, p, p) for an (n, m) ``w``."""

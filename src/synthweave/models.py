@@ -12,10 +12,9 @@ import warnings as _warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
 
 from . import cart as _cart
-from .design import INTERCEPT, Design, build_design, drop_aliased
+from .design import INTERCEPT, Design, build_design, drop_aliased, intercept_matrix
 from .errors import MethodError
 from .tabular import Categorical, Column, Dataset, distinct_cells, distinct_rows
 
@@ -44,7 +43,7 @@ def _fit_design(predictors: Dataset | None, n: int) -> tuple:
 
 def _matrix(design: Design | None, predictors: Dataset | None, n: int) -> scipy.sparse.csr_array:
     if design is None:
-        return scipy.sparse.csr_array(np.ones((n, 1)))
+        return intercept_matrix(n)
     if predictors is None:
         raise MethodError("this fit needs predictor columns for sampling")
     return design.matrix(predictors)
@@ -286,7 +285,8 @@ def _average_ranks(y: np.ndarray) -> np.ndarray:
 
 def check_residual_scale(residual_scale) -> None:
     """The ``residual_scale`` values ``fit_normrank`` and the plan's ``NormRank`` accept."""
-    if residual_scale < 0:
+    _cart.check_number("normrank", "residual_scale", residual_scale)
+    if not residual_scale >= 0:
         raise MethodError("normrank: residual_scale must be >= 0")
 
 
@@ -390,9 +390,11 @@ def _expit(eta: np.ndarray) -> np.ndarray:
 def check_newton_options(name: str, max_iter, tol) -> None:
     """The solver options the Newton fits and the plan's ``Logit`` and
     ``Multinomial`` accept; ``name`` is the method's."""
+    _cart.check_whole(name, "max_iter", max_iter)
     if max_iter < 1:
         raise MethodError(f"{name}: max_iter must be >= 1")
-    if tol <= 0:
+    _cart.check_number(name, "tol", tol)
+    if not tol > 0:
         raise MethodError(f"{name}: tol must be > 0")
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -28,8 +29,10 @@ class SdcConfig:
 
 
 def _check_noise_scale(noise_scale: float) -> None:
-    if noise_scale < 0:
+    if not noise_scale >= 0:  # NaN fails too
         raise DataError("noise_scale must be >= 0")
+    if noise_scale == math.inf:
+        raise DataError(f"noise_scale must be finite, got {noise_scale!r}")
 
 
 def sdc_from_json(doc: dict | None) -> SdcConfig | None:
@@ -43,6 +46,8 @@ def sdc_from_json(doc: dict | None) -> SdcConfig | None:
     scale = doc.get("noise_scale", 0.0)
     if isinstance(scale, bool) or not isinstance(scale, (int, float)) or not scale >= 0:
         raise PlanError(f"sdc.noise_scale must be a number >= 0, got {scale!r}")
+    if scale == math.inf:
+        raise PlanError(f"sdc.noise_scale must be finite, got {scale!r}")
     label = doc.get("label", "synthetic")
     if not isinstance(label, str):
         raise PlanError(f"sdc.label must be a string, got {label!r}")

@@ -24,9 +24,8 @@ import warnings as _warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
 
-from .design import INTERCEPT, build_design
+from .design import INTERCEPT, build_design, nonzero_pattern
 from .errors import UtilityError
 from .models import COEF_CAP, irls_logit
 from .plan import HIGH_CARDINALITY_THRESHOLD
@@ -443,8 +442,7 @@ def _one_sided_terms(
     stops on a small score while such a coefficient is still running off,
     so it converges without a warning, but the coefficient and its standard
     error mean nothing."""
-    nonzero = scipy.sparse.csr_array((X.data != 0, X.indices, X.indptr), shape=X.shape)
-    rows = (nonzero.T @ np.column_stack([trials - successes, successes]))[kept]
+    rows = (nonzero_pattern(X).T @ np.column_stack([trials - successes, successes]))[kept]
     sides = [
         f"{side} only: " + ", ".join(labels[j] for j in kept[rows[:, other] == 0])
         for side, other in (("original", 1), ("synthetic", 0))

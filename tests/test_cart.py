@@ -682,6 +682,20 @@ class TestMatchesDepthFirstReference:
         assert tree.nodes[0].split == ("num", "x", b)
         assert tree.leaf_sizes.tolist() == [6, 6]
 
+    def test_midpoint_rounding_up_is_kept_when_a_larger_value_follows(self):
+        # the threshold is the midpoint of the cut's two values, as the
+        # reference's, unless that would leave the right child empty: here a
+        # larger value follows, so the root cuts at the midpoint, which rounds
+        # to c and sends c's rows left; their node then cuts at b
+        b = 1.0000000000000002
+        c = np.nextafter(b, 2.0)
+        x = np.array([b] * 6 + [c] * 6 + [2.0])
+        tree = fit_cart(numeric_column("y", [0.0] * 6 + [1.0] * 7),
+                        Dataset((numeric_column("x", x),)), min_bucket=1, complexity=0.0)
+        assert tree.nodes[0].split == ("num", "x", c)
+        assert tree.nodes[tree.nodes[0].left].split == ("num", "x", b)
+        assert tree.leaf_sizes.tolist() == [6, 6, 1]
+
     def test_depth_counts_splits_on_longest_path(self):
         x = np.arange(1, 11, dtype=float)
         tree = fit_cart(numeric_column("y", x), Dataset((numeric_column("x", x),)),

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -175,6 +176,35 @@ class TestSynth:
         assert result.returncode == 2, result.stderr
         assert "Traceback" not in result.stderr
         assert "plan error: rules[0] lacks condition" in result.stderr
+
+    @pytest.mark.parametrize(
+        "option, value, text, message",
+        [("max_iter", math.inf, "Infinity", "max_iter must be a whole number, got inf"),
+         ("tol", math.nan, "NaN", "tol must be a finite number, got nan")],
+    )
+    def test_infinite_or_nan_solver_option_exits_2_without_traceback(
+        self, toy_files, tmp_path, option, value, text, message
+    ):
+        # an infinite max_iter used to pass validation and end in a TypeError
+        # from the solver; a NaN tol passed every check
+        root, data, schema, plan = toy_files
+        doc = json.loads(plan.read_text())
+        doc["methods"]["sex"] = {"kind": "logit", option: value}
+        bad = tmp_path / "bad_option.json"
+        bad.write_text(json.dumps(doc))
+        assert f'"{option}": {text}' in bad.read_text()
+        env = dict(os.environ, PYTHONPATH=str(Path(synthweave.__file__).parents[1]))
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "synthweave", "synth", "--data", str(data),
+                "--schema", str(schema), "--plan", str(bad), "--out", str(tmp_path / "o.csv"),
+            ],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert result.returncode == 2, result.stderr
+        assert "Traceback" not in result.stderr
+        assert result.stderr == f"plan error: logit: {message}\n"
+        assert not (tmp_path / "o.csv").exists()
 
     def test_seed_override_deterministic(self, toy_files, tmp_path):
         root, data, schema, plan = toy_files
@@ -985,6 +1015,69 @@ def test_synth_and_utility_leave_scipy_linalg_special_and_stats_unloaded(tmp_pat
         assert 0.0 <= report["tables"][0]["p_value"] <= 1.0
         loaded = [m for m in ("scipy.linalg", "scipy.special", "scipy.stats") if m in sys.modules]
         assert not loaded, loaded
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(synthweave.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_plans_without_a_regression_and_compare_leave_scipy_unloaded(tmp_path):
+    # every sparse matrix is built in synthweave.design, which imports
+    # scipy.sparse on first use: synth with a sample, CART and nested plan
+    # (pperroom has missing cells, so its missingness tree is fitted too),
+    # compare and gentoy load no SciPy module; a regression fit and utility
+    # in the same interpreter load it then and still work
+    code = textwrap.dedent(
+        """
+        import json, sys
+        from pathlib import Path
+        from synthweave.cli import main
+        work = Path(sys.argv[1])
+        def scipy_modules():
+            return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+        assert main(["gentoy", "--rows", "2000", "--seed", "3", "--out", str(work / "d.csv")]) == 0
+        model = json.loads((work / "d.model.json").read_text())
+        (work / "schema.json").write_text(json.dumps(model["schema"]))
+        methods = {
+            "cart": {
+                "region": "sample", "sex": "cart", "age": "cart", "mar": "cart",
+                "occ1": "cart", "occ3": {"kind": "nested", "group_column": "occ1"},
+                "pperroom": "cart",
+            },
+            "parametric": {"region": "sample", "sex": "logit", "pperroom": "normrank"},
+        }
+        files = {name: str(work / name) for name in ("d.csv", "schema.json", "u.json")}
+        def synth(kind):
+            plan = work / f"{kind}_plan.json"
+            plan.write_text(json.dumps({
+                "visit_sequence": ["region", "sex", "age", "mar", "occ1", "occ3", "pperroom"],
+                "methods": methods[kind], "nesting": {"occ3": "occ1"}, "seed": 8,
+            }))
+            out, report = work / f"{kind}.csv", work / f"{kind}.json"
+            assert main([
+                "synth", "--data", files["d.csv"], "--schema", files["schema.json"],
+                "--plan", str(plan), "--out", str(out), "--report", str(report),
+            ]) == 0
+            return str(out), json.loads(report.read_text())
+        cart_csv, report = synth("cart")
+        pperroom = next(v for v in report["variables"] if v["name"] == "pperroom")
+        assert pperroom["tree"]["nodes"] == 2 * pperroom["tree"]["leaves"] - 2, pperroom
+        assert main([
+            "compare", "--original", files["d.csv"], "--synthetic", cart_csv,
+            "--schema", files["schema.json"], "--pairs", "mar*age",
+        ]) == 0
+        assert not scipy_modules(), scipy_modules()
+        synth("parametric")
+        assert "scipy.sparse" in sys.modules
+        assert main([
+            "utility", "--original", files["d.csv"], "--synthetic", cart_csv,
+            "--schema", files["schema.json"], "--tables", "mar*age", "--report", files["u.json"],
+        ]) == 0
+        assert 0.0 < json.loads(Path(files["u.json"]).read_text())["u_gen"]["p_value"] <= 1.0
         """
     )
     env = dict(os.environ, PYTHONPATH=str(Path(synthweave.__file__).parents[1]))

@@ -503,6 +503,28 @@ FIT_FUNCTIONS = {
         ("logit", {"tol": -1.0}, "logit: tol must be > 0"),
         ("multinomial", {"max_iter": 0}, "multinomial: max_iter must be >= 1"),
         ("multinomial", {"tol": 0.0}, "multinomial: tol must be > 0"),
+        # the count options take whole numbers only, the others finite numbers
+        ("cart", {"min_bucket": math.nan}, "cart: min_bucket must be a whole number, got nan"),
+        ("cart", {"min_bucket": 2.5}, "cart: min_bucket must be a whole number, got 2.5"),
+        ("cart", {"min_bucket": math.inf}, "cart: min_bucket must be a whole number, got inf"),
+        ("cart", {"min_bucket": True}, "cart: min_bucket must be a whole number, got True"),
+        ("cart", {"min_bucket": "5"}, "cart: min_bucket must be a whole number, got '5'"),
+        ("cart", {"complexity": math.nan}, "cart: complexity must be a finite number, got nan"),
+        ("cart", {"complexity": "0.1"}, "cart: complexity must be a finite number, got '0.1'"),
+        ("normrank", {"residual_scale": math.nan},
+         "normrank: residual_scale must be a finite number, got nan"),
+        ("logit", {"max_iter": math.inf}, "logit: max_iter must be a whole number, got inf"),
+        ("logit", {"max_iter": 2.5}, "logit: max_iter must be a whole number, got 2.5"),
+        ("logit", {"max_iter": math.nan}, "logit: max_iter must be a whole number, got nan"),
+        ("logit", {"max_iter": True}, "logit: max_iter must be a whole number, got True"),
+        ("logit", {"tol": math.nan}, "logit: tol must be a finite number, got nan"),
+        ("logit", {"tol": True}, "logit: tol must be a finite number, got True"),
+        ("multinomial", {"max_iter": 2.5}, "multinomial: max_iter must be a whole number, got 2.5"),
+        ("multinomial", {"tol": math.nan}, "multinomial: tol must be a finite number, got nan"),
+        ("cart", {"complexity": math.inf}, "cart: complexity must be a finite number, got inf"),
+        ("normrank", {"residual_scale": math.inf},
+         "normrank: residual_scale must be a finite number, got inf"),
+        ("logit", {"tol": math.inf}, "logit: tol must be a finite number, got inf"),
     ],
 )
 def test_fit_functions_reject_the_options_their_plan_methods_reject(method, options, message):
@@ -513,6 +535,17 @@ def test_fit_functions_reject_the_options_their_plan_methods_reject(method, opti
     with pytest.raises(PlanError) as planned:
         METHODS[method](**options)
     assert str(planned.value) == message
+
+
+@pytest.mark.parametrize(
+    "method, options",
+    [("cart", {"min_bucket": np.int64(7), "complexity": np.float32(0.01)}),
+     ("logit", {"max_iter": np.int32(50), "tol": np.float64(1e-8)})],
+)
+def test_numpy_scalars_are_numbers(method, options):
+    target, predictors = _option_case(method)
+    FIT_FUNCTIONS[method](target, predictors, **options)
+    METHODS[method](**options)
 
 
 @pytest.mark.parametrize(

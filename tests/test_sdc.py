@@ -237,6 +237,19 @@ class TestApplySdc:
                 check_sdc_columns(cfg, plan, data)
             assert str(exc.value) == message
 
+    @pytest.mark.parametrize(
+        "scale, message",
+        [(-0.1, "noise_scale must be >= 0"), (math.nan, "noise_scale must be >= 0"),
+         (math.inf, "noise_scale must be finite, got inf")],
+    )
+    def test_config_rejects_a_negative_nan_or_infinite_noise_scale(self, scale, message):
+        with pytest.raises(DataError) as got:
+            SdcConfig(noise_scale=scale)
+        assert str(got.value) == message
+        with pytest.raises(DataError) as got:
+            add_noise(keyed([("x", 1.0)]), ["b"], scale, np.random.default_rng(0))
+        assert str(got.value) == message
+
     def test_config_from_json(self):
         cfg = sdc_from_json(
             {"key_variables": ["a"], "noise_targets": ["b"], "noise_scale": 0.2}
@@ -252,6 +265,8 @@ class TestApplySdc:
             ({"noise_scale": "x"}, "sdc.noise_scale"),
             ({"noise_scale": True}, "sdc.noise_scale"),
             ({"noise_scale": -0.1}, "sdc.noise_scale"),
+            ({"noise_scale": math.nan}, "sdc.noise_scale"),
+            ({"noise_scale": math.inf}, "sdc.noise_scale must be finite, got inf"),
             ({"key_variables": "region"}, "sdc.key_variables"),
             ({"noise_targets": [1]}, "sdc.noise_targets"),
             ({"label": 3}, "sdc.label"),
