@@ -244,7 +244,7 @@ def test_grouped_fits_equal_their_row_design_solves(synth_parametric_run):
     _, fits = synth_parametric_run
     assert len(fits) == 6, [target.name for _, target, _, _ in fits]
     for model, target, predictors, args in fits:
-        newton = isinstance(model, (models.LogitFit, models.MultinomialFit))
+        newton = isinstance(model, models.NewtonResult)
         solver = dict(zip(("max_iter", "tol"), args)) if newton else {}
         _assert_same_solve(model, target, predictors, **solver)
         cells = distinct_rows(predictors)[1].size

@@ -666,6 +666,11 @@ def fit_cart(
             go_left[at] = found[j][0][seg[at], v] if is_cat else v <= found[j][seg[at]]
         seg_left = seg[go_left]
         n_left = np.bincount(seg_left, minlength=ids.size)
+        # a split that leaves a child empty would reopen the same node forever
+        empty = splitting & ((n_left == 0) | (n_left == depth.sizes))
+        if empty.any():
+            name = unit_cols[best_pred[np.argmax(empty)]][0]
+            raise MethodError(f"cart: a split of {target.name!r} on {name!r} leaves a child empty")
         rows_left = np.bincount(seg_left, depth.weights[go_left], ids.size).astype(np.int64)
 
         winners = np.flatnonzero(splitting)

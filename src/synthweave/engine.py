@@ -17,7 +17,7 @@ import numpy as np
 
 from .cart import MISSING_INDICATOR, CartTree
 from .errors import DataError, MethodError, PlanError
-from .models import LogitFit, MultinomialFit, SampleFit
+from .models import NewtonResult, SampleFit
 # fit_logit is unused here, but perfbench/test_perfbench.py checks that the
 # tracer patches it through this module
 from .models import fit_logit  # noqa: F401
@@ -130,9 +130,7 @@ def _solver_stats(model) -> dict | None:
     it ran on: a Logit or Multinomial target's, or a numeric target's
     missingness-indicator logit."""
     fit = model.indicator if isinstance(model, _MissingAwareFit) else model
-    if isinstance(fit, LogitFit):
-        fit = fit.result
-    elif not isinstance(fit, MultinomialFit):
+    if not isinstance(fit, NewtonResult):
         return None
     return {
         "iterations": fit.iterations,

@@ -140,7 +140,7 @@ def ols(X: scipy.sparse.csr_array, y: np.ndarray, labels, cell_of: np.ndarray) -
 
 
 # ---------------------------------------------------------------------------
-# Normal-scores regression
+# Normal distribution functions and ranks, for NormRank's normal scores
 # ---------------------------------------------------------------------------
 
 # ndtri: Wichura (1988), Algorithm AS 241 (PPND16), coefficients highest
@@ -251,25 +251,6 @@ def ndtr(x: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class NormRankFit:
-    design: Design | None
-    fit: OlsFit
-    sorted_values: np.ndarray = field(repr=False)
-    residual_scale: float = 1.0
-    warnings: tuple[str, ...] = ()
-
-    def sample(self, predictors, rng: np.random.Generator, n: int) -> np.ndarray:
-        X = _matrix(self.design, predictors, n)
-        z = self.fit.predict(X) + rng.standard_normal(n) * self.fit.residual_sd * self.residual_scale
-        p = ndtr(z)
-        m = len(self.sorted_values)
-        if m == 1:
-            return np.full(n, self.sorted_values[0])
-        grid = np.arange(m) / (m - 1)
-        return np.interp(p, grid, self.sorted_values)
-
-
 def _average_ranks(y: np.ndarray) -> np.ndarray:
     """1-based ranks of ``y`` in float64, ties sharing the mean of their
     positions, as SciPy's ``rankdata(y, method="average")``; each rank is an
@@ -290,28 +271,17 @@ def check_residual_scale(residual_scale) -> None:
         raise MethodError("normrank: residual_scale must be >= 0")
 
 
-def fit_normrank(target: Column, predictors: Dataset | None, residual_scale: float = 1.0) -> NormRankFit:
-    """Regress Blom normal scores of the target, back-transform through the
-    empirical quantile function (linear interpolation), so draws never leave
-    the observed range."""
-    check_residual_scale(residual_scale)
-    y = _cart._complete_target(target, "normrank")
-    n = len(y)
-    ranks = _average_ranks(y)
-    z = ndtri((ranks - 0.375) / (n + 0.25))
-    design, X, labels, notes, cell_of, _ = _fit_design(predictors, n)
-    fit = ols(X, z, labels, cell_of)
-    return NormRankFit(design, fit, np.sort(y), residual_scale, warnings=notes + fit.notes)
-
-
 # ---------------------------------------------------------------------------
-# Transform + Normal regression
+# Transform + Normal regression; NormRank is its case on normal scores
 # ---------------------------------------------------------------------------
 
 def check_transform(transform) -> None:
     """The transforms ``fit_transform_normal`` and the plan's ``TransformNormal`` accept."""
     if transform not in ("identity", "sqrt", "cuberoot"):
         raise MethodError(f"unknown transform {transform!r}")
+
+
+_NORMAL_SCORES = "normal_scores"  # NormRank's: Blom scores of the ranks, never a plan option
 
 
 def _forward_transform(y: np.ndarray, transform: str, name: str) -> np.ndarray:
@@ -324,28 +294,52 @@ def _forward_transform(y: np.ndarray, transform: str, name: str) -> np.ndarray:
                 f"sqrt transform: {name!r} is negative at row {int(neg[0])}"
             )
         return np.sqrt(y)
+    if transform == _NORMAL_SCORES:
+        return ndtri((_average_ranks(y) - 0.375) / (len(y) + 0.25))
     return np.cbrt(y)  # cuberoot
 
 
-def _inverse_transform(t: np.ndarray, transform: str) -> np.ndarray:
+def _inverse_transform(t: np.ndarray, transform: str, sorted_values=None) -> np.ndarray:
+    """``t`` on the target's scale.  Normal scores go to the observed
+    ``sorted_values`` interpolated linearly at Phi(t), never out of range."""
     if transform == "identity":
         return t
     if transform == "sqrt":
         return t * t
+    if transform == _NORMAL_SCORES:
+        m = len(sorted_values)
+        return np.interp(ndtr(t), np.arange(m) / max(m - 1, 1), sorted_values)
     return t**3  # cuberoot: cubing preserves sign
 
 
 @dataclass(frozen=True)
-class TransformNormalFit:
-    transform: str
+class TransformNormalFit(OlsFit):
+    """Least squares on the transformed scale and what its draw needs: a
+    normal residual scaled by ``residual_scale``, then back-transformed."""
     design: Design | None
-    fit: OlsFit
+    transform: str
+    residual_scale: float = 1.0
+    sorted_values: np.ndarray | None = field(default=None, repr=False)  # normal scores only
     warnings: tuple[str, ...] = ()
 
     def sample(self, predictors, rng: np.random.Generator, n: int) -> np.ndarray:
         X = _matrix(self.design, predictors, n)
-        t = self.fit.predict(X) + rng.standard_normal(n) * self.fit.residual_sd
-        return _inverse_transform(t, self.transform)
+        t = self.predict(X) + rng.standard_normal(n) * self.residual_sd * self.residual_scale
+        return _inverse_transform(t, self.transform, self.sorted_values)
+
+
+def _fit_normal(
+    target: Column, predictors: Dataset | None, transform: str, residual_scale: float, name: str
+) -> TransformNormalFit:
+    y = _cart._complete_target(target, name)
+    t = _forward_transform(y, transform, target.name)
+    design, X, labels, notes, cell_of, _ = _fit_design(predictors, len(y))
+    res = ols(X, t, labels, cell_of)
+    sorted_values = np.sort(y) if transform == _NORMAL_SCORES else None
+    return TransformNormalFit(
+        **vars(res), design=design, transform=transform, residual_scale=residual_scale,
+        sorted_values=sorted_values, warnings=notes + res.notes,
+    )
 
 
 def fit_transform_normal(
@@ -354,11 +348,17 @@ def fit_transform_normal(
     """OLS on the transformed scale; draws are back-transformed, so unlike
     the rank method this one can extrapolate past the observed range."""
     check_transform(transform)
-    y = _cart._complete_target(target, "transform_normal")
-    t = _forward_transform(y, transform, target.name)
-    design, X, labels, notes, cell_of, _ = _fit_design(predictors, len(y))
-    fit = ols(X, t, labels, cell_of)
-    return TransformNormalFit(transform, design, fit, warnings=notes + fit.notes)
+    return _fit_normal(target, predictors, transform, 1.0, "transform_normal")
+
+
+def fit_normrank(
+    target: Column, predictors: Dataset | None, residual_scale: float = 1.0
+) -> TransformNormalFit:
+    """The transform-Normal regression on Blom normal scores of the target,
+    back-transformed through the empirical quantile function (linear
+    interpolation), so draws never leave the observed range."""
+    check_residual_scale(residual_scale)
+    return _fit_normal(target, predictors, _NORMAL_SCORES, residual_scale, "normrank")
 
 
 # ---------------------------------------------------------------------------
@@ -366,21 +366,22 @@ def fit_transform_normal(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class IrlsResult:
-    coefficients: np.ndarray
-    standard_errors: np.ndarray
+class NewtonResult:
+    """How a Newton solve of the baseline-category logit ended."""
+    coefficients: np.ndarray          # (K, p_kept); (p_kept,) for the binary logit
     kept: np.ndarray
     labels: tuple[str, ...]
     iterations: int
     converged: bool
     final_gradient_norm: float
+    cells: int                        # design rows fit, one per distinct predictor row
     notes: tuple[str, ...]
-    probabilities: np.ndarray = field(repr=False)  # fitted P(y = 1) of each design row
 
-    @property
-    def cells(self) -> int:
-        """The design rows the fit ran on, one per distinct predictor row."""
-        return len(self.probabilities)
+
+@dataclass(frozen=True)
+class IrlsResult(NewtonResult):
+    standard_errors: np.ndarray
+    fitted: np.ndarray = field(repr=False)  # fitted P(y = 1) of each design row
 
 
 def _expit(eta: np.ndarray) -> np.ndarray:
@@ -411,9 +412,9 @@ def _newton_logit(
     over the rows, taken once per cell.  Newton steps, halved until the
     log-likelihood does not decrease beyond its rounding level, with a small
     ridge on a singular Hessian and coefficients capped under separation.
-    Returns (kept, the ``Gram`` of all columns from ``drop_aliased``, whose
-    kept entries are the Hessian's, (K, p_kept) coefficients, iterations,
-    converged, max |score| at the last evaluation, notes).
+    Returns the ``NewtonResult``, whose final gradient norm is max |score|
+    at the last evaluation, and the ``Gram`` of all columns from
+    ``drop_aliased``, whose kept entries are the Hessian's.
 
     Below, n is the number of data rows, the sum of ``trials``, so a fit
     steps and stops as it would with one design row per data row.
@@ -493,7 +494,10 @@ def _newton_logit(
         notes.append(msg)
         _warnings.warn(msg)
         B = np.clip(B, -COEF_CAP, COEF_CAP)
-    return kept, gram, B, it, converged, gnorm, tuple(notes)
+    res = NewtonResult(
+        B, kept, tuple(labels[j] for j in kept), it, converged, gnorm, X.shape[0], tuple(notes)
+    )
+    return res, gram
 
 
 def irls_logit(
@@ -504,35 +508,26 @@ def irls_logit(
     ``trials[i]`` data rows, ``successes[i]`` of them with response 1.  With
     standard errors from the information at the (capped) estimate and the
     fitted probabilities of the design rows that information is formed from."""
-    kept, gram, B, it, converged, gnorm, notes = _newton_logit(
-        X, successes[:, None], trials, max_iter, tol, labels, "logit"
-    )
-    beta = B[0]
-    prob = _expit(_predict(X, kept, beta))
-    H = gram(trials * np.maximum(prob * (1.0 - prob), 1e-12))[np.ix_(kept, kept)]
+    res, gram = _newton_logit(X, successes[:, None], trials, max_iter, tol, labels, "logit")
+    beta = res.coefficients[0]
+    prob = _expit(_predict(X, res.kept, beta))
+    H = gram(trials * np.maximum(prob * (1.0 - prob), 1e-12))[np.ix_(res.kept, res.kept)]
     try:
         cov = np.linalg.inv(H)
         se = np.sqrt(np.maximum(np.diag(cov), 0.0))
     except np.linalg.LinAlgError:
         se = np.full(len(beta), np.nan)
-    return IrlsResult(
-        beta, se, kept, tuple(labels[j] for j in kept), it, converged, gnorm, notes, prob
-    )
+    return IrlsResult(**(vars(res) | {"coefficients": beta}), standard_errors=se, fitted=prob)
 
 
 @dataclass(frozen=True)
-class LogitFit:
+class LogitFit(IrlsResult):
     design: Design | None
-    result: IrlsResult
     warnings: tuple[str, ...] = ()
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        return self.result.coefficients
 
     def probabilities(self, predictors, n: int) -> np.ndarray:
         X = _matrix(self.design, predictors, n)
-        return _expit(_predict(X, self.result.kept, self.result.coefficients))
+        return _expit(_predict(X, self.kept, self.coefficients))
 
     def sample(self, predictors, rng: np.random.Generator, n: int) -> np.ndarray:
         p = self.probabilities(predictors, n)
@@ -550,7 +545,7 @@ def fit_logit(
     design, X, labels, notes, cell_of, counts = _fit_design(predictors, len(y))
     successes = np.bincount(cell_of, weights=y, minlength=len(counts))
     res = irls_logit(X, successes, counts, max_iter, tol, labels)
-    return LogitFit(design, res, warnings=notes + res.notes)
+    return LogitFit(**vars(res), design=design, warnings=notes + res.notes)
 
 
 # ---------------------------------------------------------------------------
@@ -561,16 +556,9 @@ MAX_MULTINOMIAL_LEVELS = 64
 
 
 @dataclass(frozen=True)
-class MultinomialFit:
+class MultinomialFit(NewtonResult):
     design: Design | None
     present_codes: np.ndarray        # original level codes, ascending; [0] = reference
-    coefficients: np.ndarray          # (L-1, p_kept)
-    kept: np.ndarray
-    labels: tuple[str, ...]
-    iterations: int
-    converged: bool
-    final_gradient_norm: float
-    cells: int                        # design rows fit, one per distinct predictor row
     warnings: tuple[str, ...] = ()
 
     def probabilities(self, predictors, n: int) -> np.ndarray:
@@ -606,16 +594,13 @@ def fit_multinomial(
             "use nested synthesis within a grouped variable instead"
         )
     y = np.searchsorted(present, target.values)
-    design, X, labels, design_notes, cell_of, counts = _fit_design(predictors, len(y))
+    design, X, labels, notes, cell_of, counts = _fit_design(predictors, len(y))
     cells = len(counts)
     # the rows of each cell in each level, the reference level dropped
     Y = np.bincount(cell_of * L + y, minlength=cells * L).reshape(cells, L)[:, 1:]
-    kept, _, B, it, converged, gnorm, notes = _newton_logit(
-        X, Y.astype(np.float64), counts, max_iter, tol, labels, "multinomial"
-    )
+    res, _ = _newton_logit(X, Y.astype(np.float64), counts, max_iter, tol, labels, "multinomial")
     return MultinomialFit(
-        design, present, B, kept, tuple(labels[j] for j in kept), it, converged, gnorm, cells,
-        warnings=design_notes + notes,
+        **vars(res), design=design, present_codes=present, warnings=notes + res.notes
     )
 
 

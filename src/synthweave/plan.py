@@ -16,6 +16,7 @@ variables early in the sequence) surface as warnings, never errors.
 from __future__ import annotations
 
 import json
+import numbers
 import operator
 import re
 from dataclasses import asdict, dataclass, field, replace
@@ -302,6 +303,9 @@ class SynthesisPlan:
     seed: int = 0
 
     def __post_init__(self):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
+            raise PlanError(f"seed must be an integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "visit_sequence", tuple(self.visit_sequence))
         object.__setattr__(self, "rules", tuple(self.rules))
         methods = dict(self.methods)
@@ -602,9 +606,6 @@ def plan_from_json(doc: Mapping) -> SynthesisPlan:
     stratifier = doc.get("stratifier")
     if stratifier is not None and not isinstance(stratifier, str):
         raise PlanError(f"stratifier must be a column name or null, got {stratifier!r}")
-    seed = doc.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise PlanError(f"seed must be an integer, got {seed!r}")
     # "nesting": {target: group} is shorthand for a nested method
     nesting = _mapping(doc.get("nesting", {}), "nesting", "nested targets to group columns")
     for target, group in nesting.items():
@@ -619,7 +620,7 @@ def plan_from_json(doc: Mapping) -> SynthesisPlan:
         predictor_matrix=matrix,
         rules=tuple(_rule_from_json(r, i) for i, r in enumerate(rules)),
         stratifier=stratifier,
-        seed=seed,
+        seed=doc.get("seed", 0),
     )
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -29,6 +30,10 @@ class SdcConfig:
 
 
 def _check_noise_scale(noise_scale: float) -> None:
+    """A ``DataError`` unless ``noise_scale`` is a finite number >= 0
+    (numpy's too, never a bool)."""
+    if isinstance(noise_scale, bool) or not isinstance(noise_scale, numbers.Real):
+        raise DataError(f"noise_scale must be a number >= 0, got {noise_scale!r}")
     if not noise_scale >= 0:  # NaN fails too
         raise DataError("noise_scale must be >= 0")
     if noise_scale == math.inf:
@@ -44,10 +49,10 @@ def sdc_from_json(doc: dict | None) -> SdcConfig | None:
     if not doc:
         return None
     scale = doc.get("noise_scale", 0.0)
-    if isinstance(scale, bool) or not isinstance(scale, (int, float)) or not scale >= 0:
-        raise PlanError(f"sdc.noise_scale must be a number >= 0, got {scale!r}")
-    if scale == math.inf:
-        raise PlanError(f"sdc.noise_scale must be finite, got {scale!r}")
+    try:
+        _check_noise_scale(scale)
+    except DataError as exc:
+        raise PlanError(f"sdc.{exc}") from None
     label = doc.get("label", "synthetic")
     if not isinstance(label, str):
         raise PlanError(f"sdc.label must be a string, got {label!r}")
@@ -107,6 +112,8 @@ def remove_replicated_uniques(
     A tuple unique in the original but appearing twice in the synthetic is
     kept; so is anything non-unique in the original.
     """
+    if isinstance(keys, str):
+        raise DataError(f"keys must be a list of column names, got {keys!r}")
     keys = tuple(keys)
     if not keys:
         raise DataError("replicated-unique removal needs a non-empty key set")

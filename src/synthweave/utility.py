@@ -19,6 +19,7 @@ saturated model on that same table.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 import warnings as _warnings
 from dataclasses import dataclass, field
@@ -34,6 +35,19 @@ from .tabular import Categorical, Column, Dataset, distinct_rows, stack_rows
 
 _EPS = sys.float_info.epsilon
 _TINY = sys.float_info.min
+
+
+def _check_option(name: str, value, minimum, whole: bool = False) -> None:
+    """A ``UtilityError`` naming ``name`` unless ``value`` is a finite
+    number, a whole one if ``whole`` (numpy's too, never a bool), of at
+    least ``minimum``; NaN fails the bound."""
+    kind = numbers.Integral if whole else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value):
+        raise UtilityError(
+            f"{name} must be {'a whole number' if whole else 'a finite number'}, got {value!r}"
+        )
+    if not value >= minimum:
+        raise UtilityError(f"{name} must be >= {minimum}, got {value}")
 
 
 def _log_gamma_scaled(a: float) -> float:
@@ -205,10 +219,7 @@ def _cell_codes(
     if obs.size == 0:
         raise UtilityError(f"column {orig.name!r} has no observed numeric values")
     if breaks is None:
-        if not isinstance(n_bins, (int, np.integer)):
-            raise UtilityError(f"column {orig.name!r}: n_bins must be a whole number, got {n_bins!r}")
-        if n_bins < 2:
-            raise UtilityError(f"column {orig.name!r}: n_bins must be >= 2, got {n_bins}")
+        _check_option(f"column {orig.name!r}: n_bins", n_bins, 2, whole=True)
         qs = np.quantile(obs, [i / n_bins for i in range(1, n_bins)])
     else:
         try:
@@ -290,6 +301,7 @@ def u_tab(table: CellTable) -> UtilityStat:
 
 def worst_cells(table: CellTable, top: int = 10) -> list[dict]:
     """Largest per-cell contributions to u_tab, for misfit diagnosis."""
+    _check_option("top", top, 0, whole=True)
     contrib, _ = _contributions(table)
     order = np.argsort(-contrib, kind="stable")[:top]
     order = order[contrib[order] > 0]
@@ -400,7 +412,7 @@ def fit_propensity(
         design, X = build_design(cells, interactions=crossed)
         res = irls_logit(X, successes, trials, max_iter, tol, design.labels)
         # the mean over the N rows, each row at its cell's probability
-        pmse = float(np.clip(trials @ (res.probabilities - c) ** 2 / N, 0.0, c * (1 - c)))
+        pmse = float(np.clip(trials @ (res.fitted - c) ** 2 / N, 0.0, c * (1 - c)))
         with np.errstate(divide="ignore", invalid="ignore"):
             z = np.where(res.standard_errors > 0, res.coefficients / res.standard_errors, np.nan)
         variables_kept = tuple(design.variables[j] for j in res.kept)
@@ -530,6 +542,7 @@ def equivalence_check(
     tol: float = 1e-8,
 ) -> EquivalenceReport:
     """Assert the tabular/propensity identity: u_tab == 8*N*pMSE(saturated)."""
+    _check_option("tol", tol, 0)
     _check_schemas(original, synthetic)
     if original.n_rows != synthetic.n_rows:
         raise UtilityError("equivalence identity requires equal dataset sizes")
@@ -595,6 +608,7 @@ def compare_univariate(original: Dataset, synthetic: Dataset, n_bins: int = 20) 
     """Marginal comparison of every shared column; numeric histograms use
     original-data breaks so a synthetic tail outside the observed range is
     visible (and flagged)."""
+    _check_option("n_bins", n_bins, 1, whole=True)
     _check_schemas(original, synthetic.select(original.names))
     out: dict = {}
     flags: list[str] = []
@@ -694,6 +708,7 @@ class Diagnosis:
 
 def diagnose(fit: PropensityFit, threshold: float = 1.7) -> Diagnosis:
     """Propensity terms with |z| at or above threshold, grouped by variable."""
+    _check_option("threshold", threshold, 0)
     entries = []
     for term, var, z in zip(fit.terms, fit.term_variables, fit.z):
         if term == INTERCEPT or not np.isfinite(z):

@@ -105,6 +105,19 @@ class TestFitCart:
         with pytest.raises(DataError, match=r"duplicate column names: \['x:missing'\]"):
             fit_cart(numeric_column("y", np.arange(20.0)), Dataset((x, taken)))
 
+    @pytest.mark.parametrize("threshold", [np.inf, -np.inf], ids=["all-left", "all-right"])
+    def test_split_that_leaves_a_child_empty_is_an_error(self, monkeypatch, threshold):
+        # a finite gain at a threshold past every value sends all of a node's
+        # rows to one side; the node would be split again at every depth
+        def one_sided(x, order, t, w, categorical, n_tgt, depth, min_bucket):
+            return depth.imp.copy(), np.full(depth.sizes.size, threshold)
+
+        monkeypatch.setattr(cart, "_numeric_gains", one_sided)
+        x = numeric_column("x", np.arange(40.0))
+        with pytest.raises(MethodError) as got:
+            fit_cart(numeric_column("y", np.arange(40.0)), Dataset((x,)))
+        assert str(got.value) == "cart: a split of 'y' on 'x' leaves a child empty"
+
     def test_many_level_predictor_contiguous_search(self):
         # 20 levels forces the ordered-contiguous path; deterministic target
         rng = np.random.default_rng(4)

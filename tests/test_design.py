@@ -362,7 +362,7 @@ def test_halved_steps_end_at_the_dense_newton_estimate(monkeypatch):
     ref = _dense_irls(X.toarray(), y)
     np.testing.assert_allclose(res.coefficients, ref, rtol=RTOL, atol=1e-12)
     # the fitted probabilities come back with the fit, as a separate predict gives them
-    np.testing.assert_array_equal(res.probabilities, _expit(_predict(X, res.kept, res.coefficients)))
+    np.testing.assert_array_equal(res.fitted, _expit(_predict(X, res.kept, res.coefficients)))
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -394,7 +394,7 @@ def test_standard_errors_of_a_rare_cell_match_the_dense_information():
         scipy.sparse.csr_array(D), np.array([5e7, 30.0]), trials, 100, 1e-6, ("(Intercept)", "b")
     )
     assert res.converged
-    p = res.probabilities
+    p = res.fitted
     np.testing.assert_allclose(p, [0.5, 3e-7], rtol=1e-9)
     info = D.T @ (D * (trials * p * (1.0 - p))[:, None])
     np.testing.assert_allclose(
@@ -484,31 +484,22 @@ def _row_solve(fit, target, predictors, max_iter=100, tol=1e-6):
     is at most one."""
     n = target.n_rows
     X, labels, notes = _row_design(predictors, n)
-    if isinstance(fit, models.LogitFit):
-        ref = irls_logit(X, target.values.astype(np.float64), np.ones(n), max_iter, tol, labels)
-        res = fit.result
+    if isinstance(fit, models.NewtonResult):
+        # one indicator column per present level but the first; the binary
+        # logit is the case of two levels
+        y = np.searchsorted(np.unique(target.values), target.values)
+        Y = (y[:, None] == np.arange(1, y.max() + 1)).astype(np.float64)
+        name = "logit" if isinstance(fit, models.LogitFit) else "multinomial"
+        ref, _ = models._newton_logit(X, Y, np.ones(n), max_iter, tol, labels, name)
         return (
-            (res.coefficients, res.kept, res.iterations, res.converged, fit.warnings),
+            (fit.coefficients.reshape(ref.coefficients.shape), fit.kept, fit.iterations,
+             fit.converged, fit.warnings),
             (ref.coefficients, ref.kept, ref.iterations, ref.converged, notes + ref.notes),
         )
-    if isinstance(fit, models.MultinomialFit):
-        y = np.searchsorted(fit.present_codes, target.values)
-        Y = (y[:, None] == np.arange(1, len(fit.present_codes))).astype(np.float64)
-        kept, _, B, it, converged, _, solver_notes = models._newton_logit(
-            X, Y, np.ones(n), max_iter, tol, labels, "multinomial"
-        )
-        return (
-            (fit.coefficients, fit.kept, fit.iterations, fit.converged, fit.warnings),
-            (B, kept, it, converged, notes + solver_notes),
-        )
-    y = target.values
-    if isinstance(fit, models.NormRankFit):
-        y = models.ndtri((models._average_ranks(y) - 0.375) / (n + 0.25))
-    else:
-        y = models._forward_transform(y, fit.transform, target.name)
+    y = models._forward_transform(target.values, fit.transform, target.name)
     ref = ols(X, y, labels, np.arange(n))
     return (
-        (fit.fit.coefficients, fit.fit.kept, None, fit.fit.residual_sd, fit.warnings),
+        (fit.coefficients, fit.kept, None, fit.residual_sd, fit.warnings),
         (ref.coefficients, ref.kept, None, ref.residual_sd, notes + ref.notes),
     )
 
@@ -550,7 +541,7 @@ def test_grouped_logit_equals_the_row_fit(name):
     _assert_same_solve(fit, target, predictors, tol=1e-10)
     X, labels, _ = _row_design(predictors, 1500)
     ref = irls_logit(X, y.astype(np.float64), np.ones(1500), 100, 1e-10, labels)
-    np.testing.assert_allclose(fit.result.standard_errors, ref.standard_errors, rtol=1e-9)
+    np.testing.assert_allclose(fit.standard_errors, ref.standard_errors, rtol=1e-9)
 
 
 @pytest.mark.parametrize("seed", [3, 5, 7])
@@ -565,7 +556,7 @@ def test_grouped_logit_rounding_level_counts_rows_not_cells(seed):
     y = (rng.random(1500) < _expit(eta)).astype(np.int64)
     target = Column("t", Categorical(("a", "b")), y)
     fit = fit_logit(target, predictors)
-    assert fit.result.cells == 12
+    assert fit.cells == 12
     _assert_same_solve(fit, target, predictors)
 
 
@@ -602,7 +593,7 @@ def test_grouped_propensity_equals_the_row_fit(name, model):
     y = np.concatenate([np.zeros(1200), np.ones(1000)])
     ref = irls_logit(X, y, np.ones(2200), 100, 1e-10, design.labels)
     c = 1000 / 2200
-    assert fit.pmse == pytest.approx(np.mean((ref.probabilities - c) ** 2), rel=1e-12)
+    assert fit.pmse == pytest.approx(np.mean((ref.fitted - c) ** 2), rel=1e-12)
     np.testing.assert_allclose(fit.coefficients, ref.coefficients, rtol=1e-9)
     assert (fit.terms, fit.iterations, fit.converged) == (ref.labels, ref.iterations, ref.converged)
     assert fit.warnings == design.notes + ref.notes + _one_sided_terms(

@@ -265,7 +265,7 @@ class TestRunReport:
         by_name = {v["name"]: v for v in doc["variables"]}
         assert by_name["region"]["solver"] is None and by_name["age"]["solver"] is None
         # read from the fitted models: each variable is fit on every row
-        sex = fit_logit(census.column("sex"), census.select(["region"])).result
+        sex = fit_logit(census.column("sex"), census.select(["region"]))
         mar = fit_multinomial(census.column("mar"), census.select(["region", "sex", "age"]))
         for name, fit in (("sex", sex), ("mar", mar)):
             assert by_name[name]["solver"] == {

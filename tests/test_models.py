@@ -82,8 +82,8 @@ class TestNormRank:
         fit = fit_normrank(
             numeric_column("y", y), Dataset((numeric_column("x", x),))
         )
-        labels = fit.fit.labels
-        beta = fit.fit.coefficients[labels.index("x")]
+        labels = fit.labels
+        beta = fit.coefficients[labels.index("x")]
         assert abs(beta - slope) < 0.05
 
     def test_range_preserving(self):
@@ -94,6 +94,36 @@ class TestNormRank:
         new = Dataset((numeric_column("x", rng.normal(size=5000) * 3),))
         draws = fit.sample(new, np.random.default_rng(14), 5000)
         assert draws.min() >= y.min() and draws.max() <= y.max()
+
+    def test_scaled_draw_is_the_quantile_function_at_phi_of_the_scaled_normal_draw(self):
+        # a draw is sorted(y) interpolated on the grid i / (m - 1) at
+        # Phi(X beta + z sd 0.5), z the seed's standard normals
+        rng = np.random.default_rng(16)
+        x = rng.normal(size=300)
+        y = np.round(np.exp(0.5 * x + rng.normal(size=300)), 2)
+        fit = fit_normrank(
+            numeric_column("y", y), Dataset((numeric_column("x", x),)), residual_scale=0.5
+        )
+        assert fit.residual_scale == 0.5
+        assert np.array_equal(fit.sorted_values, np.sort(y))
+        new = Dataset((numeric_column("x", rng.normal(size=2000) * 2),))
+        draws = fit.sample(new, np.random.default_rng(17), 2000)
+        X = fit.design.matrix(new).toarray()[:, fit.kept]
+        z = np.random.default_rng(17).standard_normal(2000)
+        p = scipy.special.ndtr(X @ fit.coefficients + z * fit.residual_sd * 0.5)
+        expected = np.interp(p, np.arange(300) / 299, np.sort(y))
+        np.testing.assert_allclose(draws, expected, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("y", [[4.0], [3.0, 1.0], [2.0, 7.0, 2.5]], ids=["m=1", "m=2", "m=3"])
+    def test_draw_interpolates_the_sorted_values_on_the_grid_of_their_ranks(self, y):
+        # of m observed values the i-th smallest sits at Phi = i / (m - 1);
+        # a single observed value is every draw
+        fit = fit_normrank(numeric_column("y", y), None)
+        draws = fit.sample(None, np.random.default_rng(18), 500)
+        z = np.random.default_rng(18).standard_normal(500)
+        p = scipy.special.ndtr(fit.coefficients[0] + z * fit.residual_sd)
+        grid = np.arange(len(y)) / (len(y) - 1) if len(y) > 1 else np.zeros(1)
+        np.testing.assert_allclose(draws, np.interp(p, grid, np.sort(y)), rtol=1e-12)
 
     def test_average_ranks_for_ties(self):
         # hand oracle for y=[1,1,2,3]: average ranks (1.5,1.5,3,4), Blom
@@ -186,8 +216,8 @@ class TestAverageRanks:
             models, "_average_ranks", lambda v: scipy.stats.rankdata(v, method="average")
         )
         reference = fit_normrank(y, predictors)
-        assert np.array_equal(fit.fit.coefficients, reference.fit.coefficients)
-        assert fit.fit.residual_sd == reference.fit.residual_sd
+        assert np.array_equal(fit.coefficients, reference.coefficients)
+        assert fit.residual_sd == reference.residual_sd
         assert np.array_equal(fit.sorted_values, reference.sorted_values)
         draws = fit.sample(predictors, np.random.default_rng(32), 400)
         assert np.array_equal(draws, reference.sample(predictors, np.random.default_rng(32), 400))
@@ -330,7 +360,7 @@ class TestLogit:
             "t", list(np.where(rng.random(n) < 0.5, "a", "b")), levels=["a", "b"]
         )
         fit = fit_logit(t, Dataset((numeric_column("x", x),)))
-        slope = fit.coefficients[list(fit.result.labels).index("x")]
+        slope = fit.coefficients[list(fit.labels).index("x")]
         assert abs(slope) < 0.1
 
     def test_large_sample_converges_without_stalling(self):
@@ -347,8 +377,8 @@ class TestLogit:
             pred = categorical_column("x", np.array(["a", "b"])[x].tolist(), levels=["a", "b"])
             t = categorical_column("t", np.array(["n", "y"])[y].tolist(), levels=["n", "y"])
             fit = fit_logit(t, Dataset((pred,)))
-            assert fit.result.converged
-            iterations.append(fit.result.iterations)
+            assert fit.converged
+            iterations.append(fit.iterations)
         assert max(iterations) <= 7, iterations
 
     def test_separation_warns_and_caps(self):
@@ -405,7 +435,7 @@ class TestMultinomial:
         mn = fit_multinomial(t, preds, tol=1e-10)
         # one solver: the binary logit is the multinomial with K = 1
         np.testing.assert_array_equal(lg.coefficients, mn.coefficients[0])
-        assert (lg.result.iterations, lg.result.converged) == (mn.iterations, mn.converged)
+        assert (lg.iterations, lg.converged) == (mn.iterations, mn.converged)
 
     def test_absent_levels_never_drawn(self):
         col = categorical_column("t", ["a", "b"] * 50, levels=["a", "b", "ghost"])

@@ -345,6 +345,17 @@ class TestPlanJson:
         for seed in (-1, 0, 2**70):
             assert plan_from_json({"visit_sequence": ["a"], "seed": seed}).seed == seed
 
+    @pytest.mark.parametrize("seed", [1.5, "a", True, None, np.float64(2.0)])
+    def test_constructor_refuses_a_seed_that_is_no_integer(self, seed):
+        with pytest.raises(PlanError) as got:
+            SynthesisPlan(("a",), seed=seed)
+        assert str(got.value) == f"seed must be an integer, got {seed!r}"
+
+    def test_numpy_integer_seed_is_a_python_int(self):
+        plan = SynthesisPlan(("a",), seed=np.int64(-3))
+        assert plan.seed == -3 and type(plan.seed) is int
+        assert plan_from_json(json.loads(json.dumps(plan_to_json(plan)))).seed == -3
+
     def test_nesting_map_method_or_both_synthesize_alike(self, tmp_path):
         census = generate_toy_census(ToyCensusSpec(n_rows=600, seed=3))
         base = {"visit_sequence": ["region", "sex", "age", "occ1", "occ3"], "seed": 8}

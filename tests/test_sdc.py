@@ -52,6 +52,13 @@ class TestRemoveReplicatedUniques:
         out, removed = remove_replicated_uniques(orig, syn, ["a", "b"])
         assert removed == 0
 
+    def test_bare_string_of_keys_refused(self):
+        # "ab" would otherwise be read as the keys 'a' and 'b'
+        orig = keyed([("x", 1.0), ("y", 2.0)])
+        with pytest.raises(DataError) as got:
+            remove_replicated_uniques(orig, orig, "ab")
+        assert str(got.value) == "keys must be a list of column names, got 'ab'"
+
     def test_disjoint_supports_zero_removals(self):
         orig = keyed([("x", 1.0)])
         syn = keyed([("z", 3.0)])
@@ -249,6 +256,24 @@ class TestApplySdc:
         with pytest.raises(DataError) as got:
             add_noise(keyed([("x", 1.0)]), ["b"], scale, np.random.default_rng(0))
         assert str(got.value) == message
+
+    @pytest.mark.parametrize("scale", ["x", True, None])
+    def test_config_rejects_a_noise_scale_that_is_no_number(self, scale):
+        # a bool is not read as 0 or 1, and a string is not compared with 0
+        message = f"noise_scale must be a number >= 0, got {scale!r}"
+        with pytest.raises(DataError) as got:
+            SdcConfig(noise_scale=scale)
+        assert str(got.value) == message
+        with pytest.raises(DataError) as got:
+            add_noise(keyed([("x", 1.0)]), ["b"], scale, np.random.default_rng(0))
+        assert str(got.value) == message
+        with pytest.raises(PlanError) as got:
+            sdc_from_json({"noise_scale": scale})
+        assert str(got.value) == "sdc." + message
+
+    def test_numpy_noise_scale_is_a_number(self):
+        assert SdcConfig(noise_scale=np.float64(0.5)).noise_scale == 0.5
+        assert sdc_from_json({"noise_scale": np.int64(2)}).noise_scale == 2.0
 
     def test_config_from_json(self):
         cfg = sdc_from_json(

@@ -601,6 +601,55 @@ class TestDiagnose:
             assert len(terms) >= 1
 
 
+class TestArgumentsThatWouldMisleadAreRefused:
+    """An argument that would give a silently wrong answer (a negative slice
+    length, a NaN bound that no value fails, a bound every value passes, an
+    empty histogram) is a UtilityError that names it."""
+
+    @pytest.mark.parametrize(
+        "top, message", [(-1, "top must be >= 0, got -1"), (1.5, "top must be a whole number, got 1.5"),
+                         (True, "top must be a whole number, got True")],
+    )
+    def test_worst_cells_top(self, census_pair, top, message):
+        table = cross_tabulate(*census_pair, ["mar", "sex"])
+        with pytest.raises(UtilityError) as got:
+            worst_cells(table, top=top)
+        assert str(got.value) == message
+        assert len(worst_cells(table, top=0)) == 0
+
+    @pytest.mark.parametrize(
+        "threshold, message",
+        [(math.nan, "threshold must be a finite number, got nan"),
+         (math.inf, "threshold must be a finite number, got inf"),
+         (-1, "threshold must be >= 0, got -1")],
+    )
+    def test_diagnose_threshold(self, census_pair, threshold, message):
+        fit = fit_propensity(*census_pair, "main_effects")
+        with pytest.raises(UtilityError) as got:
+            diagnose(fit, threshold=threshold)
+        assert str(got.value) == message
+
+    @pytest.mark.parametrize(
+        "tol, message",
+        [(math.nan, "tol must be a finite number, got nan"), (-1.0, "tol must be >= 0, got -1.0"),
+         ("1e-8", "tol must be a finite number, got '1e-8'")],
+    )
+    def test_equivalence_check_tol(self, census_pair, tol, message):
+        with pytest.raises(UtilityError) as got:
+            equivalence_check(*census_pair, ["mar"], tol=tol)
+        assert str(got.value) == message
+
+    @pytest.mark.parametrize(
+        "n_bins, message",
+        [(0, "n_bins must be >= 1, got 0"), (1.5, "n_bins must be a whole number, got 1.5")],
+    )
+    def test_compare_univariate_n_bins(self, census_pair, n_bins, message):
+        with pytest.raises(UtilityError) as got:
+            compare_univariate(*census_pair, n_bins=n_bins)
+        assert str(got.value) == message
+        assert compare_univariate(*census_pair, n_bins=np.int64(1)).comparisons["age"].edges.size == 2
+
+
 def _without_widowed(pair):
     """The pair with every 'Widowed' original recoded 'Single': a level
     only the synthetic side has."""
