@@ -22,7 +22,7 @@ print("ratio near 1 means the propensity model cannot tell original from synthet
 
 # coefficient diagnostics point at problem variables
 diag = sw.diagnose(fit, threshold=1.7)
-print(f"propensity |z| >= 1.7: {len(diag.flagged)} of {len(fit.terms) - 1} terms")
+print(f"propensity |z| >= 1.7: {len(diag.flagged)} of {len(fit.labels) - 1} terms")
 for var, terms in diag.by_variable[:3]:
     worst = ", ".join(f"{t}({z:+.1f})" for t, z in terms[:3])
     print(f"  {var}: {worst}")

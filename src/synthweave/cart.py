@@ -146,7 +146,7 @@ class CartTree:
     leaf_offsets: np.ndarray = field(repr=False)
     leaf_sizes: np.ndarray = field(repr=False)
     expanded: tuple[str, ...] = ()
-    warnings = ()  # not a field: a tree fit gives no notes
+    notes = ()  # not a field: a tree fit gives no notes
 
     @property
     def n_nodes(self) -> int:

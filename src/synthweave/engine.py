@@ -17,7 +17,7 @@ import numpy as np
 
 from .cart import MISSING_INDICATOR, CartTree
 from .errors import DataError, MethodError, PlanError
-from .models import NewtonResult, SampleFit
+from .models import NewtonResult, SampleFit, solver_stats
 # fit_logit is unused here, but perfbench/test_perfbench.py checks that the
 # tracer patches it through this module
 from .models import fit_logit  # noqa: F401
@@ -82,7 +82,7 @@ class _MissingAwareFit:
 
     indicator: object
     observed: object
-    warnings: tuple[str, ...] = ()
+    notes: tuple[str, ...] = ()
 
     def sample(self, predictors: Dataset | None, rng: np.random.Generator, n: int) -> np.ndarray:
         missing = self.indicator.sample(predictors, rng, n) == 1
@@ -108,7 +108,7 @@ def _fit_with_missing(spec: MethodSpec, target: Column, orig_preds: Dataset | No
     model = spec.fit(
         target.take(keep), orig_preds.take(keep) if orig_preds is not None else None
     )
-    return _MissingAwareFit(ind_fit, model, tuple(ind_fit.warnings) + tuple(model.warnings))
+    return _MissingAwareFit(ind_fit, model, ind_fit.notes + model.notes)
 
 
 def _tree_stats(model) -> dict | None:
@@ -130,14 +130,7 @@ def _solver_stats(model) -> dict | None:
     it ran on: a Logit or Multinomial target's, or a numeric target's
     missingness-indicator logit."""
     fit = model.indicator if isinstance(model, _MissingAwareFit) else model
-    if not isinstance(fit, NewtonResult):
-        return None
-    return {
-        "iterations": fit.iterations,
-        "converged": fit.converged,
-        "gradient_norm": fit.final_gradient_norm,
-        "cells": fit.cells,
-    }
+    return solver_stats(fit) if isinstance(fit, NewtonResult) else None
 
 
 def _synthesize_stratum(
@@ -147,18 +140,17 @@ def _synthesize_stratum(
     n_rows: int | None = None,
     stratum_label: str | None = None,
     fixed: tuple[Column, ...] = (),
-) -> tuple[tuple[Column, ...], list[VariableSummary], list[str]]:
+) -> tuple[tuple[Column, ...], list[VariableSummary]]:
     """Synthesize one stratum; RNG substreams keyed by (stratum, position).
 
     ``fixed`` columns (a stratum's copied stratifier) are synthetic from the
     start: nested targets may group by them and rules may test them.
     Returns the synthetic columns (``fixed`` first, then the visit
-    sequence), one summary per variable and the fit warnings."""
+    sequence) and one summary per variable."""
     n_out = n_rows if n_rows is not None else original.n_rows
     synth: dict[str, Column] = {c.name: c for c in fixed}
     orig_cols = {c.name: c for c in original.columns}
     summaries: list[VariableSummary] = []
-    run_warnings: list[str] = []
 
     for pos, name in enumerate(plan.visit_sequence):
         started = time.perf_counter()
@@ -186,8 +178,6 @@ def _synthesize_stratum(
             model = _fit_with_missing(spec, t_fit, orig_preds)
         else:
             model = spec.fit(t_fit, orig_preds)
-        # a note shared by the indicator and the value fit is kept once
-        fit_warnings = tuple(dict.fromkeys(model.warnings))
         fitted = time.perf_counter()
 
         values = model.sample(syn_preds, rng, n_out)
@@ -210,8 +200,6 @@ def _synthesize_stratum(
         ruled = time.perf_counter()
 
         synth[name] = Column(name, target.kind, values)
-        for w in fit_warnings:
-            run_warnings.append(f"{name}: {w}")
         summaries.append(
             VariableSummary(
                 name=name,
@@ -221,7 +209,8 @@ def _synthesize_stratum(
                 rule_forced=forced,
                 # the sample method bootstraps missing cells with the rest
                 missing_indicator=isinstance(model, _MissingAwareFit),
-                warnings=fit_warnings,
+                # a note shared by the indicator and the value fit is kept once
+                warnings=tuple(dict.fromkeys(model.notes)),
                 stratum=stratum_label,
                 fit_s=fitted - started,
                 sample_s=sampled - fitted,
@@ -231,7 +220,7 @@ def _synthesize_stratum(
             )
         )
 
-    return tuple(synth.values()), summaries, run_warnings
+    return tuple(synth.values()), summaries
 
 
 def synthesize(original: Dataset, plan: SynthesisPlan, n_rows: int | None = None) -> SynthesisRun:
@@ -300,14 +289,14 @@ def synthesize(original: Dataset, plan: SynthesisPlan, n_rows: int | None = None
         else:
             rows = original.take(idx)
             fixed = (Column(stratifier, strat_col.kind, strat_col.values[idx]),)
-        columns, stratum_summaries, stratum_warnings = _synthesize_stratum(
+        columns, stratum_summaries = _synthesize_stratum(
             rows, sub_plan, index, n_rows, label, fixed
         )
         parts.append(Dataset(columns))
         summaries.extend(stratum_summaries)
-        run_warnings.extend(
-            stratum_warnings if label is None else (f"[{label}] {w}" for w in stratum_warnings)
-        )
+    for s in summaries:
+        prefix = "" if s.stratum is None else f"[{s.stratum}] "
+        run_warnings.extend(f"{prefix}{s.name}: {w}" for w in s.warnings)
 
     return SynthesisRun(
         plan=plan,

@@ -73,7 +73,7 @@ def _predict(X: scipy.sparse.csr_array, kept: np.ndarray, coefficients: np.ndarr
 @dataclass(frozen=True)
 class SampleFit:
     pool: np.ndarray = field(repr=False)
-    warnings: tuple[str, ...] = ()
+    notes: tuple[str, ...] = ()
 
     def sample(self, predictors, rng: np.random.Generator, n: int) -> np.ndarray:
         idx = rng.integers(0, len(self.pool), size=n)
@@ -320,7 +320,6 @@ class TransformNormalFit(OlsFit):
     transform: str
     residual_scale: float = 1.0
     sorted_values: np.ndarray | None = field(default=None, repr=False)  # normal scores only
-    warnings: tuple[str, ...] = ()
 
     def sample(self, predictors, rng: np.random.Generator, n: int) -> np.ndarray:
         X = _matrix(self.design, predictors, n)
@@ -337,8 +336,8 @@ def _fit_normal(
     res = ols(X, t, labels, cell_of)
     sorted_values = np.sort(y) if transform == _NORMAL_SCORES else None
     return TransformNormalFit(
-        **vars(res), design=design, transform=transform, residual_scale=residual_scale,
-        sorted_values=sorted_values, warnings=notes + res.notes,
+        **(vars(res) | {"notes": notes + res.notes}), design=design, transform=transform,
+        residual_scale=residual_scale, sorted_values=sorted_values,
     )
 
 
@@ -376,6 +375,17 @@ class NewtonResult:
     final_gradient_norm: float
     cells: int                        # design rows fit, one per distinct predictor row
     notes: tuple[str, ...]
+
+
+def solver_stats(result: NewtonResult) -> dict:
+    """How ``result``'s solve ended and the design rows it ran on, as the run
+    and utility reports give it."""
+    return {
+        "iterations": result.iterations,
+        "converged": result.converged,
+        "gradient_norm": result.final_gradient_norm,
+        "cells": result.cells,
+    }
 
 
 @dataclass(frozen=True)
@@ -523,7 +533,6 @@ def irls_logit(
 @dataclass(frozen=True)
 class LogitFit(IrlsResult):
     design: Design | None
-    warnings: tuple[str, ...] = ()
 
     def probabilities(self, predictors, n: int) -> np.ndarray:
         X = _matrix(self.design, predictors, n)
@@ -545,7 +554,7 @@ def fit_logit(
     design, X, labels, notes, cell_of, counts = _fit_design(predictors, len(y))
     successes = np.bincount(cell_of, weights=y, minlength=len(counts))
     res = irls_logit(X, successes, counts, max_iter, tol, labels)
-    return LogitFit(**vars(res), design=design, warnings=notes + res.notes)
+    return LogitFit(**(vars(res) | {"notes": notes + res.notes}), design=design)
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +568,6 @@ MAX_MULTINOMIAL_LEVELS = 64
 class MultinomialFit(NewtonResult):
     design: Design | None
     present_codes: np.ndarray        # original level codes, ascending; [0] = reference
-    warnings: tuple[str, ...] = ()
 
     def probabilities(self, predictors, n: int) -> np.ndarray:
         """(n, L_present) softmax probabilities; absent levels have none."""
@@ -600,7 +608,7 @@ def fit_multinomial(
     Y = np.bincount(cell_of * L + y, minlength=cells * L).reshape(cells, L)[:, 1:]
     res, _ = _newton_logit(X, Y.astype(np.float64), counts, max_iter, tol, labels, "multinomial")
     return MultinomialFit(
-        **vars(res), design=design, present_codes=present, warnings=notes + res.notes
+        **(vars(res) | {"notes": notes + res.notes}), design=design, present_codes=present
     )
 
 
@@ -616,7 +624,7 @@ class NestedFit:
     donor_flat: np.ndarray = field(repr=False)
     offsets: np.ndarray = field(repr=False)
     counts: np.ndarray = field(repr=False)
-    warnings: tuple[str, ...] = ()
+    notes: tuple[str, ...] = ()
 
     def sample(self, predictors, rng: np.random.Generator, n: int) -> np.ndarray:
         g = predictors.column(self.group_name).values
@@ -660,5 +668,5 @@ def fit_nested(target: Column, group: Column) -> NestedFit:
         notes.append(msg)
         _warnings.warn(msg)
     return NestedFit(
-        target.name, group.name, group.kind, donor_flat, offsets, counts, warnings=tuple(notes)
+        target.name, group.name, group.kind, donor_flat, offsets, counts, notes=tuple(notes)
     )

@@ -45,7 +45,7 @@ class MethodSpec:
     None for any); ``missing_model`` synthesizes the missingness indicator
     of a numeric target (None: missing cells are bootstrapped with the rest);
     ``fit(target, predictors)`` returns a model with ``sample(predictors,
-    rng, n)`` and ``warnings``.  ``check_options`` raises the fit
+    rng, n)`` and ``notes``, the messages of its fit.  ``check_options`` raises the fit
     function's ``MethodError`` for an option value it rejects, which a plan
     reports as a ``PlanError``.
     """
@@ -393,6 +393,12 @@ def validate_plan(plan: SynthesisPlan, data: Dataset) -> list[PlanDiagnostic]:
                     p, target, f"predictor_matrix[{target!r}] names unknown column {p!r}",
                     f"predictor {p!r} does not precede target {target!r} in visit_sequence",
                 )
+
+    # Methods: one for a column that is not visited, a nesting entry's too,
+    # would be ignored.
+    for col in plan.methods:
+        if col not in position:
+            out.append(_err(f"methods names non-synthesized column {col!r}"))
 
     # First variable: bootstrap method.  A predictor of it cannot precede
     # it, which the precedence check above reports.

@@ -28,7 +28,7 @@ import numpy as np
 
 from .design import INTERCEPT, build_design, nonzero_pattern
 from .errors import UtilityError
-from .models import COEF_CAP, irls_logit
+from .models import COEF_CAP, IrlsResult, irls_logit, solver_stats
 from .plan import HIGH_CARDINALITY_THRESHOLD
 from .tabular import Categorical, Column, Dataset, distinct_rows, stack_rows
 
@@ -322,22 +322,28 @@ def worst_cells(table: CellTable, top: int = 10) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PropensityFit:
+class PropensityFit(IrlsResult):
+    """A propensity logit's result and what U_gen reads from it.  Its
+    ``labels`` are the kept terms and ``cells`` the distinct stacked rows of
+    the variables; the closed-form saturated fit has one term per populated
+    cell, 0 iterations and a zero gradient norm."""
     model: str                      # "main_effects" | "interactions" | "table_saturated"
-    terms: tuple[str, ...]
-    term_variables: tuple[str, ...]
-    coefficients: np.ndarray = field(repr=False)
-    standard_errors: np.ndarray = field(repr=False)
-    z: np.ndarray = field(repr=False)
-    pmse: float = 0.0
-    c: float = 0.5
-    n_combined: int = 0
-    n_params: int = 0               # effective parameters, intercept included
-    cells: int = 0                  # distinct rows of the variables fit; populated cells
-    warnings: tuple[str, ...] = ()
-    iterations: int = 0             # solver iterations; 0 for the closed form
-    converged: bool = True
-    gradient_norm: float = 0.0      # max |score| when the solver stopped
+    term_variables: tuple[str, ...]  # the variable of each term
+    pmse: float
+    c: float                        # the synthetic share of the stacked rows
+    n_combined: int
+
+    @property
+    def n_params(self) -> int:
+        """Effective parameters, intercept included."""
+        return len(self.kept)
+
+    @property
+    def z(self) -> np.ndarray:
+        """Each coefficient over its standard error; NaN where that is not > 0."""
+        se = self.standard_errors
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(se > 0, self.coefficients / se, np.nan)
 
 
 def _check_schemas(original: Dataset, synthetic: Dataset) -> None:
@@ -397,6 +403,8 @@ def fit_propensity(
 
     if model in ("main_effects", "interactions"):
         names = original.names if variables is None else tuple(variables)
+        if not names:
+            raise UtilityError(f"{model} model needs at least one variable; variables is empty")
         for v in names:
             if v not in original:
                 raise UtilityError(f"propensity variable {v!r} absent from the datasets")
@@ -411,30 +419,17 @@ def fit_propensity(
             )
         design, X = build_design(cells, interactions=crossed)
         res = irls_logit(X, successes, trials, max_iter, tol, design.labels)
-        # the mean over the N rows, each row at its cell's probability
-        pmse = float(np.clip(trials @ (res.fitted - c) ** 2 / N, 0.0, c * (1 - c)))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = np.where(res.standard_errors > 0, res.coefficients / res.standard_errors, np.nan)
-        variables_kept = tuple(design.variables[j] for j in res.kept)
+        notes = design.notes + res.notes + _one_sided_terms(
+            X, successes, trials, res.kept, design.labels
+        )
         return PropensityFit(
+            **(vars(res) | {"notes": notes}),
             model=model,
-            terms=res.labels,
-            term_variables=variables_kept,
-            coefficients=res.coefficients,
-            standard_errors=res.standard_errors,
-            z=z,
-            pmse=pmse,
+            term_variables=tuple(design.variables[j] for j in res.kept),
+            # the mean over the N rows, each row at its cell's probability
+            pmse=float(np.clip(trials @ (res.fitted - c) ** 2 / N, 0.0, c * (1 - c))),
             c=c,
             n_combined=N,
-            n_params=len(res.kept),
-            cells=res.cells,
-            warnings=(
-                tuple(design.notes) + tuple(res.notes)
-                + _one_sided_terms(X, successes, trials, res.kept, design.labels)
-            ),
-            iterations=res.iterations,
-            converged=res.converged,
-            gradient_norm=res.final_gradient_norm,
         )
 
     if model == "table_saturated":
@@ -488,27 +483,18 @@ def _saturated_fit(table: CellTable) -> PropensityFit:
         coefs = np.clip(np.log(pp / (1 - pp)), -COEF_CAP, COEF_CAP)
         w = tot[populated] * pp * (1 - pp)
         se = np.where(w > 0, 1.0 / np.sqrt(np.where(w > 0, w, 1.0)), np.nan)
-        z = np.where(np.isfinite(se) & (se > 0), coefs / se, np.nan)
     prefixes = [
         np.array([f"{v}={lv}" for lv in labels], dtype=object)
         for v, labels in zip(table.variables, table.labels)
     ]
     codes = np.unravel_index(np.flatnonzero(populated), table.shape)
     terms = tuple(map("|".join, zip(*(p[cd] for p, cd in zip(prefixes, codes)))))
-    var_label = "*".join(table.variables)
+    k = len(terms)
     return PropensityFit(
-        model="table_saturated",
-        terms=terms,
-        term_variables=(var_label,) * len(terms),
-        coefficients=coefs,
-        standard_errors=se,
-        z=z,
-        pmse=pmse,
-        c=c,
-        n_combined=N,
-        n_params=len(terms),
-        cells=len(terms),
-        warnings=(),
+        coefficients=coefs, kept=np.arange(k), labels=terms, iterations=0, converged=True,
+        final_gradient_norm=0.0, cells=k, notes=(), standard_errors=se, fitted=pp,
+        model="table_saturated", term_variables=("*".join(table.variables),) * k,
+        pmse=pmse, c=c, n_combined=N,
     )
 
 
@@ -710,7 +696,7 @@ def diagnose(fit: PropensityFit, threshold: float = 1.7) -> Diagnosis:
     """Propensity terms with |z| at or above threshold, grouped by variable."""
     _check_option("threshold", threshold, 0)
     entries = []
-    for term, var, z in zip(fit.terms, fit.term_variables, fit.z):
+    for term, var, z in zip(fit.labels, fit.term_variables, fit.z):
         if term == INTERCEPT or not np.isfinite(z):
             continue
         if abs(z) >= threshold:
@@ -755,11 +741,8 @@ def utility_report(
             "pmse": fit.pmse,
             "flagged_terms": [{"term": t, "z": z} for t, z in diag.flagged],
             "flagged_variables": list(diag.variables),
-            "warnings": list(fit.warnings),
-            "iterations": fit.iterations,
-            "converged": fit.converged,
-            "gradient_norm": fit.gradient_norm,
-            "cells": fit.cells,
+            "warnings": list(fit.notes),
+            **solver_stats(fit),
         },
         "tables": [],
         "flags": list(compare_univariate(original, synthetic).flags),

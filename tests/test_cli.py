@@ -157,6 +157,24 @@ class TestSynth:
         assert rc == 2
         assert "nesting['occ3'] = 'occ1' conflicts with methods['occ3']" in capsys.readouterr().err
 
+    def test_method_for_a_column_not_visited_exits_2(self, toy_files, tmp_path, capsys):
+        # a misspelled column used to pass, and "age" fell back to CART
+        root, data, schema, plan = toy_files
+        doc = json.loads(plan.read_text())
+        doc["methods"]["agee"] = doc["methods"].pop("age")
+        bad = tmp_path / "misspelled_method.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "o.csv"
+        rc = main(
+            [
+                "synth", "--data", str(data), "--schema", str(schema),
+                "--plan", str(bad), "--out", str(out),
+            ]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == "error: methods names non-synthesized column 'agee'\n"
+        assert not out.exists()
+
     def test_malformed_plan_file_exits_2_without_traceback(self, toy_files, tmp_path):
         # through a real interpreter, so an escaping exception would show as
         # a traceback on stderr and exit code 1

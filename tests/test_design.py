@@ -478,7 +478,7 @@ def _row_design(predictors, n):
 def _row_solve(fit, target, predictors, max_iter=100, tol=1e-6):
     """The solver of ``fit`` run again on the design of every row, each with
     a count of 1, beside the fit's own results: two (coefficients, kept
-    columns, iterations, converged, warnings) tuples.  Least squares has no
+    columns, iterations, converged, notes) tuples.  Least squares has no
     iterations, and its residual SD stands in for convergence.  The row
     design notes one constant column at a time, as a fit does while there
     is at most one."""
@@ -493,20 +493,20 @@ def _row_solve(fit, target, predictors, max_iter=100, tol=1e-6):
         ref, _ = models._newton_logit(X, Y, np.ones(n), max_iter, tol, labels, name)
         return (
             (fit.coefficients.reshape(ref.coefficients.shape), fit.kept, fit.iterations,
-             fit.converged, fit.warnings),
+             fit.converged, fit.notes),
             (ref.coefficients, ref.kept, ref.iterations, ref.converged, notes + ref.notes),
         )
     y = models._forward_transform(target.values, fit.transform, target.name)
     ref = ols(X, y, labels, np.arange(n))
     return (
-        (fit.coefficients, fit.kept, None, fit.residual_sd, fit.warnings),
+        (fit.coefficients, fit.kept, None, fit.residual_sd, fit.notes),
         (ref.coefficients, ref.kept, None, ref.residual_sd, notes + ref.notes),
     )
 
 
 def _assert_same_solve(fit, target, predictors, **solver):
     """``fit`` within 1e-9 relative of its solver on the design of every row,
-    with the same kept columns, iterations, convergence and warnings."""
+    with the same kept columns, iterations, convergence and notes."""
     (coef, kept, it, end, notes), (ref_coef, ref_kept, ref_it, ref_end, ref_notes) = _row_solve(
         fit, target, predictors, **solver
     )
@@ -595,8 +595,8 @@ def test_grouped_propensity_equals_the_row_fit(name, model):
     c = 1000 / 2200
     assert fit.pmse == pytest.approx(np.mean((ref.fitted - c) ** 2), rel=1e-12)
     np.testing.assert_allclose(fit.coefficients, ref.coefficients, rtol=1e-9)
-    assert (fit.terms, fit.iterations, fit.converged) == (ref.labels, ref.iterations, ref.converged)
-    assert fit.warnings == design.notes + ref.notes + _one_sided_terms(
+    assert (fit.labels, fit.iterations, fit.converged) == (ref.labels, ref.iterations, ref.converged)
+    assert fit.notes == design.notes + ref.notes + _one_sided_terms(
         X, y, np.ones(2200), ref.kept, design.labels
     )
     assert fit.cells == len(np.unique(X.toarray(), axis=0))

@@ -399,7 +399,7 @@ class TestLogit:
         with pytest.warns(UserWarning) as caught:
             result = fit(t, Dataset((numeric_column("x", x),)), max_iter=1)
         assert [str(w.message) for w in caught] == [note]
-        assert result.warnings == (note,)
+        assert result.notes == (note,)
 
     def test_single_level_rejected(self):
         col = categorical_column("t", ["a"] * 10, levels=["a", "b"])
@@ -648,7 +648,7 @@ class TestNested:
             "k (2 groups), m (3 groups), z (2 groups)"
         )
         assert [str(w.message) for w in caught] == [expected]
-        assert fit.warnings == (expected,)
+        assert fit.notes == (expected,)
 
     def test_empty_donor_group_rejected(self):
         group = categorical_column("g", ["G1", "G1"], levels=["G1", "G2"])

@@ -117,11 +117,15 @@ class TestValidatePlan:
         "kw, message",
         [
             ({"visit_sequence": ()}, "visit_sequence is empty"),
-            ({"visit_sequence": ("a", "b", "a")}, "visit_sequence contains duplicates"),
+            ({"visit_sequence": ("a", "b", "c", "a")}, "visit_sequence contains duplicates"),
             ({"predictor_matrix": {"zz": ("a",)}}, "predictor_matrix row for non-synthesized 'zz'"),
             ({"rules": (Rule("zz", "a == 'x'", "u"),)}, "rule 0: target 'zz' not in visit_sequence"),
             ({"rules": (Rule("c", "b == 'x'", "u"),)}, "rule 0: numeric column 'b' compared to text"),
             ({"stratifier": "zz"}, "stratifier 'zz' is not a data column"),
+            (
+                {"methods": {"a": Sample(), "b": Cart(), "c": Cart(), "zz": Cart()}},
+                "methods names non-synthesized column 'zz'",
+            ),
         ],
     )
     def test_error_texts(self, kw, message):

@@ -324,6 +324,26 @@ class TestFitPropensity:
         assert ug.statistic == pytest.approx(8.0)
         assert ug.df == 1
 
+    @pytest.mark.parametrize("variable", ["region", "mar"])
+    def test_main_effects_on_one_categorical_is_the_saturated_fit(self, census_pair, variable):
+        # every level on both sides: one dummy per level but the first plus
+        # the intercept is one parameter per cell, so the IRLS route and the
+        # closed form fill the same record with the same numbers
+        orig, syn = census_pair
+        for data in census_pair:
+            assert np.unique(data.column(variable).values).size == len(
+                data.column(variable).kind.levels
+            )
+        irls = fit_propensity(orig, syn, "main_effects", variables=[variable])
+        closed = fit_propensity(orig, syn, "table_saturated", variables=[variable])
+        assert irls.n_params == closed.n_params == len(orig.column(variable).kind.levels)
+        assert irls.pmse == pytest.approx(closed.pmse, rel=1e-9)
+        assert u_gen(irls).statistic == pytest.approx(u_gen(closed).statistic, rel=1e-9)
+        assert u_gen(irls).df == u_gen(closed).df
+        for fit in (irls, closed):
+            assert fit.converged and np.isfinite(fit.z).all()
+        assert irls.iterations > 0 and closed.iterations == 0
+
     def test_pmse_attains_upper_bound_iff_separable(self):
         o, s = two_col_pair(["a", "a", "a"], ["b", "b", "b"])
         fit = fit_propensity(o, s, "table_saturated", variables=["v"])
@@ -339,7 +359,7 @@ class TestFitPropensity:
         orig, syn = census_pair
         fit = fit_propensity(orig, syn, model, variables=["mar", "age"])
         ref = fit_propensity(orig.select(["mar", "age"]), syn.select(["mar", "age"]), model)
-        assert fit.terms == ref.terms
+        assert fit.labels == ref.labels
         np.testing.assert_array_equal(fit.coefficients, ref.coefficients)
         assert fit.pmse == ref.pmse
         with pytest.raises(UtilityError, match="'income'"):
@@ -361,7 +381,7 @@ class TestFitPropensity:
         boot = synthesize(orig, plan).synthetic
         fit = fit_propensity(orig, boot, "interactions")
         diag = diagnose(fit, threshold=1.7)
-        assert len(diag.flagged) >= len(fit.terms) // 3
+        assert len(diag.flagged) >= len(fit.labels) // 3
 
     def test_interactions_exact_copy_gives_zero_pmse(self, census_pair):
         orig, _ = census_pair
@@ -374,8 +394,8 @@ class TestFitPropensity:
         orig, syn = census_pair
         main = fit_propensity(orig, syn, "main_effects")
         inter = fit_propensity(orig, syn, "interactions")
-        assert inter.terms[: len(main.terms)] == main.terms
-        products = set(inter.term_variables[len(main.terms):])
+        assert inter.labels[: len(main.labels)] == main.labels
+        products = set(inter.term_variables[len(main.labels):])
         assert "sex*age" in products and "mar*occ1" in products
         assert all("*" in v for v in products)
 
@@ -426,10 +446,10 @@ class TestFitPropensity:
         a = generate_toy_census(ToyCensusSpec(n_rows=2000, seed=1))
         b = generate_toy_census(ToyCensusSpec(n_rows=2000, seed=2))
         fit = fit_propensity(a, b, model)
-        notes = [w for w in fit.warnings if w.startswith("quasi-separation")]
+        notes = [w for w in fit.notes if w.startswith("quasi-separation")]
         assert len(notes) == 1
         in_a, in_b = set(a.column("occ3").decoded()), set(b.column("occ3").decoded())
-        kept = set(fit.terms)
+        kept = set(fit.labels)
         only_a = {f"occ3={lv}" for lv in in_a - in_b} & kept
         only_b = {f"occ3={lv}" for lv in in_b - in_a} & kept
         assert len(only_a | only_b) == 45
@@ -446,7 +466,7 @@ class TestFitPropensity:
         orig, syn = census_pair
         for model in ("main_effects", "interactions"):
             fit = fit_propensity(orig, syn, model)
-            assert not any(w.startswith("quasi-separation") for w in fit.warnings)
+            assert not any(w.startswith("quasi-separation") for w in fit.notes)
 
 
 class TestUGen:
@@ -580,7 +600,7 @@ class TestDiagnose:
             boot = orig.take(rows)
             fit = fit_propensity(orig, boot, "main_effects")
             diag = diagnose(fit, threshold=1.96)
-            n_terms += len(fit.terms) - 1
+            n_terms += len(fit.labels) - 1
             n_flagged += len(diag.flagged)
         assert n_flagged / n_terms <= 0.05
 
@@ -588,7 +608,7 @@ class TestDiagnose:
         orig, syn = census_pair
         fit = fit_propensity(orig, syn, "main_effects")
         diag = diagnose(fit, threshold=0.0)
-        finite = np.isfinite(fit.z) & (np.array(fit.terms) != "(intercept)")
+        finite = np.isfinite(fit.z) & (np.array(fit.labels) != "(intercept)")
         assert len(diag.flagged) == int(finite.sum())
 
     def test_sorted_by_abs_z_and_grouped(self, census_pair):
@@ -648,6 +668,14 @@ class TestArgumentsThatWouldMisleadAreRefused:
             compare_univariate(*census_pair, n_bins=n_bins)
         assert str(got.value) == message
         assert compare_univariate(*census_pair, n_bins=np.int64(1)).comparisons["age"].edges.size == 2
+
+    @pytest.mark.parametrize("model", ["main_effects", "interactions"])
+    def test_fit_propensity_empty_variables(self, census_pair, model):
+        # the intercept alone would read U_gen 0, p 1: perfect utility
+        # measured on nothing
+        with pytest.raises(UtilityError) as got:
+            fit_propensity(*census_pair, model, variables=[])
+        assert str(got.value) == f"{model} model needs at least one variable; variables is empty"
 
 
 def _without_widowed(pair):
@@ -888,7 +916,7 @@ class TestMatchesPerCellReference:
         fit = fit_propensity(
             orig, syn, "table_saturated", variables=variables, numeric_breaks=breaks
         )
-        assert fit.terms == terms
+        assert fit.labels == terms
         assert np.array_equal(fit.coefficients, coefs)
         assert fit.pmse == pmse
         assert fit.n_params == len(terms)
