@@ -6,7 +6,8 @@ Run from the repository root; the module puts ``src``, ``tests`` and the
 root on ``sys.path`` itself.  Each check writes its files under pytest's
 temporary directory.  The CART and SDC references read one recorded run of
 the benchmark's ``synth_cart`` operation (50k rows, seed 7), and the
-regression references one of its ``synth_parametric`` operation.  The
+regression, design and CSV-writer references one of its ``synth_parametric``
+operation and one of its ``audit`` inputs.  The
 benchmark's CART plan visits ``pperroom`` last, so a CART plan that visits
 it before ``mar`` and ``occ1`` checks trees on its missing cells.
 """
@@ -29,12 +30,15 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT)]
 
 from perfbench import workloads  # noqa: E402
-from synthweave import cart, cli, models, read_csv, sdc, write_csv  # noqa: E402
+from synthweave import cart, cli, design, models, read_csv, sdc, utility, write_csv  # noqa: E402
 from synthweave.tabular import distinct_rows  # noqa: E402
 from test_cart import _ref_fit_cart, _ref_route_rows  # noqa: E402
-from test_design import _assert_same_solve  # noqa: E402
+from test_design import (  # noqa: E402
+    _assert_same_csr, _assert_same_solve, _ref_build_design, _ref_matrix,
+)
 from test_engine import expand_missing_predictors  # noqa: E402
 from test_sdc import _text_key_drops  # noqa: E402
+from test_tabular import _csv_module_bytes  # noqa: E402
 
 ROWS = 50_000
 
@@ -272,6 +276,81 @@ def test_parametric_solvers_converge(synth_parametric_run):
     warnings = {v["name"]: v["warnings"] for v in report["variables"]}
     assert warnings["pperroom"] == expected, warnings["pperroom"]
     print(f"pperroom warnings: {expected}")
+
+
+@pytest.fixture(scope="module")
+def design_runs(tmp_path_factory):
+    """Every design built, by build_design or Design.matrix, in one run of
+    the benchmark's synth_parametric operation and in the utility calls of
+    its audit inputs with ``--model main`` and ``--model interactions``
+    (50k rows, seed 7), by workload; and the dataset the synth run writes,
+    with the file it wrote."""
+    built = {"synth_parametric": [], "audit": []}
+    written = []
+    build, matrix = design.build_design, design.Design.matrix
+
+    def recorded_build(data, interactions=()):
+        layout, X = build(data, interactions)
+        built[workload].append(("build_design", data, interactions, layout, X))
+        return layout, X
+
+    def recorded_matrix(layout, data):
+        X = matrix(layout, data)
+        built[workload].append(("matrix", data, (), layout, X))
+        return X
+
+    def recorded_write(data, path, *args):
+        written.append((data, Path(path)))
+        write_csv(data, path, *args)
+
+    for workload in built:
+        inputs = workloads.setup(workload, 7, tmp_path_factory.mktemp(workload), ROWS)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(models, "build_design", recorded_build)
+            mp.setattr(utility, "build_design", recorded_build)
+            mp.setattr(design.Design, "matrix", recorded_matrix)
+            mp.setattr(cli, "write_csv", recorded_write)
+            assert cli.main(inputs.argv) == 0
+            if workload == "audit":
+                argv = list(inputs.argv)
+                argv[argv.index("--model") + 1] = "interactions"
+                assert cli.main(argv) == 0
+    return built, written
+
+
+def test_designs_equal_their_per_term_reference(design_runs):
+    """Each design matrix of the synth_parametric run and of the audit's
+    main-effects and interaction propensity fits equals, index for index and
+    value for value, tests/test_design.py's per-term COO build, and is in
+    canonical CSR format; build_design keeps the reference's terms and
+    drops its constant columns."""
+    built, _ = design_runs
+    counts = {w: [kind for kind, *_ in calls] for w, calls in built.items()}
+    # sex, age, mar, occ1, and pperroom's values and its missingness logit
+    assert counts["synth_parametric"].count("build_design") == 6, counts
+    assert counts["audit"] == ["build_design", "build_design"], counts
+    for workload, calls in built.items():
+        for kind, data, interactions, layout, X in calls:
+            if kind == "build_design":
+                terms, constant, ref = _ref_build_design(data, interactions)
+                assert (layout.terms, layout.constant) == (terms, constant)
+            else:
+                ref = _ref_matrix(layout.terms, data)
+            _assert_same_csr(X, ref)
+            crossed = f", {len(interactions)} crossed" if interactions else ""
+            print(f"{workload} {kind}: {X.shape[0]} x {X.shape[1]}{crossed}, {X.nnz} nonzeros")
+
+
+def test_synthetic_csv_equals_the_csv_module_rendering(design_runs):
+    """The synth_parametric run's synthetic CSV is byte for byte what
+    csv.writer writes for the same dataset (tests/test_tabular.py's
+    reference)."""
+    _, written = design_runs
+    assert len(written) == 1, written
+    data, path = written[0]
+    raw = path.read_bytes()
+    assert raw == _csv_module_bytes(data)
+    print(f"{path.name}: {data.n_rows} rows, {len(raw)} bytes, same as csv.writer")
 
 
 def test_stratified_synthesis_through_the_cli(tmp_path):

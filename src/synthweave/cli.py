@@ -102,7 +102,8 @@ def cmd_synth(args) -> int:
     diags = validate_plan(plan, data)
     errs = plan_errors(diags)
     for d in diags:
-        print(f"{d.severity}: {d.message}", file=sys.stderr)
+        # an error in the plan is reported as a plan file's errors are
+        print(f"{'plan error' if d.is_error else d.severity}: {d.message}", file=sys.stderr)
     if errs:
         return 2
     if sdc_cfg is not None:

@@ -14,16 +14,24 @@ pattern and the ``Gram`` pair index.  ``scipy.sparse`` is imported the first
 time one is built, so the commands that fit no regression (a sample, CART or
 nested plan, ``compare``, ``gentoy``) never load SciPy.
 
-``Design.matrix`` returns a ``scipy.sparse`` CSR matrix that stores only each
-term's nonzero rows: a main-effects row has at most one nonzero per source
-variable (two for a numeric with missing cells), however many levels the
-categoricals have.  No fit needs the n x p matrix as such.  Each builds one
-``Gram`` of its p x p cross-products X'WX (the sufficient statistics of least
-squares; Miller 1992, AS 274) in ``drop_aliased``, which finds aliased columns
-by a pivoted Cholesky of its X'X; the solver reads the kept rows and columns,
-and least squares reuses that X'X.  ``build_design`` evaluates each term once
-and returns the fit rows' matrix with the layout.  The fits pass it their
+``build_design`` and ``Design.matrix`` return a ``scipy.sparse`` CSR matrix
+that stores only nonzero cells.  Each source variable is evaluated once,
+into a slot per row (a categorical's level code; a numeric's zero, missing
+or nonzero value).  The terms then fall into groups that put at most one
+nonzero in a row: the intercept, the main effects of one variable, and the
+products of one crossed pair.  A lookup table over its slots gives each
+group a design column (or none) and a value per row.  Taken in layout
+order, the groups give each row's columns in ascending order, so the CSR
+arrays are filled from them directly, with int32 indices while they fit.
+``build_design`` finds the constant columns from the same evaluation and
+returns the fit rows' matrix with the layout.  The fits pass it their
 distinct predictor rows only, and weight each by its count of rows.
+
+No fit needs the n x p matrix as such.  Each builds one ``Gram`` of its
+p x p cross-products X'WX (the sufficient statistics of least squares;
+Miller 1992, AS 274) in ``drop_aliased``, which finds aliased columns by a
+pivoted Cholesky of its X'X; the solver reads the kept rows and columns,
+and least squares reuses that X'X.
 """
 
 from __future__ import annotations
@@ -32,7 +40,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MethodError
 from .tabular import Categorical, Dataset, Numeric
 
 INTERCEPT = "(intercept)"
@@ -49,6 +56,7 @@ class Design:
     labels: tuple[str, ...]           # per kept design column
     variables: tuple[str, ...]        # source variable per kept design column
     constant: tuple[str, ...]         # labels of the constant columns dropped
+    sources: tuple[str, ...]          # the fit data's column names, in order
 
     @property
     def notes(self) -> tuple[str, ...]:
@@ -60,8 +68,7 @@ class Design:
 
     def matrix(self, data: Dataset) -> scipy.sparse.csr_array:
         """The n x n_columns design of ``data``, holding only nonzero cells."""
-        nonzeros = _Nonzeros(data)
-        return _assemble([nonzeros(term) for term in self.terms], data.n_rows)
+        return _csr(*_entries(self.terms, self.sources, data), self.n_columns)
 
 
 def _sparse():
@@ -71,17 +78,27 @@ def _sparse():
     return scipy.sparse
 
 
-def _assemble(parts, n: int) -> scipy.sparse.csr_array:
-    """The n-row CSR matrix whose column j holds the (rows, values) ``parts[j]``."""
-    rows = np.concatenate([r for r, _ in parts])
-    vals = np.concatenate([v for _, v in parts])
-    cols = np.repeat(np.arange(len(parts)), [len(r) for r, _ in parts])
-    return _sparse().coo_array((vals, (rows, cols)), shape=(n, len(parts))).tocsr()
+def _index_dtype(bound: int) -> type:
+    """int32 for sparse indices up to ``bound``, as SciPy picks, else int64."""
+    return np.int32 if bound < 2**31 else np.int64
+
+
+def _csr(cols: np.ndarray, values: np.ndarray, p: int) -> scipy.sparse.csr_array:
+    """The n x p CSR matrix whose row i holds ``values[k, i]`` in column
+    ``cols[k, i]`` for each k where that is not -1.  Taken in order of k,
+    the columns of each row ascend, so the matrix is in canonical format
+    as built."""
+    n = cols.shape[1]
+    # a boolean index reads these (n, entries) views one matrix row at a time
+    nonzero = (cols >= 0).T
+    indptr = np.zeros(n + 1, dtype=cols.dtype)
+    np.cumsum(nonzero.sum(axis=1), out=indptr[1:])
+    return _sparse().csr_array((values.T[nonzero], cols.T[nonzero], indptr), shape=(n, p))
 
 
 def intercept_matrix(n: int) -> scipy.sparse.csr_array:
     """The n x 1 matrix of ones: the design of a fit without predictors."""
-    return _assemble([(np.arange(n), np.ones(n))], n)
+    return _csr(np.zeros((1, n), dtype=_index_dtype(n)), np.ones((1, n)), 1)
 
 
 def nonzero_pattern(X: scipy.sparse.csr_array) -> scipy.sparse.csr_array:
@@ -89,43 +106,64 @@ def nonzero_pattern(X: scipy.sparse.csr_array) -> scipy.sparse.csr_array:
     return _sparse().csr_array((X.data != 0, X.indices, X.indptr), shape=X.shape)
 
 
-class _Nonzeros:
-    """(ascending row indices, values) of each design term's nonzero cells
-    on one dataset; a product term reuses its factors' cells."""
+def _slots(term: tuple) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """(source variables, slot in each) of a design term.  A row's slot in
+    a variable is its level code for a categorical; for a numeric, 0 where
+    it is zero, 1 where it is missing and 2 elsewhere.  A main effect is
+    nonzero on the rows in its slot, a product on the rows in both."""
+    tag = term[0]
+    if tag == "intercept":
+        return (), ()
+    if tag == "product":
+        (a,), (i,) = _slots(term[1])
+        (b,), (j,) = _slots(term[2])
+        return (a, b), (i, j)
+    if tag == "dummy":
+        return (term[1],), (term[2],)
+    return (term[1],), (1 if tag == "missing" else 2,)
 
-    def __init__(self, data: Dataset):
-        self.data = data
-        self.n = data.n_rows
-        self.cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
-    def __call__(self, term: tuple) -> tuple[np.ndarray, np.ndarray]:
-        if term not in self.cache:
-            self.cache[term] = self._compute(term)
-        return self.cache[term]
+def _evaluated(data: Dataset, name: str) -> tuple[np.ndarray, np.ndarray | None, int]:
+    """(slot of each row, value of each row or None for all ones, number of
+    slots) of one source variable of ``data``: a missing cell has value 1."""
+    col = data.column(name)
+    if not isinstance(col.kind, Numeric):
+        return col.values, None, len(col.kind.levels)
+    missing = np.isnan(col.values)
+    return np.where(missing, 1, 2 * (col.values != 0)), np.where(missing, 1.0, col.values), 3
 
-    def _compute(self, term: tuple) -> tuple[np.ndarray, np.ndarray]:
-        tag = term[0]
-        if tag == "intercept":
-            return np.arange(self.n), np.ones(self.n)
-        if tag == "product":
-            ra, va = self(term[1])
-            rb, vb = self(term[2])
-            full = np.zeros(self.n)
-            full[ra] = va
-            prod = full[rb] * vb
-            nz = prod != 0
-            return rb[nz], prod[nz]
-        values = self.data.column(term[1]).values
-        if tag == "numeric":
-            rows = np.flatnonzero(~np.isnan(values) & (values != 0))
-            return rows, values[rows]
-        if tag == "missing":
-            rows = np.flatnonzero(np.isnan(values))
-        elif tag == "dummy":
-            rows = np.flatnonzero(values == term[2])
-        else:
-            raise MethodError(f"unknown design term {term!r}")
-        return rows, np.ones(len(rows))
+
+def _entries(terms, sources: tuple[str, ...], data: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """The ``_csr`` arrays of ``terms`` on ``data``: (design column, -1 for
+    none, and value) of each row in each entry, columns numbered by position
+    in ``terms``.  Each entry puts at most one nonzero in a row: the
+    intercept, the main effects of one source variable, or the products of
+    one crossed pair.  Each source variable is evaluated once.  The entries
+    follow the design's layout: main effects in ``sources`` order, then
+    pairs in order of their first and then their second variable."""
+    groups: dict[tuple[str, ...], list[tuple[tuple[int, ...], int]]] = {}
+    for j, term in enumerate(terms):
+        names, slots = _slots(term)
+        groups.setdefault(names, []).append((slots, j))
+    variables = dict.fromkeys(name for names in groups for name in names)
+    evaluated = {name: _evaluated(data, name) for name in variables}
+    position = {name: k for k, name in enumerate(sources)}
+    order = sorted(groups, key=lambda names: (len(names), [position[v] for v in names]))
+    n = data.n_rows
+    cols = np.empty((len(order), n), dtype=_index_dtype(max(len(order) * n, len(terms))))
+    values = np.ones((len(order), n))
+    for k, names in enumerate(order):
+        members = groups[names]
+        lookup = np.full([evaluated[v][2] for v in names], -1, dtype=cols.dtype)
+        for slots, j in members:
+            lookup[slots] = j
+        cols[k] = lookup[tuple(evaluated[v][0] for v in names)]
+        factors = [evaluated[v][1] for v in names if evaluated[v][1] is not None]
+        if factors:
+            np.prod(factors, axis=0, out=values[k])
+        if len(factors) == 2:
+            cols[k][values[k] == 0] = -1  # a product of two numerics can underflow to zero
+    return cols, values
 
 
 def _all_terms(data: Dataset, interactions=()) -> tuple[list[tuple], list[str], list[str]]:
@@ -160,8 +198,8 @@ def _all_terms(data: Dataset, interactions=()) -> tuple[list[tuple], list[str], 
 
 def build_design(data: Dataset, interactions=()) -> tuple[Design, scipy.sparse.csr_array]:
     """Fit a design layout on ``data`` and return it with its matrix of
-    ``data``, from one evaluation of each term; constant non-intercept
-    columns drop.
+    ``data``, from one evaluation of each source variable; constant
+    non-intercept columns drop.
 
     ``interactions`` names the columns whose design columns are crossed
     pairwise (two-way interactions between different variables); the main
@@ -169,22 +207,32 @@ def build_design(data: Dataset, interactions=()) -> tuple[Design, scipy.sparse.c
     same matrix of new data.
     """
     terms, labels, variables = _all_terms(data, interactions)
-    n = data.n_rows
-    nonzeros = _Nonzeros(data)
-    parts = [nonzeros(term) for term in terms]
+    n, p = data.n_rows, len(terms)
+    cols, values = _entries(terms, data.names, data)
     # all zero, or nonzero everywhere with one value; never the intercept
-    constant = [
-        j > 0 and n > 0 and (len(rows) == 0 or (len(rows) == n and vals.max() == vals.min()))
-        for j, (rows, vals) in enumerate(parts)
-    ]
-    keep = [j for j, c in enumerate(constant) if not c]
+    constant = np.zeros(p, dtype=bool)
+    if n:
+        counts = np.bincount(cols[cols >= 0], minlength=p)
+        constant = counts == 0
+        for j in np.flatnonzero(counts == n):
+            # a column nonzero on every row is all of its entry
+            v = values[cols[:, 0] == j]
+            constant[j] = v.max() == v.min()
+        constant[0] = False
+    keep = np.flatnonzero(~constant)
+    if keep.size < p:
+        # renumber the kept columns; a -1 reads the last slot, which stays -1
+        renumbered = np.full(p + 1, -1, dtype=cols.dtype)
+        renumbered[keep] = np.arange(keep.size)
+        cols = renumbered[cols]
     design = Design(
         terms=tuple(terms[j] for j in keep),
         labels=tuple(labels[j] for j in keep),
         variables=tuple(variables[j] for j in keep),
-        constant=tuple(label for label, c in zip(labels, constant) if c),
+        constant=tuple(labels[j] for j in np.flatnonzero(constant)),
+        sources=data.names,
     )
-    return design, _assemble([parts[j] for j in keep], n)
+    return design, _csr(cols, values, keep.size)
 
 
 class Gram:
@@ -223,7 +271,8 @@ class Gram:
             for lo in range(first[m], first[m + 1], GRAM_CHUNK_ROWS):
                 hi = min(lo + GRAM_CHUNK_ROWS, first[m + 1])
                 pos = X.indptr[self.order[lo:hi]][:, None] + np.arange(m)
-                cols, vals = X.indices[pos], X.data[pos]
+                # in S's index type: int32 design columns times p can pass 2**31
+                cols, vals = X.indices[pos].astype(index, copy=False), X.data[pos]
                 block = slice(indptr[lo], indptr[hi])
                 # np.take keeps the pairs row-major, so ravel copies nothing;
                 # cols[:, a] comes back column-major

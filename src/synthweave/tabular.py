@@ -531,25 +531,38 @@ def _rewritten(path: str | Path, newline: str | None = None) -> Iterator[TextIO]
                 os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
 
 
+def _quoted(text: str, alone: bool) -> str:
+    """``text`` as a CSV field, as ``csv.writer(lineterminator="\\n")`` writes
+    it: in double quotes, with its own quotes doubled, when it holds a
+    comma, a double quote or a line feed, or when it is empty and ``alone``
+    in its row (an empty row would read back as a blank line)."""
+    if "," in text or '"' in text or "\n" in text or (alone and not text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_csv(data: Dataset, path: str | Path, missing_token: str = "NA") -> None:
     """Write a Dataset as UTF-8 CSV; round-trips through read_csv exactly.
 
-    Each column's distinct values are formatted once; the rows are then
-    rendered and written in the blocks ``read_csv`` reads, about
-    ``_BLOCK_CELLS`` cells of whole rows each.
+    Each distinct text is made once: a numeric column formats each of its
+    distinct values, and the column names, the levels and the missing token
+    are quoted by ``_quoted``, the rule ``csv.writer`` applies, so the bytes
+    are the ones it would write (formatted numbers never need quotes).  The
+    rows are then rendered by joining those texts, in the blocks
+    ``read_csv`` reads, about ``_BLOCK_CELLS`` cells of whole rows each.
 
     An existing file is rewritten in place (see ``_rewritten``): its mode,
     hard links and symlinks are kept, and it ends up holding exactly the
     new bytes.
 
     Text the reader would take apart is refused with a ``DataError``: a
-    carriage return in a column name or level (the writer does not quote
-    it), a line break in the label, and a first column name starting with
-    '#' (the reader would skip the header as a comment).
+    carriage return in a column name, a level or the missing token (the
+    writer does not quote it), a line break in the label, and a first column
+    name starting with '#' (the reader would skip the header as a comment).
     """
     path = Path(path)
-    texts = data.names + tuple(lv for c in data.columns if not c.is_numeric for lv in c.levels)
-    bad = next((t for t in texts if "\r" in t), None)
+    levels = (lv for c in data.columns if not c.is_numeric for lv in c.levels)
+    bad = next((t for t in (*data.names, missing_token, *levels) if "\r" in t), None)
     if bad is not None:
         raise DataError(f"cannot write {bad!r} to CSV: it contains a carriage return")
     if data.label is not None and ("\n" in data.label or "\r" in data.label):
@@ -559,15 +572,22 @@ def write_csv(data: Dataset, path: str | Path, missing_token: str = "NA") -> Non
             f"cannot write first column {data.names[0]!r}: a header starting "
             f"with '#' reads back as a comment"
         )
+    alone = len(data.columns) == 1
     try:
         with _rewritten(path, newline="") as fh:
             if data.label is not None:
                 fh.write(f"# SYNTHETIC DATA: {data.label}\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(data.names)
-            texts = [_texts(c, missing_token) for c in data.columns]
+            fh.write(",".join(_quoted(name, alone) for name in data.names) + "\n")
+            token = _quoted(missing_token, alone)
+            texts = []
+            for col in data.columns:
+                text, index = _texts(col, token)
+                if not col.is_numeric:
+                    text = np.array([_quoted(level, alone) for level in col.levels], dtype=object)
+                texts.append((text, index))
             step = _block_rows(len(texts))
             for lo in range(0, data.n_rows, step):
-                writer.writerows(zip(*(t[i[lo : lo + step]].tolist() for t, i in texts)))
+                rows = zip(*(t[i[lo : lo + step]].tolist() for t, i in texts))
+                fh.write("\n".join(map(",".join, rows)) + "\n")
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc

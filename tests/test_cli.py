@@ -172,8 +172,35 @@ class TestSynth:
             ]
         )
         assert rc == 2
-        assert capsys.readouterr().err == "error: methods names non-synthesized column 'agee'\n"
+        err = capsys.readouterr().err
+        assert err == "plan error: methods names non-synthesized column 'agee'\n"
         assert not out.exists()
+
+    def test_plan_errors_share_a_prefix_that_data_errors_lack(self, toy_files, tmp_path, capsys):
+        """A plan file that does not parse and a plan that validation rejects
+        both print ``plan error:`` and exit 2; a data file with a ragged row
+        prints ``error:`` and exits 1."""
+        root, data, schema, plan = toy_files
+        unparsed = tmp_path / "unparsed.json"
+        unparsed.write_text('{"visit_sequence": ')
+        doc = json.loads(plan.read_text())
+        doc["nesting"]["agee"] = "occ1"
+        invalid = tmp_path / "invalid.json"
+        invalid.write_text(json.dumps(doc))
+        ragged = tmp_path / "ragged.csv"
+        ragged.write_text(data.read_text() + "R1,F\n")
+        got = []
+        for data_file, plan_file in ((data, unparsed), (data, invalid), (ragged, plan)):
+            rc = main(
+                [
+                    "synth", "--data", str(data_file), "--schema", str(schema),
+                    "--plan", str(plan_file), "--out", str(tmp_path / "o.csv"),
+                ]
+            )
+            err = capsys.readouterr().err
+            got.append((rc, err.split(": ", 1)[0], err.count("\n")))
+        assert got == [(2, "plan error", 1), (2, "plan error", 1), (1, "error", 1)]
+        assert not (tmp_path / "o.csv").exists()
 
     def test_malformed_plan_file_exits_2_without_traceback(self, toy_files, tmp_path):
         # through a real interpreter, so an escaping exception would show as

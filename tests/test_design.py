@@ -2,9 +2,12 @@
 
 The reference here is the dense path: each design column built on its own,
 aliased columns found by pivoted QR of X, least squares by ``lstsq`` and
-logistic regression by Newton steps on the dense Hessian.
+logistic regression by Newton steps on the dense Hessian.  The sparse
+matrices are checked against a per-term build: each term's nonzero rows
+found on their own and assembled through a COO matrix.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -14,8 +17,10 @@ import scipy.sparse
 from hypothesis import given, settings, strategies as st
 from scipy.linalg.lapack import dpstrf
 
-from synthweave import models
-from synthweave.design import Gram, _Nonzeros, _pivoted_cholesky, build_design, drop_aliased
+from synthweave import design as design_module, models
+from synthweave.design import (
+    INTERCEPT, Gram, _all_terms, _pivoted_cholesky, build_design, drop_aliased,
+)
 from synthweave.models import (
     _expit, _predict, fit_logit, fit_multinomial, fit_normrank, fit_transform_normal, irls_logit,
     ols,
@@ -160,6 +165,190 @@ CASES = [
 ]
 
 
+class _RefNonzeros:
+    """(ascending row indices, values) of each design term's nonzero cells
+    on one dataset, each term evaluated on its own; a product term reuses
+    its factors' cells."""
+
+    def __init__(self, data):
+        self.data = data
+        self.n = data.n_rows
+        self.cache = {}
+
+    def __call__(self, term):
+        if term not in self.cache:
+            self.cache[term] = self._compute(term)
+        return self.cache[term]
+
+    def _compute(self, term):
+        tag = term[0]
+        if tag == "intercept":
+            return np.arange(self.n), np.ones(self.n)
+        if tag == "product":
+            ra, va = self(term[1])
+            rb, vb = self(term[2])
+            full = np.zeros(self.n)
+            full[ra] = va
+            prod = full[rb] * vb
+            nz = prod != 0
+            return rb[nz], prod[nz]
+        values = self.data.column(term[1]).values
+        if tag == "numeric":
+            rows = np.flatnonzero(~np.isnan(values) & (values != 0))
+            return rows, values[rows]
+        if tag == "missing":
+            rows = np.flatnonzero(np.isnan(values))
+        else:
+            assert tag == "dummy", term
+            rows = np.flatnonzero(values == term[2])
+        return rows, np.ones(len(rows))
+
+
+def _ref_assemble(parts, n):
+    """The n-row CSR matrix whose column j holds the (rows, values) ``parts[j]``."""
+    rows = np.concatenate([r for r, _ in parts])
+    vals = np.concatenate([v for _, v in parts])
+    cols = np.repeat(np.arange(len(parts)), [len(r) for r, _ in parts])
+    return scipy.sparse.coo_array((vals, (rows, cols)), shape=(n, len(parts))).tocsr()
+
+
+def _ref_matrix(terms, data):
+    """The design matrix of ``terms`` on ``data``, one term at a time."""
+    nonzeros = _RefNonzeros(data)
+    return _ref_assemble([nonzeros(term) for term in terms], data.n_rows)
+
+
+def _ref_build_design(data, interactions=()):
+    """(kept terms, labels of the constant columns dropped, matrix) of
+    ``data``, one term at a time: a non-intercept column is constant when it
+    is all zero or nonzero on every row with one value."""
+    terms, labels, _ = _all_terms(data, interactions)
+    n = data.n_rows
+    nonzeros = _RefNonzeros(data)
+    parts = [nonzeros(term) for term in terms]
+    constant = [
+        j > 0 and n > 0 and (len(rows) == 0 or (len(rows) == n and vals.max() == vals.min()))
+        for j, (rows, vals) in enumerate(parts)
+    ]
+    keep = [j for j, c in enumerate(constant) if not c]
+    return (
+        tuple(terms[j] for j in keep),
+        tuple(label for label, c in zip(labels, constant) if c),
+        _ref_assemble([parts[j] for j in keep], n),
+    )
+
+
+def _assert_same_csr(X, ref):
+    """``X`` is a canonical CSR matrix with ``ref``'s shape, row pointers,
+    column indices and values."""
+    assert X.format == "csr" and X.shape == ref.shape
+    assert X.has_canonical_format
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(X, name), getattr(ref, name), err_msg=name)
+
+
+def _assert_design_equals_reference(data, interactions, new=()):
+    """build_design on ``data`` against the per-term reference, and
+    Design.matrix on ``data`` and on each of ``new`` against the reference
+    matrix of its terms."""
+    design, X = build_design(data, interactions=interactions)
+    terms, constant, ref = _ref_build_design(data, interactions)
+    assert design.terms == terms and design.constant == constant
+    _assert_same_csr(X, ref)
+    for other in (data, *new):
+        _assert_same_csr(design.matrix(other), _ref_matrix(design.terms, other))
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_matrix_equals_the_per_term_reference(name):
+    data, inter, _ = _case(name)
+    again, _, _ = _case(name)
+    shuffled = data.take(np.random.default_rng(4).permutation(data.n_rows)[:500])
+    _assert_design_equals_reference(data, inter, new=(shuffled, again.take(np.arange(0))))
+
+
+# numbers that make zeros, missing cells and products that underflow
+DESIGN_NUMBERS = (0.0, -0.0, math.nan, 1.0, -2.5, 3.0, 1e-200, 1e150)
+
+
+@st.composite
+def _design_datasets(draw):
+    """(fit data, new data of the same columns, interactions): 0-3
+    categoricals whose rows need not show every level, 0-2 numerics with
+    zeros, missing cells and tiny values, 0-12 rows, any crossed subset."""
+    kinds = draw(st.lists(st.sampled_from(["c", "x"]), max_size=5))
+    kinds = [k for i, k in enumerate(kinds) if k == "c" or kinds[:i].count("x") < 2]
+    kinds = [k for i, k in enumerate(kinds) if k == "x" or kinds[:i].count("c") < 3]
+    levels = [draw(st.integers(1, 4)) for _ in kinds]
+
+    def rows(n):
+        cols = []
+        for j, (kind, k) in enumerate(zip(kinds, levels)):
+            name = f"{kind}{j}"
+            if kind == "x":
+                values = draw(st.lists(st.sampled_from(DESIGN_NUMBERS), min_size=n, max_size=n))
+                cols.append(numeric_column(name, values))
+            else:
+                codes = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+                kind = Categorical(tuple("abcd"[:k]))
+                cols.append(Column(name, kind, np.array(codes, dtype=np.int64)))
+        return Dataset(tuple(cols))
+
+    data, new = rows(draw(st.integers(0, 12))), rows(draw(st.integers(0, 12)))
+    crossed = tuple(name for name in data.names if draw(st.booleans()))
+    return data, new, crossed
+
+
+@settings(max_examples=150, deadline=None)
+@given(_design_datasets())
+def test_matrix_equals_the_per_term_reference_on_generated_data(case):
+    data, new, crossed = case
+    # Design.matrix finds the columns by name, in any order
+    _assert_design_equals_reference(data, crossed, new=(new, new.select(new.names[::-1])))
+
+
+def test_products_keep_their_order_when_a_first_product_drops():
+    """Of the products of a = a1 with b and c, only the one with b is all
+    zero and drops, so the first kept product of (a, b) comes after the
+    first of (a, c).  Rows with a = a2 still hold (a, b) before (a, c), and
+    Design.matrix, which sees only the kept terms, must order them so."""
+    a = Column("a", Categorical(("a0", "a1", "a2")), np.array([1, 2, 0, 2, 1]))
+    b = Column("b", Categorical(("b0", "b1")), np.array([0, 1, 1, 0, 0]))
+    c = Column("c", Categorical(("c0", "c1")), np.array([1, 1, 0, 0, 0]))
+    data = Dataset((a, b, c))
+    design, _ = build_design(data, interactions=data.names)
+    assert "a=a1*b=b1" in design.constant
+    assert design.labels.index("a=a2*b=b1") < design.labels.index("a=a2*c=c1")
+    _assert_design_equals_reference(data, data.names)
+
+
+def test_matrix_has_int32_indices():
+    data, inter, _ = _case("missing numeric")
+    design, X = build_design(data, interactions=inter)
+    assert X.indices.dtype == X.indptr.dtype == np.int32
+    assert design.matrix(data).indices.dtype == np.int32
+
+
+@pytest.mark.parametrize(
+    "data, p",
+    [
+        (Dataset(()), 1),
+        (Dataset((numeric_column("x", []), Column("g", Categorical(("u", "v", "w")), []))), 4),
+    ],
+    ids=["no predictor columns", "no rows"],
+)
+def test_empty_design_keeps_every_column(data, p):
+    """A design of no rows drops no column as constant, and its aliasing
+    check keeps every column with a zero X'X."""
+    design, X = build_design(data)
+    assert X.shape == (0, p) and design.n_columns == p and design.constant == ()
+    assert design.labels[0] == INTERCEPT
+    gram, kept, notes, G = drop_aliased(X, design.labels, np.ones(0))
+    assert gram.p == p
+    np.testing.assert_array_equal(kept, np.arange(p))
+    assert notes == [] and G.shape == (p, p) and not G.any()
+
+
 @pytest.mark.parametrize("name", CASES)
 def test_sparse_matrix_equals_dense_build(name):
     """The fit rows' matrix that build_design returns, and Design.matrix
@@ -194,23 +383,28 @@ def test_normrank_forms_one_gram_product(monkeypatch):
 
 
 @pytest.mark.parametrize("fit", ["logit", "main_effects", "interactions"])
-def test_fits_evaluate_each_design_term_once(monkeypatch, fit):
-    """The fit rows' nonzeros of each term are computed once per fit: the
-    constant-column check and the matrix share them, and a product term
-    reuses its factors'."""
+def test_fits_evaluate_each_source_column_once(monkeypatch, fit):
+    """Each predictor column of the fit rows is evaluated once per fit: the
+    constant-column check and the matrix share the evaluation, and the
+    products of a crossed pair reuse their columns'."""
     _, c = _base(n=1200, seed=5)
     _, d = _base(n=1200, seed=6)
     names = ("occ1", "g", "x")
     original = Dataset(tuple(c[k] for k in names))
-    computed = _spy(monkeypatch, _Nonzeros, "_compute")
+    evaluated, real = [], design_module._evaluated
+
+    def spy(data, name):
+        evaluated.append(name)
+        return real(data, name)
+
+    monkeypatch.setattr(design_module, "_evaluated", spy)
     if fit == "logit":
         noisy = c["x"].values + np.random.default_rng(8).normal(size=original.n_rows)
         target = Column("t", Categorical(("a", "b")), (noisy > 0).astype(np.int64))
         fit_logit(target, original)
     else:
         fit_propensity(original, Dataset(tuple(d[k] for k in names)), model=fit)
-    terms = [term for (term,) in computed]
-    assert terms and len(terms) == len(set(terms))
+    assert sorted(evaluated) == sorted(names)
 
 
 def test_constant_column_dropped_with_note():

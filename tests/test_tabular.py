@@ -1,4 +1,5 @@
 import csv
+import io
 import math
 import os
 import threading
@@ -7,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from synthweave import (
     Categorical,
@@ -142,6 +143,28 @@ class TestCsvRoundTrip:
         assert path.read_text() == "x\n"
         back = read_csv(path, {"x": Numeric()})
         assert back.n_rows == 0
+
+    def test_zero_rows_of_each_kind(self, tmp_path):
+        d = Dataset(
+            (categorical_column("c", [], ["a", "b,c"]), numeric_column("x", []))
+        ).with_label("none")
+        path = tmp_path / "empty.csv"
+        write_csv(d, path)
+        assert path.read_bytes() == b"# SYNTHETIC DATA: none\nc,x\n"
+        back = read_csv(path, d.schema())
+        assert back.names == ("c", "x") and back.n_rows == 0
+        assert back.column("c").values.shape == back.column("x").values.shape == (0,)
+        assert back.schema() == d.schema()
+
+    def test_zero_columns_write_an_empty_header(self, tmp_path):
+        """No columns make an empty header line, as csv.writer writes an
+        empty row; the reader skips a blank line, so it finds no header."""
+        d = Dataset(()).with_label("none")
+        path = tmp_path / "empty.csv"
+        write_csv(d, path)
+        assert path.read_bytes() == b"# SYNTHETIC DATA: none\n\n" == _csv_module_bytes(d)
+        with pytest.raises(DataError, match="no header row"):
+            read_csv(path, {})
 
     def test_comment_lines_skipped(self, tmp_path):
         path = tmp_path / "c.csv"
@@ -348,6 +371,24 @@ def _format_number(v: float) -> str:
     if math.isfinite(v) and v == int(v) and abs(v) < 1e16:
         return str(int(v))
     return repr(float(v))
+
+
+def _csv_module_bytes(data, missing_token="NA"):
+    """The bytes the csv module writes for ``data``: the stamp, then one
+    csv.writer(lineterminator="\\n") row for the header and one per row of
+    per-cell texts."""
+    out = io.StringIO(newline="")
+    if data.label is not None:
+        out.write(f"# SYNTHETIC DATA: {data.label}\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(data.names)
+    columns = [
+        c.decoded() if not c.is_numeric
+        else [missing_token if math.isnan(v) else _format_number(v) for v in c.values.tolist()]
+        for c in data.columns
+    ]
+    writer.writerows(zip(*columns))
+    return out.getvalue().encode("utf-8")
 
 
 def reference_read_csv(path, schema, missing_token="NA", name=None):
@@ -629,9 +670,10 @@ LEVEL_TEXT = st.text(
 @st.composite
 def _datasets(draw):
     """A random Dataset of numeric and categorical columns, with awkward
-    numbers and level texts."""
+    numbers, level texts and names; a one-column dataset has its level ""
+    often enough to be seen."""
     n = draw(st.integers(0, 6))
-    names = draw(st.lists(st.sampled_from(["a", "b", "é", "x y", "q,\"", "#h"]),
+    names = draw(st.lists(st.sampled_from(["a", "b", "é", "x y", "q,\"", "l\nb", "#h"]),
                           min_size=1, max_size=4, unique=True).filter(lambda v: v[0] != "#h"))
     columns = []
     for name in names:
@@ -643,7 +685,7 @@ def _datasets(draw):
             columns.append(numeric_column(name, values))
         else:
             levels = draw(
-                st.lists(LEVEL_TEXT | st.sampled_from(["NA", "#lead", "a,b", 'q"t', "l\nb"]),
+                st.lists(LEVEL_TEXT | st.sampled_from(["NA", "#lead", "a,b", 'q"t', "l\nb", ""]),
                          min_size=1, max_size=5, unique=True)
             )
             codes = draw(st.lists(st.integers(0, len(levels) - 1), min_size=n, max_size=n))
@@ -697,6 +739,27 @@ class TestRoundTripProperty:
             back = read_csv(path, data.schema())
         assert back.equals(data)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=_datasets(),
+        label=st.sampled_from([None, "demo"]),
+        missing_token=st.sampled_from(["NA", "", "n,a", '"']),
+    )
+    @example(
+        data=Dataset((categorical_column("c", ["", "x", ""]),)), label=None, missing_token="NA"
+    )
+    @example(
+        data=Dataset((numeric_column("x", [1.5, math.nan]),)), label=None, missing_token=""
+    )
+    def test_bytes_equal_the_csv_module(self, tmp_path_factory, data, label, missing_token):
+        """The bytes are those of csv.writer(lineterminator="\\n") on the
+        per-cell texts, and they read back to the same dataset."""
+        path = tmp_path_factory.getbasetemp() / "csv_module.csv"
+        write_csv(data.with_label(label), path, missing_token)
+        assert path.read_bytes() == _csv_module_bytes(data.with_label(label), missing_token)
+        back = read_csv(path, data.schema(), missing_token)
+        assert back.equals(data) and back.schema() == data.schema()
+
     def test_level_spelled_like_missing_token_stays_a_level(self, tmp_path):
         d = Dataset(
             (
@@ -731,6 +794,14 @@ class TestRoundTripProperty:
         d = Dataset((categorical_column("c", ["a"], ["a", "b\r"]),))
         with pytest.raises(DataError, match="carriage return"):
             write_csv(d, tmp_path / "cr.csv")
+
+    def test_carriage_return_missing_token_refused(self, tmp_path):
+        # unquoted, as csv.writer leaves it, it would end the row early
+        d = Dataset((numeric_column("x", [1.0, math.nan]), numeric_column("y", [2.0, 3.0])))
+        path = tmp_path / "cr.csv"
+        with pytest.raises(DataError, match="carriage return"):
+            write_csv(d, path, missing_token="N\rA")
+        assert not path.exists()
 
 
 class TestBulkFormatter:
