@@ -21,6 +21,7 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -30,13 +31,15 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT)]
 
 from perfbench import workloads  # noqa: E402
-from synthweave import cart, cli, design, models, read_csv, sdc, utility, write_csv  # noqa: E402
+from synthweave import (  # noqa: E402
+    cart, cli, design, engine, load_plan, models, read_csv, sdc, synthesize, utility, write_csv,
+)
 from synthweave.tabular import distinct_rows  # noqa: E402
 from test_cart import _ref_fit_cart, _ref_route_rows  # noqa: E402
 from test_design import (  # noqa: E402
     _assert_same_csr, _assert_same_solve, _ref_build_design, _ref_matrix,
 )
-from test_engine import expand_missing_predictors  # noqa: E402
+from test_engine import assert_matches_reference, expand_missing_predictors  # noqa: E402
 from test_sdc import _text_key_drops  # noqa: E402
 from test_tabular import _csv_module_bytes  # noqa: E402
 
@@ -351,6 +354,29 @@ def test_synthetic_csv_equals_the_csv_module_rendering(design_runs):
     raw = path.read_bytes()
     assert raw == _csv_module_bytes(data)
     print(f"{path.name}: {data.n_rows} rows, {len(raw)} bytes, same as csv.writer")
+
+
+@pytest.mark.parametrize("workload", ["synth_cart", "synth_parametric"])
+def test_fit_and_sample_passes_equal_their_reference(tmp_path, workload):
+    """The benchmark's synth operation (50k rows, seed 7), in process and
+    before SDC: every variable's draw equals tests/test_engine.py's
+    independent two-step reference (``assert_matches_reference``), and two
+    more sample passes over the run's one set of fitted records reproduce
+    its columns byte for byte."""
+    workloads.setup(workload, 7, tmp_path, ROWS)
+    original = read_csv(tmp_path / "data.csv", cli.load_schema(tmp_path / "schema.json"))
+    plan = load_plan(tmp_path / "plan.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # guideline 6 on occ3's position
+        run = synthesize(original, plan)
+    assert_matches_reference(original, plan, run)
+    records = engine._fit_pass(original, plan)
+    for _ in range(2):
+        columns, _ = engine._sample_pass(records, plan, 0, original.n_rows, ())
+        for col in columns:
+            assert col.values.tobytes() == run.synthetic.column(col.name).values.tobytes(), col.name
+    print(f"{workload}: {len(columns)} columns of {run.synthetic.n_rows} rows, "
+          "same as reference and on each sample pass")
 
 
 def test_stratified_synthesis_through_the_cli(tmp_path):

@@ -759,6 +759,8 @@ def route_rows(tree: CartTree, new_predictors: Dataset | None, n_rows: int | Non
     else:
         raise MethodError("cart: routing needs predictors or an explicit row count")
     used = np.unique(tree.column[tree.column >= 0]).tolist()
+    if used and new_predictors is None:
+        raise MethodError("cart: this tree needs predictor columns for sampling")
     split_on = _missing_rule(new_predictors.columns, tree.expanded) if used else None
     columns = {c: split_on.column(tree.columns[c]) for c in used}
 

@@ -1,11 +1,14 @@
 """One-variable-at-a-time synthesis driver.
 
-Fits every conditional on the original data and samples with the synthetic
-values of the predecessors (plug-in sequential scheme).  Rows matching a
-rule's condition are excluded from that variable's fit and receive the forced
-value in the output, so rules hold exactly.  Numeric targets with missing
-cells get a synthesized missingness indicator; stratified runs synthesize
-each stratum independently on its own RNG substream.
+Each stratum is synthesized in two passes (plug-in sequential scheme).  The
+fit pass reads only the original rows: it fits every conditional of the
+visit sequence with the original predecessors as predictors.  The sample
+pass reads only the synthetic predecessors and the ``fixed`` columns: it
+draws each variable from its fitted model on its own RNG substream.  Rows
+matching a rule's condition are excluded from that variable's fit and
+receive the forced value in the output, so rules hold exactly.  Numeric
+targets with missing cells get a synthesized missingness indicator;
+stratified runs synthesize each stratum independently.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ from .models import NewtonResult, SampleFit, solver_stats
 # tracer patches it through this module
 from .models import fit_logit  # noqa: F401
 from .plan import (
-    COMPARISONS, Atom, MethodSpec, SynthesisPlan, level_code, plan_errors, validate_plan,
+    COMPARISONS, Atom, SynthesisPlan, level_code, plan_errors, validate_plan,
 )
-from .tabular import Categorical, Column, Dataset, Numeric, stack_rows
+from .tabular import Categorical, Column, Dataset, Numeric, VariableKind, stack_rows
 
 
 @dataclass(frozen=True)
@@ -32,7 +35,6 @@ class VariableSummary:
     name: str
     method: str
     n_fit: int
-    elapsed: float
     rule_forced: int
     missing_indicator: bool
     warnings: tuple[str, ...]
@@ -42,6 +44,10 @@ class VariableSummary:
     rules_s: float = 0.0
     tree: dict | None = None  # CART only: nodes, leaves, depth
     solver: dict | None = None  # Newton fits only: iterations, converged, gradient_norm
+
+    @property
+    def elapsed(self) -> float:
+        return self.fit_s + self.sample_s + self.rules_s
 
 
 @dataclass(frozen=True)
@@ -77,45 +83,21 @@ def _eval_atoms(atoms: tuple[Atom, ...], columns: dict[str, Column], n: int) -> 
 
 
 @dataclass(frozen=True)
-class _MissingAwareFit:
-    """A missingness-indicator model plus a model of the observed values."""
+class _FitRecord:
+    """One variable's fitted conditional: the value model and, for a numeric
+    target with missing cells, the missingness indicator's model."""
 
-    indicator: object
-    observed: object
-    notes: tuple[str, ...] = ()
-
-    def sample(self, predictors: Dataset | None, rng: np.random.Generator, n: int) -> np.ndarray:
-        missing = self.indicator.sample(predictors, rng, n) == 1
-        values = self.observed.sample(predictors, rng, n).astype(np.float64)
-        values[missing] = np.nan
-        return values
+    kind: VariableKind
+    model: object
+    indicator: object | None
+    n_fit: int
+    fit_s: float  # preparing the fit rows and fitting
 
 
-def _fit_with_missing(spec: MethodSpec, target: Column, orig_preds: Dataset | None):
-    """Two-step fit of a numeric column with missing cells: the method's
-    ``missing_model`` fits a missingness indicator, the method itself the
-    complete rows.  Without a missing model (the sample method) all cells
-    are bootstrapped together, so the joint draw carries the rate."""
-    missing = target.missing_mask()
-    if missing.all():
-        raise MethodError(f"{target.name}: all values missing")
-    indicator_spec = spec.missing_model
-    if indicator_spec is None:
-        return SampleFit(target.values)
-    ind = Column(f"{target.name}:missing", MISSING_INDICATOR, missing.astype(np.int64))
-    ind_fit = indicator_spec.fit(ind, orig_preds)
-    keep = np.flatnonzero(~missing)
-    model = spec.fit(
-        target.take(keep), orig_preds.take(keep) if orig_preds is not None else None
-    )
-    return _MissingAwareFit(ind_fit, model, ind_fit.notes + model.notes)
-
-
-def _tree_stats(model) -> dict | None:
+def _tree_stats(record: _FitRecord) -> dict | None:
     """Size of a variable's CART trees, the missingness-indicator tree
     included: nodes and leaves summed, depth of the deepest."""
-    parts = [model.indicator, model.observed] if isinstance(model, _MissingAwareFit) else [model]
-    trees = [p for p in parts if isinstance(p, CartTree)]
+    trees = [m for m in (record.indicator, record.model) if isinstance(m, CartTree)]
     if not trees:
         return None
     return {
@@ -125,102 +107,97 @@ def _tree_stats(model) -> dict | None:
     }
 
 
-def _solver_stats(model) -> dict | None:
+def _solver_stats(record: _FitRecord) -> dict | None:
     """How a variable's Newton fit ended, and the distinct predictor rows
     it ran on: a Logit or Multinomial target's, or a numeric target's
     missingness-indicator logit."""
-    fit = model.indicator if isinstance(model, _MissingAwareFit) else model
+    fit = record.model if record.indicator is None else record.indicator
     return solver_stats(fit) if isinstance(fit, NewtonResult) else None
 
 
-def _synthesize_stratum(
-    original: Dataset,
-    plan: SynthesisPlan,
-    stratum_index: int = 0,
-    n_rows: int | None = None,
-    stratum_label: str | None = None,
-    fixed: tuple[Column, ...] = (),
-) -> tuple[tuple[Column, ...], list[VariableSummary]]:
-    """Synthesize one stratum; RNG substreams keyed by (stratum, position).
+def _fit_pass(original: Dataset, plan: SynthesisPlan) -> list[_FitRecord]:
+    """Fit every variable of the visit sequence on the original rows that
+    no rule of it excludes, with its original predecessors as predictors.
 
-    ``fixed`` columns (a stratum's copied stratifier) are synthetic from the
-    start: nested targets may group by them and rules may test them.
-    Returns the synthetic columns (``fixed`` first, then the visit
-    sequence) and one summary per variable."""
-    n_out = n_rows if n_rows is not None else original.n_rows
-    synth: dict[str, Column] = {c.name: c for c in fixed}
+    A numeric target with missing cells is fit in two steps: the method's
+    ``missing_model`` fits a missingness indicator, the method itself the
+    complete rows.  Without a missing model (the sample method) all cells
+    are bootstrapped together, so the joint draw carries the rate."""
     orig_cols = {c.name: c for c in original.columns}
-    summaries: list[VariableSummary] = []
-
-    for pos, name in enumerate(plan.visit_sequence):
+    records = []
+    for name in plan.visit_sequence:
         started = time.perf_counter()
-        rng = _substream(plan.seed, stratum_index, pos)
-        target = original.column(name)
         spec = plan.methods[name]
-        pred_names = plan.predictors_of(name)
-        rules = plan.rules_for(name)
-
         excl = np.zeros(original.n_rows, dtype=bool)
-        for rule in rules:
+        for rule in plan.rules_for(name):
             excl |= _eval_atoms(rule.atoms(), orig_cols, original.n_rows)
         fit_idx = np.flatnonzero(~excl)
         if fit_idx.size == 0:
             raise MethodError(f"{name}: every original row is excluded by rules")
-
-        t_fit = target.take(fit_idx)
-        orig_preds = (
-            original.select(pred_names).take(fit_idx) if pred_names else None
-        )
-        syn_preds = (
-            Dataset(tuple(synth[p] for p in pred_names)) if pred_names else None
-        )
-        if isinstance(target.kind, Numeric) and t_fit.missing_mask().any():
-            model = _fit_with_missing(spec, t_fit, orig_preds)
+        target = original.column(name).take(fit_idx)
+        pred_names = plan.predictors_of(name)
+        preds = original.select(pred_names).take(fit_idx) if pred_names else None
+        missing = target.missing_mask() if isinstance(target.kind, Numeric) else None
+        indicator = None
+        if missing is None or not missing.any():
+            model = spec.fit(target, preds)
+        elif missing.all():
+            raise MethodError(f"{name}: all values missing")
+        elif spec.missing_model is None:
+            model = SampleFit(target.values)
         else:
-            model = spec.fit(t_fit, orig_preds)
-        fitted = time.perf_counter()
+            flags = Column(f"{name}:missing", MISSING_INDICATOR, missing.astype(np.int64))
+            indicator = spec.missing_model.fit(flags, preds)
+            keep = np.flatnonzero(~missing)
+            model = spec.fit(target.take(keep), preds.take(keep) if preds is not None else None)
+        fit_s = time.perf_counter() - started
+        records.append(_FitRecord(target.kind, model, indicator, int(fit_idx.size), fit_s))
+    return records
 
-        values = model.sample(syn_preds, rng, n_out)
-        dtype = np.int64 if isinstance(target.kind, Categorical) else np.float64
-        values = np.array(values, dtype=dtype)  # fresh writable copy for rules
+
+def _sample_pass(
+    records: list[_FitRecord], plan: SynthesisPlan, stratum_index: int, n_out: int,
+    fixed: tuple[Column, ...],
+) -> tuple[tuple[Column, ...], list[tuple[float, float, int]]]:
+    """Draw ``n_out`` rows from the fitted ``records`` of ``plan``'s visit
+    sequence, each variable on the substream (stratum, position) and with
+    its synthetic predecessors as predictors, then apply its rules.
+
+    ``fixed`` columns (a stratum's copied stratifier) are synthetic from the
+    start: nested targets may group by them and rules may test them.
+    Returns the synthetic columns (``fixed`` first, then the visit
+    sequence) and, per variable, its sample and rule seconds and the
+    number of rows its rules forced."""
+    synth: dict[str, Column] = {c.name: c for c in fixed}
+    drawn = []
+    for pos, (name, record) in enumerate(zip(plan.visit_sequence, records, strict=True)):
+        started = time.perf_counter()
+        rng = _substream(plan.seed, stratum_index, pos)
+        pred_names = plan.predictors_of(name)
+        preds = Dataset(tuple(synth[p] for p in pred_names)) if pred_names else None
+        if record.indicator is None:
+            dtype = np.int64 if isinstance(record.kind, Categorical) else np.float64
+            values = np.array(record.model.sample(preds, rng, n_out), dtype=dtype)  # writable copy
+        else:
+            missing = record.indicator.sample(preds, rng, n_out) == 1
+            values = record.model.sample(preds, rng, n_out).astype(np.float64)
+            values[missing] = np.nan
         sampled = time.perf_counter()
 
         forced = 0
-        if rules:
-            assigned = np.zeros(n_out, dtype=bool)
-            for rule in rules:
-                cond = _eval_atoms(rule.atoms(), synth, n_out)
-                apply = cond & ~assigned
-                if isinstance(target.kind, Categorical):
-                    values[apply] = level_code(name, target.kind, rule.value)
-                else:
-                    values[apply] = float(rule.value)
-                assigned |= cond
-                forced += int(apply.sum())
-        ruled = time.perf_counter()
-
-        synth[name] = Column(name, target.kind, values)
-        summaries.append(
-            VariableSummary(
-                name=name,
-                method=spec.name,
-                n_fit=int(fit_idx.size),
-                elapsed=time.perf_counter() - started,
-                rule_forced=forced,
-                # the sample method bootstraps missing cells with the rest
-                missing_indicator=isinstance(model, _MissingAwareFit),
-                # a note shared by the indicator and the value fit is kept once
-                warnings=tuple(dict.fromkeys(model.notes)),
-                stratum=stratum_label,
-                fit_s=fitted - started,
-                sample_s=sampled - fitted,
-                rules_s=ruled - sampled,
-                tree=_tree_stats(model),
-                solver=_solver_stats(model),
-            )
-        )
-
-    return tuple(synth.values()), summaries
+        assigned = np.zeros(n_out, dtype=bool)
+        for rule in plan.rules_for(name):
+            cond = _eval_atoms(rule.atoms(), synth, n_out)
+            apply = cond & ~assigned
+            if isinstance(record.kind, Categorical):
+                values[apply] = level_code(name, record.kind, rule.value)
+            else:
+                values[apply] = float(rule.value)
+            assigned |= cond
+            forced += int(apply.sum())
+        synth[name] = Column(name, record.kind, values)
+        drawn.append((sampled - started, time.perf_counter() - sampled, forced))
+    return tuple(synth.values()), drawn
 
 
 def synthesize(original: Dataset, plan: SynthesisPlan, n_rows: int | None = None) -> SynthesisRun:
@@ -289,11 +266,27 @@ def synthesize(original: Dataset, plan: SynthesisPlan, n_rows: int | None = None
         else:
             rows = original.take(idx)
             fixed = (Column(stratifier, strat_col.kind, strat_col.values[idx]),)
-        columns, stratum_summaries = _synthesize_stratum(
-            rows, sub_plan, index, n_rows, label, fixed
-        )
+        try:
+            records = _fit_pass(rows, sub_plan)
+            columns, drawn = _sample_pass(
+                records, sub_plan, index, rows.n_rows if n_rows is None else n_rows, fixed
+            )
+        except MethodError as exc:
+            if label is None:
+                raise
+            raise MethodError(f"[{label}] {exc}") from exc
         parts.append(Dataset(columns))
-        summaries.extend(stratum_summaries)
+        for name, record, (sample_s, rules_s, forced) in zip(sub_plan.visit_sequence, records, drawn):
+            ind_notes = record.indicator.notes if record.indicator is not None else ()
+            summaries.append(VariableSummary(
+                name, sub_plan.methods[name].name, record.n_fit, forced,
+                # the sample method bootstraps missing cells with the rest
+                missing_indicator=record.indicator is not None,
+                # a note shared by the indicator and the value fit is kept once
+                warnings=tuple(dict.fromkeys(ind_notes + record.model.notes)),
+                stratum=label, fit_s=record.fit_s, sample_s=sample_s, rules_s=rules_s,
+                tree=_tree_stats(record), solver=_solver_stats(record),
+            ))
     for s in summaries:
         prefix = "" if s.stratum is None else f"[{s.stratum}] "
         run_warnings.extend(f"{prefix}{s.name}: {w}" for w in s.warnings)

@@ -300,6 +300,25 @@ class TestSynth:
         assert err.startswith("error: cannot write ")
         assert len(err.splitlines()) == 1
 
+    def test_stratum_fit_error_exit_1_names_the_stratum(self, tmp_path, capsys):
+        # stratum A has every x missing; stratum B synthesizes
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"g": {"levels": ["A", "B"]}, "t": {"levels": ["u", "v"]},
+                                      "x": "numeric"}))
+        rows = [("A", "uv"[i % 2], "NA") for i in range(300)]
+        rows += [("B", "uv"[i % 3 % 2], str(i / 7)) for i in range(300)]
+        data = tmp_path / "data.csv"
+        data.write_text("g,t,x\n" + "".join(f"{g},{t},{x}\n" for g, t, x in rows))
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"visit_sequence": ["t", "x"], "methods": {"t": "sample"},
+                                    "stratifier": "g", "seed": 2}))
+        out = tmp_path / "out.csv"
+        argv = ["synth", "--data", str(data), "--schema", str(schema), "--plan", str(plan),
+                "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: [A] x: all values missing\n"
+        assert not out.exists()
+
     def test_env_seed_fallback(self, toy_files, tmp_path, monkeypatch):
         root, data, schema, _ = toy_files
         plan_doc = {
@@ -927,6 +946,18 @@ class TestHostileAuditInput:
         assert err.startswith("error: ") and "'b'" in err and "original" in err
         assert not report.exists()
 
+    @pytest.mark.parametrize("command", ["utility", "compare"])
+    def test_no_shared_column_exit_1(self, tmp_path, capsys, command):
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"a": {"levels": ["x", "y"]}, "b": "numeric"}))
+        orig, syn = tmp_path / "orig.csv", tmp_path / "syn.csv"
+        orig.write_text("a\nx\ny\nx\n")
+        syn.write_text("b\n1\n2\n3\n")
+        report = tmp_path / "r.json"
+        assert self._run(command, orig, syn, schema, report) == 1
+        assert capsys.readouterr().err == "error: datasets share no columns\n"
+        assert not report.exists()
+
     @pytest.mark.parametrize(
         "command, empty", [("utility", "both"), ("utility", "syn"), ("compare", "syn")]
     )
@@ -981,6 +1012,29 @@ class TestCompareCommand:
         assert rc == 0
         doc = json.loads(report.read_text())
         assert doc["bivariate"][0]["max_abs_diff_pct"] < 5.0
+
+    def test_report_to_stdout_without_report_flag(self, toy_files, capsys):
+        root, data, schema, _ = toy_files
+        argv = ["compare", "--original", str(data), "--synthetic", str(data),
+                "--schema", str(schema), "--pairs", "mar*age"]
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert set(doc) == {"univariate", "bivariate", "flags", "read_s"}
+        assert doc["bivariate"][0]["max_abs_diff_pct"] == 0.0
+
+    def test_pretty_prints_flags(self, tmp_path, capsys):
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"b": "numeric"}))
+        orig, syn = tmp_path / "orig.csv", tmp_path / "syn.csv"
+        orig.write_text("b\n1\n2\n3\n")
+        syn.write_text("b\n1\n2\n10\n")
+        report = tmp_path / "c.json"
+        argv = ["compare", "--original", str(orig), "--synthetic", str(syn),
+                "--schema", str(schema), "--report", str(report), "--pretty"]
+        assert main(argv) == 0
+        flags = json.loads(report.read_text())["flags"]
+        assert flags == ["b: synthetic range [1, 10] exceeds original [1, 3]"]
+        assert capsys.readouterr().out.splitlines() == [f"flag: {flags[0]}"]
 
     def test_malformed_pair_exit_2(self, toy_files, tmp_path):
         root, data, schema, _ = toy_files

@@ -33,9 +33,9 @@ from synthweave import (
     validate_plan,
     write_csv,
 )
-from synthweave import engine
-from synthweave.cart import cart_sample, fit_cart
-from synthweave.engine import _eval_atoms, _fit_with_missing, _synthesize_stratum
+from synthweave import cart, engine, models
+from synthweave.cart import MISSING_INDICATOR, cart_sample, fit_cart
+from synthweave.engine import _eval_atoms, _fit_pass, _sample_pass
 from synthweave.models import fit_logit, fit_multinomial
 from synthweave.tabular import Categorical, Column, Numeric
 
@@ -654,7 +654,8 @@ class TestStratified:
         from dataclasses import replace
 
         sub_plan = replace(plan, stratifier=None)
-        solo = Dataset(_synthesize_stratum(sub, sub_plan, stratum_index=1)[0])
+        records = _fit_pass(sub, sub_plan)
+        solo = Dataset(_sample_pass(records, sub_plan, 1, sub.n_rows, ())[0])
         joint = run.synthetic
         rows = np.flatnonzero(joint.column("occ1").values == 1)
         for name in ["region", "sex", "age", "mar"]:
@@ -720,7 +721,10 @@ def expand_missing_predictors(fit_preds, sample_preds):
 def assert_matches_reference(original, plan, run):
     """Refit every variable on reference-expanded predictors, sample it on the
     run's own synthetic predecessors and substream, and compare the draws on
-    the rows no rule forced."""
+    the rows no rule forced.  A numeric target with missing cells is fit in
+    two steps, the missingness indicator by the method's ``missing_model`` on
+    every fit row and the values on the complete ones, and drawn indicator
+    first on the same stream; the sample method bootstraps all its cells."""
     n_out = run.synthetic.n_rows
     orig_cols = {c.name: c for c in original.columns}
     syn_cols = {c.name: c for c in run.synthetic.columns}
@@ -739,12 +743,20 @@ def assert_matches_reference(original, plan, run):
             original.select(preds).take(fit_idx) if preds else None,
             run.synthetic.select(preds) if preds else None,
         )
-        if target.is_numeric and target.missing_mask().any():
-            model = _fit_with_missing(spec, target, fit_preds)
-        else:
-            model = spec.fit(target, fit_preds)
         rng = np.random.default_rng(np.random.SeedSequence([plan.seed, 0, pos]))
-        expected = model.sample(syn_preds, rng, n_out)
+        missing = target.missing_mask() if target.is_numeric else np.zeros(target.n_rows, bool)
+        if not missing.any():
+            expected = spec.fit(target, fit_preds).sample(syn_preds, rng, n_out)
+        elif spec.missing_model is None:
+            expected = target.values[rng.integers(0, target.n_rows, size=n_out)]
+        else:
+            flags = Column(f"{name}:missing", MISSING_INDICATOR, missing.astype(np.int64))
+            indicator = spec.missing_model.fit(flags, fit_preds)
+            keep = np.flatnonzero(~missing)
+            values = spec.fit(target.take(keep), fit_preds.take(keep) if preds else None)
+            drawn_missing = indicator.sample(syn_preds, rng, n_out) == 1
+            expected = np.array(values.sample(syn_preds, rng, n_out), dtype=np.float64)
+            expected[drawn_missing] = np.nan
         got = run.synthetic.column(name).values
         assert np.array_equal(got[~forced], expected[~forced], equal_nan=True), name
 
@@ -915,6 +927,149 @@ class TestStratifiedPlumbing:
         assert dict(run.strata)[pooled] == 70
         assert [s["level"] for s in run_report(run)["strata"]] == labels
         assert {s.stratum for s in run.summaries} == set(labels)
+
+
+# every fit function a plan method reaches, by the module plan.py calls it on
+_FIT_FUNCTIONS = {
+    models: ("fit_sample", "fit_logit", "fit_multinomial", "fit_normrank",
+             "fit_transform_normal", "fit_nested"),
+    cart: ("fit_cart",),
+}
+
+
+class TestFitAndSamplePasses:
+    """The fit pass reads only the original rows, so one set of fitted
+    records serves every sample pass; the sample pass reads only the
+    records, the synthetic predecessors and the fixed columns."""
+
+    VISIT = ("region", "sex", "age", "mar", "pperroom")
+    PLANS = {
+        "cart": {"region": Sample()},
+        "parametric": {
+            "region": Sample(), "sex": Logit(), "age": TransformNormal("sqrt"),
+            "mar": Multinomial(), "pperroom": NormRank(),
+        },
+    }
+
+    def plan(self, methods, stratifier=None, seed=8):
+        return SynthesisPlan(
+            self.VISIT, methods, rules=(Rule("mar", "age < 16", "Single"),),
+            stratifier=stratifier, seed=seed,
+        )
+
+    @pytest.fixture
+    def fit_calls(self, monkeypatch):
+        """Calls of the fit functions, by target name with any ``:missing``
+        suffix dropped."""
+        calls = []
+
+        def counted(fit):
+            def spy(target, *args, **kwargs):
+                calls.append(target.name.split(":")[0])
+                return fit(target, *args, **kwargs)
+            return spy
+
+        for module, names in _FIT_FUNCTIONS.items():
+            for name in names:
+                monkeypatch.setattr(module, name, counted(getattr(module, name)))
+        return calls
+
+    @pytest.mark.parametrize("methods", sorted(PLANS))
+    def test_two_sample_passes_give_the_run_bytes(self, census, methods):
+        plan = self.plan(self.PLANS[methods])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            run = synthesize(census, plan)
+            records = _fit_pass(census, plan)
+        for _ in range(2):
+            columns, drawn = _sample_pass(records, plan, 0, census.n_rows, ())
+            assert [c.name for c in columns] == list(self.VISIT)
+            for col in columns:
+                expected = run.synthetic.column(col.name).values
+                assert col.values.dtype == expected.dtype, col.name
+                assert col.values.tobytes() == expected.tobytes(), col.name
+            assert [forced for _, _, forced in drawn] == [s.rule_forced for s in run.summaries]
+
+    @pytest.mark.parametrize("n_rows", [None, 0, 37, 20_000])
+    def test_one_fit_per_variable_whatever_n_rows(self, census, fit_calls, n_rows):
+        # pperroom has missing cells: its indicator and its values are two fits
+        plan = self.plan({"region": Sample()})
+        run = synthesize(census, plan, n_rows=n_rows)
+        assert run.synthetic.n_rows == (census.n_rows if n_rows is None else n_rows)
+        expected = ["region", "sex", "age", "mar", "pperroom", "pperroom"]
+        assert fit_calls == expected
+        assert [s.missing_indicator for s in run.summaries] == [False] * 4 + [True]
+
+    def test_sample_passes_at_other_sizes_reuse_the_records(self, census, fit_calls):
+        plan = self.plan({"region": Sample()})
+        records = _fit_pass(census, plan)
+        assert len(fit_calls) == 6
+        full = _sample_pass(records, plan, 0, census.n_rows, ())[0]
+        for n_out in (0, 37, 20_000):
+            columns, _ = _sample_pass(records, plan, 0, n_out, ())
+            assert [c.n_rows for c in columns] == [n_out] * len(self.VISIT)
+        assert len(fit_calls) == 6
+        again = _sample_pass(records, plan, 0, census.n_rows, ())[0]
+        for a, b in zip(full, again):
+            assert a.values.tobytes() == b.values.tobytes(), a.name
+
+    def test_one_fit_per_variable_per_stratum(self, census, fit_calls):
+        plan = self.plan({"region": Sample()}, stratifier="occ1")
+        run = synthesize(census, plan)
+        strata = len(run.strata)
+        assert strata == len(census.column("occ1").levels)
+        with_missing = sum(s.missing_indicator for s in run.summaries)
+        assert with_missing >= 1
+        assert len(fit_calls) == len(self.VISIT) * strata + with_missing
+        for name in self.VISIT[:-1]:
+            assert fit_calls.count(name) == strata, name
+
+
+class TestStratumNamedInErrors:
+    """A stratified run's fit or sample error names the stratum it happened
+    in, with the prefix run warnings use; an unstratified one is unchanged."""
+
+    @staticmethod
+    def data():
+        rng = np.random.default_rng(29)
+        g = ["A"] * 300 + ["B"] * 300
+        x = rng.normal(size=600)
+        x[:300] = np.nan
+        return Dataset(
+            (
+                categorical_column("g", g),
+                categorical_column("t", list(rng.choice(["u", "v"], 600))),
+                numeric_column("x", x),
+            )
+        )
+
+    def test_fit_error_names_the_stratum(self):
+        plan = SynthesisPlan(("t", "x"), {"t": Sample(), "x": Cart()}, stratifier="g", seed=2)
+        with pytest.raises(MethodError) as exc:
+            synthesize(self.data(), plan)
+        assert str(exc.value) == "[A] x: all values missing"
+
+    def test_unstratified_message_unchanged(self):
+        data = self.data().take(np.arange(300))
+        plan = SynthesisPlan(("t", "x"), {"t": Sample(), "x": Cart()}, seed=2)
+        with pytest.raises(MethodError) as exc:
+            synthesize(data, plan)
+        assert str(exc.value) == "x: all values missing"
+
+    def test_sample_error_names_the_stratum(self, monkeypatch):
+        def failing(self, predictors, rng, n):
+            raise MethodError("nested: no donors")
+
+        monkeypatch.setattr(models.NestedFit, "sample", failing)
+        plan = SynthesisPlan(
+            ("t", "u"), {"t": Sample(), "u": Nested("t")}, stratifier="g", seed=2
+        )
+        data = self.data()
+        u = [f"{t}1" for t in data.column("t").decoded()]
+        data = data.with_column(categorical_column("u", u))
+        with pytest.raises(MethodError) as exc:
+            synthesize(data, plan)
+        assert str(exc.value) == "[A] nested: no donors"
 
 
 def _hostile_data():

@@ -28,6 +28,7 @@ from synthweave import (
     fit_transform_normal,
     numeric_column,
 )
+from synthweave.cart import cart_sample
 from synthweave.plan import METHODS
 
 
@@ -660,3 +661,53 @@ class TestNested:
                 np.random.default_rng(54),
                 1,
             )
+
+
+@pytest.mark.parametrize(
+    "fit, target, message",
+    [
+        (fit_logit, categorical_column("y", list("abcab")),
+         "logit: target 'y' must be binary categorical"),
+        (fit_logit, numeric_column("y", [0.0, 1.0, 0.0, 1.0, 1.0]),
+         "logit: target 'y' must be binary categorical"),
+        (fit_multinomial, numeric_column("y", [0.0, 1.0, 2.0, 1.0, 1.0]),
+         "multinomial: target 'y' must be categorical"),
+        (lambda target, _: fit_nested(target, categorical_column("g", list("GGHHH"))),
+         numeric_column("y", [0.0, 1.0, 2.0, 1.0, 1.0]),
+         "nested: target and group must both be categorical"),
+    ],
+    ids=["logit-three-levels", "logit-numeric", "multinomial-numeric", "nested-numeric"],
+)
+def test_fit_functions_reject_a_target_kind_they_cannot_fit(fit, target, message):
+    with pytest.raises(MethodError) as got:
+        fit(target, None)
+    assert str(got.value) == message
+
+
+def test_nested_rejects_a_numeric_group():
+    with pytest.raises(MethodError) as got:
+        fit_nested(categorical_column("y", list("abcab")), numeric_column("g", [1.0] * 5))
+    assert str(got.value) == "nested: target and group must both be categorical"
+
+
+@pytest.mark.parametrize(
+    "method, message",
+    [("logit", "this fit needs predictor columns for sampling"),
+     ("cart", "cart: this tree needs predictor columns for sampling")],
+)
+def test_fit_on_predictors_cannot_sample_without_them(method, message):
+    target, predictors = _option_case(method)
+    fit = FIT_FUNCTIONS[method](target, predictors)
+    with pytest.raises(MethodError) as got:
+        fit.sample(None, np.random.default_rng(4), 10)
+    assert str(got.value) == message
+
+
+def test_cart_sample_needs_predictors_or_a_row_count():
+    target, predictors = _option_case("cart")
+    tree = fit_cart(target, predictors)
+    with pytest.raises(MethodError) as got:
+        cart_sample(tree, None, np.random.default_rng(4))
+    assert str(got.value) == "cart: routing needs predictors or an explicit row count"
+    stump = fit_cart(target, None)
+    assert cart_sample(stump, None, np.random.default_rng(4), 10).n_rows == 10

@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -34,6 +35,7 @@ from synthweave import (
     utility_report,
     worst_cells,
 )
+from synthweave import utility
 from synthweave.models import COEF_CAP
 from synthweave.utility import CellTable, _cell_codes
 
@@ -183,6 +185,25 @@ class TestCrossTabulate:
         with pytest.raises(UtilityError, match="at least one variable"):
             cross_tabulate(o, s, [])
 
+    def test_numeric_without_an_observed_original_value_rejected(self):
+        o = Dataset((numeric_column("x", [np.nan, np.nan, np.nan]),))
+        s_ = Dataset((numeric_column("x", [1.0, 2.0, np.nan]),))
+        with pytest.raises(UtilityError) as got:
+            cross_tabulate(o, s_, ["x"])
+        assert str(got.value) == "column 'x' has no observed numeric values"
+
+    def test_table_over_the_cell_cap_rejected(self):
+        # three 50-level variables, every level present: 125,000 cells
+        levels = [f"l{i}" for i in range(50)]
+        data = Dataset(tuple(
+            categorical_column(name, levels[shift:] + levels[:shift], levels)
+            for name, shift in (("a", 0), ("b", 1), ("c", 2))
+        ))
+        with pytest.raises(UtilityError) as got:
+            cross_tabulate(data, data, ["a", "b", "c"])
+        assert str(got.value) == "table would have 125000 cells (cap 100000)"
+        assert cross_tabulate(data, data, ["a", "b"]).k == 2500
+
     @pytest.mark.parametrize("n_bins", [1, 0, -3])
     def test_fewer_than_two_bins_rejected(self, n_bins):
         o = Dataset((numeric_column("x", np.arange(10.0)),))
@@ -286,6 +307,16 @@ class TestUTab:
         t = CellTable(("v",), [("a", "b")], [1.0, 2.0], [3.0, 0.0])
         assert t.y.tolist() == [1, 2] and t.s.dtype == np.int64
 
+    @pytest.mark.parametrize(
+        "y, message",
+        [(["1", "2"], "y holds <U1 values, not counts"),
+         (np.array([1, 2], dtype=object), "y holds object values, not counts")],
+    )
+    def test_counts_that_are_no_numbers_rejected(self, y, message):
+        with pytest.raises(UtilityError) as got:
+            CellTable(("v",), [("a", "b")], y, [0, 1])
+        assert str(got.value) == message
+
     def test_negative_counts_rejected(self):
         with pytest.raises(UtilityError, match="y holds values that are not counts"):
             CellTable(("v",), [("a", "b", "c")], [1.7, -2, 3], [0, 0, 4])
@@ -370,6 +401,19 @@ class TestFitPropensity:
         s = Dataset((categorical_column("v", ["a"], ["a", "c"]),))
         with pytest.raises(UtilityError, match="different kinds"):
             fit_propensity(o, s)
+
+    def test_different_column_sets_rejected(self):
+        o = Dataset((categorical_column("v", list("ab")), categorical_column("w", list("ab"))))
+        s_ = Dataset((categorical_column("v", list("ab")),))
+        with pytest.raises(UtilityError) as got:
+            fit_propensity(o, s_)
+        assert str(got.value) == "datasets have different column sets"
+
+    @pytest.mark.parametrize("variables", [None, []])
+    def test_table_saturated_needs_the_table_variables(self, census_pair, variables):
+        with pytest.raises(UtilityError) as got:
+            fit_propensity(*census_pair, "table_saturated", variables=variables)
+        assert str(got.value) == "table_saturated model needs the table variables"
 
     def test_bootstrap_census_flags_many_terms(self, census_pair):
         # per-variable bootstrap keeps every marginal but breaks the
@@ -521,6 +565,22 @@ class TestEquivalence:
         table = cross_tabulate(orig, syn, ["mar", "sex", "region"])
         assert table.k <= 60
         assert rep.relative_gap <= 1e-8
+
+    def test_disagreement_rejected(self, census_pair, monkeypatch):
+        # u_tab moved by one unit: the identity check must notice
+        orig, syn = census_pair
+        real = utility.u_tab
+        monkeypatch.setattr(utility, "u_tab", lambda t: replace(real(t), statistic=real(t).statistic + 1.0))
+        table = cross_tabulate(orig, syn, ["mar", "age"])
+        ut = real(table).statistic
+        ug = u_gen(fit_propensity(orig, syn, "table_saturated", variables=["mar", "age"])).statistic
+        gap = abs(ut + 1.0 - ug) / max(ut + 1.0, 1.0)
+        with pytest.raises(UtilityError) as got:
+            equivalence_check(orig, syn, ["mar", "age"])
+        assert str(got.value) == (
+            f"u_tab and 8N*pMSE disagree: {ut + 1.0} vs {ug} (relative gap {gap:.3e})"
+        )
+        assert gap > 1e-8
 
     def test_unequal_sizes_rejected(self, census_pair):
         orig, syn = census_pair
