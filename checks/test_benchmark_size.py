@@ -14,6 +14,7 @@ it before ``mar`` and ``occ1`` checks trees on its missing cells.
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import re
@@ -79,16 +80,31 @@ def test_csv_round_trip(tmp_path):
 
 @pytest.fixture(scope="module")
 def synth_cart_run(tmp_path_factory):
-    """The trees and the replicated-unique removal of one run of the
-    benchmark's synth_cart operation (50k rows, seed 7), with their inputs."""
+    """The trees, the nested fits, every draw of those models and the
+    replicated-unique removal of one run of the benchmark's synth_cart
+    operation (50k rows, seed 7), with their inputs; a draw is recorded with
+    a copy of its stream as the draw found it."""
     inputs = workloads.setup("synth_cart", 7, tmp_path_factory.mktemp("cart"), ROWS)
-    fits, removals = [], []
-    fit_cart, remove = cart.fit_cart, sdc.remove_replicated_uniques
+    fits, removals, nested, draws = [], [], [], []
+    fit_cart, fit_nested, remove = cart.fit_cart, models.fit_nested, sdc.remove_replicated_uniques
 
     def recorded_fit(target, predictors, *args, **kwargs):
         tree = fit_cart(target, predictors, *args, **kwargs)
         fits.append((tree, target, predictors, args, kwargs))
         return tree
+
+    def recorded_nested(target, group):
+        fit = fit_nested(target, group)
+        nested.append((fit, target, group))
+        return fit
+
+    def recorded_draw(sample):
+        def draw(model, predictors, rng, n=None):
+            stream = copy.deepcopy(rng)
+            values = sample(model, predictors, rng, n)
+            draws.append((model, predictors, stream, values))
+            return values
+        return draw
 
     def recorded_removal(original, synthetic, keys):
         out, removed = remove(original, synthetic, keys)
@@ -97,14 +113,17 @@ def synth_cart_run(tmp_path_factory):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cart, "fit_cart", recorded_fit)
+        mp.setattr(models, "fit_nested", recorded_nested)
+        for model in (cart.CartTree, models.NestedFit):
+            mp.setattr(model, "sample", recorded_draw(model.sample))
         mp.setattr(sdc, "remove_replicated_uniques", recorded_removal)
         assert cli.main(inputs.argv) == 0
-    return fits, removals
+    return fits, removals, nested, draws
 
 
 def test_cart_equals_its_depth_first_reference(synth_cart_run):
     """The six trees of the run, against tests/test_cart.py's depth-first reference."""
-    fits, _ = synth_cart_run
+    fits, *_ = synth_cart_run
     assert len(fits) == 6, len(fits)
     for tree, target, predictors, args, kwargs in fits:
         nodes, donor_rows, offsets, sizes = _ref_fit_cart(target, predictors, *args, **kwargs)
@@ -119,7 +138,7 @@ def test_route_rows_equals_its_node_by_node_reference(synth_cart_run):
     """The six trees of the run route their own fit predictors to the leaves
     that tests/test_cart.py's node-by-node router gives, and each training
     row to the leaf that holds it as a donor."""
-    fits, _ = synth_cart_run
+    fits, *_ = synth_cart_run
     assert len(fits) == 6, len(fits)
     for tree, target, predictors, _, _ in fits:
         leaf_of = cart.route_rows(tree, predictors, target.n_rows)
@@ -128,6 +147,38 @@ def test_route_rows_equals_its_node_by_node_reference(synth_cart_run):
         donors = np.repeat(np.arange(tree.n_leaves), tree.leaf_sizes)
         assert np.array_equal(leaf_of[tree.donor_rows], donors), target.name
         print(f"{target.name}: {target.n_rows} rows to {tree.n_leaves} leaves, same as reference")
+
+
+def test_pool_draws_equal_their_per_row_reference(synth_cart_run):
+    """Every draw of the run's six trees and its nested occ3 fit, against a
+    per-row reference of the one pool draw they share: a synthetic row's
+    donors are the training rows of its leaf (both routed node by node) or
+    of its group, in ascending order, and it takes the one at position
+    floor(u * size), u from a copy of the draw's stream."""
+    fits, _, nested, draws = synth_cart_run
+    assert len(nested) == 1 and len(draws) == len(fits) + 1, (len(nested), len(draws))
+    training = {id(tree): (target, predictors) for tree, target, predictors, _, _ in fits}
+    for model, predictors, stream, values in draws:
+        if isinstance(model, cart.CartTree):
+            target, fit_predictors = training[id(model)]
+            donor_key = _ref_route_rows(model, fit_predictors, target.n_rows)
+            key = _ref_route_rows(model, predictors, len(values))
+            donors, name = model.target_values, model.target_name
+        else:
+            fit, target, group = nested[0]
+            assert model is fit
+            donor_key, key = group.values, predictors.column(model.group_name).values
+            donors, name = target.values, model.name
+        pools: dict[int, list[int]] = {}
+        for row, k in enumerate(donor_key.tolist()):
+            pools.setdefault(k, []).append(row)
+        donors = donors.tolist()
+        reference = [
+            donors[pool[int(u * len(pool))]]
+            for u, pool in zip(stream.random(len(key)).tolist(), map(pools.__getitem__, key.tolist()))
+        ]
+        assert values.tolist() == reference, name
+        print(f"{name}: {len(values)} draws from {len(pools)} pools, same as reference")
 
 
 @pytest.fixture(scope="module")
@@ -209,7 +260,7 @@ def test_cart_on_missing_predictor_cells_equals_its_references(pperroom_first_ru
 def test_sdc_removals_equal_their_text_reference(synth_cart_run):
     """The run's replicated-unique removal (four keys with the numeric age
     among them), against tests/test_sdc.py's reference over tuples of cell texts."""
-    _, removals = synth_cart_run
+    _, removals, *_ = synth_cart_run
     assert len(removals) == 1, len(removals)
     original, synthetic, keys, out, removed = removals[0]
     assert len(keys) == 4 and "age" in keys, keys

@@ -89,7 +89,8 @@ import numpy as np
 
 from .errors import MethodError
 from .tabular import (
-    Categorical, Column, Dataset, Numeric, VariableKind, column_codes, distinct_cells,
+    Categorical, Column, Dataset, Numeric, VariableKind, _draw_rows, _pool_draw, _pools,
+    column_codes, distinct_cells,
 )
 
 MAX_EXHAUSTIVE_LEVELS = 12
@@ -127,7 +128,7 @@ class CartTree:
     (``goes_left``).  The last column is a level no split saw, so it holds
     the majority side, where unseen levels go.  ``expanded`` names the
     numeric predictors with missing cells at fit, each split on as
-    ``name:missing`` and ``name``.  ``sample`` draws as ``cart_sample`` does.
+    ``name:missing`` and ``name``.  ``cart_sample`` wraps ``sample``.
     """
 
     target_name: str
@@ -173,15 +174,14 @@ class CartTree:
     def training_impurity(self) -> float:
         """Total leaf impurity over the training data (0 = perfect fit)."""
         total = 0.0
-        for lid in range(self.n_leaves):
-            rows = self.donor_rows[
-                self.leaf_offsets[lid] : self.leaf_offsets[lid] + self.leaf_sizes[lid]
-            ]
+        for rows in np.split(self.donor_rows, self.leaf_offsets[1:]):
             total += _impurity(self.target_values[rows], isinstance(self.target_kind, Categorical))
         return total
 
-    def sample(self, predictors: Dataset | None, rng: np.random.Generator, n: int) -> np.ndarray:
-        return cart_sample(self, predictors, rng, n).values
+    def sample(self, predictors, rng: np.random.Generator, n: int | None) -> np.ndarray:
+        """Route each synthetic row down the tree, draw uniformly from its leaf."""
+        pick = _pool_draw(self.leaf_offsets, self.leaf_sizes, route_rows(self, predictors, n), rng)
+        return self.target_values[self.donor_rows[pick]]
 
 
 def _missing_rule(columns: tuple[Column, ...], expanded: tuple[str, ...]) -> Dataset:
@@ -716,11 +716,7 @@ def fit_cart(
         goes_left[rows, :k] = np.where(known, left_tab, majority[:, None])
 
     # donor rows leaf by leaf in leaf-id order, each leaf's rows ascending
-    # (a stable sort of the rows by leaf id, a radix sort for small ids)
-    leaf_of = leaf_id[unit_node][unit_of]
-    n_leaves = (n_nodes + 1) // 2
-    donor_rows = np.argsort(leaf_of.astype(np.min_scalar_type(n_leaves)), kind="stable")
-    leaf_sizes = np.bincount(leaf_of, minlength=n_leaves)
+    donor_rows, leaf_offsets, leaf_sizes = _pools(leaf_id[unit_node][unit_of], (n_nodes + 1) // 2)
     return CartTree(
         target_name=target.name,
         target_kind=target.kind,
@@ -735,7 +731,7 @@ def fit_cart(
         seen=seen,
         depth=sum(1 for ids in split_ids if ids.size),
         donor_rows=donor_rows,
-        leaf_offsets=np.cumsum(leaf_sizes) - leaf_sizes,
+        leaf_offsets=leaf_offsets,
         leaf_sizes=leaf_sizes,
         expanded=expanded,
     )
@@ -752,12 +748,7 @@ def route_rows(tree: CartTree, new_predictors: Dataset | None, n_rows: int | Non
     test is read from the tree's arrays (threshold, or a row of the level
     table for categorical splits).
     """
-    if new_predictors is not None and len(new_predictors.columns):
-        n = new_predictors.n_rows
-    elif n_rows is not None:
-        n = n_rows
-    else:
-        raise MethodError("cart: routing needs predictors or an explicit row count")
+    n = _draw_rows("cart", new_predictors, n_rows)
     used = np.unique(tree.column[tree.column >= 0]).tolist()
     if used and new_predictors is None:
         raise MethodError("cart: this tree needs predictor columns for sampling")
@@ -804,11 +795,5 @@ def cart_sample(
     rng: np.random.Generator,
     n_rows: int | None = None,
 ) -> Column:
-    """Route each synthetic row down the tree, draw uniformly from its leaf."""
-    leaf_of = route_rows(tree, new_predictors, n_rows)
-    u = rng.random(len(leaf_of))
-    pick = tree.leaf_offsets[leaf_of] + np.floor(
-        u * tree.leaf_sizes[leaf_of]
-    ).astype(np.int64)
-    values = tree.target_values[tree.donor_rows[pick]]
-    return Column(tree.target_name, tree.target_kind, values)
+    """``tree.sample`` as a ``Column`` of the target."""
+    return Column(tree.target_name, tree.target_kind, tree.sample(new_predictors, rng, n_rows))

@@ -17,6 +17,7 @@ from . import cart as _cart
 from .design import INTERCEPT, Design, build_design, drop_aliased, intercept_matrix
 from .errors import MethodError
 from .tabular import Categorical, Column, Dataset, distinct_cells, distinct_rows
+from .tabular import _draw_rows, _pool_draw, _pools
 
 COEF_CAP = 30.0  # linear-scale magnitude cap under separation
 
@@ -31,7 +32,7 @@ def _fit_design(predictors: Dataset | None, n: int) -> tuple:
     make one note that names them all."""
     if predictors is None or not predictors.columns:
         cell_of = np.zeros(n, dtype=np.int64)
-        return None, _matrix(None, None, 1), (INTERCEPT,), (), cell_of, np.array([float(n)])
+        return None, intercept_matrix(1), (INTERCEPT,), (), cell_of, np.array([float(n)])
     cell_of, first = distinct_rows(predictors)
     design, X = build_design(predictors.take(first))
     notes = design.notes
@@ -41,7 +42,9 @@ def _fit_design(predictors: Dataset | None, n: int) -> tuple:
     return design, X, design.labels, notes, cell_of, np.bincount(cell_of).astype(np.float64)
 
 
-def _matrix(design: Design | None, predictors: Dataset | None, n: int) -> scipy.sparse.csr_array:
+def _matrix(method: str, design: Design | None, predictors, n: int) -> scipy.sparse.csr_array:
+    """The design rows of a draw of ``n`` values by ``method`` (``_draw_rows``)."""
+    n = _draw_rows(method, predictors, n)
     if design is None:
         return intercept_matrix(n)
     if predictors is None:
@@ -76,7 +79,7 @@ class SampleFit:
     notes: tuple[str, ...] = ()
 
     def sample(self, predictors, rng: np.random.Generator, n: int) -> np.ndarray:
-        idx = rng.integers(0, len(self.pool), size=n)
+        idx = rng.integers(0, len(self.pool), size=_draw_rows("sample", predictors, n))
         return self.pool[idx]
 
 
@@ -322,8 +325,9 @@ class TransformNormalFit(OlsFit):
     sorted_values: np.ndarray | None = field(default=None, repr=False)  # normal scores only
 
     def sample(self, predictors, rng: np.random.Generator, n: int) -> np.ndarray:
-        X = _matrix(self.design, predictors, n)
-        t = self.predict(X) + rng.standard_normal(n) * self.residual_sd * self.residual_scale
+        method = "normrank" if self.transform == _NORMAL_SCORES else "transform_normal"
+        X = _matrix(method, self.design, predictors, n)
+        t = self.predict(X) + rng.standard_normal(X.shape[0]) * self.residual_sd * self.residual_scale
         return _inverse_transform(t, self.transform, self.sorted_values)
 
 
@@ -535,12 +539,12 @@ class LogitFit(IrlsResult):
     design: Design | None
 
     def probabilities(self, predictors, n: int) -> np.ndarray:
-        X = _matrix(self.design, predictors, n)
+        X = _matrix("logit", self.design, predictors, n)
         return _expit(_predict(X, self.kept, self.coefficients))
 
     def sample(self, predictors, rng: np.random.Generator, n: int) -> np.ndarray:
         p = self.probabilities(predictors, n)
-        return (rng.random(n) < p).astype(np.int64)
+        return (rng.random(len(p)) < p).astype(np.int64)
 
 
 def fit_logit(
@@ -571,11 +575,11 @@ class MultinomialFit(NewtonResult):
 
     def probabilities(self, predictors, n: int) -> np.ndarray:
         """(n, L_present) softmax probabilities; absent levels have none."""
-        X = _matrix(self.design, predictors, n)
+        X = _matrix("multinomial", self.design, predictors, n)
         eta = np.clip(_predict(X, self.kept, self.coefficients.T), -COEF_CAP, COEF_CAP)
         e = np.exp(eta)
         denom = 1.0 + e.sum(axis=1)
-        P = np.empty((n, len(self.present_codes)))
+        P = np.empty((X.shape[0], len(self.present_codes)))
         P[:, 0] = 1.0 / denom
         P[:, 1:] = e / denom[:, None]
         return P
@@ -627,6 +631,7 @@ class NestedFit:
     notes: tuple[str, ...] = ()
 
     def sample(self, predictors, rng: np.random.Generator, n: int) -> np.ndarray:
+        _draw_rows("nested", predictors, n)
         g = predictors.column(self.group_name).values
         empty = self.counts[g] == 0
         if empty.any():
@@ -635,9 +640,7 @@ class NestedFit:
                 f"nested: synthetic group level {lvl!r} has no observed donors "
                 f"for {self.name!r}"
             )
-        u = rng.random(n)
-        pick = self.offsets[g] + np.floor(u * self.counts[g]).astype(np.int64)
-        return self.donor_flat[pick]
+        return self.donor_flat[_pool_draw(self.offsets, self.counts, g, rng)]
 
 
 def fit_nested(target: Column, group: Column) -> NestedFit:
@@ -647,10 +650,7 @@ def fit_nested(target: Column, group: Column) -> NestedFit:
     g = group.values
     t = target.values
     n_groups = len(group.kind.levels)
-    order = np.argsort(g, kind="stable")
-    donor_flat = t[order]
-    counts = np.bincount(g, minlength=n_groups)
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    order, offsets, counts = _pools(g, n_groups)
     notes = []
     # the number of groups each target level is seen in: one per distinct
     # (level, group) cell of the rows
@@ -668,5 +668,5 @@ def fit_nested(target: Column, group: Column) -> NestedFit:
         notes.append(msg)
         _warnings.warn(msg)
     return NestedFit(
-        target.name, group.name, group.kind, donor_flat, offsets, counts, notes=tuple(notes)
+        target.name, group.name, group.kind, t[order], offsets, counts, notes=tuple(notes)
     )

@@ -45,7 +45,10 @@ class MethodSpec:
     None for any); ``missing_model`` synthesizes the missingness indicator
     of a numeric target (None: missing cells are bootstrapped with the rest);
     ``fit(target, predictors)`` returns a model with ``sample(predictors,
-    rng, n)`` and ``notes``, the messages of its fit.  ``check_options`` raises the fit
+    rng, n)`` and ``notes``, the messages of its fit.  A draw returns ``n``
+    values: predictors that have columns must have ``n`` rows, or it raises a
+    ``MethodError`` naming the method and both counts; without predictor
+    columns ``n`` is the count.  ``check_options`` raises the fit
     function's ``MethodError`` for an option value it rejects, which a plan
     reports as a ``PlanError``.
     """

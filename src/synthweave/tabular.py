@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, TextIO, Union
 
 import numpy as np
 
-from .errors import DataError, SynthweaveError
+from .errors import DataError, MethodError, SynthweaveError
 
 
 @dataclass(frozen=True)
@@ -265,6 +265,31 @@ def distinct_rows(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """``distinct_cells`` of the rows of ``data`` grouped by agreement on
     every column, by ``column_codes``; no columns make one cell."""
     return distinct_cells(map(column_codes, data.columns), data.n_rows)
+
+
+def _pools(keys: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows keyed 0..k-1 as donor pools: (the rows pool by pool, each ascending
+    by a stable radix sort; each pool's first position; each pool's size)."""
+    sizes = np.bincount(keys, minlength=k)
+    order = np.argsort(keys.astype(np.min_scalar_type(k)), kind="stable")
+    return order, np.cumsum(sizes) - sizes, sizes
+
+
+def _pool_draw(offsets, sizes, pool: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """A uniform position in each row's pool of a ``_pools`` layout, one uniform per row."""
+    return offsets[pool] + np.floor(rng.random(len(pool)) * sizes[pool]).astype(np.int64)
+
+
+def _draw_rows(method: str, predictors: Dataset | None, n: int | None) -> int:
+    """The ``n`` values a draw of ``method`` returns: predictors with columns
+    must have ``n`` rows (``n=None`` takes theirs); without them ``n`` counts."""
+    if predictors is not None and predictors.columns:
+        if n not in (None, predictors.n_rows):
+            raise MethodError(f"{method}: a draw of {n} values got {predictors.n_rows} predictor rows")
+        return predictors.n_rows
+    if n is None:
+        raise MethodError(f"{method}: routing needs predictors or an explicit row count")
+    return n
 
 
 def _indexed(lookup: Mapping[str, float | int], cells: list[str], dtype) -> np.ndarray:

@@ -590,6 +590,29 @@ def _numeric_stats(obs: np.ndarray) -> dict:
     }
 
 
+def _range_flags(original: Dataset, synthetic: Dataset) -> dict[str, str]:
+    """The range rule: a flag for each numeric column whose observed
+    synthetic values leave the original's observed [min, max], by name in
+    column order.  A numeric column the original never observes raises."""
+    flags = {}
+    for o in original.columns:
+        if isinstance(o.kind, Categorical):
+            continue
+        obs_o, obs_s = (c.values[~np.isnan(c.values)] for c in (o, synthetic.column(o.name)))
+        if obs_o.size == 0:
+            raise UtilityError(
+                f"column {o.name!r} has no observed values in the original "
+                f"dataset {original.name!r}"
+            )
+        lo, hi = obs_o.min(), obs_o.max()
+        if obs_s.size and (obs_s.min() < lo or obs_s.max() > hi):
+            flags[o.name] = (
+                f"{o.name}: synthetic range [{obs_s.min():g}, {obs_s.max():g}] exceeds "
+                f"original [{lo:g}, {hi:g}]"
+            )
+    return flags
+
+
 def compare_univariate(original: Dataset, synthetic: Dataset, n_bins: int = 20) -> UnivariateReport:
     """Marginal comparison of every shared column; numeric histograms use
     original-data breaks so a synthetic tail outside the observed range is
@@ -597,7 +620,7 @@ def compare_univariate(original: Dataset, synthetic: Dataset, n_bins: int = 20) 
     _check_option("n_bins", n_bins, 1, whole=True)
     _check_schemas(original, synthetic.select(original.names))
     out: dict = {}
-    flags: list[str] = []
+    flags = _range_flags(original, synthetic)
     for name in original.names:
         o, s = original.column(name), synthetic.column(name)
         if isinstance(o.kind, Categorical):
@@ -608,23 +631,10 @@ def compare_univariate(original: Dataset, synthetic: Dataset, n_bins: int = 20) 
         else:
             vo, vs = o.values, s.values
             obs_o, obs_s = vo[~np.isnan(vo)], vs[~np.isnan(vs)]
-            if obs_o.size == 0:
-                raise UtilityError(
-                    f"column {name!r} has no observed values in the original "
-                    f"dataset {original.name!r}"
-                )
             lo, hi = float(obs_o.min()), float(obs_o.max())
             edges = np.linspace(lo, hi, n_bins + 1)
             co = np.histogram(np.clip(obs_o, lo, hi), bins=edges)[0] / max(len(obs_o), 1)
             cs = np.histogram(np.clip(obs_s, lo, hi), bins=edges)[0] / max(len(obs_s), 1)
-            exceeded = bool(
-                obs_s.size and (obs_s.min() < lo or obs_s.max() > hi)
-            )
-            if exceeded:
-                flags.append(
-                    f"{name}: synthetic range [{obs_s.min():g}, {obs_s.max():g}] exceeds "
-                    f"original [{lo:g}, {hi:g}]"
-                )
             out[name] = NumericComparison(
                 name,
                 edges,
@@ -634,9 +644,9 @@ def compare_univariate(original: Dataset, synthetic: Dataset, n_bins: int = 20) 
                 _numeric_stats(obs_s),
                 float(np.isnan(vo).mean()),
                 float(np.isnan(vs).mean()),
-                exceeded,
+                name in flags,
             )
-    return UnivariateReport(out, tuple(flags))
+    return UnivariateReport(out, tuple(flags.values()))
 
 
 @dataclass(frozen=True)
@@ -745,7 +755,7 @@ def utility_report(
             **solver_stats(fit),
         },
         "tables": [],
-        "flags": list(compare_univariate(original, synthetic).flags),
+        "flags": list(_range_flags(original, synthetic).values()),
     }
     for variables in tables or []:
         table = cross_tabulate(original, synthetic, variables)

@@ -664,7 +664,7 @@ GROUPINGS = ["duplicated", "distinct", "missing and signed zeros", "intercept on
 def _row_design(predictors, n):
     """(matrix, labels, notes) of the design of every row."""
     if predictors is None:
-        return models._matrix(None, None, n), (models.INTERCEPT,), ()
+        return models.intercept_matrix(n), (models.INTERCEPT,), ()
     design, X = build_design(predictors)
     return X, design.labels, design.notes
 

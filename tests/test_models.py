@@ -711,3 +711,64 @@ def test_cart_sample_needs_predictors_or_a_row_count():
     assert str(got.value) == "cart: routing needs predictors or an explicit row count"
     stump = fit_cart(target, None)
     assert cart_sample(stump, None, np.random.default_rng(4), 10).n_rows == 10
+
+
+SAMPLERS = ("sample", "cart", "normrank", "transform_normal", "logit", "multinomial", "nested")
+
+
+def _five_row_draw_case(method):
+    """A fit of ``method`` and 5 rows of predictors it can draw from."""
+    if method == "nested":
+        group = categorical_column("g", list("GGHH"))
+        fit = fit_nested(categorical_column("y", list("abcd")), group)
+        return fit, Dataset((categorical_column("g", list("GHHGH"), group.levels),))
+    target, predictors = _option_case(method)
+    fit = fit_sample(target) if method == "sample" else FIT_FUNCTIONS[method](target, predictors)
+    return fit, predictors.take(np.arange(5))
+
+
+@pytest.mark.parametrize("method", SAMPLERS)
+def test_every_sampler_draws_n_values_for_n_predictor_rows(method):
+    """A draw returns ``n`` values, and predictors with columns must have
+    ``n`` rows: every sampler states the mismatch in one typed error."""
+    fit, five = _five_row_draw_case(method)
+    with pytest.raises(MethodError) as got:
+        fit.sample(five, np.random.default_rng(6), 10)
+    assert str(got.value) == f"{method}: a draw of 10 values got 5 predictor rows"
+    assert fit.sample(five, np.random.default_rng(6), 5).shape == (5,)
+
+
+def _fail_first(monkeypatch, name, calls=1):
+    """Patch ``np.linalg.<name>`` to raise ``LinAlgError`` on its first ``calls`` calls."""
+    real, seen = getattr(np.linalg, name), []
+
+    def failing(*args, **kwargs):
+        seen.append(1)
+        if len(seen) <= calls:
+            raise np.linalg.LinAlgError("patched")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, failing)
+    return seen
+
+
+class TestNumericFallbacks:
+    def test_ols_reports_a_failed_cholesky_as_rank_deficient(self, monkeypatch):
+        _fail_first(monkeypatch, "cholesky")
+        y = np.arange(5.0)
+        with pytest.raises(MethodError) as got:
+            models.ols(models.intercept_matrix(1), y, (models.INTERCEPT,), np.zeros(5, dtype=np.int64))
+        assert str(got.value) == "least squares: design is numerically rank deficient"
+
+    def test_ridge_step_on_a_singular_hessian_still_reaches_the_optimum(self, monkeypatch):
+        """One Newton step taken on H + 1e-4 I instead of H changes the path,
+        not the estimate: the fit converges, every score entry below tol
+        (1e-6), to the coefficients of the unpatched fit within 1e-6."""
+        target, predictors = _option_case("logit")
+        reference = fit_logit(target, predictors)
+        seen = _fail_first(monkeypatch, "solve")
+        fit = fit_logit(target, predictors)
+        assert len(seen) > 2  # the ridge step and later whole Newton steps
+        assert fit.notes == ("ridge fallback on ill-conditioned Hessian",)
+        assert reference.converged and fit.converged
+        assert np.allclose(fit.coefficients, reference.coefficients, rtol=0, atol=1e-6)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import warnings
 from dataclasses import replace
@@ -380,6 +381,36 @@ class TestFitPropensity:
         fit = fit_propensity(o, s, "table_saturated", variables=["v"])
         assert fit.pmse == pytest.approx(0.25)
 
+    @pytest.mark.parametrize("model", ["main_effects", "table_saturated"])
+    @pytest.mark.parametrize("n_o, n_s", [(1, 4), (4, 1), (2, 7), (12, 5)])
+    def test_pmse_never_passes_its_maximum_under_separation(self, model, n_o, n_s):
+        """With no cell on both sides the propensity separates them, and pMSE
+        reaches its maximum c(1 - c), c the synthetic share, at any size
+        ratio: exactly in closed form, and to within 1e-5 by IRLS, which
+        stops on a score below tol (1e-6) with its fitted scores short of 0
+        and 1.  Rounding never takes it past the maximum (unclipped, the
+        closed form reads 2.8e-17 above it at 1 original and 4 synthetic rows)."""
+        o, s = two_col_pair(["a"] * n_o, ["b"] * n_s)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # separation
+            fit = fit_propensity(o, s, model, variables=["v"])
+        c = n_s / (n_o + n_s)
+        assert fit.c == c
+        assert fit.pmse <= c * (1 - c)
+        assert fit.pmse == pytest.approx(c * (1 - c), rel=1e-9 if model == "table_saturated" else 1e-5)
+
+    def test_saturated_standard_errors_are_the_cell_logit_ones(self):
+        """A cell's log-odds of n rows at share p has information n p (1 - p),
+        so its standard error is 1/sqrt(n p (1 - p)); a cell seen on one side
+        only has none (NaN, and so has its z)."""
+        o, s = two_col_pair(list("aaabb"), list("abbcccc"), levels=("a", "b", "c"))
+        fit = fit_propensity(o, s, "table_saturated", variables=["v"])
+        assert fit.labels == ("v=a", "v=b", "v=c")
+        expected = [1 / math.sqrt(4 * 0.25 * 0.75), 1 / math.sqrt(4 * 0.5 * 0.5), math.nan]
+        np.testing.assert_allclose(fit.standard_errors, expected, rtol=1e-15)
+        np.testing.assert_allclose(fit.coefficients, [math.log(1 / 3), 0.0, COEF_CAP], atol=1e-15)
+        assert np.isnan(fit.z[2]) and fit.z[1] == 0.0
+
     def test_pmse_within_bounds(self, census_pair):
         orig, syn = census_pair
         fit = fit_propensity(orig, syn, "main_effects")
@@ -534,6 +565,25 @@ class TestUGen:
             fit = fit_propensity(o, s, "table_saturated", variables=["v"])
             ratios.append(u_gen(fit).ratio)
         assert 0.8 <= float(np.mean(ratios)) <= 1.2
+
+    def test_p_value_needs_exactly_equal_sizes(self):
+        """The chi-square p-value holds at c = 1/2 only: one synthetic row
+        more than the original's withholds it."""
+        for n_s, withheld in ((100, False), (101, True)):
+            o, s = two_col_pair(["a", "b"] * 50, (["a", "b"] * 51)[:n_s])
+            fit = fit_propensity(o, s, "table_saturated", variables=["v"])
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                stat = u_gen(fit)
+            assert (stat.p_value is None) == withheld == bool(seen), n_s
+
+    def test_one_parameter_fit_has_one_degree_of_freedom(self):
+        """df is the parameters less one, but at least 1: a fit with one
+        populated cell, its only parameter, reads 0 on 1 df with p = 1."""
+        o, s = two_col_pair(["a"] * 3, ["a"] * 3)
+        fit = fit_propensity(o, s, "table_saturated", variables=["v"])
+        assert fit.n_params == 1
+        assert (u_gen(fit).statistic, u_gen(fit).df, u_gen(fit).p_value) == (0.0, 1, 1.0)
 
     def test_unequal_sizes_withhold_p_value(self):
         o = Dataset((categorical_column("v", ["a", "b"] * 50, ["a", "b"]),))
@@ -796,6 +846,27 @@ class TestUtilityReport:
         with pytest.raises(UtilityError, match="unknown propensity model"):
             utility_report(orig, syn, model="saturated")
 
+    @pytest.mark.parametrize("out_of_range", [["a", "b"], []], ids=["two", "none"])
+    def test_report_flags_are_compare_univariates(self, out_of_range):
+        """The report's range flags are ``compare_univariate``'s, in column
+        order; ``a`` leaves its range above and ``b`` below, ``d`` never."""
+        rng = np.random.default_rng(8)
+
+        def table(a, b, d):
+            sex = categorical_column("c", rng.choice(["u", "v"], 200), ["u", "v"])
+            return Dataset((numeric_column("a", a), sex, numeric_column("b", b), numeric_column("d", d)))
+
+        holed = np.where(np.arange(200) % 10 == 0, np.nan, 0.0)  # missing cells never flag
+        a, b, d = rng.uniform(0.0, 1.0, (3, 200))
+        orig = table(a + holed, b, d)
+        a, b, d = rng.uniform(0.25, 0.75, (3, 200))
+        shift = 0.5 if out_of_range else 0.0
+        syn = table(a + holed + shift, b - shift, d)
+        flags = compare_univariate(orig, syn).flags
+        assert [f.split(":")[0] for f in flags] == out_of_range
+        assert all("exceeds original" in f for f in flags)
+        assert utility_report(orig, syn)["flags"] == list(flags)
+
 
 # ---------------------------------------------------------------------------
 # Reference: the per-cell table that CellTable's count arrays replaced.  It
@@ -1033,3 +1104,26 @@ class TestEquivalenceProperty:
         assert u_tab(table).statistic == pytest.approx(
             8 * fit.n_combined * fit.pmse, rel=1e-8, abs=1e-9
         )
+
+
+def test_propensity_without_an_information_inverse_has_nan_errors(monkeypatch):
+    """When the information matrix cannot be inverted the estimate stands,
+    its standard errors and z are NaN, no term is flagged on them, and the
+    report is still strict JSON."""
+    orig = generate_toy_census(ToyCensusSpec(n_rows=1000, seed=61))
+    syn = generate_toy_census(ToyCensusSpec(n_rows=1000, seed=62))
+    reference = fit_propensity(orig, syn)
+    assert diagnose(reference).flagged  # the patched fit below has terms to lose
+
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("patched")
+
+    monkeypatch.setattr(np.linalg, "inv", failing)
+    fit = fit_propensity(orig, syn)
+    assert np.array_equal(fit.coefficients, reference.coefficients)
+    assert np.isnan(fit.standard_errors).all() and np.isnan(fit.z).all()
+    assert fit.standard_errors.shape == reference.standard_errors.shape
+    assert diagnose(fit).flagged == () and diagnose(fit).variables == ()
+    doc = json.loads(json.dumps(utility_report(orig, syn, tables=[("mar", "age")]), allow_nan=False))
+    assert doc["u_gen"]["flagged_terms"] == [] and doc["u_gen"]["flagged_variables"] == []
+    assert doc["u_gen"]["statistic"] == u_gen(reference).statistic
