@@ -80,14 +80,12 @@ search over one node at a time:
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import MethodError
+from .errors import MethodError, check_option
 from .tabular import (
     Categorical, Column, Dataset, Numeric, VariableKind, _draw_rows, _pool_draw, _pools,
     column_codes, distinct_cells,
@@ -202,8 +200,6 @@ def _missing_rule(columns: tuple[Column, ...], expanded: tuple[str, ...]) -> Dat
 
 def _impurity(values: np.ndarray, categorical: bool) -> float:
     m = len(values)
-    if m == 0:
-        return 0.0
     if categorical:
         counts = np.bincount(values)
         return float(m - (counts.astype(np.float64) ** 2).sum() / m)
@@ -515,28 +511,10 @@ def _depth_first_ids(split_ids: list[np.ndarray], kid: np.ndarray):
     return new_id, np.where(kid < 0, leaves_before, -1)
 
 
-def check_whole(method: str, option: str, value) -> None:
-    """A ``MethodError`` unless the count option ``value`` is an integer
-    (numpy's too) that is not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise MethodError(f"{method}: {option} must be a whole number, got {value!r}")
-
-
-def check_number(method: str, option: str, value) -> None:
-    """A ``MethodError`` unless the real-valued option ``value`` is a finite
-    number (numpy's too) that is not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-        raise MethodError(f"{method}: {option} must be a finite number, got {value!r}")
-
-
 def check_cart_options(min_bucket, complexity) -> None:
     """The option values ``fit_cart`` and the plan's ``Cart`` accept."""
-    check_whole("cart", "min_bucket", min_bucket)
-    if min_bucket < 1:
-        raise MethodError("cart: min_bucket must be >= 1")
-    check_number("cart", "complexity", complexity)
-    if not complexity >= 0:
-        raise MethodError("cart: complexity must be >= 0")
+    check_option(MethodError, "cart: min_bucket", min_bucket, 1, whole=True)
+    check_option(MethodError, "cart: complexity", complexity, 0)
 
 
 def _complete_target(target: Column, method: str) -> np.ndarray:

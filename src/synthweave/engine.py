@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cart import MISSING_INDICATOR, CartTree
-from .errors import DataError, MethodError, PlanError
+from .errors import DataError, MethodError, PlanError, check_option
 from .models import NewtonResult, SampleFit, solver_stats
 # fit_logit is unused here, but perfbench/test_perfbench.py checks that the
 # tracer patches it through this module
@@ -213,9 +213,8 @@ def synthesize(original: Dataset, plan: SynthesisPlan, n_rows: int | None = None
     """
     if original.n_rows == 0:
         raise DataError("empty dataset")
-    whole = isinstance(n_rows, (int, np.integer)) and not isinstance(n_rows, bool)
-    if n_rows is not None and (not whole or n_rows < 0):
-        raise PlanError(f"n_rows must be a whole number >= 0, got {n_rows!r}")
+    if n_rows is not None:
+        check_option(PlanError, "n_rows", n_rows, 0, whole=True)
     diags = validate_plan(plan, original)
     errs = plan_errors(diags)
     if errs:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import cart as _cart
 from .design import INTERCEPT, Design, build_design, drop_aliased, intercept_matrix
-from .errors import MethodError
+from .errors import MethodError, check_option
 from .tabular import Categorical, Column, Dataset, distinct_cells, distinct_rows
 from .tabular import _draw_rows, _pool_draw, _pools
 
@@ -269,9 +269,7 @@ def _average_ranks(y: np.ndarray) -> np.ndarray:
 
 def check_residual_scale(residual_scale) -> None:
     """The ``residual_scale`` values ``fit_normrank`` and the plan's ``NormRank`` accept."""
-    _cart.check_number("normrank", "residual_scale", residual_scale)
-    if not residual_scale >= 0:
-        raise MethodError("normrank: residual_scale must be >= 0")
+    check_option(MethodError, "normrank: residual_scale", residual_scale, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -405,12 +403,8 @@ def _expit(eta: np.ndarray) -> np.ndarray:
 def check_newton_options(name: str, max_iter, tol) -> None:
     """The solver options the Newton fits and the plan's ``Logit`` and
     ``Multinomial`` accept; ``name`` is the method's."""
-    _cart.check_whole(name, "max_iter", max_iter)
-    if max_iter < 1:
-        raise MethodError(f"{name}: max_iter must be >= 1")
-    _cart.check_number(name, "tol", tol)
-    if not tol > 0:
-        raise MethodError(f"{name}: tol must be > 0")
+    check_option(MethodError, f"{name}: max_iter", max_iter, 1, whole=True)
+    check_option(MethodError, f"{name}: tol", tol, 0, above=True)
 
 
 def _newton_logit(
@@ -632,6 +626,8 @@ class NestedFit:
 
     def sample(self, predictors, rng: np.random.Generator, n: int) -> np.ndarray:
         _draw_rows("nested", predictors, n)
+        if predictors is None or not predictors.columns:
+            raise MethodError("nested: this fit needs predictor columns for sampling")
         g = predictors.column(self.group_name).values
         empty = self.counts[g] == 0
         if empty.any():

@@ -16,7 +16,6 @@ variables early in the sequence) surface as warnings, never errors.
 from __future__ import annotations
 
 import json
-import numbers
 import operator
 import re
 from dataclasses import asdict, dataclass, field, replace
@@ -25,7 +24,7 @@ from pathlib import Path
 from typing import ClassVar, Mapping, Sequence, Union
 
 from . import cart, models
-from .errors import MethodError, PlanError
+from .errors import MethodError, PlanError, check_option
 from .tabular import Categorical, Column, Dataset, Numeric, VariableKind, _read_json, _rewritten
 
 # Categorical variables above this many levels trigger grouping / ordering
@@ -269,8 +268,6 @@ def parse_condition(text: str) -> tuple[Atom, ...]:
             raise PlanError(f"malformed condition atom: {part!r}")
         var, op, lit = m.groups()
         atoms.append(Atom(var, _OP_ALIASES.get(op, op), _parse_literal(lit)))
-    if not atoms:
-        raise PlanError(f"empty condition: {text!r}")
     return tuple(atoms)
 
 
@@ -306,8 +303,7 @@ class SynthesisPlan:
     seed: int = 0
 
     def __post_init__(self):
-        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
-            raise PlanError(f"seed must be an integer, got {self.seed!r}")
+        check_option(PlanError, "seed", self.seed, whole=True)
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "visit_sequence", tuple(self.visit_sequence))
         object.__setattr__(self, "rules", tuple(self.rules))
@@ -648,10 +644,11 @@ def save_plan(plan: SynthesisPlan, path: str | Path) -> None:
 def reorder_visit(plan: SynthesisPlan, column: str, position) -> SynthesisPlan:
     """Move one column within the visit sequence, repairing what that breaks.
 
-    ``position`` is "start", "end", or a target index.  The predictor matrix
-    keeps only selections that still respect precedence; a column moved to the
-    front is coerced to the sample method, with a Python warning that says so
-    (``validate_plan`` reports nothing once the first method is sample).
+    ``position`` is "start", "end", or a whole-number target index.  The
+    predictor matrix keeps only selections that still respect precedence; a
+    column moved to the front is coerced to the sample method, with a Python
+    warning that says so (``validate_plan`` reports nothing once the first
+    method is sample).
     """
     import warnings as _warnings
 
@@ -663,12 +660,10 @@ def reorder_visit(plan: SynthesisPlan, column: str, position) -> SynthesisPlan:
     elif position == "end":
         idx = len(seq)
     else:
-        try:
-            idx = int(position)
-        except (TypeError, ValueError):
-            raise PlanError(f"position must be 'start', 'end' or an index, got {position!r}") from None
-        if not 0 <= idx <= len(seq):
-            raise PlanError(f"position {idx} out of range")
+        check_option(PlanError, "position", position, whole=True)
+        if not 0 <= position <= len(seq):
+            raise PlanError(f"position {position} out of range")
+        idx = position
     seq.insert(idx, column)
     new_seq = tuple(seq)
     if new_seq == plan.visit_sequence:

@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
 
-from .errors import DataError, PlanError
+from .errors import DataError, PlanError, check_option
 from .plan import SynthesisPlan, _mapping, _names
 from .tabular import Categorical, Column, Dataset, Numeric, distinct_cells
 
@@ -26,18 +24,7 @@ class SdcConfig:
     label: str = "synthetic"
 
     def __post_init__(self):
-        _check_noise_scale(self.noise_scale)
-
-
-def _check_noise_scale(noise_scale: float) -> None:
-    """A ``DataError`` unless ``noise_scale`` is a finite number >= 0
-    (numpy's too, never a bool)."""
-    if isinstance(noise_scale, bool) or not isinstance(noise_scale, numbers.Real):
-        raise DataError(f"noise_scale must be a number >= 0, got {noise_scale!r}")
-    if not noise_scale >= 0:  # NaN fails too
-        raise DataError("noise_scale must be >= 0")
-    if noise_scale == math.inf:
-        raise DataError(f"noise_scale must be finite, got {noise_scale!r}")
+        check_option(DataError, "noise_scale", self.noise_scale, 0)
 
 
 def sdc_from_json(doc: dict | None) -> SdcConfig | None:
@@ -49,10 +36,7 @@ def sdc_from_json(doc: dict | None) -> SdcConfig | None:
     if not doc:
         return None
     scale = doc.get("noise_scale", 0.0)
-    try:
-        _check_noise_scale(scale)
-    except DataError as exc:
-        raise PlanError(f"sdc.{exc}") from None
+    check_option(PlanError, "sdc.noise_scale", scale, 0)
     label = doc.get("label", "synthetic")
     if not isinstance(label, str):
         raise PlanError(f"sdc.label must be a string, got {label!r}")
@@ -141,7 +125,7 @@ def add_noise(
     synthetic: Dataset, targets, noise_scale: float, rng: np.random.Generator
 ) -> Dataset:
     """Add N(0, (noise_scale * column sd)^2) to non-missing numeric cells."""
-    _check_noise_scale(noise_scale)
+    check_option(DataError, "noise_scale", noise_scale, 0)
     out = synthetic
     for name in targets:
         col = synthetic.column(name)

@@ -19,7 +19,6 @@ saturated model on that same table.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 import warnings as _warnings
 from dataclasses import dataclass, field
@@ -27,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .design import INTERCEPT, build_design, nonzero_pattern
-from .errors import UtilityError
+from .errors import UtilityError, check_option
 from .models import COEF_CAP, IrlsResult, irls_logit, solver_stats
 from .plan import HIGH_CARDINALITY_THRESHOLD
 from .tabular import Categorical, Column, Dataset, distinct_rows, stack_rows
@@ -35,19 +34,6 @@ from .tabular import Categorical, Column, Dataset, distinct_rows, stack_rows
 
 _EPS = sys.float_info.epsilon
 _TINY = sys.float_info.min
-
-
-def _check_option(name: str, value, minimum, whole: bool = False) -> None:
-    """A ``UtilityError`` naming ``name`` unless ``value`` is a finite
-    number, a whole one if ``whole`` (numpy's too, never a bool), of at
-    least ``minimum``; NaN fails the bound."""
-    kind = numbers.Integral if whole else numbers.Real
-    if isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value):
-        raise UtilityError(
-            f"{name} must be {'a whole number' if whole else 'a finite number'}, got {value!r}"
-        )
-    if not value >= minimum:
-        raise UtilityError(f"{name} must be >= {minimum}, got {value}")
 
 
 def _log_gamma_scaled(a: float) -> float:
@@ -72,17 +58,16 @@ def chisq_upper_tail(x: float, df: int) -> float:
     1e-12 down to the smallest normal float64, most of it the rounding of the
     exponent far in the tail; exactly 1.0 at x = 0 and 0.0 at x = inf.
     """
-    if x < 0:
+    if not x >= 0:  # NaN fails too; infinity passes
         raise UtilityError("chi-square statistic must be >= 0")
-    if df < 1:
-        raise UtilityError("df must be >= 1")
+    check_option(UtilityError, "df", df, 1, whole=True)
     if x == 0:
         return 1.0
     if x == math.inf:
         return 0.0
     a, y = df / 2.0, x / 2.0
     front = math.exp(a * math.log1p((y - a) / a) - (y - a) + _log_gamma_scaled(a))
-    # both expansions need O(sqrt(a)) terms near y = a; a NaN x ends at the cap
+    # both expansions need O(sqrt(a)) terms near y = a
     max_terms = 100 + int(20 * math.sqrt(a))
     if y < a + 1:
         term = total = 1.0 / a
@@ -219,7 +204,7 @@ def _cell_codes(
     if obs.size == 0:
         raise UtilityError(f"column {orig.name!r} has no observed numeric values")
     if breaks is None:
-        _check_option(f"column {orig.name!r}: n_bins", n_bins, 2, whole=True)
+        check_option(UtilityError, f"column {orig.name!r}: n_bins", n_bins, 2, whole=True)
         qs = np.quantile(obs, [i / n_bins for i in range(1, n_bins)])
     else:
         try:
@@ -301,7 +286,7 @@ def u_tab(table: CellTable) -> UtilityStat:
 
 def worst_cells(table: CellTable, top: int = 10) -> list[dict]:
     """Largest per-cell contributions to u_tab, for misfit diagnosis."""
-    _check_option("top", top, 0, whole=True)
+    check_option(UtilityError, "top", top, 0, whole=True)
     contrib, _ = _contributions(table)
     order = np.argsort(-contrib, kind="stable")[:top]
     order = order[contrib[order] > 0]
@@ -528,7 +513,7 @@ def equivalence_check(
     tol: float = 1e-8,
 ) -> EquivalenceReport:
     """Assert the tabular/propensity identity: u_tab == 8*N*pMSE(saturated)."""
-    _check_option("tol", tol, 0)
+    check_option(UtilityError, "tol", tol, 0)
     _check_schemas(original, synthetic)
     if original.n_rows != synthetic.n_rows:
         raise UtilityError("equivalence identity requires equal dataset sizes")
@@ -617,7 +602,7 @@ def compare_univariate(original: Dataset, synthetic: Dataset, n_bins: int = 20) 
     """Marginal comparison of every shared column; numeric histograms use
     original-data breaks so a synthetic tail outside the observed range is
     visible (and flagged)."""
-    _check_option("n_bins", n_bins, 1, whole=True)
+    check_option(UtilityError, "n_bins", n_bins, 1, whole=True)
     _check_schemas(original, synthetic.select(original.names))
     out: dict = {}
     flags = _range_flags(original, synthetic)
@@ -704,7 +689,7 @@ class Diagnosis:
 
 def diagnose(fit: PropensityFit, threshold: float = 1.7) -> Diagnosis:
     """Propensity terms with |z| at or above threshold, grouped by variable."""
-    _check_option("threshold", threshold, 0)
+    check_option(UtilityError, "threshold", threshold, 0)
     entries = []
     for term, var, z in zip(fit.labels, fit.term_variables, fit.z):
         if term == INTERCEPT or not np.isfinite(z):

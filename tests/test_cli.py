@@ -61,6 +61,13 @@ class TestGentoy:
         assert capsys.readouterr().err == "error: --seed must be >= 0\n"
         assert not out.exists()
 
+    def test_unwritable_model_file_is_an_io_error_exit_1(self, tmp_path, capsys):
+        model = tmp_path / "missing" / "t.model.json"
+        argv = ["gentoy", "--rows", "200", "--out", str(tmp_path / "t.csv"), "--model-out", str(model)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("io error: ") and str(model) in err
+
     def test_model_json_written(self, tmp_path):
         out = tmp_path / "t.csv"
         assert main(["gentoy", "--rows", "200", "--out", str(out)]) == 0
@@ -377,7 +384,7 @@ class TestSynth:
         "sdc, message",
         [
             (["a"], "sdc must map settings to values, got ['a']"),
-            ({"noise_scale": "x"}, "sdc.noise_scale must be a number >= 0, got 'x'"),
+            ({"noise_scale": "x"}, "sdc.noise_scale must be a finite number, got 'x'"),
             (
                 {"key_variables": "region"},
                 "sdc.key_variables must be a list of column names, got 'region'",

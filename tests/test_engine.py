@@ -55,8 +55,10 @@ class TestSynthesize:
     @pytest.mark.parametrize("n_rows", [-3, 2.5, True, "10"])
     def test_n_rows_that_is_no_count_rejected(self, census, n_rows):
         plan = cart_plan(["region", "sex"])
-        with pytest.raises(PlanError, match=f"n_rows must be a whole number >= 0, got {n_rows!r}"):
+        with pytest.raises(PlanError) as got:
             synthesize(census.select(["region", "sex"]), plan, n_rows=n_rows)
+        rule = ">= 0" if n_rows == -3 else "a whole number"
+        assert str(got.value) == f"n_rows must be {rule}, got {n_rows!r}"
 
     def test_zero_rows_allowed(self, census):
         plan = cart_plan(["region", "sex"])

@@ -525,15 +525,15 @@ FIT_FUNCTIONS = {
 @pytest.mark.parametrize(
     "method, options, message",
     [
-        ("cart", {"min_bucket": 0}, "cart: min_bucket must be >= 1"),
-        ("cart", {"min_bucket": -3}, "cart: min_bucket must be >= 1"),
-        ("cart", {"complexity": -1.0}, "cart: complexity must be >= 0"),
-        ("normrank", {"residual_scale": -2.0}, "normrank: residual_scale must be >= 0"),
+        ("cart", {"min_bucket": 0}, "cart: min_bucket must be >= 1, got 0"),
+        ("cart", {"min_bucket": -3}, "cart: min_bucket must be >= 1, got -3"),
+        ("cart", {"complexity": -1.0}, "cart: complexity must be >= 0, got -1.0"),
+        ("normrank", {"residual_scale": -2.0}, "normrank: residual_scale must be >= 0, got -2.0"),
         ("transform_normal", {"transform": "log"}, "unknown transform 'log'"),
-        ("logit", {"max_iter": 0}, "logit: max_iter must be >= 1"),
-        ("logit", {"tol": -1.0}, "logit: tol must be > 0"),
-        ("multinomial", {"max_iter": 0}, "multinomial: max_iter must be >= 1"),
-        ("multinomial", {"tol": 0.0}, "multinomial: tol must be > 0"),
+        ("logit", {"max_iter": 0}, "logit: max_iter must be >= 1, got 0"),
+        ("logit", {"tol": -1.0}, "logit: tol must be > 0, got -1.0"),
+        ("multinomial", {"max_iter": 0}, "multinomial: max_iter must be >= 1, got 0"),
+        ("multinomial", {"tol": 0.0}, "multinomial: tol must be > 0, got 0.0"),
         # the count options take whole numbers only, the others finite numbers
         ("cart", {"min_bucket": math.nan}, "cart: min_bucket must be a whole number, got nan"),
         ("cart", {"min_bucket": 2.5}, "cart: min_bucket must be a whole number, got 2.5"),
@@ -581,7 +581,8 @@ def test_numpy_scalars_are_numbers(method, options):
 
 @pytest.mark.parametrize(
     "options, message",
-    [({"max_iter": 0}, "logit: max_iter must be >= 1"), ({"tol": -1.0}, "logit: tol must be > 0")],
+    [({"max_iter": 0}, "logit: max_iter must be >= 1, got 0"),
+     ({"tol": -1.0}, "logit: tol must be > 0, got -1.0")],
 )
 def test_propensity_solver_options_checked(options, message):
     data = Dataset((categorical_column("g", ["a", "b"] * 25),))
@@ -693,11 +694,11 @@ def test_nested_rejects_a_numeric_group():
 @pytest.mark.parametrize(
     "method, message",
     [("logit", "this fit needs predictor columns for sampling"),
-     ("cart", "cart: this tree needs predictor columns for sampling")],
+     ("cart", "cart: this tree needs predictor columns for sampling"),
+     ("nested", "nested: this fit needs predictor columns for sampling")],
 )
 def test_fit_on_predictors_cannot_sample_without_them(method, message):
-    target, predictors = _option_case(method)
-    fit = FIT_FUNCTIONS[method](target, predictors)
+    fit, _ = _five_row_draw_case(method)
     with pytest.raises(MethodError) as got:
         fit.sample(None, np.random.default_rng(4), 10)
     assert str(got.value) == message

@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import re
 
 import numpy as np
 import pytest
@@ -319,9 +318,9 @@ class TestPlanJson:
             ("rules", [{"target": "c", "value": "u"}], r"rules\[0\] lacks condition"),
             ("methods", ["a"], "methods must map columns to methods"),
             ("predictor_matrix", ["a"], "predictor_matrix must map targets"),
-            ("seed", "x", "seed must be an integer, got 'x'"),
-            ("seed", True, "seed must be an integer, got True"),
-            ("seed", 1.5, "seed must be an integer, got 1.5"),
+            ("seed", "x", "seed must be a whole number, got 'x'"),
+            ("seed", True, "seed must be a whole number, got True"),
+            ("seed", 1.5, "seed must be a whole number, got 1.5"),
             ("visit_sequence", "abc", "visit_sequence must be a list of column names"),
             ("predictor_matrix", {"c": "a"}, r"predictor_matrix\['c'\] must be a list of column names"),
             ("rules", {"c": "u"}, "rules must be a list"),
@@ -353,7 +352,7 @@ class TestPlanJson:
     def test_constructor_refuses_a_seed_that_is_no_integer(self, seed):
         with pytest.raises(PlanError) as got:
             SynthesisPlan(("a",), seed=seed)
-        assert str(got.value) == f"seed must be an integer, got {seed!r}"
+        assert str(got.value) == f"seed must be a whole number, got {seed!r}"
 
     def test_numpy_integer_seed_is_a_python_int(self):
         plan = SynthesisPlan(("a",), seed=np.int64(-3))
@@ -413,10 +412,11 @@ class TestReorderVisit:
             reorder_visit(ok_plan(), "b", position)
         assert str(exc.value) == f"position {position} out of range"
 
-    @pytest.mark.parametrize("position", ["middle", None, [1]])
+    @pytest.mark.parametrize("position", ["middle", None, [1], "1", 1.5, 2.9, True])
     def test_position_that_is_no_index_rejected(self, position):
-        with pytest.raises(PlanError, match=f"position must be 'start', 'end' or an index, got {re.escape(repr(position))}"):
+        with pytest.raises(PlanError) as got:
             reorder_visit(ok_plan(), "b", position)
+        assert str(got.value) == f"position must be a whole number, got {position!r}"
 
 
 def _example(cls):
@@ -493,14 +493,14 @@ class TestMethodRegistry:
     @pytest.mark.parametrize(
         "spec, options, message",
         [
-            (Cart, {"min_bucket": 0}, "cart: min_bucket must be >= 1"),
-            (Cart, {"complexity": -1e-3}, "cart: complexity must be >= 0"),
-            (NormRank, {"residual_scale": -0.5}, "normrank: residual_scale must be >= 0"),
+            (Cart, {"min_bucket": 0}, "cart: min_bucket must be >= 1, got 0"),
+            (Cart, {"complexity": -1e-3}, "cart: complexity must be >= 0, got -0.001"),
+            (NormRank, {"residual_scale": -0.5}, "normrank: residual_scale must be >= 0, got -0.5"),
             (TransformNormal, {"transform": "log"}, "unknown transform 'log'"),
-            (Logit, {"max_iter": 0}, "logit: max_iter must be >= 1"),
-            (Logit, {"tol": 0.0}, "logit: tol must be > 0"),
-            (Multinomial, {"max_iter": -2}, "multinomial: max_iter must be >= 1"),
-            (Multinomial, {"tol": -1e-6}, "multinomial: tol must be > 0"),
+            (Logit, {"max_iter": 0}, "logit: max_iter must be >= 1, got 0"),
+            (Logit, {"tol": 0.0}, "logit: tol must be > 0, got 0.0"),
+            (Multinomial, {"max_iter": -2}, "multinomial: max_iter must be >= 1, got -2"),
+            (Multinomial, {"tol": -1e-6}, "multinomial: tol must be > 0, got -1e-06"),
         ],
     )
     def test_option_error_texts(self, spec, options, message):

@@ -246,8 +246,9 @@ class TestApplySdc:
 
     @pytest.mark.parametrize(
         "scale, message",
-        [(-0.1, "noise_scale must be >= 0"), (math.nan, "noise_scale must be >= 0"),
-         (math.inf, "noise_scale must be finite, got inf")],
+        [(-0.1, "noise_scale must be >= 0, got -0.1"),
+         (math.nan, "noise_scale must be a finite number, got nan"),
+         (math.inf, "noise_scale must be a finite number, got inf")],
     )
     def test_config_rejects_a_negative_nan_or_infinite_noise_scale(self, scale, message):
         with pytest.raises(DataError) as got:
@@ -260,7 +261,7 @@ class TestApplySdc:
     @pytest.mark.parametrize("scale", ["x", True, None])
     def test_config_rejects_a_noise_scale_that_is_no_number(self, scale):
         # a bool is not read as 0 or 1, and a string is not compared with 0
-        message = f"noise_scale must be a number >= 0, got {scale!r}"
+        message = f"noise_scale must be a finite number, got {scale!r}"
         with pytest.raises(DataError) as got:
             SdcConfig(noise_scale=scale)
         assert str(got.value) == message
@@ -291,7 +292,7 @@ class TestApplySdc:
             ({"noise_scale": True}, "sdc.noise_scale"),
             ({"noise_scale": -0.1}, "sdc.noise_scale"),
             ({"noise_scale": math.nan}, "sdc.noise_scale"),
-            ({"noise_scale": math.inf}, "sdc.noise_scale must be finite, got inf"),
+            ({"noise_scale": math.inf}, "sdc.noise_scale must be a finite number, got inf"),
             ({"key_variables": "region"}, "sdc.key_variables"),
             ({"noise_targets": [1]}, "sdc.noise_targets"),
             ({"label": 3}, "sdc.label"),

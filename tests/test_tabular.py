@@ -84,6 +84,21 @@ class TestColumn:
         with pytest.raises(ValueError):
             col.values[0] = 9.0
 
+    def test_empty_name_rejected(self):
+        with pytest.raises(DataError) as exc:
+            numeric_column("", [1.0])
+        assert str(exc.value) == "column name must be non-empty"
+
+    def test_numeric_column_has_no_levels(self):
+        with pytest.raises(DataError) as exc:
+            numeric_column("x", [1.0]).levels
+        assert str(exc.value) == "column 'x' is numeric, has no levels"
+
+    def test_equals_compares_name_and_kind_first(self):
+        col = numeric_column("x", [0.0, 1.0])
+        assert not col.equals(numeric_column("y", [0.0, 1.0]))
+        assert not col.equals(categorical_column("x", ["a", "b"]))
+
 
 class TestDataset:
     def test_duplicate_names_rejected(self):
@@ -102,6 +117,12 @@ class TestDataset:
 
     def test_equals_is_value_based(self):
         assert toy_dataset().equals(toy_dataset())
+        assert not toy_dataset().equals(toy_dataset().select(["x"]))
+
+    def test_unknown_column_named(self):
+        with pytest.raises(DataError) as exc:
+            toy_dataset().column("zz")
+        assert str(exc.value) == "no column named 'zz'"
 
     def test_zero_row_dataset(self):
         d = Dataset((numeric_column("x", []),))

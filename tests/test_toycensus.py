@@ -86,8 +86,5 @@ class TestTrueModel:
     def test_seed_that_is_no_count_rejected(self, seed):
         with pytest.raises(DataError) as exc:
             ToyCensusSpec(seed=seed)
-        assert str(exc.value) == f"toy census seed must be an integer >= 0, got {seed!r}"
-
-    def test_bad_spec_rejected(self):
-        with pytest.raises(DataError):
-            ToyCensusSpec(region_probs=(0.5, 0.2))
+        rule = ">= 0" if seed == -1 else "a whole number"
+        assert str(exc.value) == f"toy census seed must be {rule}, got {seed!r}"

@@ -129,10 +129,17 @@ class TestChisqUpperTail:
             )
 
     def test_domain_errors(self):
-        with pytest.raises(UtilityError):
-            chisq_upper_tail(-1.0, 2)
-        with pytest.raises(UtilityError):
-            chisq_upper_tail(1.0, 0)
+        for x, df, message in [
+            (-1.0, 2, "chi-square statistic must be >= 0"),
+            (math.nan, 3, "chi-square statistic must be >= 0"),
+            (1.0, 0, "df must be >= 1, got 0"),
+            (1.0, 2.5, "df must be a whole number, got 2.5"),
+            (1.0, True, "df must be a whole number, got True"),
+            (1.0, math.nan, "df must be a whole number, got nan"),
+        ]:
+            with pytest.raises(UtilityError) as got:
+                chisq_upper_tail(x, df)
+            assert str(got.value) == message
 
 
 class TestCrossTabulate:
@@ -662,6 +669,13 @@ class TestCompare:
         rep = compare_univariate(orig, syn)
         assert any("age" in f and "exceeds" in f for f in rep.flags)
         assert rep.comparisons["age"].range_exceeded
+
+    def test_synthetic_column_all_missing_has_no_stats(self):
+        o = Dataset((numeric_column("x", [1.0, 2.0, 3.0]),))
+        s = Dataset((numeric_column("x", [np.nan] * 3),))
+        comp = compare_univariate(o, s).comparisons["x"]
+        assert comp.stats_synthetic == {} and comp.missing_rate_synthetic == 1.0
+        assert comp.stats_original["median"] == 2.0 and not comp.range_exceeded
 
     def test_single_level_categorical(self):
         o = Dataset((categorical_column("v", ["only"] * 10),))
