@@ -15,6 +15,8 @@ it before ``mar`` and ``occ1`` checks trees on its missing cells.
 from __future__ import annotations
 
 import copy
+import csv
+import decimal
 import json
 import os
 import re
@@ -428,6 +430,52 @@ def test_fit_and_sample_passes_equal_their_reference(tmp_path, workload):
             assert col.values.tobytes() == run.synthetic.column(col.name).values.tobytes(), col.name
     print(f"{workload}: {len(columns)} columns of {run.synthetic.n_rows} rows, "
           "same as reference and on each sample pass")
+
+
+# the benchmark's synth_cart output at 50k rows: CART draws observed values,
+# so the support rule of the regression draws must leave these bytes alone
+SYNTH_CART_SHA256 = {
+    1: "6789e3afaadb4fe92ba2a7de99fdbf2aeb320280552832fa1f9129752f561db3",
+    2: "e98827332c2e79c0557695e619e78e680bd324d2dd576699a52ce397d0ca6215",
+    3: "5ff936781d01f90e7fe2e4dcb9162cc898e6bb54e875022b3c7c8ba0b5d755dd",
+}
+
+
+def _numeric_texts(path: Path, names) -> dict[str, list[str]]:
+    """The non-missing texts of the columns ``names`` of a CSV file, its
+    ``#`` stamp line skipped."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    rows = list(csv.reader(line for line in lines if not line.startswith("#")))
+    at = {name: rows[0].index(name) for name in names}
+    return {name: [r[j] for r in rows[1:] if r[j] != "NA"] for name, j in at.items()}
+
+
+def _decimal_places(text: str) -> int:
+    return max(0, -decimal.Decimal(text).as_tuple().exponent)
+
+
+@pytest.mark.parametrize("seed", sorted(SYNTH_CART_SHA256))
+def test_synthetic_numerics_stay_on_the_original_support(tmp_path, seed):
+    """Both synth operations of the benchmark (50k rows): every synthetic
+    numeric text lies in the original's range and has no more decimal
+    places than the original's texts, read from the two CSV files; the
+    synth_cart CSV has its recorded sha256."""
+    for workload in ("synth_cart", "synth_parametric"):
+        inputs = workloads.setup(workload, seed, tmp_path / workload, ROWS)
+        outcome = workloads.check(inputs, *workloads.operate(inputs))
+        assert outcome.ok, outcome.problems
+        names = [c for c, kind in inputs.schema["columns"].items() if kind == "numeric"]
+        original = _numeric_texts(tmp_path / workload / "data.csv", names)
+        synthetic = _numeric_texts(inputs.out, names)
+        for name in names:
+            o = np.array(original[name], dtype=float)
+            s = np.array(synthetic[name], dtype=float)
+            assert o.min() <= s.min() and s.max() <= o.max(), (workload, name)
+            places = max(map(_decimal_places, original[name]))
+            assert max(map(_decimal_places, synthetic[name])) <= places, (workload, name)
+        if workload == "synth_cart":
+            assert outcome.sha256 == SYNTH_CART_SHA256[seed]
+        print(f"seed {seed} {workload}: {', '.join(names)} in range and on the original's grid")
 
 
 def test_stratified_synthesis_through_the_cli(tmp_path):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -33,6 +34,8 @@ def load_schema(path: str | Path) -> dict:
         raise DataError(f"{path}: schema columns must be an object of column kinds, got {cols!r}")
     schema: dict = {}
     for name, v in cols.items():
+        if not name:
+            raise DataError(f"{path}: schema column names must be non-empty, got {name!r}: {v!r}")
         levels = v.get("levels") if isinstance(v, dict) else None
         if v in ("numeric", "categorical"):
             schema[name] = v  # read_csv resolves the shorthands
@@ -49,8 +52,33 @@ def load_schema(path: str | Path) -> dict:
     return schema
 
 
+def _non_finite(doc, where: str) -> str | None:
+    """Where in the JSON-ready ``doc`` its first non-finite number is, or None."""
+    if isinstance(doc, float):
+        return None if math.isfinite(doc) else where
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return None
+    for key, value in items:
+        found = _non_finite(value, f"{where}[{key!r}]")
+        if found:
+            return found
+    return None
+
+
 def _write_json(doc: dict, path: str | None) -> None:
-    text = json.dumps(doc, indent=2) + "\n"
+    """Write ``doc`` to ``path``, or to stdout without one, as strict JSON: a
+    non-finite number is an error that names its key, and nothing is written."""
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise SynthweaveError(
+            f"{_non_finite(doc, 'report')} is not a finite number, "
+            f"so {path or 'the report'} is not written"
+        ) from None
     if path:
         with _rewritten(path) as fh:
             fh.write(text)
@@ -257,9 +285,14 @@ def cmd_gentoy(args) -> int:
             return 2
     spec = ToyCensusSpec(n_rows=args.rows, seed=args.seed)
     data = generate_toy_census(spec)
-    write_csv(data, args.out)
     model_out = args.model_out or str(Path(args.out).with_suffix("")) + ".model.json"
+    # both files or neither: the model first, and removed if the CSV fails
     _write_json(true_model(spec), model_out)
+    try:
+        write_csv(data, args.out)
+    except BaseException:
+        Path(model_out).unlink(missing_ok=True)
+        raise
     return 0
 
 

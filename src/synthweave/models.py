@@ -313,20 +313,43 @@ def _inverse_transform(t: np.ndarray, transform: str, sorted_values=None) -> np.
     return t**3  # cuberoot: cubing preserves sign
 
 
+GRID_DECIMALS = 6  # the finest decimal grid a numeric target's draws are put on
+
+
+def numeric_support(y: np.ndarray) -> tuple[float, float, int | None]:
+    """The observed range of the non-empty ``y`` and its grid: the fewest
+    decimal places d <= GRID_DECIMALS with ``np.round(y, d) == y`` for every
+    value (0: whole numbers), or None when there is no such d."""
+    grid = next(
+        (d for d in range(GRID_DECIMALS + 1) if np.array_equal(np.round(y, d), y)), None
+    )
+    return float(y.min()), float(y.max()), grid
+
+
 @dataclass(frozen=True)
 class TransformNormalFit(OlsFit):
     """Least squares on the transformed scale and what its draw needs: a
-    normal residual scaled by ``residual_scale``, then back-transformed."""
+    normal residual scaled by ``residual_scale``, then back-transformed and
+    put on the support of the fit rows (``low``, ``high``, ``decimals``)."""
     design: Design | None
     transform: str
+    low: float
+    high: float
+    decimals: int | None  # the grid of ``numeric_support``
     residual_scale: float = 1.0
     sorted_values: np.ndarray | None = field(default=None, repr=False)  # normal scores only
 
     def sample(self, predictors, rng: np.random.Generator, n: int) -> np.ndarray:
+        """One draw per row, clipped to [``low``, ``high``] and rounded to
+        ``decimals`` places.  Clipping keeps the model's mass beyond a bound
+        at that bound; redrawing it instead would move the mean of a
+        misfit model (README, "Draws on the observed support")."""
         method = "normrank" if self.transform == _NORMAL_SCORES else "transform_normal"
         X = _matrix(method, self.design, predictors, n)
         t = self.predict(X) + rng.standard_normal(X.shape[0]) * self.residual_sd * self.residual_scale
-        return _inverse_transform(t, self.transform, self.sorted_values)
+        values = _inverse_transform(t, self.transform, self.sorted_values)
+        values = np.clip(values, self.low, self.high)
+        return values if self.decimals is None else np.round(values, self.decimals)
 
 
 def _fit_normal(
@@ -337,17 +360,20 @@ def _fit_normal(
     design, X, labels, notes, cell_of, _ = _fit_design(predictors, len(y))
     res = ols(X, t, labels, cell_of)
     sorted_values = np.sort(y) if transform == _NORMAL_SCORES else None
+    low, high, decimals = numeric_support(y)
     return TransformNormalFit(
         **(vars(res) | {"notes": notes + res.notes}), design=design, transform=transform,
-        residual_scale=residual_scale, sorted_values=sorted_values,
+        low=low, high=high, decimals=decimals, residual_scale=residual_scale,
+        sorted_values=sorted_values,
     )
 
 
 def fit_transform_normal(
     target: Column, predictors: Dataset | None, transform: str = "identity"
 ) -> TransformNormalFit:
-    """OLS on the transformed scale; draws are back-transformed, so unlike
-    the rank method this one can extrapolate past the observed range."""
+    """OLS on the transformed scale; draws are back-transformed and put on
+    the observed support: clipped to the observed range and rounded to the
+    target's decimal grid (``numeric_support``)."""
     check_transform(transform)
     return _fit_normal(target, predictors, transform, 1.0, "transform_normal")
 
@@ -357,7 +383,8 @@ def fit_normrank(
 ) -> TransformNormalFit:
     """The transform-Normal regression on Blom normal scores of the target,
     back-transformed through the empirical quantile function (linear
-    interpolation), so draws never leave the observed range."""
+    interpolation), so draws never leave the observed range; they are
+    rounded to the target's decimal grid as ``fit_transform_normal``'s are."""
     check_residual_scale(residual_scale)
     return _fit_normal(target, predictors, _NORMAL_SCORES, residual_scale, "normrank")
 

@@ -66,7 +66,10 @@ def chisq_upper_tail(x: float, df: int) -> float:
     if x == math.inf:
         return 0.0
     a, y = df / 2.0, x / 2.0
-    front = math.exp(a * math.log1p((y - a) / a) - (y - a) + _log_gamma_scaled(a))
+    # log(y/a) by log1p near y = a; far below it (y - a)/a can round to -1
+    # and y itself to 0, so the logarithms of x and df are taken apart
+    log_ratio = math.log1p((y - a) / a) if 2.0 * y > a else math.log(x) - math.log(df)
+    front = math.exp(a * log_ratio - (y - a) + _log_gamma_scaled(a))
     # both expansions need O(sqrt(a)) terms near y = a
     max_terms = 100 + int(20 * math.sqrt(a))
     if y < a + 1:
@@ -404,6 +407,12 @@ def fit_propensity(
             )
         design, X = build_design(cells, interactions=crossed)
         res = irls_logit(X, successes, trials, max_iter, tol, design.labels)
+        if res.kept.size == 0:
+            raise UtilityError(
+                f"{model} propensity fit kept no design column, not even the intercept: "
+                "every column looked aliased, as when numeric values are too large for "
+                "their squares to be finite"
+            )
         notes = design.notes + res.notes + _one_sided_terms(
             X, successes, trials, res.kept, design.labels
         )

@@ -11,7 +11,7 @@ every one of those with exactly null-sized multinomial noise, so by
 concavity the refitted MLE stays at the null and E[U_gen] = 2*tr((S+B)^-1 B)
 <= 2*df, where S is the stacked covariance and B its per-variable block
 diagonal (usually below df under strong dependence; observed here at
-0.3-1.4x df over five seeds, versus 1.8-5.7x for the misfit parametric
+0.3-1.4x df over five seeds, versus 1.1-3.5x for the misfit parametric
 model).  That bound is checked too: bootstrap's main-effects ratio, averaged
 over the five seeds, stays at or below 2.  Dependence-only damage is real
 but invisible to any additive propensity design; the interaction terms and

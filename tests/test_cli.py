@@ -6,6 +6,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import synthweave
@@ -63,10 +64,21 @@ class TestGentoy:
 
     def test_unwritable_model_file_is_an_io_error_exit_1(self, tmp_path, capsys):
         model = tmp_path / "missing" / "t.model.json"
-        argv = ["gentoy", "--rows", "200", "--out", str(tmp_path / "t.csv"), "--model-out", str(model)]
+        out = tmp_path / "t.csv"
+        argv = ["gentoy", "--rows", "200", "--out", str(out), "--model-out", str(model)]
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("io error: ") and str(model) in err
+        assert not out.exists()
+
+    def test_unwritable_csv_leaves_no_model_file(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "t.csv"
+        model = tmp_path / "t.model.json"
+        argv = ["gentoy", "--rows", "200", "--out", str(out), "--model-out", str(model)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert not model.exists()
 
     def test_model_json_written(self, tmp_path):
         out = tmp_path / "t.csv"
@@ -468,6 +480,24 @@ class TestSynth:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {schema}: schema columns must be an object")
         assert len(err.splitlines()) == 1
+
+    def test_empty_schema_column_name_exits_1_naming_the_file(self, toy_files, tmp_path, capsys):
+        root, data, schema, _ = toy_files
+        doc = json.loads(schema.read_text())
+        doc["columns"][""] = "numeric"
+        bad = tmp_path / "schema.json"
+        bad.write_text(json.dumps(doc))
+        rc = main(
+            [
+                "compare", "--original", str(data), "--synthetic", str(data),
+                "--schema", str(bad), "--report", str(tmp_path / "r.json"),
+            ]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: schema column names must be non-empty, got '': 'numeric'\n"
+        )
+        assert not (tmp_path / "r.json").exists()
 
     def test_schema_file_not_json_exits_1_naming_the_file(self, toy_files, tmp_path, capsys):
         root, data, _, plan = toy_files
@@ -977,6 +1007,53 @@ class TestHostileAuditInput:
         assert err.startswith("error: ") and "no rows" in err
         assert ("'orig'" if empty == "both" else "'syn'") in err
         assert not report.exists()
+
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    @pytest.mark.parametrize("model", ["main", "interactions"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings
+    def test_numerics_too_large_for_the_gram_exit_1(self, tmp_path, capsys, model, scale):
+        # two normal numeric columns times ``scale``, 50 + 50 rows: their
+        # squares overflow the propensity Gram, and the fit keeps no column
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"a": "numeric", "b": "numeric"}))
+        rng = np.random.default_rng(5)
+        paths = []
+        for name in ("orig", "syn"):
+            path = tmp_path / f"{name}.csv"
+            rows = rng.normal(size=(50, 2)) * scale
+            path.write_text("a,b\n" + "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in rows))
+            paths.append(path)
+        report = tmp_path / "r.json"
+        rc = main(
+            ["utility", "--original", str(paths[0]), "--synthetic", str(paths[1]),
+             "--schema", str(schema), "--model", model, "--report", str(report)]
+        )
+        assert rc == 1
+        name = {"main": "main_effects", "interactions": "interactions"}[model]
+        assert capsys.readouterr().err.startswith(
+            f"error: {name} propensity fit kept no design column, not even the intercept"
+        )
+        assert not report.exists()
+
+    @pytest.mark.parametrize("to_file", [True, False], ids=["report", "stdout"])
+    def test_non_finite_report_number_exit_1_writing_nothing(
+        self, write_pair, tmp_path, capsys, monkeypatch, to_file
+    ):
+        rows = [("x", "1"), ("y", "2"), ("x", "3")]
+        (orig, syn), schema = write_pair(rows, rows)
+        monkeypatch.setattr(
+            "synthweave.cli.utility_report",
+            lambda *args, **kwargs: {"u_gen": {"statistic": math.nan}, "tables": [1.0, -math.inf]},
+        )
+        report = tmp_path / "r.json"
+        argv = ["utility", "--original", str(orig), "--synthetic", str(syn), "--schema", str(schema)]
+        assert main(argv + (["--report", str(report)] if to_file else [])) == 1
+        out = capsys.readouterr()
+        where = report if to_file else "the report"
+        assert out.err == (
+            f"error: report['u_gen']['statistic'] is not a finite number, so {where} is not written\n"
+        )
+        assert out.out == "" and not report.exists()
 
 
 class TestCompareCommand:

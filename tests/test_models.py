@@ -98,14 +98,15 @@ class TestNormRank:
 
     def test_scaled_draw_is_the_quantile_function_at_phi_of_the_scaled_normal_draw(self):
         # a draw is sorted(y) interpolated on the grid i / (m - 1) at
-        # Phi(X beta + z sd 0.5), z the seed's standard normals
+        # Phi(X beta + z sd 0.5), z the seed's standard normals; y is on no
+        # decimal grid, so no rounding follows
         rng = np.random.default_rng(16)
         x = rng.normal(size=300)
-        y = np.round(np.exp(0.5 * x + rng.normal(size=300)), 2)
+        y = np.exp(0.5 * x + rng.normal(size=300))
         fit = fit_normrank(
             numeric_column("y", y), Dataset((numeric_column("x", x),)), residual_scale=0.5
         )
-        assert fit.residual_scale == 0.5
+        assert fit.residual_scale == 0.5 and fit.decimals is None
         assert np.array_equal(fit.sorted_values, np.sort(y))
         new = Dataset((numeric_column("x", rng.normal(size=2000) * 2),))
         draws = fit.sample(new, np.random.default_rng(17), 2000)
@@ -118,8 +119,11 @@ class TestNormRank:
     @pytest.mark.parametrize("y", [[4.0], [3.0, 1.0], [2.0, 7.0, 2.5]], ids=["m=1", "m=2", "m=3"])
     def test_draw_interpolates_the_sorted_values_on_the_grid_of_their_ranks(self, y):
         # of m observed values the i-th smallest sits at Phi = i / (m - 1);
-        # a single observed value is every draw
+        # a single observed value is every draw.  A third puts every value
+        # off each decimal grid, so the draws are not rounded
+        y = np.array(y) + 1 / 3
         fit = fit_normrank(numeric_column("y", y), None)
+        assert fit.decimals is None
         draws = fit.sample(None, np.random.default_rng(18), 500)
         z = np.random.default_rng(18).standard_normal(500)
         p = scipy.special.ndtr(fit.coefficients[0] + z * fit.residual_sd)
@@ -129,14 +133,16 @@ class TestNormRank:
     def test_average_ranks_for_ties(self):
         # hand oracle for y=[1,1,2,3]: average ranks (1.5,1.5,3,4), Blom
         # scores z_i = ndtri((r-0.375)/4.25); intercept-only fit has
-        # mean(z) and sd(z, dof=3); a draw maps to exactly 1.0 iff its
-        # Phi(z*) lands in the tied plateau [0, 1/3]
+        # mean(z) and sd(z, dof=3).  A draw interpolates 1 on the tied
+        # plateau Phi(z*) <= 1/3 and rises to 2 at 2/3; rounded to the whole
+        # numbers of y, it is exactly 1.0 iff it is below 1.5, which the
+        # interpolation passes at Phi(z*) = 1/2
         from scipy.special import ndtr, ndtri
 
         y = np.array([1.0, 1.0, 2.0, 3.0])
         z = ndtri((np.array([1.5, 1.5, 3.0, 4.0]) - 0.375) / 4.25)
         mu, sd = z.mean(), np.sqrt(((z - z.mean()) ** 2).sum() / 3)
-        expected_p1 = ndtr((ndtri(1 / 3) - mu) / sd)
+        expected_p1 = ndtr((ndtri(1 / 2) - mu) / sd)
         fit = fit_normrank(numeric_column("y", y), None)
         draws = fit.sample(None, np.random.default_rng(15), 20_000)
         assert abs((draws == 1.0).mean() - expected_p1) < 0.02
@@ -175,6 +181,59 @@ class TestNormRankRange:
         draws = fit.sample(new, rng, m)
         assert draws.shape == (m,)
         assert np.all((draws >= y.min()) & (draws <= y.max()))
+
+
+@st.composite
+def _support_cases(draw):
+    """A numeric target of 1-150 rows on a random range, rounded to 0-6
+    decimal places or on no grid, with a method that fits it and maybe a
+    numeric predictor."""
+    n = draw(st.integers(1, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    method = draw(st.sampled_from(["identity", "sqrt", "cuberoot", "normrank"]))
+    low = 0.0 if method == "sqrt" else draw(st.floats(-1e6, 1e6))
+    y = low + rng.uniform(0.0, 10.0 ** draw(st.integers(-3, 6)), n)
+    decimals = draw(st.one_of(st.none(), st.integers(0, 6)))
+    if decimals is not None:
+        y = np.round(y, decimals)
+    x = rng.normal(size=n) if draw(st.booleans()) else None
+    return y, decimals, method, x, rng
+
+
+class TestDrawsOnTheSupport:
+    @pytest.mark.parametrize(
+        "y, support",
+        [
+            ([3.0, 95.0, 0.0], (0.0, 95.0, 0)),
+            ([0.86, 2.0, 1.5], (0.86, 2.0, 2)),
+            ([1e300, 0.5], (0.5, 1e300, 1)),
+            ([-2.5e-5, 4.0], (-2.5e-5, 4.0, 6)),
+            ([math.pi, 1.0], (1.0, math.pi, None)),
+            ([1e-7], (1e-7, 1e-7, None)),
+        ],
+    )
+    def test_support_is_the_range_and_the_fewest_decimal_places(self, y, support):
+        assert models.numeric_support(np.array(y)) == support
+
+    @settings(max_examples=60, deadline=None)
+    @given(_support_cases())
+    def test_every_draw_is_in_range_and_on_the_grid(self, case):
+        y, decimals, method, x, rng = case
+        target = numeric_column("y", y)
+        predictors = None if x is None else Dataset((numeric_column("x", x),))
+        if method == "normrank":
+            fit = fit_normrank(target, predictors, residual_scale=3.0)
+        else:
+            fit = fit_transform_normal(target, predictors, method)
+        if decimals is not None:
+            assert fit.decimals is not None and fit.decimals <= decimals
+        m = 300
+        # predictor values far outside the fitted ones push draws past the range
+        new = None if x is None else Dataset((numeric_column("x", rng.normal(size=m) * 10),))
+        draws = fit.sample(new, rng, m)
+        assert np.all((draws >= y.min()) & (draws <= y.max()))
+        if decimals is not None:
+            assert np.array_equal(np.round(draws, decimals), draws)
 
 
 @st.composite
@@ -315,18 +374,22 @@ class TestTransformNormal:
 
     def test_sqrt_overshoots_skewed_age(self):
         # right-skewed age-like mixture: the sqrt-Normal model invents values
-        # beyond the observed maximum in at least one of 20 seeded runs
+        # beyond the observed maximum in at least one of 20 seeded runs, and
+        # the draw clips each of them to the observed range
         rng = np.random.default_rng(22)
         n = 3000
         age = np.concatenate(
             [rng.uniform(0, 16, int(n * 0.4)), rng.uniform(16, 95, n - int(n * 0.4))]
         )
         fit = fit_transform_normal(numeric_column("age", age), None, "sqrt")
+        assert fit.decimals is None
         overshoots = 0
         for seed in range(20):
+            z = np.random.default_rng(seed).standard_normal(n)
+            model = (fit.coefficients[0] + z * fit.residual_sd) ** 2
             draws = fit.sample(None, np.random.default_rng(seed), n)
-            if draws.max() > age.max():
-                overshoots += 1
+            np.testing.assert_array_equal(draws, np.clip(model, age.min(), age.max()))
+            overshoots += bool(model.max() > age.max())
         assert overshoots >= 1
 
     def test_cuberoot_preserves_sign(self):
