@@ -45,6 +45,7 @@ from test_design import (  # noqa: E402
 from test_engine import assert_matches_reference, expand_missing_predictors  # noqa: E402
 from test_sdc import _text_key_drops  # noqa: E402
 from test_tabular import _csv_module_bytes  # noqa: E402
+from test_utility import _cells_of, _reference_cells  # noqa: E402
 
 ROWS = 50_000
 
@@ -407,6 +408,19 @@ def test_synthetic_csv_equals_the_csv_module_rendering(design_runs):
     raw = path.read_bytes()
     assert raw == _csv_module_bytes(data)
     print(f"{path.name}: {data.n_rows} rows, {len(raw)} bytes, same as csv.writer")
+
+
+def test_audit_tables_equal_their_per_cell_reference(tmp_path):
+    """cross_tabulate of the audit's ``--tables`` and of its equivalence
+    table, on the audit inputs (50k + 50k rows, seed 7), equals
+    tests/test_utility.py's per-cell reference, which codes each variable by
+    itself and counts each side apart."""
+    original, other = workloads.setup("audit", 7, tmp_path, ROWS).tables
+    tables = [part.split("*") for part in workloads.AUDIT_TABLES.split(",")]
+    for variables in tables + [list(workloads.EQUIVALENCE_TABLE)]:
+        table = utility.cross_tabulate(original, other, variables)
+        assert _cells_of(table) == _reference_cells(original, other, variables)
+        print(f"{'*'.join(variables)}: {table.k} cells, {int((table.y + table.s > 0).sum())} populated")
 
 
 @pytest.mark.parametrize("workload", ["synth_cart", "synth_parametric"])

@@ -9,7 +9,7 @@ Neyman-denominator tabular statistic U_tab, whose chi-square nulls and exact
 equivalence (for saturated tables) are implemented and tested.
 """
 
-from .cart import CartTree, cart_sample, fit_cart
+from .cart import CartTree, fit_cart
 from .engine import SynthesisRun, VariableSummary, run_report, synthesize
 from .errors import (
     DataError,
@@ -118,7 +118,6 @@ __all__ = [
     "VariableSummary",
     "add_noise",
     "apply_sdc",
-    "cart_sample",
     "categorical_column",
     "chisq_upper_tail",
     "compare_bivariate",

@@ -126,7 +126,7 @@ class CartTree:
     (``goes_left``).  The last column is a level no split saw, so it holds
     the majority side, where unseen levels go.  ``expanded`` names the
     numeric predictors with missing cells at fit, each split on as
-    ``name:missing`` and ``name``.  ``cart_sample`` wraps ``sample``.
+    ``name:missing`` and ``name``.
     """
 
     target_name: str
@@ -168,13 +168,6 @@ class CartTree:
                 split = ("cat", split[1], *codes, bool(goes[-1]))
             out.append(CartNode(split, left, -1 if left < 0 else left + 1, leaf))
         return tuple(out)
-
-    def training_impurity(self) -> float:
-        """Total leaf impurity over the training data (0 = perfect fit)."""
-        total = 0.0
-        for rows in np.split(self.donor_rows, self.leaf_offsets[1:]):
-            total += _impurity(self.target_values[rows], isinstance(self.target_kind, Categorical))
-        return total
 
     def sample(self, predictors, rng: np.random.Generator, n: int | None) -> np.ndarray:
         """Route each synthetic row down the tree, draw uniformly from its leaf."""
@@ -766,12 +759,3 @@ def route_rows(tree: CartTree, new_predictors: Dataset | None, n_rows: int | Non
         at = tree.left[at] + ~go  # right child: left + 1
     return leaf_of[cell_of]
 
-
-def cart_sample(
-    tree: CartTree,
-    new_predictors: Dataset | None,
-    rng: np.random.Generator,
-    n_rows: int | None = None,
-) -> Column:
-    """``tree.sample`` as a ``Column`` of the target."""
-    return Column(tree.target_name, tree.target_kind, tree.sample(new_predictors, rng, n_rows))

@@ -576,6 +576,14 @@ def _mapping(value, field_name: str, what: str) -> Mapping:
     return value
 
 
+def _known_keys(doc: Mapping, known: tuple[str, ...], where: str) -> None:
+    """A ``PlanError`` naming the first key of ``doc`` not in ``known``, so a
+    misspelled setting is not dropped without a word."""
+    for key in doc:
+        if key not in known:
+            raise PlanError(f"{where}: unknown key {key!r} (known keys: {', '.join(known)})")
+
+
 def _rule_from_json(obj, i: int) -> Rule:
     if not isinstance(obj, Mapping):
         raise PlanError(f"rules[{i}] must be an object with target, condition and value, got {obj!r}")
@@ -587,11 +595,17 @@ def _rule_from_json(obj, i: int) -> Rule:
     return Rule(obj["target"], obj["condition"], obj["value"])
 
 
+_PLAN_KEYS = (
+    "visit_sequence", "methods", "predictor_matrix", "rules", "stratifier", "nesting", "seed", "sdc",
+)
+
+
 def plan_from_json(doc: Mapping) -> SynthesisPlan:
-    """The plan a parsed plan file describes; a field of the wrong shape is
-    a ``PlanError`` that names it."""
+    """The plan a parsed plan file describes; a field of the wrong shape or
+    an unknown key is a ``PlanError`` that names it."""
     if not isinstance(doc, Mapping):
         raise PlanError(f"plan document must be a JSON object, got {doc!r}")
+    _known_keys(doc, _PLAN_KEYS, "plan document")
     if "visit_sequence" not in doc:
         raise PlanError("plan document lacks visit_sequence")
     seq = _names(doc["visit_sequence"], "visit_sequence")

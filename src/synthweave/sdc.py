@@ -8,7 +8,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .errors import DataError, PlanError, check_option
-from .plan import SynthesisPlan, _mapping, _names
+from .plan import SynthesisPlan, _known_keys, _mapping, _names
 from .tabular import Categorical, Column, Dataset, Numeric, distinct_cells
 
 
@@ -29,10 +29,12 @@ class SdcConfig:
 
 def sdc_from_json(doc: dict | None) -> SdcConfig | None:
     """The settings of a plan file's ``sdc`` section, None when it is absent
-    or empty; a field of the wrong shape is a ``PlanError`` that names it."""
+    or empty; a field of the wrong shape or an unknown key is a ``PlanError``
+    that names it."""
     if doc is None:
         return None
     doc = _mapping(doc, "sdc", "settings to values")
+    _known_keys(doc, ("key_variables", "noise_targets", "noise_scale", "label"), "sdc")
     if not doc:
         return None
     scale = doc.get("noise_scale", 0.0)

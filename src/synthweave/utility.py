@@ -7,13 +7,15 @@ y_i + s_i > 0, with df one less than the number of such cells.  U_gen is
 table-saturated design the two are algebraically identical, and
 ``equivalence_check`` enforces that identity to 1e-8 relative.
 
-A ``CellTable`` is built from counts only: the per-variable cell labels and
-the two count vectors over the row-major product of those labels.
-``cross_tabulate`` is the one place rows become cells; ``compare_bivariate``
-reshapes its two-way table, and the statistics, the saturated fit and
-``worst_cells`` read the arrays and build label strings only for the cells
-they report.  ``equivalence_check`` cross-tabulates once and fits the
-saturated model on that same table.
+``_stacked`` is the one place an original/synthetic pair is checked, under
+one input rule, and stacked, the original's rows first.  A ``CellTable`` is
+built from counts only: the per-variable cell labels and the two count
+vectors over the row-major product of those labels.  ``cross_tabulate``
+codes each stacked column once and is the one place rows become cells;
+``compare_bivariate`` reshapes its two-way table, and the statistics, the
+saturated fit and ``worst_cells`` read the arrays and build label strings
+only for the cells they report.  ``equivalence_check`` cross-tabulates once
+and fits the saturated model on that same table.
 """
 
 from __future__ import annotations
@@ -110,6 +112,31 @@ class UtilityStat:
         return cls(float(statistic), int(df), float(statistic) / df, p)
 
 
+def _stacked(original: Dataset, synthetic: Dataset, names=None) -> Dataset:
+    """The columns ``names`` (all the original's when None) of both datasets,
+    the original's rows first, under the input rule of every measure: both
+    datasets have rows, ``names`` is a list of names and not one string, each
+    name is in both datasets with one kind, and with no names the two column
+    sets are equal.  A repeated name is stacked once, and the stack carries
+    the original's name."""
+    for role, data in (("original", original), ("synthetic", synthetic)):
+        if data.n_rows == 0:
+            raise UtilityError(f"the {role} dataset {data.name!r} has no rows")
+    if isinstance(names, str):
+        raise UtilityError(f"variables must be a list of column names, got {names!r}")
+    if names is None:
+        if set(original.names) != set(synthetic.names):
+            raise UtilityError("datasets have different column sets")
+        names = original.names
+    names = tuple(dict.fromkeys(names))
+    for name in names:
+        if name not in original or name not in synthetic:
+            raise UtilityError(f"variable {name!r} absent from one of the datasets")
+        if original.column(name).kind != synthetic.column(name).kind:
+            raise UtilityError(f"column {name!r} has different kinds in the two datasets")
+    return stack_rows([original.select(names), synthetic.select(names)], original.name)
+
+
 # ---------------------------------------------------------------------------
 # Cross-tabulation
 # ---------------------------------------------------------------------------
@@ -185,53 +212,47 @@ def _bin_labels(breaks: np.ndarray) -> list[str]:
 
 
 def _cell_codes(
-    orig: Column,
-    syn: Column,
+    column: Column,
+    n_original: int,
     breaks=None,
     n_bins: int = 5,
-) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Dense cell index per row in each dataset, plus the cell labels.
+) -> tuple[np.ndarray, list[str]]:
+    """Dense cell index of each row of a stacked column, plus the cell labels.
 
-    Numeric columns are binned on quantile breaks computed from the original
-    data only (quintiles by default); values outside the original range fall
-    in the open extreme bins, and NaN forms its own cell when present.
+    A categorical gets one cell per level either dataset uses.  A numeric is
+    binned on quantile breaks of the original's (first ``n_original``) rows
+    only, quintiles by default; values outside the original range fall in
+    the open extreme bins, and NaN forms its own cell when present.
     """
-    if isinstance(orig.kind, Categorical):
-        union = np.union1d(np.unique(orig.values), np.unique(syn.values))
-        remap = np.full(len(orig.kind.levels), -1, dtype=np.int64)
-        remap[union] = np.arange(len(union))
-        labels = [orig.kind.levels[int(c)] for c in union]
-        return remap[orig.values], remap[syn.values], labels
+    if isinstance(column.kind, Categorical):
+        used = np.bincount(column.values, minlength=len(column.kind.levels)) > 0
+        labels = [level for level, u in zip(column.kind.levels, used.tolist()) if u]
+        return (np.cumsum(used) - 1)[column.values], labels
 
-    obs = orig.values[~np.isnan(orig.values)]
+    orig = column.values[:n_original]
+    obs = orig[~np.isnan(orig)]
     if obs.size == 0:
-        raise UtilityError(f"column {orig.name!r} has no observed numeric values")
+        raise UtilityError(f"column {column.name!r} has no observed numeric values")
     if breaks is None:
-        check_option(UtilityError, f"column {orig.name!r}: n_bins", n_bins, 2, whole=True)
+        check_option(UtilityError, f"column {column.name!r}: n_bins", n_bins, 2, whole=True)
         qs = np.quantile(obs, [i / n_bins for i in range(1, n_bins)])
     else:
         try:
             qs = np.asarray(breaks, dtype=np.float64)
         except (TypeError, ValueError):
-            raise UtilityError(f"column {orig.name!r}: breaks must be numbers, got {breaks!r}") from None
+            raise UtilityError(f"column {column.name!r}: breaks must be numbers, got {breaks!r}") from None
         if qs.size == 0 or not np.isfinite(qs).all():
             raise UtilityError(
-                f"column {orig.name!r}: breaks must be non-empty and finite, got {qs.tolist()!r}"
+                f"column {column.name!r}: breaks must be non-empty and finite, got {qs.tolist()!r}"
             )
     qs = np.unique(qs)
     labels = _bin_labels(qs)
-    has_na = bool(np.isnan(orig.values).any() or np.isnan(syn.values).any())
-    if has_na:
-        labels = labels + [NA_LABEL]
-
-    def assign(v: np.ndarray) -> np.ndarray:
-        nan = np.isnan(v)
-        codes = np.digitize(np.where(nan, qs[0], v), qs, right=True)
-        if has_na:
-            codes[nan] = len(qs) + 1
-        return codes.astype(np.int64)
-
-    return assign(orig.values), assign(syn.values), labels
+    nan = np.isnan(column.values)
+    codes = np.digitize(np.where(nan, qs[0], column.values), qs, right=True)
+    if nan.any():
+        codes[nan] = len(qs) + 1
+        labels.append(NA_LABEL)
+    return codes, labels
 
 
 def cross_tabulate(
@@ -242,30 +263,27 @@ def cross_tabulate(
     n_bins: int = 5,
 ) -> CellTable:
     """Aligned original/synthetic counts over the cross product of cells."""
+    variables = variables or ()  # a table names its variables: None is none, not all
+    stack = _stacked(original, synthetic, variables)
     variables = _table_variables(variables)
-    for v in variables:
-        if v not in original or v not in synthetic:
-            raise UtilityError(f"variable {v!r} absent from one of the datasets")
-    _check_kinds(original, synthetic, variables)
-    per_var = [
-        _cell_codes(
-            original.column(v), synthetic.column(v),
-            numeric_breaks.get(v) if numeric_breaks else None, n_bins,
+    per_column = {
+        col.name: _cell_codes(
+            col, original.n_rows, numeric_breaks.get(col.name) if numeric_breaks else None, n_bins
         )
-        for v in variables
-    ]
-    shape = tuple(len(lv) for _, _, lv in per_var)
+        for col in stack.columns
+    }
+    labels = [per_column[v][1] for v in variables]
+    shape = tuple(map(len, labels))
     k_total = math.prod(shape)
     if k_total > MAX_TABLE_CELLS:
         raise UtilityError(f"table would have {k_total} cells (cap {MAX_TABLE_CELLS})")
     # row-major cell index over the full product, the layout of CellTable
-    flat_o = np.ravel_multi_index([co for co, _, _ in per_var], shape)
-    flat_s = np.ravel_multi_index([cs for _, cs, _ in per_var], shape)
+    flat = np.ravel_multi_index([per_column[v][0] for v in variables], shape)
     return CellTable(
         variables,
-        [lv for _, _, lv in per_var],
-        np.bincount(flat_o, minlength=k_total),
-        np.bincount(flat_s, minlength=k_total),
+        labels,
+        np.bincount(flat[: original.n_rows], minlength=k_total),
+        np.bincount(flat[original.n_rows :], minlength=k_total),
     )
 
 
@@ -334,32 +352,6 @@ class PropensityFit(IrlsResult):
             return np.where(se > 0, self.coefficients / se, np.nan)
 
 
-def _check_schemas(original: Dataset, synthetic: Dataset) -> None:
-    for role, data in (("original", original), ("synthetic", synthetic)):
-        if data.n_rows == 0:
-            raise UtilityError(f"the {role} dataset {data.name!r} has no rows")
-    if set(original.names) != set(synthetic.names):
-        raise UtilityError("datasets have different column sets")
-    _check_kinds(original, synthetic, original.names)
-
-
-def _check_kinds(original: Dataset, synthetic: Dataset, names) -> None:
-    for name in names:
-        if original.column(name).kind != synthetic.column(name).kind:
-            raise UtilityError(f"column {name!r} has different kinds in the two datasets")
-
-
-def _stacked_cells(original: Dataset, synthetic: Dataset, names) -> tuple:
-    """The distinct rows of ``original`` and ``synthetic`` stacked, on the
-    columns ``names``, with each one's count of rows and of synthetic rows.
-    The row-level stack is freed on return, before any design is built."""
-    stacked = stack_rows([original.select(names), synthetic.select(names)])
-    cell_of, first = distinct_rows(stacked)
-    trials = np.bincount(cell_of).astype(np.float64)
-    successes = np.bincount(cell_of[original.n_rows:], minlength=first.size).astype(np.float64)
-    return stacked.take(first), trials, successes
-
-
 def fit_propensity(
     original: Dataset,
     synthetic: Dataset,
@@ -384,20 +376,19 @@ def fit_propensity(
     of ``variables``; the fitted score in cell i is exactly s_i/(s_i+y_i), so
     this route is computed in closed form rather than by iteration.
     """
-    _check_schemas(original, synthetic)
-    n_o, n_s = original.n_rows, synthetic.n_rows
-    N = n_o + n_s
-    c = n_s / N
-
     if model in ("main_effects", "interactions"):
-        names = original.names if variables is None else tuple(variables)
-        if not names:
+        stack = _stacked(original, synthetic, variables)
+        if not stack.columns:
             raise UtilityError(f"{model} model needs at least one variable; variables is empty")
-        for v in names:
-            if v not in original:
-                raise UtilityError(f"propensity variable {v!r} absent from the datasets")
-        # the fit runs on the distinct stacked rows, each with its counts
-        cells, trials, successes = _stacked_cells(original, synthetic, names)
+        N = stack.n_rows
+        c = synthetic.n_rows / N
+        # the fit runs on the distinct stacked rows, each with its counts; the
+        # row-level stack is freed before the design is built
+        cell_of, first = distinct_rows(stack)
+        trials = np.bincount(cell_of).astype(np.float64)
+        successes = np.bincount(cell_of[original.n_rows :], minlength=first.size).astype(np.float64)
+        cells = stack.take(first)
+        del stack, cell_of
         crossed = ()
         if model == "interactions":
             crossed = tuple(
@@ -523,10 +514,9 @@ def equivalence_check(
 ) -> EquivalenceReport:
     """Assert the tabular/propensity identity: u_tab == 8*N*pMSE(saturated)."""
     check_option(UtilityError, "tol", tol, 0)
-    _check_schemas(original, synthetic)
+    table = cross_tabulate(original, synthetic, variables, numeric_breaks)
     if original.n_rows != synthetic.n_rows:
         raise UtilityError("equivalence identity requires equal dataset sizes")
-    table = cross_tabulate(original, synthetic, variables, numeric_breaks)
     ut = u_tab(table)
     ug = u_gen(_saturated_fit(table))
     gap = abs(ut.statistic - ug.statistic) / max(ut.statistic, 1.0)
@@ -535,7 +525,7 @@ def equivalence_check(
             f"u_tab and 8N*pMSE disagree: {ut.statistic} vs {ug.statistic} "
             f"(relative gap {gap:.3e})"
         )
-    return EquivalenceReport(tuple(variables), ut, ug, gap)
+    return EquivalenceReport(table.variables, ut, ug, gap)
 
 
 # ---------------------------------------------------------------------------
@@ -584,24 +574,24 @@ def _numeric_stats(obs: np.ndarray) -> dict:
     }
 
 
-def _range_flags(original: Dataset, synthetic: Dataset) -> dict[str, str]:
+def _range_flags(stack: Dataset, n_original: int) -> dict[str, str]:
     """The range rule: a flag for each numeric column whose observed
     synthetic values leave the original's observed [min, max], by name in
     column order.  A numeric column the original never observes raises."""
     flags = {}
-    for o in original.columns:
-        if isinstance(o.kind, Categorical):
+    for col in stack.columns:
+        if isinstance(col.kind, Categorical):
             continue
-        obs_o, obs_s = (c.values[~np.isnan(c.values)] for c in (o, synthetic.column(o.name)))
+        obs_o, obs_s = (v[~np.isnan(v)] for v in np.split(col.values, [n_original]))
         if obs_o.size == 0:
             raise UtilityError(
-                f"column {o.name!r} has no observed values in the original "
-                f"dataset {original.name!r}"
+                f"column {col.name!r} has no observed values in the original "
+                f"dataset {stack.name!r}"
             )
         lo, hi = obs_o.min(), obs_o.max()
         if obs_s.size and (obs_s.min() < lo or obs_s.max() > hi):
-            flags[o.name] = (
-                f"{o.name}: synthetic range [{obs_s.min():g}, {obs_s.max():g}] exceeds "
+            flags[col.name] = (
+                f"{col.name}: synthetic range [{obs_s.min():g}, {obs_s.max():g}] exceeds "
                 f"original [{lo:g}, {hi:g}]"
             )
     return flags
@@ -612,18 +602,18 @@ def compare_univariate(original: Dataset, synthetic: Dataset, n_bins: int = 20) 
     original-data breaks so a synthetic tail outside the observed range is
     visible (and flagged)."""
     check_option(UtilityError, "n_bins", n_bins, 1, whole=True)
-    _check_schemas(original, synthetic.select(original.names))
+    stack = _stacked(original, synthetic, original.names)
     out: dict = {}
-    flags = _range_flags(original, synthetic)
-    for name in original.names:
-        o, s = original.column(name), synthetic.column(name)
-        if isinstance(o.kind, Categorical):
-            ko = np.bincount(o.values, minlength=len(o.kind.levels)) / max(o.n_rows, 1)
-            ks = np.bincount(s.values, minlength=len(o.kind.levels)) / max(s.n_rows, 1)
+    flags = _range_flags(stack, original.n_rows)
+    for col in stack.columns:
+        name = col.name
+        vo, vs = np.split(col.values, [original.n_rows])
+        if isinstance(col.kind, Categorical):
+            ko = np.bincount(vo, minlength=len(col.kind.levels)) / vo.size
+            ks = np.bincount(vs, minlength=len(col.kind.levels)) / vs.size
             diff = float(np.abs(ko - ks).max()) if len(ko) else 0.0
-            out[name] = CategoricalComparison(name, o.kind.levels, ko, ks, diff)
+            out[name] = CategoricalComparison(name, col.kind.levels, ko, ks, diff)
         else:
-            vo, vs = o.values, s.values
             obs_o, obs_s = vo[~np.isnan(vo)], vs[~np.isnan(vs)]
             lo, hi = float(obs_o.min()), float(obs_o.max())
             edges = np.linspace(lo, hi, n_bins + 1)
@@ -664,7 +654,6 @@ def compare_bivariate(
     n_bins: int = 5,
 ) -> BivariateComparison:
     """Tables like percent-married by age band, original next to synthetic."""
-    _check_schemas(original, synthetic)
     table = cross_tabulate(original, synthetic, (by, inner), numeric_breaks, n_bins)
 
     def pct(counts):
@@ -735,6 +724,7 @@ def utility_report(
     fit = fit_propensity(original, synthetic, model=model, variables=variables)
     ug = u_gen(fit)
     diag = diagnose(fit)
+    flags = _range_flags(_stacked(original, synthetic, original.names), original.n_rows)
     doc: dict = {
         "u_gen": {
             "model": fit.model,
@@ -749,7 +739,7 @@ def utility_report(
             **solver_stats(fit),
         },
         "tables": [],
-        "flags": list(_range_flags(original, synthetic).values()),
+        "flags": list(flags.values()),
     }
     for variables in tables or []:
         table = cross_tabulate(original, synthetic, variables)

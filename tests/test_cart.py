@@ -7,7 +7,7 @@ from synthweave import (
     categorical_column, generate_toy_census, numeric_column, run_report, synthesize,
 )
 from synthweave import cart
-from synthweave.cart import CartNode, cart_sample, fit_cart, route_rows
+from synthweave.cart import CartNode, fit_cart, route_rows
 from synthweave.tabular import Categorical, Column, Numeric
 from test_engine import expand_missing_predictors
 
@@ -28,13 +28,27 @@ def exhaustive_best_numeric_split(x, y):
     return best_thr
 
 
+def leaf_impurity(tree):
+    """Total impurity of the leaves over their training rows, 0 when every
+    leaf's donors share one value: n - sum(count^2)/n per leaf for a
+    categorical target, squared deviations from the leaf mean for a numeric."""
+    total = 0.0
+    for lo, size in zip(tree.leaf_offsets, tree.leaf_sizes):
+        values = tree.target_values[tree.donor_rows[lo : lo + size]]
+        if isinstance(tree.target_kind, Categorical):
+            total += size - (np.unique(values, return_counts=True)[1] ** 2).sum() / size
+        else:
+            total += ((values - values.mean()) ** 2).sum()
+    return total
+
+
 class TestFitCart:
     def test_separable_binary_predictor_two_pure_leaves(self):
         pred = categorical_column("p", ["a", "b"] * 30)
         tgt = categorical_column("t", ["X", "Y"] * 30)
         tree = fit_cart(tgt, Dataset((pred,)), min_bucket=1, complexity=0.0)
         assert tree.n_leaves == 2
-        assert tree.training_impurity() == 0.0
+        assert leaf_impurity(tree) == 0.0
 
     def test_threshold_matches_hand_oracle(self):
         x = np.arange(1, 11, dtype=float)
@@ -92,7 +106,7 @@ class TestFitCart:
             min_bucket=1,
             complexity=0.0,
         )
-        assert tree.training_impurity() == 0.0
+        assert leaf_impurity(tree) == 0.0
 
     def test_missing_in_target_rejected(self):
         tgt = numeric_column("y", [1.0, np.nan])
@@ -126,7 +140,7 @@ class TestFitCart:
         pred = categorical_column("p", [levels[c] for c in codes], levels)
         tgt = numeric_column("y", (codes >= 10).astype(float))
         tree = fit_cart(tgt, Dataset((pred,)), min_bucket=1, complexity=0.0)
-        assert tree.training_impurity() == 0.0
+        assert leaf_impurity(tree) == 0.0
 
 
 class TestCartSample:
@@ -134,16 +148,16 @@ class TestCartSample:
         pred = categorical_column("p", ["a", "b"] * 30)
         tgt = categorical_column("t", ["X", "Y"] * 30)
         tree = fit_cart(tgt, Dataset((pred,)), min_bucket=1, complexity=0.0)
-        out = cart_sample(tree, Dataset((pred,)), np.random.default_rng(0))
-        assert np.array_equal(out.values, tgt.values)
+        out = tree.sample(Dataset((pred,)), np.random.default_rng(0), None)
+        assert np.array_equal(out, tgt.values)
 
     def test_single_leaf_equals_bootstrap_frequencies(self):
         tgt = numeric_column("d", [10.0, 10.0, 20.0])
         tree = fit_cart(tgt, None, min_bucket=5)
         assert tree.n_leaves == 1
-        draws = cart_sample(tree, None, np.random.default_rng(1), n_rows=100_000)
-        freq10 = float((draws.values == 10.0).mean())
-        assert set(np.unique(draws.values)) == {10.0, 20.0}
+        draws = tree.sample(None, np.random.default_rng(1), 100_000)
+        freq10 = float((draws == 10.0).mean())
+        assert set(np.unique(draws)) == {10.0, 20.0}
         assert abs(freq10 - 2 / 3) < 0.02
 
     def test_donor_property_only_training_values(self):
@@ -152,8 +166,8 @@ class TestCartSample:
         tgt = numeric_column("y", rng.normal(size=100))
         tree = fit_cart(tgt, Dataset((pred,)), min_bucket=5)
         new = Dataset((numeric_column("x", rng.normal(size=500)),))
-        draws = cart_sample(tree, new, rng)
-        assert np.isin(draws.values, tgt.values).all()
+        draws = tree.sample(new, rng, None)
+        assert np.isin(draws, tgt.values).all()
 
     def test_unseen_level_routes_to_majority_child(self):
         levels = ["a", "b", "unused"]
@@ -162,17 +176,17 @@ class TestCartSample:
         tree = fit_cart(tgt, Dataset((pred,)), min_bucket=1, complexity=0.0)
         assert tree.n_leaves == 2
         new = categorical_column("p", ["unused"] * 20, levels)
-        draws = cart_sample(tree, Dataset((new,)), np.random.default_rng(0))
+        draws = tree.sample(Dataset((new,)), np.random.default_rng(0), None)
         # majority side at fit time held the 'a' donors (value 1.0)
-        assert np.all(draws.values == 1.0)
+        assert np.all(draws == 1.0)
 
     def test_sampler_is_deterministic(self):
         rng = np.random.default_rng(6)
         pred = numeric_column("x", rng.normal(size=200))
         tgt = numeric_column("y", rng.normal(size=200))
         tree = fit_cart(tgt, Dataset((pred,)), min_bucket=5)
-        a = cart_sample(tree, Dataset((pred,)), np.random.default_rng(9)).values
-        b = cart_sample(tree, Dataset((pred,)), np.random.default_rng(9)).values
+        a = tree.sample(Dataset((pred,)), np.random.default_rng(9), None)
+        b = tree.sample(Dataset((pred,)), np.random.default_rng(9), None)
         assert np.array_equal(a, b)
 
 
@@ -770,7 +784,7 @@ class TestDonorProperty:
     def test_every_draw_comes_from_its_leafs_donors(self, problem):
         target, preds, new, min_bucket, seed = problem
         tree = fit_cart(target, preds, min_bucket=min_bucket, complexity=0.0)
-        draws = cart_sample(tree, new, np.random.default_rng(seed)).values
+        draws = tree.sample(new, np.random.default_rng(seed), None)
         leaf_of = route_rows(tree, new)
         for leaf in np.unique(leaf_of):
             lo = tree.leaf_offsets[leaf]

@@ -195,6 +195,31 @@ class TestSynth:
         assert err == "plan error: methods names non-synthesized column 'agee'\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "section, key, where",
+        [(None, "stratifer", "plan document"), ("sdc", "key_variable", "sdc")],
+        ids=["top-level", "sdc"],
+    )
+    def test_unknown_plan_key_exits_2_writing_nothing(
+        self, toy_files, tmp_path, capsys, section, key, where
+    ):
+        # a misspelled setting used to be dropped, and synth exited 0 without it
+        root, data, schema, plan = toy_files
+        doc = json.loads(plan.read_text())
+        (doc.setdefault(section, {}) if section else doc)[key] = "occ1"
+        bad = tmp_path / "misspelled.json"
+        bad.write_text(json.dumps(doc))
+        out, report = tmp_path / "o.csv", tmp_path / "r.json"
+        rc = main(
+            [
+                "synth", "--data", str(data), "--schema", str(schema),
+                "--plan", str(bad), "--out", str(out), "--report", str(report),
+            ]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"plan error: {where}: unknown key {key!r} (")
+        assert not out.exists() and not report.exists()
+
     def test_plan_errors_share_a_prefix_that_data_errors_lack(self, toy_files, tmp_path, capsys):
         """A plan file that does not parse and a plan that validation rejects
         both print ``plan error:`` and exit 2; a data file with a ragged row

@@ -34,7 +34,7 @@ from synthweave import (
     write_csv,
 )
 from synthweave import cart, engine, models
-from synthweave.cart import MISSING_INDICATOR, cart_sample, fit_cart
+from synthweave.cart import MISSING_INDICATOR, fit_cart
 from synthweave.engine import _eval_atoms, _fit_pass, _sample_pass
 from synthweave.models import fit_logit, fit_multinomial
 from synthweave.tabular import Categorical, Column, Numeric
@@ -861,8 +861,8 @@ class TestMissingPredictors:
         for field in ("donor_rows", "leaf_offsets", "leaf_sizes"):
             assert np.array_equal(getattr(fit, field), getattr(reference, field)), field
         _, fresh_preds = expand_missing_predictors(fresh, fresh)
-        expected = cart_sample(reference, fresh_preds, np.random.default_rng(3), 500)
-        assert np.array_equal(draws, expected.values)
+        expected = reference.sample(fresh_preds, np.random.default_rng(3), 500)
+        assert np.array_equal(draws, expected)
 
 
 class TestStratifiedPlumbing:

@@ -28,7 +28,6 @@ from synthweave import (
     fit_transform_normal,
     numeric_column,
 )
-from synthweave.cart import cart_sample
 from synthweave.plan import METHODS
 
 
@@ -771,10 +770,10 @@ def test_cart_sample_needs_predictors_or_a_row_count():
     target, predictors = _option_case("cart")
     tree = fit_cart(target, predictors)
     with pytest.raises(MethodError) as got:
-        cart_sample(tree, None, np.random.default_rng(4))
+        tree.sample(None, np.random.default_rng(4), None)
     assert str(got.value) == "cart: routing needs predictors or an explicit row count"
     stump = fit_cart(target, None)
-    assert cart_sample(stump, None, np.random.default_rng(4), 10).n_rows == 10
+    assert stump.sample(None, np.random.default_rng(4), 10).size == 10
 
 
 SAMPLERS = ("sample", "cart", "normrank", "transform_normal", "logit", "multinomial", "nested")

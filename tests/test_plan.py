@@ -29,6 +29,7 @@ from synthweave import (
     write_csv,
 )
 from synthweave.plan import METHODS, Logit, TransformNormal, parse_condition
+from synthweave.sdc import sdc_from_json
 
 
 def small_data(n=50, seed=0):
@@ -379,6 +380,33 @@ class TestPlanJson:
     def test_bad_method_name(self):
         with pytest.raises(PlanError):
             plan_from_json({"visit_sequence": ["a"], "methods": {"a": "magic"}})
+
+    @pytest.mark.parametrize("key", ["rule", "stratifer", "predictor_matix"])
+    def test_unknown_key_is_a_plan_error(self, key):
+        # a misspelled setting used to be dropped, and the plan ran without it
+        with pytest.raises(PlanError) as got:
+            plan_from_json({"visit_sequence": ["a", "b"], key: "a"})
+        assert str(got.value) == (
+            f"plan document: unknown key {key!r} (known keys: visit_sequence, methods, "
+            "predictor_matrix, rules, stratifier, nesting, seed, sdc)"
+        )
+
+    def test_unknown_sdc_key_is_a_plan_error(self):
+        with pytest.raises(PlanError) as got:
+            sdc_from_json({"key_variable": ["a"], "noise_scale": 0.1})
+        assert str(got.value) == (
+            "sdc: unknown key 'key_variable' "
+            "(known keys: key_variables, noise_targets, noise_scale, label)"
+        )
+
+    def test_every_documented_key_is_known(self):
+        doc = {
+            "visit_sequence": ["a", "b"], "methods": {"a": "sample"}, "predictor_matrix": {"b": ["a"]},
+            "rules": [], "stratifier": None, "nesting": {}, "seed": 1,
+            "sdc": {"key_variables": ["a"], "noise_targets": [], "noise_scale": 0.0, "label": "x"},
+        }
+        assert plan_from_json(doc).seed == 1
+        assert sdc_from_json(doc["sdc"]).key_variables == ("a",)
 
 
 class TestReorderVisit:

@@ -37,7 +37,7 @@ from synthweave import (
 )
 from synthweave import utility
 from synthweave.models import COEF_CAP
-from synthweave.utility import CellTable, _cell_codes
+from synthweave.utility import CellTable
 
 
 def two_col_pair(y_vals, s_vals, levels=("a", "b")):
@@ -802,6 +802,78 @@ class TestArgumentsThatWouldMisleadAreRefused:
         assert str(got.value) == f"{model} model needs at least one variable; variables is empty"
 
 
+def _rule_pair():
+    sex = categorical_column("sex", ["f", "m"] * 10, ["f", "m"])
+    data = Dataset((sex, numeric_column("age", np.arange(20.0))), name="census")
+    return data, data
+
+
+def _empty_synthetic(o, s):
+    return o, Dataset(s.columns, name="synth").take(np.arange(0))
+
+
+def _kinds_differ(o, s):
+    sex = s.column("sex")
+    return o, s.with_column(Column("sex", Categorical(("f", "m", "x")), sex.values))
+
+
+def _age_absent(o, s):
+    return o, s.select(["sex"])
+
+
+# every measure through the one input rule: the pair, and the variables
+# where the measure takes them
+_MEASURES = {
+    "cross_tabulate": lambda o, s, v: cross_tabulate(o, s, v),
+    "fit_propensity": lambda o, s, v: fit_propensity(o, s, "main_effects", variables=v),
+    "fit_propensity_saturated": lambda o, s, v: fit_propensity(o, s, "table_saturated", variables=v),
+    "equivalence_check": lambda o, s, v: equivalence_check(o, s, v),
+    "compare_univariate": lambda o, s, v: compare_univariate(o, s),
+    "compare_bivariate": lambda o, s, v: compare_bivariate(o, s, *v),
+}
+
+
+class TestOneInputRule:
+    """Each failure of the input rule reads as one text, whatever measure
+    meets it."""
+
+    @pytest.mark.parametrize("measure", list(_MEASURES))
+    @pytest.mark.parametrize(
+        "broken, message",
+        [
+            (_empty_synthetic, "the synthetic dataset 'synth' has no rows"),
+            (_kinds_differ, "column 'sex' has different kinds in the two datasets"),
+            (_age_absent, "variable 'age' absent from one of the datasets"),
+        ],
+        ids=["empty-side", "kinds-differ", "name-absent"],
+    )
+    def test_each_failure_has_one_text(self, measure, broken, message):
+        o, s = broken(*_rule_pair())
+        with pytest.raises(UtilityError) as got:
+            _MEASURES[measure](o, s, ["sex", "age"])
+        assert str(got.value) == message
+
+    @pytest.mark.parametrize(
+        "measure", ["cross_tabulate", "fit_propensity", "fit_propensity_saturated", "equivalence_check"]
+    )
+    def test_a_bare_string_is_not_read_as_its_letters(self, measure):
+        # "sex" used to be read as the variables 's', 'e' and 'x'
+        o, s = _rule_pair()
+        letters = Dataset(tuple(numeric_column(c, np.arange(20.0)) for c in "sex"))
+        o, s = Dataset(o.columns + letters.columns), Dataset(s.columns + letters.columns)
+        with pytest.raises(UtilityError) as got:
+            _MEASURES[measure](o, s, "sex")
+        assert str(got.value) == "variables must be a list of column names, got 'sex'"
+        _MEASURES[measure](o, s, ["sex"])
+
+    def test_named_variables_need_only_those_columns_on_both_sides(self):
+        o, s = _rule_pair()
+        extra = o.with_column(numeric_column("weight", np.ones(20)))
+        for measure in ("cross_tabulate", "fit_propensity", "equivalence_check", "compare_bivariate"):
+            _MEASURES[measure](extra, s, ["sex", "age"])
+            _MEASURES[measure](o, extra, ["sex", "age"])
+
+
 def _without_widowed(pair):
     """The pair with every 'Widowed' original recoded 'Single': a level
     only the synthetic side has."""
@@ -904,12 +976,37 @@ def _cells_of(table):
     )
 
 
+def _reference_codes(original, synthetic, v, breaks=None, n_bins=5):
+    """(original codes, synthetic codes, labels) of one variable, derived
+    here: a categorical has one cell per level either side uses, in level
+    order; a numeric has the bins of the original's quantiles (or of
+    ``breaks``), open at both ends, plus an NA cell when either side misses."""
+    o, s = original.column(v), synthetic.column(v)
+    if isinstance(o.kind, Categorical):
+        used, codes = np.unique(np.concatenate([o.values, s.values]), return_inverse=True)
+        return codes[: o.n_rows], codes[o.n_rows :], [o.kind.levels[c] for c in used]
+    if breaks is None:
+        breaks = np.nanquantile(o.values, np.arange(1, n_bins) / n_bins)
+    cuts = np.unique(np.asarray(breaks, dtype=float))
+    labels = (
+        [f"(-inf,{cuts[0]:g}]"]
+        + [f"({a:g},{b:g}]" for a, b in zip(cuts[:-1], cuts[1:])]
+        + [f"({cuts[-1]:g},inf)"]
+    )
+    has_na = bool(np.isnan(o.values).any() or np.isnan(s.values).any())
+
+    def codes(x):
+        return np.where(np.isnan(x), len(labels), np.digitize(x, cuts, right=True))
+
+    return codes(o.values), codes(s.values), labels + ["NA"] * has_na
+
+
 def _reference_cells(original, synthetic, variables, numeric_breaks=None, n_bins=5):
     per_var = []
     sizes = []
     for v in variables:
         brk = numeric_breaks.get(v) if numeric_breaks else None
-        co, cs, labels = _cell_codes(original.column(v), synthetic.column(v), brk, n_bins)
+        co, cs, labels = _reference_codes(original, synthetic, v, brk, n_bins)
         per_var.append((co, cs, labels))
         sizes.append(len(labels))
     k_total = int(np.prod(sizes))
@@ -981,12 +1078,8 @@ def _reference_bivariate(original, synthetic, inner, by, numeric_breaks=None, n_
     """(bands, levels, % original, % synthetic) from each variable's own
     cell codes, banding variable first."""
     brk = numeric_breaks or {}
-    ci_o, ci_s, inner_labels = _cell_codes(
-        original.column(inner), synthetic.column(inner), brk.get(inner), n_bins
-    )
-    cb_o, cb_s, band_labels = _cell_codes(
-        original.column(by), synthetic.column(by), brk.get(by), n_bins
-    )
+    ci_o, ci_s, inner_labels = _reference_codes(original, synthetic, inner, brk.get(inner), n_bins)
+    cb_o, cb_s, band_labels = _reference_codes(original, synthetic, by, brk.get(by), n_bins)
     nb, nl = len(band_labels), len(inner_labels)
 
     def pct(cb, ci):
